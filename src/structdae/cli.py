@@ -61,26 +61,20 @@ def _fmt(x):
 def load_model(path):
     with open(path) as fh:
         obj = json.load(fh)
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind not in ("pair", "phdae", "stokes"):
         raise ConstructionError(f"unknown model type {kind!r} in {path}")
     return obj
 
 
 def model_interval(obj):
-    t0, tf = obj["interval"]
-    return mf.TimeGrid.uniform(float(t0), float(tf), 2)
+    return mf.json_entry(obj, "interval", mf.interval_from_json)
 
 
 def model_pair(obj):
     """The (E, A) pair a model describes (phdae uses A = J - R - E K)."""
-    interval = model_interval(obj)
     if obj["type"] == "pair":
-        return mf.MatrixPair(
-            mf.matrix_function_from_json(obj["E"]),
-            mf.matrix_function_from_json(obj["A"]),
-            interval,
-        )
+        return mf.pair_from_json(obj)
     if obj["type"] == "phdae":
         model = phdae_from_json(obj)
         return model.pair()
@@ -89,10 +83,8 @@ def model_pair(obj):
 
 
 def model_input_map(obj):
-    if obj["type"] == "phdae":
-        return mf.matrix_function_from_json(obj["G"])
-    if "G" in obj:
-        return mf.matrix_function_from_json(obj["G"])
+    if obj["type"] == "phdae" or "G" in obj:
+        return mf.json_entry(obj, "G", mf.matrix_function_from_json)
     return None
 
 
@@ -109,13 +101,13 @@ def phdae_to_json(model):
 
 def phdae_from_json(obj):
     fields = {
-        name: mf.matrix_function_from_json(obj[name])
+        name: mf.json_entry(obj, name, mf.matrix_function_from_json)
         for name in ("E", "J", "R", "K", "G", "P", "S", "N")
     }
     return mo.PHDAEModel(
         interval=model_interval(obj),
-        labels=tuple(obj.get("labels", ())),
-        meta=obj.get("meta", {}),
+        labels=mf.json_entry(obj, "labels", tuple, ()),
+        meta=mf.json_entry(obj, "meta", dict, {}),
         **fields,
     )
 
@@ -134,16 +126,20 @@ def stokes_to_json(model):
     }
 
 
+def _matrix(value):
+    a = np.array(value, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix (list of rows), got ndim={a.ndim}")
+    return a
+
+
 def stokes_from_json(obj):
+    arrays = {name: mf.json_entry(obj, name, _matrix) for name in ("M", "A_S", "A_H", "C", "B")}
     return mo.StokesModel(
-        M=np.array(obj["M"], dtype=float),
-        A_S=np.array(obj["A_S"], dtype=float),
-        A_H=np.array(obj["A_H"], dtype=float),
-        C=np.array(obj["C"], dtype=float),
-        B=np.array(obj["B"], dtype=float),
         interval=model_interval(obj),
-        damped=bool(obj.get("damped", False)),
-        seed=int(obj.get("seed", 0)),
+        damped=mf.json_entry(obj, "damped", bool, False),
+        seed=mf.json_entry(obj, "seed", int, 0),
+        **arrays,
     )
 
 
@@ -347,10 +343,7 @@ def cmd_simulate(args):
     if args.flow:
         fund = fl.fundamental_solution(red.m_fun, grid)
         B = red.certificate.B if red.certificate else np.eye(red.dynamic_dim)
-        mats = fund.matrices
-        defects = np.linalg.norm(
-            np.transpose(mats, (0, 2, 1)) @ B[None] @ mats - B[None], axis=(1, 2)
-        )
+        defects = fl.flow_defect_series(fund, B)
     labels = list(model.labels) if model.labels else [f"x{i+1}" for i in range(model.n)]
     lines = []
     header = ["t"] + labels + ["H"] + (["flow_defect"] if defects is not None else [])

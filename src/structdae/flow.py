@@ -40,45 +40,60 @@ class FlowDiagnostics:
     fundamental: np.ndarray
 
 
-def _midpoint_factors(M_fun, grid):
-    for k in range(grid.n - 1):
-        t0, t1 = grid.points[k], grid.points[k + 1]
-        h = t1 - t0
-        Mm = M_fun.eval(0.5 * (t0 + t1))
-        n = Mm.shape[0]
-        L = np.eye(n) - 0.5 * h * Mm
-        R = np.eye(n) + 0.5 * h * Mm
-        s = np.linalg.svd(L, compute_uv=False) if n else np.ones(1)
-        if s[-1] <= 1e-14 * max(s[0], 1e-300):
+def _step_maps(M_fun, grid, g_fun=None):
+    """C_k = L_k^-1 R_k and d_k = h_k L_k^-1 g(t_k+1/2) (zero without g) for every step.
+
+    L = I - h/2 M and R = I + h/2 M at the midpoints, from one evaluation of
+    M (and g) at all of them; raises at the first midpoint where L is
+    numerically singular.
+    """
+    ts = grid.points
+    h = np.diff(ts)
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    half = 0.5 * h[:, None, None] * M_fun._eval_at(mids)
+    n = half.shape[1]
+    L = np.eye(n) - half
+    R = np.eye(n) + half
+    if n:
+        s = np.linalg.svd(L, compute_uv=False)
+        bad = np.flatnonzero(s[:, -1] <= 1e-14 * np.maximum(s[:, 0], 1e-300))
+        if bad.size:
+            t = float(mids[bad[0]])
             raise SingularityError(
-                f"midpoint step matrix singular near t={0.5 * (t0 + t1)}; "
-                "refine the step size", t=float(0.5 * (t0 + t1)),
+                f"midpoint step matrix singular near t={t}; refine the step size", t=t,
             )
-        yield k, t0, t1, h, L, R
+    if g_fun is None:
+        return np.linalg.solve(L, R), np.zeros((h.size, n))
+    CD = np.linalg.solve(L, np.concatenate([R, h[:, None, None] * g_fun._eval_at(mids)], axis=2))
+    return CD[:, :, :n], CD[:, :, n]
 
 
 def fundamental_solution(M_fun, grid):
     """Implicit-midpoint fundamental solution of Phidot = M(t) Phi, Phi = I."""
     if M_fun.rows != M_fun.cols:
         raise DimensionError("fundamental solution needs a square coefficient")
-    n = M_fun.rows
-    K = grid.n
-    Phi = np.empty((K, n, n))
-    Phi[0] = np.eye(n)
-    for k, t0, t1, h, L, R in _midpoint_factors(M_fun, grid):
-        Phi[k + 1] = np.linalg.solve(L, R @ Phi[k])
+    C, _ = _step_maps(M_fun, grid)
+    Phi = np.empty((grid.n, M_fun.rows, M_fun.rows))
+    Phi[0] = np.eye(M_fun.rows)
+    for k in range(grid.n - 1):
+        Phi[k + 1] = C[k] @ Phi[k]
     return FundamentalSolution(grid, Phi)
 
 
-def flow_defect(fundamental, certificate):
-    """max_k || Phi_k^T B Phi_k - B ||_F for the certificate's form B."""
+def flow_defect_series(fundamental, certificate):
+    """|| Phi_k^T B Phi_k - B ||_F at every grid point for the certificate's form B."""
     if isinstance(fundamental, FundamentalSolution):
         mats = fundamental.matrices
     else:
         mats = np.asarray(fundamental, dtype=float)
     B = certificate.B if isinstance(certificate, FlowCertificate) else np.asarray(certificate)
     defect = np.transpose(mats, (0, 2, 1)) @ B[None] @ mats - B[None]
-    return float(np.linalg.norm(defect, axis=(1, 2)).max())
+    return np.linalg.norm(defect, axis=(1, 2))
+
+
+def flow_defect(fundamental, certificate):
+    """max_k || Phi_k^T B Phi_k - B ||_F for the certificate's form B."""
+    return float(flow_defect_series(fundamental, certificate).max())
 
 
 def certify_flow(M_fun, grid, certificate):
@@ -91,12 +106,11 @@ def integrate_linear(M_fun, g_fun, x0, grid):
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != M_fun.rows:
         raise DimensionError(f"x0 has size {x.size}, expected {M_fun.rows}")
-    K = grid.n
-    out = np.empty((K, x.size))
+    C, d = _step_maps(M_fun, grid, g_fun)
+    out = np.empty((grid.n, x.size))
     out[0] = x
-    for k, t0, t1, h, L, R in _midpoint_factors(M_fun, grid):
-        gm = g_fun.eval(0.5 * (t0 + t1)).reshape(-1) if g_fun is not None else 0.0
-        out[k + 1] = np.linalg.solve(L, R @ out[k] + h * gm)
+    for k in range(grid.n - 1):
+        out[k + 1] = C[k] @ out[k] + d[k]
     return out
 
 
@@ -107,10 +121,7 @@ def integrate_reduced(sys: ReducedSystem, x0, grid):
     the reduction kept a reference to it.
     """
     dyn = integrate_linear(sys.m_fun, sys.g_fun, x0, grid)
-    n_full = sys.n_full
-    states = np.empty((grid.n, n_full))
-    for k, t in enumerate(grid.points):
-        states[k] = sys.reconstruct(t, dyn[k])
+    states = sys.reconstruct_on(grid, dyn)
     ham = None
     if sys.pair is not None:
         ham = hamiltonian_series(sys.pair.E, Trajectory(grid, states))
@@ -119,11 +130,8 @@ def integrate_reduced(sys: ReducedSystem, x0, grid):
 
 def hamiltonian_series(E_fun, traj):
     """H_k = 0.5 x_k^T E(t_k) x_k along the trajectory."""
-    vals = np.empty(traj.grid.n)
-    for k, t in enumerate(traj.grid.points):
-        x = traj.states[k]
-        vals[k] = 0.5 * x @ (E_fun.eval(t) @ x)
-    return vals
+    x = traj.states
+    return 0.5 * np.einsum("ki,kij,kj->k", x, E_fun.eval_on(traj.grid), x)
 
 
 @dataclass
@@ -145,11 +153,9 @@ def dissipation_monitor(model, traj, u=None, tol_scale=1e-8):
     if u is not None:
         umax = float(np.abs(u.eval_on(traj.grid)).max())
         checked = umax <= 1e-14 * (1.0 + umax)
-    viol = 0.0
-    for k in range(H.size - 1):
-        allowed = tol_scale * (1.0 + abs(H[k]))
-        viol = max(viol, H[k + 1] - H[k] - allowed)
-    return DissipationReport(H, float(max(viol, 0.0)), viol <= 0.0, checked)
+    excess = np.diff(H) - tol_scale * (1.0 + np.abs(H[:-1]))
+    viol = float(excess.max(initial=0.0))
+    return DissipationReport(H, viol, viol <= 0.0, checked)
 
 
 def simulate_phdae(model, u, x0, grid):

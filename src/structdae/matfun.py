@@ -24,10 +24,11 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import ConstructionError, DimensionError, DomainError
 
-def _as_matrix(value, name="matrix"):
+def _as_matrix(value, name="matrix", stacked=False):
+    """Finite float matrix, or a stack of them along a leading axis."""
     a = np.array(value, dtype=float)
-    if a.ndim != 2:
-        raise ConstructionError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
+    if a.ndim != 2 + stacked:
+        raise ConstructionError(f"{name} must be 2-dimensional, got ndim={a.ndim - stacked}")
     if not np.all(np.isfinite(a)):
         raise ConstructionError(f"{name} has non-finite entries")
     return a
@@ -75,9 +76,10 @@ class TimeGrid:
         return TimeGrid(np.sort(np.concatenate([self.points, mids])))
 
     def contains(self, t, slack=None):
+        """Whether t lies in [t0, tf] up to the slack; elementwise for arrays."""
         if slack is None:
             slack = 1e-12 * max(1.0, abs(self.t0), abs(self.tf))
-        return self.t0 - slack <= t <= self.tf + slack
+        return (self.t0 - slack <= t) & (t <= self.tf + slack)
 
     def within(self, other, slack=None):
         if slack is None:
@@ -106,17 +108,26 @@ class MatrixFunction:
         return (self.rows, self.cols)
 
     def eval(self, t):
-        raise NotImplementedError
+        return self._eval_at(np.array([t], dtype=float))[0]
 
     def derivative(self, t):
-        raise NotImplementedError
+        return self._derivative_at(np.array([t], dtype=float))[0]
 
     def eval_on(self, grid):
         """Values at all grid points, shape (len(grid), rows, cols)."""
-        return np.stack([self.eval(t) for t in grid.points])
+        return self._eval_at(grid.points)
 
     def derivative_on(self, grid):
-        return np.stack([self.derivative(t) for t in grid.points])
+        return self._derivative_at(grid.points)
+
+    # Values and derivatives at an array of points, shape (len(ts), rows,
+    # cols).  Point arrays need not form a TimeGrid: the midpoints of a
+    # two-point grid are a single point.
+    def _eval_at(self, ts):
+        raise NotImplementedError
+
+    def _derivative_at(self, ts):
+        raise NotImplementedError
 
     def _check_shape_match(self, other):
         if self.shape != other.shape:
@@ -134,11 +145,15 @@ class ConstantMatrixFunction(MatrixFunction):
     def derivative(self, t):
         return np.zeros_like(self.value)
 
-    def eval_on(self, grid):
-        return np.broadcast_to(self.value, (grid.n, self.rows, self.cols)).copy()
+    # own class entries, which perfbench/spans.py wraps by class and name
+    eval_on = MatrixFunction.eval_on
+    derivative_on = MatrixFunction.derivative_on
 
-    def derivative_on(self, grid):
-        return np.zeros((grid.n, self.rows, self.cols))
+    def _eval_at(self, ts):
+        return np.broadcast_to(self.value, (len(ts), self.rows, self.cols)).copy()
+
+    def _derivative_at(self, ts):
+        return np.zeros((len(ts), self.rows, self.cols))
 
 
 class PolynomialMatrixFunction(MatrixFunction):
@@ -158,6 +173,8 @@ class PolynomialMatrixFunction(MatrixFunction):
             deg -= 1
         self.coeffs = c[: deg + 1]
         self.rows, self.cols = c.shape[1], c.shape[2]
+        self._dcoeffs = (self.coeffs[1:] * np.arange(1, deg + 1)[:, None, None]
+                         if deg else np.zeros_like(self.coeffs))
 
     @classmethod
     def from_entries(cls, entries):
@@ -182,19 +199,27 @@ class PolynomialMatrixFunction(MatrixFunction):
         return self.coeffs.shape[0] - 1
 
     def eval(self, t):
-        out = self.coeffs[-1].copy()
-        for k in range(self.coeffs.shape[0] - 2, -1, -1):
-            out = out * t + self.coeffs[k]
-        return out
+        return _horner(self.coeffs, t)
 
     def derivative(self, t):
-        return self.derivative_function().eval(t)
+        return _horner(self._dcoeffs, t)
+
+    def _eval_at(self, ts):
+        return _horner(self.coeffs, np.asarray(ts, dtype=float)[:, None, None])
+
+    def _derivative_at(self, ts):
+        return _horner(self._dcoeffs, np.asarray(ts, dtype=float)[:, None, None])
 
     def derivative_function(self):
-        if self.degree == 0:
-            return PolynomialMatrixFunction(np.zeros((1, self.rows, self.cols)))
-        dc = self.coeffs[1:] * np.arange(1, self.degree + 1)[:, None, None]
-        return PolynomialMatrixFunction(dc)
+        return PolynomialMatrixFunction(self._dcoeffs)
+
+
+def _horner(coeffs, t):
+    """sum_k coeffs[k] * t**k for a scalar t, or at every point of a (m, 1, 1) array t."""
+    out = coeffs[-1] * t**0  # a new array, shaped by t
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        out = out * t + coeffs[k]
+    return out
 
 
 class SampledMatrixFunction(MatrixFunction):
@@ -228,10 +253,16 @@ class SampledMatrixFunction(MatrixFunction):
         self._spline = None
         self._dspline = None
 
-    def _check_domain(self, t):
-        if not self.grid.contains(t):
+    # own class entries, which perfbench/spans.py wraps by class and name
+    eval = MatrixFunction.eval
+    derivative = MatrixFunction.derivative
+
+    def _check_domain(self, ts):
+        inside = self.grid.contains(ts)
+        if not np.all(inside):
             raise DomainError(
-                f"t={t} outside sampled interval [{self.grid.t0}, {self.grid.tf}]"
+                f"t={ts[np.argmin(inside)]} outside sampled interval "
+                f"[{self.grid.t0}, {self.grid.tf}]"
             )
 
     def _build(self):
@@ -244,37 +275,44 @@ class SampledMatrixFunction(MatrixFunction):
             self._dspline = self._spline.derivative()
         return self._spline, self._dspline
 
-    def _segment(self, t):
+    def _segments(self, ts):
+        """Index k of the interval [x_k, x_k+1] holding each t; the last
+        interval also takes tf (and points past it within the slack)."""
         x = self.grid.points
-        k = int(np.searchsorted(x, t, side="right") - 1)
-        return min(max(k, 0), x.size - 2)
+        k = np.searchsorted(x, ts, side="right") - 1
+        return np.clip(k, 0, x.size - 2)
 
-    def eval(self, t):
-        self._check_domain(t)
+    def _eval_at(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        self._check_domain(ts)
         if self.order == 1:
             x = self.grid.points
-            k = self._segment(t)
-            w = (t - x[k]) / (x[k + 1] - x[k])
+            k = self._segments(ts)
+            w = ((ts - x[k]) / (x[k + 1] - x[k]))[:, None, None]
             return (1.0 - w) * self.values[k] + w * self.values[k + 1]
         spline, _ = self._build()
-        return np.asarray(spline(t), dtype=float)
+        return np.asarray(spline(ts), dtype=float)
 
-    def derivative(self, t):
-        self._check_domain(t)
+    def _derivative_at(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        self._check_domain(ts)
+        x = self.grid.points
         if self.order == 1:
-            x = self.grid.points
             # right-hand slope at the nodes, except tf which takes the left one
-            if t >= x[-1]:
-                k = x.size - 2
-            else:
-                k = self._segment(t)
-            return (self.values[k + 1] - self.values[k]) / (x[k + 1] - x[k])
-        if self.deriv_values is not None:
-            hit = np.nonzero(np.isclose(self.grid.points, t, rtol=0.0, atol=1e-14))[0]
-            if hit.size:
-                return self.deriv_values[hit[0]].copy()
+            k = self._segments(ts)
+            return (self.values[k + 1] - self.values[k]) / (x[k + 1] - x[k])[:, None, None]
         _, dspline = self._build()
-        return np.asarray(dspline(t), dtype=float)
+        out = np.asarray(dspline(ts), dtype=float)
+        if self.deriv_values is not None:
+            # a point within 1e-14 of a node takes that node's derivative
+            # sample (the lower node when two qualify)
+            i = np.searchsorted(x, ts)
+            lo = np.maximum(i - 1, 0)
+            hi = np.minimum(i, x.size - 1)
+            node = np.where(np.abs(x[lo] - ts) <= 1e-14, lo, hi)
+            hit = np.abs(x[node] - ts) <= 1e-14
+            out[hit] = self.deriv_values[node[hit]]
+        return out
 
     def eval_on(self, grid):
         if grid == self.grid:
@@ -314,10 +352,10 @@ def sample(fun, grid, order=3, with_derivatives=False):
 
 def from_callable(fn, grid, dfn=None, order=3):
     """Sampled function from python callables t -> matrix (and derivative)."""
-    values = np.stack([_as_matrix(fn(t), "sample") for t in grid.points])
+    values = _as_matrix([fn(t) for t in grid.points], "sample", stacked=True)
     deriv = None
     if dfn is not None:
-        deriv = np.stack([_as_matrix(dfn(t), "derivative sample") for t in grid.points])
+        deriv = _as_matrix([dfn(t) for t in grid.points], "derivative sample", stacked=True)
     return SampledMatrixFunction(grid, values, order=order, deriv_values=deriv)
 
 
@@ -549,13 +587,38 @@ def pair_to_json(pair):
     }
 
 
+def json_entry(obj, key, convert, *default):
+    """convert(obj[key]) for a top-level entry of a model object.
+
+    Absent optional keys take the default.  A missing required key, or a
+    value convert rejects with KeyError, TypeError or ValueError, raises
+    ConstructionError naming the key.
+    """
+    if not isinstance(obj, dict):
+        raise ConstructionError(f"model must be a JSON object, got {type(obj).__name__}")
+    if key in obj:
+        value = obj[key]
+    elif default:
+        value = default[0]
+    else:
+        raise ConstructionError(f"model has no {key!r} entry")
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConstructionError(f"malformed {key!r} entry: {exc}") from None
+
+
+def interval_from_json(value):
+    """Two-point TimeGrid from an "interval" entry [t0, tf]."""
+    t0, tf = value
+    return TimeGrid.uniform(float(t0), float(tf), 2)
+
+
 def pair_from_json(obj):
-    t0, tf = obj["interval"]
-    interval = TimeGrid.uniform(float(t0), float(tf), 2)
     return MatrixPair(
-        matrix_function_from_json(obj["E"]),
-        matrix_function_from_json(obj["A"]),
-        interval,
+        json_entry(obj, "E", matrix_function_from_json),
+        json_entry(obj, "A", matrix_function_from_json),
+        json_entry(obj, "interval", interval_from_json),
     )
 
 

@@ -92,7 +92,6 @@ class ReducedSystem:
     dynamic_dim: int
     m_fun: mf.MatrixFunction
     g_fun: mf.MatrixFunction
-    input_map: mf.MatrixFunction  # [W0 W1] acting on stacked (f; fdot)
     certificate: FlowCertificate | None
     recovery: list = field(default_factory=list)
     # full original state as an affine map of (x2, f, fdot)
@@ -113,10 +112,25 @@ class ReducedSystem:
         """Full original state at time t from the dynamic state x2."""
         if self.rx is None:
             return np.asarray(x2, dtype=float)
-        out = self.rx.eval(t) @ np.asarray(x2, dtype=float)
+        ts = np.array([t], dtype=float)
+        return self._recover(
+            np.reshape(x2, (1, -1)), lambda F: F._eval_at(ts), lambda F: F._derivative_at(ts)
+        )[0]
+
+    def reconstruct_on(self, grid, x2):
+        """Full original states at all grid points from dynamic states x2 (K, d)."""
+        return self._recover(x2, lambda F: F.eval_on(grid), lambda F: F.derivative_on(grid))
+
+    def _recover(self, x2, values, derivatives):
+        """rx x2 + rf f + rfd fdot, with values(F) / derivatives(F) giving a
+        matrix function at the same points as the rows of x2."""
+        x2 = np.asarray(x2, dtype=float)
+        if self.rx is None:
+            return x2.copy()
+        out = np.einsum("kij,kj->ki", values(self.rx), x2)
         if self.f is not None:
-            out = out + self.rf.eval(t) @ self.f.eval(t).reshape(-1)
-            out = out + self.rfd.eval(t) @ self.f.derivative(t).reshape(-1)
+            out += np.einsum("kij,kj->ki", values(self.rf), values(self.f)[:, :, 0])
+            out += np.einsum("kij,kj->ki", values(self.rfd), derivatives(self.f)[:, :, 0])
         return out
 
     def dynamic_from_full(self, t, x_full):
@@ -149,20 +163,16 @@ def _sampled(grid, vals, ders=None):
 
 def _spd_sqrt_with_derivative(Sv, Sd):
     """F = S^{1/2} and Fdot from  Fdot F + F Fdot = Sdot  (eigh basis)."""
-    K, r, _ = Sv.shape
-    F = np.empty_like(Sv)
-    Finv = np.empty_like(Sv)
-    Fd = np.zeros_like(Sv)
-    for k in range(K):
-        lam, V = np.linalg.eigh(0.5 * (Sv[k] + Sv[k].T))
-        if np.any(lam <= 0):
-            raise StructureError("dynamic E block is not positive definite")
-        sq = np.sqrt(lam)
-        F[k] = (V * sq) @ V.T
-        Finv[k] = (V / sq) @ V.T
-        G = V.T @ (0.5 * (Sd[k] + Sd[k].T)) @ V
-        G = G / (sq[:, None] + sq[None, :])
-        Fd[k] = V @ G @ V.T
+    lam, V = np.linalg.eigh(0.5 * (Sv + _bT(Sv)))
+    if np.any(lam <= 0):
+        raise StructureError("dynamic E block is not positive definite")
+    sq = np.sqrt(lam)
+    VT = _bT(V)
+    F = (V * sq[:, None, :]) @ VT
+    Finv = (V / sq[:, None, :]) @ VT
+    G = VT @ (0.5 * (Sd + _bT(Sd))) @ V
+    G = G / (sq[:, :, None] + sq[:, None, :])
+    Fd = V @ G @ VT
     return F, Finv, Fd
 
 
@@ -206,7 +216,7 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         raise StructureError(
             f"pair is not skew-adjoint (residual {rep.max_residual:.3e})"
         )
-    eigmin = min(np.linalg.eigvalsh(0.5 * (Ek + Ek.T))[0] for Ek in Ev)
+    eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
     if eigmin < -1e-12 * scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
@@ -385,7 +395,6 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         dynamic_dim=dxi,
         m_fun=_sampled(grid, Mv),
         g_fun=_sampled(grid, gvals),
-        input_map=_sampled(grid, np.concatenate([Gf, Gfd], axis=2)),
         certificate=FlowCertificate.orthogonal(dxi),
         recovery=recovery,
         rx=_sampled(grid, Rx),
@@ -484,13 +493,6 @@ def stokes_reduce(M, B, Jfun, f, grid):
         dynamic_dim=n2,
         m_fun=_sampled(grid, Mv),
         g_fun=_sampled(grid, g),
-        input_map=_sampled(
-            grid,
-            np.concatenate(
-                [np.broadcast_to(Finv @ U2.T, (K, n2, nv)).copy(),
-                 np.zeros((K, n2, npp)),
-                 np.zeros((K, n2, n_full))], axis=2),
-        ),
         certificate=FlowCertificate.orthogonal(n2),
         recovery=recovery,
         rx=_sampled(grid, Rx),
@@ -541,7 +543,6 @@ def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
         dynamic_dim=2 * p,
         m_fun=_sampled(grid, Mv),
         g_fun=_sampled(grid, np.zeros((K, 2 * p, 1))),
-        input_map=_sampled(grid, np.zeros((K, 2 * p, 2 * (2 * p)))),
         certificate=FlowCertificate("symplectic", J),
         recovery=[],
         grid=grid,
@@ -559,7 +560,7 @@ def index1_reduce(pair, f, grid, gap_tol=1e-8):
     K = grid.n
     Ev = pair.E.eval_on(grid)
     scale = 1.0 + _maxnorm(Ev)
-    eigmin = min(np.linalg.eigvalsh(0.5 * (Ek + Ek.T))[0] for Ek in Ev)
+    eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
     if eigmin < -1e-12 * scale:
         raise StructureError("index1_reduce expects positive semidefinite E")
     Qv, Qd, r = _kernel_split_constant(pair.E, grid)
@@ -588,7 +589,6 @@ def index1_reduce(pair, f, grid, gap_tol=1e-8):
         dynamic_dim=r,
         m_fun=_sampled(grid, Mv),
         g_fun=_sampled(grid, gvals),
-        input_map=_sampled(grid, np.concatenate([Gf, np.zeros((K, r, n))], axis=2)),
         certificate=None,
         recovery=[AffineRecovery(
             "algebraic variables", _sampled(grid, X21), _sampled(grid, x2_f),

@@ -133,12 +133,18 @@ def classify(pair, grid, tol):
     return StructureTag(value, tol)
 
 
+def _check_nonsingular_values(Fv, grid, rel_tol, what):
+    """Raise SingularityError naming the first grid time where Fv is singular."""
+    s = np.linalg.svd(Fv, compute_uv=False)
+    bad = np.flatnonzero((s[:, 0] == 0.0) | (s[:, -1] <= rel_tol * s[:, 0]))
+    if bad.size:
+        t = float(grid.points[bad[0]])
+        raise SingularityError(f"{what} is numerically singular at t={t}", t=t)
+
+
 def check_nonsingular(F, grid, rel_tol=1e-12, what="Q"):
     """Raise SingularityError (naming the time) if F(t) is singular on the grid."""
-    for t, Fv in zip(grid.points, F.eval_on(grid)):
-        s = np.linalg.svd(Fv, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= rel_tol * s[0]:
-            raise SingularityError(f"{what} is numerically singular at t={t}", t=float(t))
+    _check_nonsingular_values(F.eval_on(grid), grid, rel_tol, what)
 
 
 def apply_congruence(pair, transform, check_grid=None):
@@ -186,12 +192,8 @@ def invert(transform, grid):
     """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv."""
     Qv = transform.Q.eval_on(grid)
     Qd = transform.Qdot.eval_on(grid)
-    inv = np.empty_like(Qv)
-    for k, (t, Qk) in enumerate(zip(grid.points, Qv)):
-        s = np.linalg.svd(Qk, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-            raise SingularityError(f"Q is numerically singular at t={t}", t=float(t))
-        inv[k] = np.linalg.inv(Qk)
+    _check_nonsingular_values(Qv, grid, 1e-12, "Q")
+    inv = np.linalg.inv(Qv)
     dinv = -inv @ Qd @ inv
     return CongruenceTransform(
         mf.SampledMatrixFunction(grid, inv, order=3, deriv_values=dinv),

@@ -193,3 +193,44 @@ def test_demo_json_determinism(tmp_path):
     run(["demo", "stokes", "--seed", "9", "--out", str(a)])
     run(["demo", "stokes", "--seed", "9", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_malformed_model_entries_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    run(["demo", "circuit", "--out", str(model)])
+    good = json.loads(model.read_text())
+    broken = {
+        "no_interval": {k: v for k, v in good.items() if k != "interval"},
+        "null_interval": {**good, "interval": None},
+        "long_interval": {**good, "interval": [0.0, 1.0, 2.0]},
+        "no_E": {k: v for k, v in good.items() if k != "E"},
+        "bad_labels": {**good, "labels": 5},
+        "not_an_object": [1, 2],
+    }
+    for name, obj in broken.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run(["simulate", "--model", str(path), "--x0", "1,0,0,0,0", "--steps", "10"])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+    stokes = tmp_path / "s.json"
+    run(["demo", "stokes", "--out", str(stokes)])
+    good = json.loads(stokes.read_text())
+    for name, obj in {"no_M": {k: v for k, v in good.items() if k != "M"},
+                      "scalar_B": {**good, "B": 3.0},
+                      "null_seed": {**good, "seed": None}}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(["reduce", "--pipeline", "stokes", "--model", str(path)]) == 2, name
+        assert capsys.readouterr().err.count("\n") == 1
+
+    pair = tmp_path / "p.json"
+    run(["demo", "multibody", "--out", str(pair)])
+    obj = json.loads(pair.read_text())
+    del obj["A"]
+    pair.write_text(json.dumps(obj))
+    assert run(["check", "--model", str(pair)]) == 2

@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg as sla
 
 import structdae as sd
+from structdae.errors import SingularityError
 from structdae.reduce import FlowCertificate
 
-from oracles import rotation
+from oracles import random_poly_congruence, rotation, seeded_semidefinite_skew_pair
 
 GRID = sd.TimeGrid.uniform(0.0, 1.0, 101)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -155,3 +156,53 @@ def test_simulate_phdae_with_input_matches_reduction():
     t = grid.points
     assert np.abs(traj.states[:, 1] + np.sin(t)).max() <= 1e-10  # V1 = -sin
     assert np.abs(traj.states[:, 3] - np.cos(t)).max() <= 1e-10  # IG = cos
+
+
+def test_integrate_reduced_refined_grid_matches_pointwise_reconstruct():
+    # time-varying recovery maps (a polynomial congruence of a constant
+    # index-1 pair) with an inhomogeneity, integrated on a finer grid than
+    # the reduction's, so every recovery coefficient is interpolated
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 201)
+    pair0, w = seeded_semidefinite_skew_pair(2, grid)
+    rng = np.random.default_rng(6)
+    T = random_poly_congruence(rng, pair0.n, 2)
+    pair = sd.apply_congruence(pair0, T)
+    f0 = sd.from_callable(lambda t: np.sin(3 * t) * w[:, None], grid,
+                          dfn=lambda t: 3 * np.cos(3 * t) * w[:, None])
+    red = sd.semidefinite_skew_reduce(pair, sd.mf_matmul(sd.mf_transpose(T.Q), f0), grid)
+    fine = grid.refine()
+    x2 = np.arange(1.0, red.dynamic_dim + 1)
+    traj = sd.integrate_reduced(red, x2, fine)
+    pointwise = np.stack([red.reconstruct(t, traj.dynamic[k])
+                          for k, t in enumerate(fine.points)])
+    scale = 1.0 + np.abs(pointwise).max()
+    assert np.abs(traj.states - pointwise).max() <= 1e-13 * scale
+    assert np.abs(traj.states[::2] - red.reconstruct_on(grid, traj.dynamic[::2])).max() <= (
+        1e-13 * scale)
+
+
+@pytest.mark.parametrize("M", [
+    # real eigenvalue 2/h = 8 at every midpoint of the h = 1/4 grid
+    sd.constant(np.diag([8.0, 0.0])),
+    # linear interpolation of these node values is 8 at the midpoints
+    # 0.375, 0.625 and 0.875 only
+    sd.SampledMatrixFunction(
+        sd.TimeGrid([0.0, 0.25, 0.5, 0.75, 1.0]),
+        [np.diag([v, 0.0]) for v in (0.0, 4.0, 12.0, 4.0, 12.0)], order=1),
+])
+def test_singular_cayley_step_names_first_midpoint(M):
+    grid = sd.TimeGrid([0.0, 0.25, 0.5, 0.75, 1.0])
+    first = 0.125 if isinstance(M, sd.ConstantMatrixFunction) else 0.375
+    for run in (lambda: sd.fundamental_solution(M, grid),
+                lambda: sd.integrate_linear(M, None, [1.0, 0.0], grid)):
+        with pytest.raises(SingularityError) as err:
+            run()
+        assert err.value.t == first
+        assert f"t={first}" in str(err.value)
+
+
+def test_flow_defect_series_is_per_step():
+    mats = np.stack([np.eye(2), 2 * np.eye(2), np.eye(2)])
+    series = sd.flow_defect_series(mats, FlowCertificate("symplectic", J2))
+    assert np.allclose(series, [0.0, 3 * np.sqrt(2.0), 0.0], atol=0)
+    assert sd.flow_defect(mats, FlowCertificate("symplectic", J2)) == series.max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import structdae as sd
 from structdae.errors import ConstructionError, DomainError
@@ -156,3 +157,62 @@ def test_pair_json_roundtrip():
     back = sd.pair_from_json(obj)
     assert np.array_equal(back.E.eval(1.0), np.eye(2))
     assert back.interval.tf == 2.0
+
+
+def test_sampled_derivative_node_rule():
+    # arbitrary derivative samples: a point within 1e-14 of a node returns the
+    # stored sample exactly, anything farther the Hermite spline's derivative
+    rng = np.random.default_rng(3)
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 11)
+    vals = rng.standard_normal((11, 2, 2))
+    ders = rng.standard_normal((11, 2, 2))
+    s = sd.SampledMatrixFunction(grid, vals, deriv_values=ders)
+    dspline = CubicHermiteSpline(grid.points, vals, ders, axis=0).derivative()
+    for i in (0, 4, 10):
+        x = grid.points[i]
+        for t in (x - 5e-15, x, x + 5e-15):
+            assert np.array_equal(s.derivative(t), ders[i])
+    t = grid.points[4] + 1e-9
+    assert np.array_equal(s.derivative(t), dspline(t))
+    assert not np.array_equal(s.derivative(t), ders[4])
+    # the batched path follows the same rule
+    other = sd.TimeGrid([0.4 - 5e-15, 0.4 + 1e-9, 0.55, 0.6 + 5e-15, 1.0])
+    want = np.stack([ders[4], dspline(0.4 + 1e-9), dspline(0.55), ders[6], ders[10]])
+    assert np.array_equal(s.derivative_on(other), want)
+
+
+@pytest.mark.parametrize("order, with_derivatives", [(1, False), (3, False), (3, True)])
+def test_sampled_eval_on_foreign_grid_matches_pointwise(order, with_derivatives):
+    rng = np.random.default_rng(4)
+    grid = sd.TimeGrid.uniform(0.0, 2.0, 9)
+    vals = rng.standard_normal((9, 3, 2))
+    ders = rng.standard_normal((9, 3, 2)) if with_derivatives else None
+    s = sd.SampledMatrixFunction(grid, vals, order=order, deriv_values=ders)
+    other = sd.TimeGrid(np.sort(np.concatenate([rng.uniform(0.0, 2.0, 25),
+                                                grid.points[[0, 3, 8]]])))
+    assert other != grid
+    assert np.array_equal(s.eval_on(other), np.stack([s.eval(t) for t in other.points]))
+    assert np.array_equal(
+        s.derivative_on(other), np.stack([s.derivative(t) for t in other.points])
+    )
+    if order == 3:
+        spline = (CubicSpline(grid.points, vals, axis=0) if ders is None
+                  else CubicHermiteSpline(grid.points, vals, ders, axis=0))
+        assert np.array_equal(s.eval_on(other), np.stack([spline(t) for t in other.points]))
+
+
+def test_poly_eval_on_matches_pointwise():
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((4, 2, 3))
+    f = sd.PolynomialMatrixFunction(c)
+    grid = sd.TimeGrid.uniform(-1.0, 2.0, 17)
+    ts = grid.points
+    assert np.array_equal(f.eval_on(grid), np.stack([f.eval(t) for t in ts]))
+    assert np.array_equal(f.derivative_on(grid), np.stack([f.derivative(t) for t in ts]))
+    ref = np.stack([sum(c[k] * t**k for k in range(4)) for t in ts])
+    dref = np.stack([sum(k * c[k] * t ** (k - 1) for k in range(1, 4)) for t in ts])
+    assert np.allclose(f.eval_on(grid), ref, rtol=1e-13, atol=1e-13)
+    assert np.allclose(f.derivative_on(grid), dref, rtol=1e-13, atol=1e-13)
+    const = sd.PolynomialMatrixFunction(c[:1])
+    assert np.array_equal(const.eval_on(grid), np.broadcast_to(c[0], (17, 2, 3)))
+    assert np.array_equal(const.derivative_on(grid), np.zeros((17, 2, 3)))

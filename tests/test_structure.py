@@ -219,3 +219,19 @@ def test_congruence_preserves_structure(seed):
     tol = 1e-8 * (1.0 + sd.default_tolerance(self_pair, GRID) / 1e-10)
     assert sd.classify(out_self, GRID, tol).value == sd.classify(self_pair, GRID, tol).value
     assert sd.classify(out_skew, GRID, tol).value == sd.classify(skew_pair, GRID, tol).value
+
+
+def test_singular_checks_name_the_first_failing_time():
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 5)
+    # Q(t) = diag(1, (t - 0.25)(t - 0.75)) is singular at t = 0.25 and 0.75
+    Q = sd.PolynomialMatrixFunction.from_entries(
+        [[[1.0], [0.0]], [[0.0], [0.1875, -1.0, 1.0]]]
+    )
+    T = sd.CongruenceTransform.from_function(Q)
+    pair = sd.MatrixPair(sd.identity(2), sd.zero(2, 2), grid)
+    for run in (lambda: sd.apply_congruence(pair, T, check_grid=grid),
+                lambda: sd.invert(T, grid)):
+        with pytest.raises(SingularityError) as err:
+            run()
+        assert err.value.t == 0.25
+        assert "t=0.25" in str(err.value)
