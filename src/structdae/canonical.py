@@ -33,19 +33,10 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import smooth_kernel_frame
+from .factor import smooth_inertia, smooth_kernel_frame
+from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
-
-
-def _bT(x):
-    return np.transpose(x, (0, 2, 1))
-
-
-def _maxnorm(x):
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, axis=(1, 2)).max())
 
 
 @dataclass
@@ -170,15 +161,9 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
     B11 = T[:d, :d]
     M = lam0 * np.eye(d) - np.linalg.solve(B11, np.eye(d))
 
-    K = grid.n
-    phiv = np.empty((K, n, d))
-    phid = np.empty((K, n, d))
-    phidd = np.empty((K, n, d))
-    for k, t in enumerate(grid.points):
-        ex = sla.expm((t - t0) * M)
-        phiv[k] = Z1 @ ex
-        phid[k] = phiv[k] @ M
-        phidd[k] = phid[k] @ M
+    phiv = Z1 @ sla.expm((grid.points - t0)[:, None, None] * M)
+    phid = phiv @ M
+    phidd = phid @ M
     res = _maxnorm(E[None] @ phid - A[None] @ phiv)
     if res > 1e-8 * scale:
         raise StageError(
@@ -205,22 +190,20 @@ def brute_force_dimension(pair):
 # staged pipeline machinery (value/derivative arrays on the grid)
 # ---------------------------------------------------------------------------
 
-def _congruence_arrays(Ev, Ed, Av, Qv, Qd):
-    QT, QdT = _bT(Qv), _bT(Qd)
-    E2 = QT @ Ev @ Qv
-    E2d = QdT @ Ev @ Qv + QT @ Ed @ Qv + QT @ Ev @ Qd
-    A2 = QT @ Av @ Qv - QT @ Ev @ Qd
-    return E2, E2d, A2
-
-
-def _structure_residual_arrays(kind, Ev, Ed, Av):
-    if kind == st.SELF_ADJOINT:
-        return max(_maxnorm(Ev + _bT(Ev)), _maxnorm(_bT(Av) - Av - Ed))
-    return max(_maxnorm(Ev - _bT(Ev)), _maxnorm(_bT(Av) + Av + Ed))
+def _layout_defects(Ev, Av, lead, z):
+    """Defects of a canonical layout: the leading E block against `lead`, the
+    E blocks coupling it to the rest, and the first z rows and columns of A."""
+    d = lead.shape[0]
+    return (
+        _maxnorm(Ev[:, :d, :d] - lead),
+        _maxnorm(Ev[:, :d, d:]) + _maxnorm(Ev[:, d:, :d]),
+        _maxnorm(Av[:, :z, :]) + _maxnorm(Av[:, :, :z]),
+    )
 
 
 class _Pipeline:
-    def __init__(self, pair, grid, kind, stage_tol):
+    def __init__(self, pair, grid, kind, tol, stage_tol):
+        """Evaluate the pair once and check its input structure to tol."""
         pair.check_grid(grid)
         self.grid = grid
         self.kind = kind
@@ -229,22 +212,22 @@ class _Pipeline:
         self.Ev = pair.E.eval_on(grid)
         self.Ed = pair.E.derivative_on(grid)
         self.Av = pair.A.eval_on(grid)
+        self.scale = 1.0 + max(_maxnorm(self.Ev), _maxnorm(self.Av))
+        res = max(map(_maxnorm, st._defects(kind, self.Ev, self.Ed, self.Av)))
+        if res > tol * self.scale:
+            what = "self-adjoint" if kind == st.SELF_ADJOINT else "skew-adjoint"
+            raise StructureError(f"pair is not {what} (residual {res:.3e})")
         self.Qv = np.broadcast_to(np.eye(self.n), (self.K, self.n, self.n)).copy()
         self.Qd = np.zeros((self.K, self.n, self.n))
-        self.scale = 1.0 + max(_maxnorm(self.Ev), _maxnorm(self.Av))
         self.stage_tol = stage_tol
         self.stage_residuals = []
 
     def apply(self, name, Qv, Qd=None):
-        if Qd is None:
-            Qd = np.zeros_like(Qv)
-        if Qv.ndim == 2:
-            Qv = np.broadcast_to(Qv, (self.K, self.n, self.n)).copy()
-            Qd = np.broadcast_to(Qd, (self.K, self.n, self.n)).copy()
-        self.Ev, self.Ed, self.Av = _congruence_arrays(self.Ev, self.Ed, self.Av, Qv, Qd)
-        self.Qd = self.Qd @ Qv + self.Qv @ Qd
+        """Congruence by a grid array Qv (or a constant matrix; Qd=None means Qdot = 0)."""
+        self.Ev, self.Ed, self.Av = st._congruence_arrays(self.Ev, self.Ed, self.Av, Qv, Qd)
+        self.Qd = self.Qd @ Qv if Qd is None else self.Qd @ Qv + self.Qv @ Qd
         self.Qv = self.Qv @ Qv
-        res = _structure_residual_arrays(self.kind, self.Ev, self.Ed, self.Av) / self.scale
+        res = max(map(_maxnorm, st._defects(self.kind, self.Ev, self.Ed, self.Av))) / self.scale
         self.stage_residuals.append((name, float(res)))
         if res > self.stage_tol:
             raise StageError(
@@ -292,10 +275,8 @@ def _basis_congruence(pipe, basis):
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
     phid = basis.Phidot.eval_on(grid)
-    if d:
-        sv = np.linalg.svd(phiv, compute_uv=False)
-        if np.any(sv[:, -1] <= RANK_FLOOR * np.maximum(sv[:, 0], 1e-300)):
-            raise BasisDeficiencyError("Phi loses rank on the grid")
+    if d and _min_rel_sv(phiv) <= RANK_FLOOR:
+        raise BasisDeficiencyError("Phi loses rank on the grid")
     resid = _maxnorm(pipe.Ev @ phid - pipe.Av @ phiv)
     if resid > 1e-8 * pipe.scale:
         raise BasisDeficiencyError(
@@ -369,20 +350,12 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
         E = [[0, I_p, 0], [-I_p, 0, 0], [0, 0, E33]],
         A = [[0, 0, 0], [0, A22, A23], [0, A32, A33]].
     """
-    rep = st.self_adjoint_residual(pair, grid)
-    scale = 1.0 + max(
-        _maxnorm(pair.E.eval_on(grid)), _maxnorm(pair.A.eval_on(grid))
-    )
-    if rep.max_residual > tol * scale:
-        raise StructureError(
-            f"pair is not self-adjoint (residual {rep.max_residual:.3e})"
-        )
+    pipe = _Pipeline(pair, grid, st.SELF_ADJOINT, tol, stage_tol)
     d, n = basis.d, pair.n
     if d % 2:
         raise ParityError(f"solution space dimension {d} is odd for a self-adjoint pair")
     p = d // 2
     a = n - d
-    pipe = _Pipeline(pair, grid, st.SELF_ADJOINT, stage_tol)
     E11c = _basis_congruence(pipe, basis)
 
     if d:
@@ -396,8 +369,7 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
         # normalize [E12 E13] V = [I_p 0]
         Bv = pipe.Ev[:, :p, p:].copy()
         Bd = pipe.Ed[:, :p, p:].copy()
-        sv = np.linalg.svd(Bv, compute_uv=False)
-        if np.any(sv[:, -1] <= RANK_FLOOR * np.maximum(sv[:, 0], 1e-300)):
+        if _min_rel_sv(Bv) <= RANK_FLOOR:
             raise StageError("[E12 E13] loses row rank on the grid", stage="row normalization")
         BBt = Bv @ _bT(Bv)
         Binv = np.linalg.solve(BBt, np.eye(p)[None].repeat(pipe.K, axis=0))
@@ -433,15 +405,9 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
         Q4d[:, :p, d:] = pipe.Ed[:, p:d, d:]
         pipe.apply("decoupling", Q4, Q4d)
 
-    Jp = np.zeros((d, d))
-    Jp[:p, p:] = np.eye(p)
-    Jp[p:, :p] = -np.eye(p)
-    pipe.require("canonical leading E block", _maxnorm(pipe.Ev[:, :d, :d] - Jp))
-    pipe.require(
-        "canonical zero pattern",
-        _maxnorm(pipe.Ev[:, :d, d:]) + _maxnorm(pipe.Ev[:, d:, :d])
-        + _maxnorm(pipe.Av[:, :p, :]) + _maxnorm(pipe.Av[:, :, :p]),
-    )
+    lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._J(p), p)
+    pipe.require("canonical leading E block", lead)
+    pipe.require("canonical zero pattern", e_off + a_zero)
     _check_algebraic_block_static(
         pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.scale, "self-adjoint"
     )
@@ -467,23 +433,15 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
 
         E = diag(I_p, -I_q, E33),   A = diag(0, 0, A33).
     """
-    rep = st.skew_adjoint_residual(pair, grid)
-    scale = 1.0 + max(
-        _maxnorm(pair.E.eval_on(grid)), _maxnorm(pair.A.eval_on(grid))
-    )
-    if rep.max_residual > tol * scale:
-        raise StructureError(
-            f"pair is not skew-adjoint (residual {rep.max_residual:.3e})"
-        )
+    pipe = _Pipeline(pair, grid, st.SKEW_ADJOINT, tol, stage_tol)
     d, n = basis.d, pair.n
     a = n - d
-    pipe = _Pipeline(pair, grid, st.SKEW_ADJOINT, stage_tol)
     E11c = _basis_congruence(pipe, basis)
 
     p = q = 0
     if d:
         E11c = 0.5 * (E11c + E11c.T)
-        lam, vec = np.linalg.eigh(E11c)
+        lam = np.linalg.eigvalsh(E11c)
         near_zero = np.abs(lam) <= rank_tol * pipe.scale
         if np.any(near_zero):
             # the dimension argument of the global form forces a nonsingular
@@ -492,14 +450,11 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
                 f"E11 = Phi^T E Phi is singular ({int(near_zero.sum())} near-zero "
                 "eigenvalues); the basis does not span the full solution space"
             )
-        p = int(np.sum(lam > 0))
-        q = d - p
-        pos = vec[:, lam > 0] / np.sqrt(lam[lam > 0])
-        neg = vec[:, lam < 0][:, ::-1] / np.sqrt(-lam[lam < 0][::-1])
-        Usyl = np.hstack([pos, neg])
-        Q2 = sla.block_diag(Usyl, np.eye(a))
+        inertia = smooth_inertia(mf.constant(E11c), grid)
+        p, q = inertia.p, inertia.q
+        Q2 = sla.block_diag(inertia.W.value, np.eye(a))
         pipe.apply("inertia normalization", Q2)
-        S = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
+        S = st._signature(p, q)
         pipe.require("leading signature block", _maxnorm(pipe.Ev[:, :d, :d] - S))
 
         if a:
@@ -511,13 +466,9 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
             Q3d[:, :d, d:] = -S[None] @ E13d
             pipe.apply("algebraic decoupling", Q3, Q3d)
 
-    S = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-    pipe.require("canonical leading E block", _maxnorm(pipe.Ev[:, :d, :d] - S))
-    pipe.require(
-        "canonical zero pattern",
-        _maxnorm(pipe.Ev[:, :d, d:]) + _maxnorm(pipe.Ev[:, d:, :d])
-        + _maxnorm(pipe.Av[:, :d, :]) + _maxnorm(pipe.Av[:, :, :d]),
-    )
+    lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._signature(p, q), d)
+    pipe.require("canonical leading E block", lead)
+    pipe.require("canonical zero pattern", e_off + a_zero)
     _check_algebraic_block_static(
         pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.scale, "skew-adjoint"
     )
@@ -547,69 +498,46 @@ def _min_rel_sv(vals):
     return float((s[:, -1] / np.maximum(s[:, 0], 1e-300)).min())
 
 
+def _pattern_entries(form, grid, lead, z):
+    """E_pattern and A_pattern defects of the assembled transformed pair."""
+    if form.pair_transformed is None:
+        return {"E_pattern": 0.0, "A_pattern": 0.0}
+    lead_defect, e_off, a_zero = _layout_defects(
+        form.pair_transformed.E.eval_on(grid), form.pair_transformed.A.eval_on(grid), lead, z
+    )
+    return {"E_pattern": lead_defect + e_off, "A_pattern": a_zero}
+
+
 def verify_self_global_form(form, grid, tol=1e-8):
     """Residuals of the four block relations of the self-adjoint layout plus
     the zero-pattern defects of the assembled pair (reports, never raises)."""
     E33 = form.E33.eval_on(grid)
-    E33d = form.E33.derivative_on(grid)
     A22 = form.A22.eval_on(grid)
     A23 = form.A23.eval_on(grid)
     A32 = form.A32.eval_on(grid)
     A33 = form.A33.eval_on(grid)
+    e33, a33 = st._defects(st.SELF_ADJOINT, E33, form.E33.derivative_on(grid), A33)
     entries = {
-        "E33_skew": _maxnorm(E33 + _bT(E33)),
+        "E33_skew": _maxnorm(e33),
         "A22_symmetric": _maxnorm(A22 - _bT(A22)),
         "A32_transpose_A23": _maxnorm(_bT(A32) - A23),
-        "A33_self_adjoint": _maxnorm(_bT(A33) - A33 - E33d),
+        "A33_self_adjoint": _maxnorm(a33),
     }
-    entries.update(_pattern_defects_self(form, grid))
+    entries.update(_pattern_entries(form, grid, st._J(form.p), form.p))
     return ResidualRecord(entries, tol=tol)
-
-
-def _pattern_defects_self(form, grid):
-    if form.pair_transformed is None:
-        return {"E_pattern": 0.0, "A_pattern": 0.0}
-    p, n = form.p, form.n
-    d = 2 * p
-    Ev = form.pair_transformed.E.eval_on(grid)
-    Av = form.pair_transformed.A.eval_on(grid)
-    Jp = np.zeros((d, d))
-    Jp[:p, p:] = np.eye(p)
-    Jp[p:, :p] = -np.eye(p)
-    e_def = (
-        _maxnorm(Ev[:, :d, :d] - Jp)
-        + _maxnorm(Ev[:, :d, d:])
-        + _maxnorm(Ev[:, d:, :d])
-    )
-    a_def = _maxnorm(Av[:, :p, :]) + _maxnorm(Av[:, :, :p])
-    return {"E_pattern": e_def, "A_pattern": a_def}
 
 
 def verify_skew_global_form(form, grid, tol=1e-8):
     """Residuals of the block relations of the skew-adjoint layout plus the
     zero-pattern defects (reports, never raises)."""
     E33 = form.E33.eval_on(grid)
-    E33d = form.E33.derivative_on(grid)
-    A33 = form.A33.eval_on(grid)
-    entries = {
-        "E33_symmetric": _maxnorm(E33 - _bT(E33)),
-        "A33_skew_adjoint": _maxnorm(_bT(A33) + A33 + E33d),
-    }
-    if form.pair_transformed is not None:
-        p, q, n = form.p, form.q, form.n
-        d = p + q
-        Ev = form.pair_transformed.E.eval_on(grid)
-        Av = form.pair_transformed.A.eval_on(grid)
-        S = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-        entries["E_pattern"] = (
-            _maxnorm(Ev[:, :d, :d] - S)
-            + _maxnorm(Ev[:, :d, d:])
-            + _maxnorm(Ev[:, d:, :d])
-        )
-        entries["A_pattern"] = _maxnorm(Av[:, :d, :]) + _maxnorm(Av[:, :, :d])
-    else:
-        entries["E_pattern"] = 0.0
-        entries["A_pattern"] = 0.0
+    e33, a33 = st._defects(
+        st.SKEW_ADJOINT, E33, form.E33.derivative_on(grid), form.A33.eval_on(grid)
+    )
+    entries = {"E33_symmetric": _maxnorm(e33), "A33_skew_adjoint": _maxnorm(a33)}
+    entries.update(
+        _pattern_entries(form, grid, st._signature(form.p, form.q), form.p + form.q)
+    )
     return ResidualRecord(entries, tol=tol)
 
 
@@ -664,6 +592,7 @@ def verify_local_form(blocks, grid, tol=1e-8):
     if v not in (SELF_ORTHOGONAL, SELF_REFINED, SKEW_ORTHOGONAL, SKEW_REFINED):
         raise UnsupportedError(f"unknown local form variant {v!r}")
     sgn = 1.0 if v in (SELF_ORTHOGONAL, SELF_REFINED) else -1.0
+    kind = st.SELF_ADJOINT if sgn > 0 else st.SKEW_ADJOINT
     entries = {}
     cond = {}
 
@@ -671,33 +600,25 @@ def verify_local_form(blocks, grid, tol=1e-8):
         return f.eval_on(grid)
 
     core = blocks.core
+    orthogonal = v in (SELF_ORTHOGONAL, SKEW_ORTHOGONAL)
     if core is not None:
         C = ev(core)
-        if v == SELF_ORTHOGONAL:
-            entries["delta_skew"] = _maxnorm(C + _bT(C))
-            cond["delta"] = _min_rel_sv(C)
-        elif v == SKEW_ORTHOGONAL:
-            entries["delta_symmetric"] = _maxnorm(C - _bT(C))
+        if orthogonal:
+            # (Delta, Sigma11) is itself a pair of the form's structure
+            S11 = C if blocks.sigma11 is None else ev(blocks.sigma11)
+            e_def, a_def = st._defects(kind, C, core.derivative_on(grid), S11)
+            entries["delta_skew" if sgn > 0 else "delta_symmetric"] = _maxnorm(e_def)
+            if blocks.sigma11 is not None:
+                entries["sigma11_relation"] = _maxnorm(a_def)
             cond["delta"] = _min_rel_sv(C)
         elif v == SELF_REFINED:
-            p = blocks.p
-            Jp = np.zeros((2 * p, 2 * p))
-            Jp[:p, p:] = np.eye(p)
-            Jp[p:, :p] = -np.eye(p)
-            entries["J_canonical"] = _maxnorm(C - Jp)
+            entries["J_canonical"] = _maxnorm(C - st._J(blocks.p))
         else:
-            S = np.diag(np.concatenate([np.ones(blocks.p), -np.ones(blocks.q)]))
-            entries["S_signature"] = _maxnorm(C - S)
+            entries["S_signature"] = _maxnorm(C - st._signature(blocks.p, blocks.q))
 
-    if blocks.sigma11 is not None:
+    if blocks.sigma11 is not None and not orthogonal:
         S11 = ev(blocks.sigma11)
-        if v == SELF_ORTHOGONAL:
-            dD = blocks.core.derivative_on(grid)
-            entries["sigma11_relation"] = _maxnorm(_bT(S11) - S11 - dD)
-        elif v == SKEW_ORTHOGONAL:
-            dD = blocks.core.derivative_on(grid)
-            entries["sigma11_relation"] = _maxnorm(_bT(S11) + S11 + dD)
-        elif v == SELF_REFINED:
+        if v == SELF_REFINED:
             entries["C_symmetric"] = _maxnorm(S11 - _bT(S11))
         else:
             entries["J_skew"] = _maxnorm(S11 + _bT(S11))

@@ -244,16 +244,15 @@ def cmd_factor(args):
     Vv = split.V.eval_on(grid)
     vals = target.eval_on(grid)
     r = split.r
-    recon = Uv[:, :, :r].transpose(0, 2, 1) @ vals @ Vv[:, :, :r]
+    recon = st._bT(Uv[:, :, :r]) @ vals @ Vv[:, :, :r]
     sig = split.Sigma.eval_on(grid)
     out = {
         "what": args.what,
         "rank": r,
         "orthogonality_defect": max(
-            float(np.linalg.norm(Uv.transpose(0, 2, 1) @ Uv - np.eye(Uv.shape[1]), axis=(1, 2)).max()),
-            float(np.linalg.norm(Vv.transpose(0, 2, 1) @ Vv - np.eye(Vv.shape[1]), axis=(1, 2)).max()),
+            st._maxnorm(st._bT(W) @ W - np.eye(W.shape[1])) for W in (Uv, Vv)
         ),
-        "reconstruction_residual": float(np.linalg.norm(recon - sig, axis=(1, 2)).max()),
+        "reconstruction_residual": st._maxnorm(recon - sig),
         "max_factor_jump": fa.max_jump(Uv),
         "grid_points": grid.n,
     }

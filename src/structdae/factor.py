@@ -22,6 +22,7 @@ from .errors import (
     RankDropError,
     StructureError,
 )
+from .structure import _bT, _maxnorm
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -90,53 +91,70 @@ def _numerical_rank(s, gap_tol):
     return r
 
 
+def _aligned(F, grid, decompose, changed):
+    """Pointwise factorizations of F glued into continuous families.
+
+    decompose(value, t) returns (factors, r): orthogonal-gauge factors whose
+    leading r columns and trailing columns are each fixed only up to an
+    orthogonal rotation; it raises when the point itself is ill-posed.  Each
+    point's blocks are rotated onto the previous point's (block Procrustes).
+    changed(r, rk, t_prev, t) raises when r moves between neighbours.  A
+    constant F is decomposed once.  Returns (values, factors, r), the values
+    and factors as (K, ., .) samples, or as single matrices for constant F.
+    """
+    if isinstance(F, mf.ConstantMatrixFunction):
+        factors, r = decompose(F.value, grid.points[0])
+        return F.value, factors, r
+    vals = F.eval_on(grid)
+    ts = grid.points
+    for k, t in enumerate(ts):
+        factors, rk = decompose(vals[k], t)
+        if k == 0:
+            r = rk
+            out = [np.empty((len(ts), *f.shape)) for f in factors]
+        else:
+            if rk != r:
+                changed(r, rk, ts[k - 1], t)
+            factors = [
+                np.hstack([procrustes_align(f[:, :r], prev[k - 1, :, :r]),
+                           procrustes_align(f[:, r:], prev[k - 1, :, r:])])
+                for f, prev in zip(factors, out)
+            ]
+        for f, samples in zip(factors, out):
+            samples[k] = f
+    return vals, out, r
+
+
+def _family(grid, values):
+    """Matrix function of the factor values returned by _aligned."""
+    if values.ndim == 2:
+        return mf.constant(values)
+    return mf.SampledMatrixFunction(grid, values, order=3)
+
+
 def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
     """Constant-rank orthogonal splitting of F(t) with continuity alignment."""
-    vals = F.eval_on(grid)
-    K, m, n = vals.shape
-    Us = np.empty((K, m, m))
-    Vs = np.empty((K, n, n))
-    r = None
-    prevU = prevV = None
-    for k in range(K):
-        u, s, vt = np.linalg.svd(vals[k])
-        rk = _numerical_rank(s, gap_tol)
-        if r is None:
-            r = rk
-        elif rk != r:
-            raise RankDropError(
-                f"rank changed from {r} at t={grid.points[k - 1]} "
-                f"to {rk} at t={grid.points[k]}",
-                t_first=float(grid.points[k - 1]),
-                t_second=float(grid.points[k]),
-            )
-        v = vt.T
-        if prevU is not None:
-            u = np.hstack([
-                procrustes_align(u[:, :r], prevU[:, :r]),
-                procrustes_align(u[:, r:], prevU[:, r:]),
-            ])
-            v = np.hstack([
-                procrustes_align(v[:, :r], prevV[:, :r]),
-                procrustes_align(v[:, r:], prevV[:, r:]),
-            ])
-        Us[k], Vs[k] = u, v
-        prevU, prevV = u, v
-    Sig = Us[:, :, :r].transpose(0, 2, 1) @ vals @ Vs[:, :, :r]
-    return RankSplit(
-        mf.SampledMatrixFunction(grid, Us, order=3),
-        mf.SampledMatrixFunction(grid, Vs, order=3),
-        mf.SampledMatrixFunction(grid, Sig, order=3),
-        int(r),
-        grid,
-    )
+
+    def decompose(value, t):
+        u, s, vt = np.linalg.svd(value)
+        return (u, vt.T), _numerical_rank(s, gap_tol)
+
+    def changed(r, rk, t_prev, t):
+        raise RankDropError(
+            f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
+            t_first=float(t_prev),
+            t_second=float(t),
+        )
+
+    vals, (U, V), r = _aligned(F, grid, decompose, changed)
+    Sig = _bT(U[..., :r]) @ vals @ V[..., :r]
+    return RankSplit(_family(grid, U), _family(grid, V), _family(grid, Sig), int(r), grid)
 
 
-def _kernel_defect(Ev, r):
-    """Largest principal-angle sine between ker(E) and ker(E^T)."""
-    if r == Ev.shape[1]:
+def _kernel_defect(u, vt, r):
+    """Largest principal-angle sine between ker(E) and ker(E^T), from E's SVD."""
+    if r == vt.shape[0]:
         return 0.0
-    u, _, vt = np.linalg.svd(Ev)
     right = vt.T[:, r:]
     left = u[:, r:]
     # 2-norm distance of the two orthogonal projectors
@@ -147,55 +165,35 @@ def sym_rank_split(E, grid, gap_tol=DEFAULT_GAP_TOL, kernel_tol=1e-8):
     """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T)."""
     if E.rows != E.cols:
         raise StructureError("sym_rank_split needs a square matrix function")
-    vals = E.eval_on(grid)
-    K, n, _ = vals.shape
-    Qs = np.empty((K, n, n))
-    r = None
-    prevQ = None
-    for k in range(K):
-        u, s, vt = np.linalg.svd(vals[k])
+
+    def decompose(value, t):
+        u, s, vt = np.linalg.svd(value)
         rk = _numerical_rank(s, gap_tol)
-        if r is None:
-            r = rk
-        elif rk != r:
-            raise RankDropError(
-                f"rank changed from {r} to {rk} at t={grid.points[k]}",
-                t_first=float(grid.points[k - 1]),
-                t_second=float(grid.points[k]),
-            )
-        defect = _kernel_defect(vals[k], rk)
+        defect = _kernel_defect(u, vt, rk)
         if defect > kernel_tol:
             raise StructureError(
-                f"kernel condition ker(E^T) = ker(E) fails at t={grid.points[k]} "
+                f"kernel condition ker(E^T) = ker(E) fails at t={t} "
                 f"(projector distance {defect:.3e})"
             )
-        q = np.hstack([vt.T[:, :rk], vt.T[:, rk:]])
-        if prevQ is not None:
-            q = np.hstack([
-                procrustes_align(q[:, :r], prevQ[:, :r]),
-                procrustes_align(q[:, r:], prevQ[:, r:]),
-            ])
-        Qs[k] = q
-        prevQ = q
-    Sig = Qs[:, :, :r].transpose(0, 2, 1) @ vals @ Qs[:, :, :r]
-    return SymRankSplit(
-        mf.SampledMatrixFunction(grid, Qs, order=3),
-        mf.SampledMatrixFunction(grid, Sig, order=3),
-        int(r),
-        grid,
-    )
+        return (vt.T,), rk
+
+    def changed(r, rk, t_prev, t):
+        raise RankDropError(
+            f"rank changed from {r} to {rk} at t={t}",
+            t_first=float(t_prev),
+            t_second=float(t),
+        )
+
+    vals, (Q,), r = _aligned(E, grid, decompose, changed)
+    Sig = _bT(Q[..., :r]) @ vals @ Q[..., :r]
+    return SymRankSplit(_family(grid, Q), _family(grid, Sig), int(r), grid)
 
 
 def smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
     """Congruence W(t) with W^T D W = diag(I_p, -I_q), constant signature."""
-    vals = D.eval_on(grid)
-    K, n, _ = vals.shape
-    Ws = np.empty((K, n, n))
-    p = q = None
-    prevW = None
-    prev_t = None
-    for k, t in enumerate(grid.points):
-        Dk = vals[k]
+    n = D.rows
+
+    def decompose(Dk, t):
         scale = max(1.0, float(np.linalg.norm(Dk)))
         if np.linalg.norm(Dk - Dk.T) > sym_tol * scale:
             raise StructureError(f"matrix is not symmetric at t={t}")
@@ -204,69 +202,48 @@ def smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
             raise ConditioningError(
                 f"eigenvalue too close to zero at t={t}; inertia is ill-posed"
             )
-        pk = int(np.sum(lam > 0))
-        qk = n - pk
-        if p is None:
-            p, q = pk, qk
-        elif (pk, qk) != (p, q):
-            raise InertiaChangeError(
-                f"inertia changed from ({p}, {q}) at t={prev_t} to ({pk}, {qk}) at t={t}"
-            )
+        qk = n - int(np.sum(lam > 0))
         # eigh sorts ascending: negatives first; reorder positives first and
-        # scale so the congruence lands exactly on diag(I_p, -I_q)
+        # scale so the congruence lands exactly on diag(I_p, -I_q); the
+        # residual gauge group of each sign block is orthogonal, so the
+        # block alignment preserves W^T D W exactly
         pos = vec[:, qk:] / np.sqrt(lam[qk:])
         neg = vec[:, :qk][:, ::-1] / np.sqrt(-lam[:qk][::-1])
-        W = np.hstack([pos, neg])
-        if prevW is not None:
-            # the residual gauge group of each sign block is orthogonal, so a
-            # block Procrustes alignment preserves W^T D W exactly
-            W = np.hstack([
-                procrustes_align(W[:, :p], prevW[:, :p]),
-                procrustes_align(W[:, p:], prevW[:, p:]),
-            ])
-        Ws[k] = W
-        prevW = W
-        prev_t = t
-    return InertiaSplit(
-        mf.SampledMatrixFunction(grid, Ws, order=3), int(p), int(q), grid
-    )
+        return (np.hstack([pos, neg]),), n - qk
+
+    def changed(p, pk, t_prev, t):
+        raise InertiaChangeError(
+            f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
+        )
+
+    _, (W,), p = _aligned(D, grid, decompose, changed)
+    return InertiaSplit(_family(grid, W), int(p), int(n - p), grid)
 
 
 def row_rank_normalize(B, grid, gap_tol=DEFAULT_GAP_TOL):
     """Orthogonal U with U^T B = [B1; 0], B1 square nonsingular."""
-    vals = B.eval_on(grid)
-    K, m, n = vals.shape
+    m, n = B.shape
     if m < n:
         raise StructureError("full column rank needs at least as many rows as columns")
-    Us = np.empty((K, m, m))
-    B1s = np.empty((K, n, n))
-    prevU = None
-    for k, t in enumerate(grid.points):
-        u, s, vt = np.linalg.svd(vals[k])
+
+    def decompose(value, t):
+        u, s, _ = np.linalg.svd(value)
         rk = _numerical_rank(s, gap_tol)
         if rk < n:
             raise RankDropError(
                 f"column-rank deficiency at t={t} (rank {rk} < {n})",
                 t_first=float(t),
             )
-        if prevU is not None:
-            u = np.hstack([
-                procrustes_align(u[:, :n], prevU[:, :n]),
-                procrustes_align(u[:, n:], prevU[:, n:]),
-            ])
-        Us[k] = u
-        B1s[k] = u[:, :n].T @ vals[k]
-        prevU = u
-    return RowRankNormalization(
-        mf.SampledMatrixFunction(grid, Us, order=3),
-        mf.SampledMatrixFunction(grid, B1s, order=3),
-        grid,
-    )
+        return (u,), n
+
+    vals, (U,), _ = _aligned(B, grid, decompose, None)
+    B1 = _bT(U[..., :n]) @ vals
+    return RowRankNormalization(_family(grid, U), _family(grid, B1), grid)
 
 
 def max_jump(values):
     """Largest Frobenius jump between consecutive sample matrices."""
-    return float(np.linalg.norm(np.diff(values, axis=0), axis=(1, 2)).max())
+    return _maxnorm(np.diff(values, axis=0))
 
 
 # ---------------------------------------------------------------------------

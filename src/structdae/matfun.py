@@ -553,24 +553,29 @@ def matrix_function_from_json(obj):
         rows, cols, kind, data = obj["rows"], obj["cols"], obj["kind"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ConstructionError(f"malformed matrix function object: missing {exc}")
-    if kind == "constant":
-        f = ConstantMatrixFunction(data)
-    elif kind == "poly":
-        f = PolynomialMatrixFunction.from_entries(data)
-    elif kind == "samples":
-        grid = TimeGrid(data["grid"])
-        f = SampledMatrixFunction(
-            grid,
-            np.array(data["values"], dtype=float),
-            order=int(data.get("order", 3)),
-            deriv_values=(
-                np.array(data["derivatives"], dtype=float)
-                if "derivatives" in data
-                else None
-            ),
-        )
-    else:
-        raise ConstructionError(f"unknown matrix function kind {kind!r}")
+    try:
+        if kind == "constant":
+            f = ConstantMatrixFunction(data)
+        elif kind == "poly":
+            f = PolynomialMatrixFunction.from_entries(data)
+        elif kind == "samples":
+            grid = TimeGrid(data["grid"])
+            f = SampledMatrixFunction(
+                grid,
+                np.array(data["values"], dtype=float),
+                order=int(data.get("order", 3)),
+                deriv_values=(
+                    np.array(data["derivatives"], dtype=float)
+                    if "derivatives" in data
+                    else None
+                ),
+            )
+        else:
+            raise ConstructionError(f"unknown matrix function kind {kind!r}")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConstructionError(
+            f"malformed {kind!r} matrix function data ({type(exc).__name__}: {exc})"
+        ) from None
     if f.shape != (rows, cols):
         raise ConstructionError(
             f"declared shape ({rows}, {cols}) does not match data shape {f.shape}"

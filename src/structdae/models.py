@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matfun as mf
+from . import structure as st
 from .errors import DimensionError, ParameterError
 
 CIRCUIT_LABELS = ("I", "V1", "V2", "IG", "IR")
@@ -89,20 +90,13 @@ class PHDAEModel:
 
     def validate(self, grid, tol=1e-10):
         """Residuals of the defining structural properties on the grid."""
-        from . import structure as st
-
-        s_sym = skew_n = w_min = 0.0
-        for t in grid.points:
-            S = self.S.eval(t)
-            N = self.N.eval(t)
-            s_sym = max(s_sym, np.linalg.norm(S - S.T))
-            skew_n = max(skew_n, np.linalg.norm(N + N.T))
-            w_min = min(w_min, float(np.linalg.eigvalsh(self.dissipation_matrix(t))[0]))
+        R, P, S, N = (F.eval_on(grid) for F in (self.R, self.P, self.S, self.N))
+        W = np.block([[R, P], [st._bT(P), S]])
         rep = st.skew_adjoint_residual(self.lossless_pair(), grid)
         return {
-            "S_symmetry": float(s_sym),
-            "N_skewness": float(skew_n),
-            "dissipation_min_eig": float(w_min),
+            "S_symmetry": st._maxnorm(S - st._bT(S)),
+            "N_skewness": st._maxnorm(N + st._bT(N)),
+            "dissipation_min_eig": min(0.0, float(np.linalg.eigvalsh(W)[:, 0].min())),
             "skew_adjoint_residual": rep.max_residual,
         }
 

@@ -25,18 +25,9 @@ from .errors import (
     UnsupportedError,
 )
 from .factor import sym_rank_split
+from .structure import _bT, _maxnorm
 
 COND_LIMIT = 1e12
-
-
-def _bT(x):
-    return np.transpose(x, (0, 2, 1))
-
-
-def _maxnorm(x):
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, axis=(1, 2)).max())
 
 
 def _batch_solve(A, B):
@@ -65,14 +56,11 @@ class FlowCertificate:
 
     @classmethod
     def symplectic(cls, p):
-        J = np.zeros((2 * p, 2 * p))
-        J[:p, p:] = np.eye(p)
-        J[p:, :p] = -np.eye(p)
-        return cls("symplectic", J)
+        return cls("symplectic", st._J(p))
 
     @classmethod
     def indefinite_orthogonal(cls, p, q):
-        return cls("indefinite_orthogonal", np.diag(np.concatenate([np.ones(p), -np.ones(q)])))
+        return cls("indefinite_orthogonal", st._signature(p, q))
 
 
 @dataclass
@@ -176,22 +164,10 @@ def _spd_sqrt_with_derivative(Sv, Sd):
     return F, Finv, Fd
 
 
-def _kernel_split_constant(E, grid, gap_tol=1e-8):
-    """Orthogonal Q with Q^T E Q = diag(Sigma, 0); constant when E is."""
-    if isinstance(E, mf.ConstantMatrixFunction):
-        Ec = 0.5 * (E.value + E.value.T)
-        lam, V = np.linalg.eigh(Ec)
-        order = np.argsort(-np.abs(lam), kind="stable")
-        lam, V = lam[order], V[:, order]
-        r = int(np.sum(np.abs(lam) > gap_tol * max(np.abs(lam).max(), 1e-300)))
-        K = grid.n
-        Qv = np.broadcast_to(V, (K, *V.shape)).copy()
-        Qd = np.zeros_like(Qv)
-        return Qv, Qd, r
-    split = sym_rank_split(E, grid, gap_tol=gap_tol)
-    Qv = split.Q.eval_on(grid)
-    Qd = split.Q.derivative_on(grid)
-    return Qv, Qd, split.r
+def _kernel_split(E, grid):
+    """Grid Q, Qdot and rank of sym_rank_split, dropping the split's spline caches."""
+    split = sym_rank_split(E, grid)
+    return split.Q.eval_on(grid), split.Q.derivative_on(grid), split.r
 
 
 def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
@@ -208,30 +184,22 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     n = pair.n
     K = grid.n
     Ev = pair.E.eval_on(grid)
+    Ed = pair.E.derivative_on(grid)
     Av = pair.A.eval_on(grid)
     scale = 1.0 + max(_maxnorm(Ev), _maxnorm(Av))
 
-    rep = st.skew_adjoint_residual(pair, grid)
-    if rep.max_residual > tol * scale:
-        raise StructureError(
-            f"pair is not skew-adjoint (residual {rep.max_residual:.3e})"
-        )
+    res = max(map(_maxnorm, st._defects(st.SKEW_ADJOINT, Ev, Ed, Av)))
+    if res > tol * scale:
+        raise StructureError(f"pair is not skew-adjoint (residual {res:.3e})")
     eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
     if eigmin < -1e-12 * scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
-    Qv, Qd, r = _kernel_split_constant(pair.E, grid)
+    Qv, Qd, r = _kernel_split(pair.E, grid)
+    # a constant split (exactly zero Qdot) lets A's derivative pass through
     q_constant = _maxnorm(Qd) == 0.0
-
-    Ed = pair.E.derivative_on(grid)
-    QT = _bT(Qv)
-    E1 = QT @ Ev @ Qv
-    E1d = _bT(Qd) @ Ev @ Qv + QT @ Ed @ Qv + QT @ Ev @ Qd
-    A1 = QT @ Av @ Qv - QT @ Ev @ Qd
-    if q_constant:
-        A1d = QT @ pair.A.derivative_on(grid) @ Qv
-    else:
-        A1d = None
+    E1, E1d, A1 = st._congruence_arrays(Ev, Ed, Av, Qv, None if q_constant else Qd)
+    A1d = _bT(Qv) @ pair.A.derivative_on(grid) @ Qv if q_constant else None
 
     a = n - r
     A22 = A1[:, r:, r:]
@@ -242,7 +210,7 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     if a:
         _, s0, vt0 = np.linalg.svd(A22[0])
         k_rank = int(np.sum(s0 > gap_tol * max(s0[0], 1e-300)))
-        Theta = np.hstack([vt0.T[:, :k_rank], vt0.T[:, k_rank:]])
+        Theta = vt0.T
     else:
         k_rank = 0
         Theta = np.zeros((0, 0))
@@ -269,11 +237,9 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     Qc[:r, :r] = Psi
     if a:
         Qc[r:, r:] = Theta
-    E2 = _bT(Qc[None]) @ E1 @ Qc[None]
-    E2d = _bT(Qc[None]) @ E1d @ Qc[None]
-    A2 = _bT(Qc[None]) @ A1 @ Qc[None]
-    A2d = _bT(Qc[None]) @ A1d @ Qc[None] if A1d is not None else None
-    Qall = Qv @ Qc[None]
+    E2, E2d, A2 = st._congruence_arrays(E1, E1d, A1, Qc)
+    A2d = Qc.T @ A1d @ Qc if A1d is not None else None
+    Qall = Qv @ Qc
 
     ix = slice(0, dxi)
     ih = slice(dxi, r)
@@ -302,23 +268,13 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
 
     # eta from the constraint rows: C2 eta = -f4
     C2 = A2[:, i4, ih]
-    eta_f = -_batch_solve(C2, P[:, i4, :]) if tau else zero_w(0)
-    # etadot: C2 etadot = -f4dot - C2dot eta
-    if tau:
-        C2d = A2d[:, i4, ih] if A2d is not None else np.zeros_like(C2)
-        etad_f = -_batch_solve(C2, C2d @ eta_f)
-        etad_fd = -_batch_solve(C2, P[:, i4, :])
-    else:
-        etad_f, etad_fd = zero_w(0), zero_w(0)
+    eta_f = -_batch_solve(C2, P[:, i4, :])
+    # etadot: C2 etadot = -f4dot - C2dot eta, so its f4dot weight is eta_f itself
+    etad_f = -_batch_solve(C2, A2d[:, i4, ih] @ eta_f) if tau else zero_w(0)
 
     # w3 from the nonsingular skew block; depends on f only (never fdot)
-    A22t = A2[:, i3, i3]
-    W3x = -_batch_solve(A22t, A2[:, i3, ix]) if k_rank else np.zeros((K, 0, dxi))
-    if k_rank:
-        w3_f = -_batch_solve(A22t, A2[:, i3, ih] @ eta_f + P[:, i3, :])
-        w3_fd = np.zeros((K, k_rank, n))
-    else:
-        w3_f, w3_fd = zero_w(0), zero_w(0)
+    W3x, w3_f = np.split(-_batch_solve(A2[:, i3, i3], np.concatenate(
+        [A2[:, i3, ix], A2[:, i3, ih] @ eta_f + P[:, i3, :]], axis=2)), [dxi], axis=2)
 
     # dynamic block before scaling: Sb xidot = Ceff xi + gpre
     Sb = E2[:, ix, ix]
@@ -326,7 +282,7 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     Sxh = E2[:, ix, ih]
     Ceff = A2[:, ix, ix] + A2[:, ix, i3] @ W3x
     g_f = A2[:, ix, ih] @ eta_f + A2[:, ix, i3] @ w3_f + P[:, ix, :] - Sxh @ etad_f
-    g_fd = -Sxh @ etad_fd + A2[:, ix, i3] @ w3_fd
+    g_fd = -Sxh @ eta_f
 
     F, Finv, Fd = _spd_sqrt_with_derivative(Sb, Sbd)
     Mv = Finv @ Ceff @ Finv + Fd @ Finv
@@ -342,19 +298,17 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     if tau:
         Shx = E2[:, ih, ix]
         Shh = E2[:, ih, ih]
-        C2T = _bT(C2)
-        xdot_x = _batch_solve(Sb, Ceff)
-        xdot_f = _batch_solve(Sb, g_f)
-        xdot_fd = _batch_solve(Sb, g_fd)
-        W4x = _batch_solve(
-            C2T, A2[:, ih, ix] + A2[:, ih, i3] @ W3x - Shx @ xdot_x
+        # xidot for the (x, f, fdot) weights, then w4 for the same three
+        cols = [dxi, dxi + n]
+        xdot_x, xdot_f, xdot_fd = np.split(
+            _batch_solve(Sb, np.concatenate([Ceff, g_f, g_fd], axis=2)), cols, axis=2
         )
-        w4_f = _batch_solve(
-            C2T,
+        W4x, w4_f, w4_fd = np.split(_batch_solve(_bT(C2), np.concatenate([
+            A2[:, ih, ix] + A2[:, ih, i3] @ W3x - Shx @ xdot_x,
             A2[:, ih, ih] @ eta_f + A2[:, ih, i3] @ w3_f + P[:, ih, :]
             - Shx @ xdot_f - Shh @ etad_f,
-        )
-        w4_fd = _batch_solve(C2T, -Shx @ xdot_fd - Shh @ etad_fd)
+            -Shx @ xdot_fd - Shh @ eta_f,
+        ], axis=2)), cols, axis=2)
     else:
         W4x, w4_f, w4_fd = np.zeros((K, 0, dxi)), zero_w(0), zero_w(0)
 
@@ -369,7 +323,6 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     Zf[:, i4] = w4_f
     # eta itself uses only f; its derivative (etadot) appears inside g and w4
     Zfd = np.zeros((K, n, n))
-    Zfd[:, i3] = w3_fd
     Zfd[:, i4] = w4_fd
     Rx = Qall @ Zx @ Finv
     Rf = Qall @ Zf
@@ -384,7 +337,7 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     if k_rank:
         recovery.append(AffineRecovery(
             "algebraic variables", _sampled(grid, W3x @ Finv),
-            _sampled(grid, w3_f), _sampled(grid, w3_fd)))
+            _sampled(grid, w3_f), _sampled(grid, zero_w(k_rank))))
     if tau:
         recovery.append(AffineRecovery(
             "chain variables", _sampled(grid, W4x @ Finv),
@@ -533,11 +486,8 @@ def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
     sym_defect = _maxnorm(Cv - _bT(Cv))
     if sym_defect > tol * scale:
         raise StructureError(f"C block is not symmetric (defect {sym_defect:.3e})")
-    J = np.zeros((2 * p, 2 * p))
-    J[:p, p:] = np.eye(p)
-    J[p:, :p] = -np.eye(p)
-    Jinv = -J
-    Mv = Jinv[None] @ Cv
+    J = st._J(p)
+    Mv = -J @ Cv  # J^{-1} = -J
     K = grid.n
     return ReducedSystem(
         dynamic_dim=2 * p,
@@ -563,12 +513,9 @@ def index1_reduce(pair, f, grid, gap_tol=1e-8):
     eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
     if eigmin < -1e-12 * scale:
         raise StructureError("index1_reduce expects positive semidefinite E")
-    Qv, Qd, r = _kernel_split_constant(pair.E, grid)
-    Av = pair.A.eval_on(grid)
-    Ed = pair.E.derivative_on(grid)
+    Qv, Qd, r = _kernel_split(pair.E, grid)
+    E1, _, A1 = st._congruence_arrays(Ev, None, pair.A.eval_on(grid), Qv, Qd)
     QT = _bT(Qv)
-    E1 = QT @ Ev @ Qv
-    A1 = QT @ Av @ Qv - QT @ Ev @ Qd
     fv = f.eval_on(grid)
 
     a = n - r

@@ -76,45 +76,78 @@ class CongruenceTransform:
         return cls(mf.identity(n), mf.zero(n, n))
 
 
-def _residuals(pair, grid, e_defect, a_defect):
+def _bT(x):
+    """Transpose of the last two axes (a grid of matrices or one matrix)."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _maxnorm(x):
+    """Largest Frobenius norm over a grid of matrices (0 for empty blocks)."""
+    if x.size == 0:
+        return 0.0
+    return float(np.linalg.norm(x, axis=(-2, -1)).max())
+
+
+def _J(p):
+    """The symplectic J = [[0, I_p], [-I_p, 0]]."""
+    J = np.zeros((2 * p, 2 * p))
+    J[:p, p:] = np.eye(p)
+    J[p:, :p] = -np.eye(p)
+    return J
+
+
+def _signature(p, q):
+    """The signature matrix diag(I_p, -I_q)."""
+    return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
+
+
+def _defects(kind, Ev, Ed, Av):
+    """Grid arrays whose vanishing defines the structure:
+    (E + E^T, A^T - A - Edot) if self-adjoint, (E - E^T, A^T + A + Edot) if skew."""
+    ET, AT = _bT(Ev), _bT(Av)
+    if kind == SELF_ADJOINT:
+        return Ev + ET, AT - Av - Ed
+    return Ev - ET, AT + Av + Ed
+
+
+def _congruence_arrays(Ev, Ed, Av, Q, Qd=None):
+    """Grid values of Q^T E Q, its derivative, and Q^T A Q - Q^T E Qdot.
+
+    Q is a (K, n, n) grid array or one constant (n, n) matrix; Qd=None
+    means Qdot = 0.  Ed=None skips the derivative (returned as None).
+    """
+    QT = _bT(Q)
+    QTE = QT @ Ev
+    E2 = QTE @ Q
+    E2d = None if Ed is None else QT @ Ed @ Q
+    A2 = QT @ Av @ Q
+    if Qd is not None:
+        if Ed is not None:
+            E2d = _bT(Qd) @ Ev @ Q + E2d + QTE @ Qd
+        A2 = A2 - QTE @ Qd
+    return E2, E2d, A2
+
+
+def _residuals(pair, grid, kind):
     pair.check_grid(grid)
-    Ev = pair.E.eval_on(grid)
-    Ed = pair.E.derivative_on(grid)
-    Av = pair.A.eval_on(grid)
-    ET = np.transpose(Ev, (0, 2, 1))
-    AT = np.transpose(Av, (0, 2, 1))
-    e_res = np.linalg.norm(e_defect(Ev, ET), axis=(1, 2)).max()
-    a_res = np.linalg.norm(a_defect(Av, AT, Ed), axis=(1, 2)).max()
-    return float(e_res), float(a_res)
+    e, a = _defects(kind, pair.E.eval_on(grid), pair.E.derivative_on(grid), pair.A.eval_on(grid))
+    return StructureReport(kind, _maxnorm(e), _maxnorm(a), grid)
 
 
 def self_adjoint_residual(pair, grid):
     """max_t ||E + E^T||_F and max_t ||A^T - A - Edot||_F over the grid."""
-    e, a = _residuals(
-        pair, grid,
-        lambda E, ET: E + ET,
-        lambda A, AT, Ed: AT - A - Ed,
-    )
-    return StructureReport(SELF_ADJOINT, e, a, grid)
+    return _residuals(pair, grid, SELF_ADJOINT)
 
 
 def skew_adjoint_residual(pair, grid):
     """max_t ||E - E^T||_F and max_t ||A^T + A + Edot||_F over the grid."""
-    e, a = _residuals(
-        pair, grid,
-        lambda E, ET: E - ET,
-        lambda A, AT, Ed: AT + A + Ed,
-    )
-    return StructureReport(SKEW_ADJOINT, e, a, grid)
+    return _residuals(pair, grid, SKEW_ADJOINT)
 
 
 def default_tolerance(pair, grid):
     """1e-10 scaled by the largest grid norm of E and A."""
-    scale = max(
-        np.linalg.norm(pair.E.eval_on(grid), axis=(1, 2)).max(),
-        np.linalg.norm(pair.A.eval_on(grid), axis=(1, 2)).max(),
-    )
-    return 1e-10 * (1.0 + float(scale))
+    scale = max(_maxnorm(pair.E.eval_on(grid)), _maxnorm(pair.A.eval_on(grid)))
+    return 1e-10 * (1.0 + scale)
 
 
 def classify(pair, grid, tol):
@@ -147,36 +180,36 @@ def check_nonsingular(F, grid, rel_tol=1e-12, what="Q"):
     _check_nonsingular_values(F.eval_on(grid), grid, rel_tol, what)
 
 
-def apply_congruence(pair, transform, check_grid=None):
-    """(E, A) -> (Q^T E Q, Q^T A Q - Q^T E Qdot)."""
+def _transformed(pair, P, transform):
+    """(P E Q, P A Q - P E Qdot) as matrix functions."""
     Q, Qdot = transform.Q, transform.Qdot
-    if Q.rows != pair.n:
-        raise DimensionError(f"transform is {Q.shape}, pair is {pair.n}x{pair.n}")
-    if check_grid is not None:
-        check_nonsingular(Q, check_grid)
-    QT = mf.mf_transpose(Q)
-    E2 = mf.mf_matmul(QT, mf.mf_matmul(pair.E, Q))
-    A2 = mf.mf_sub(
-        mf.mf_matmul(QT, mf.mf_matmul(pair.A, Q)),
-        mf.mf_matmul(QT, mf.mf_matmul(pair.E, Qdot)),
-    )
-    return mf.MatrixPair(E2, A2, pair.interval)
-
-
-def apply_equivalence(pair, P, transform, check_grid=None):
-    """(E, A) -> (P E Q, P A Q - P E Qdot) with independent left factor P."""
-    Q, Qdot = transform.Q, transform.Qdot
-    if P.cols != pair.n or Q.rows != pair.n:
-        raise DimensionError("equivalence factors do not match the pair dimension")
-    if check_grid is not None:
-        check_nonsingular(P, check_grid, what="P")
-        check_nonsingular(Q, check_grid)
     E2 = mf.mf_matmul(P, mf.mf_matmul(pair.E, Q))
     A2 = mf.mf_sub(
         mf.mf_matmul(P, mf.mf_matmul(pair.A, Q)),
         mf.mf_matmul(P, mf.mf_matmul(pair.E, Qdot)),
     )
     return mf.MatrixPair(E2, A2, pair.interval)
+
+
+def apply_congruence(pair, transform, check_grid=None):
+    """(E, A) -> (Q^T E Q, Q^T A Q - Q^T E Qdot)."""
+    Q = transform.Q
+    if Q.rows != pair.n:
+        raise DimensionError(f"transform is {Q.shape}, pair is {pair.n}x{pair.n}")
+    if check_grid is not None:
+        check_nonsingular(Q, check_grid)
+    return _transformed(pair, mf.mf_transpose(Q), transform)
+
+
+def apply_equivalence(pair, P, transform, check_grid=None):
+    """(E, A) -> (P E Q, P A Q - P E Qdot) with independent left factor P."""
+    Q = transform.Q
+    if P.cols != pair.n or Q.rows != pair.n:
+        raise DimensionError("equivalence factors do not match the pair dimension")
+    if check_grid is not None:
+        check_nonsingular(P, check_grid, what="P")
+        check_nonsingular(Q, check_grid)
+    return _transformed(pair, P, transform)
 
 
 def compose(t1, t2):

@@ -234,3 +234,13 @@ def test_malformed_model_entries_exit_2(tmp_path, capsys):
     del obj["A"]
     pair.write_text(json.dumps(obj))
     assert run(["check", "--model", str(pair)]) == 2
+
+    # bare matrix-function files with missing or ill-typed nested data
+    bare = {"rows": 1, "cols": 1}
+    for name, obj in {"samples_without_grid": {**bare, "kind": "samples", "data": {}},
+                      "poly_scalar_data": {**bare, "kind": "poly", "data": 5}}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(["factor", "--model", str(path)]) == 2, name
+        assert capsys.readouterr().err.count("\n") == 1, name

@@ -237,3 +237,18 @@ def test_orthogonality_of_all_factors():
     assert _orthogonality_defect(split.V.eval_on(GRID)) <= 1e-12
     sym = sd.sym_rank_split(sd.constant(np.diag([2.0, 1.0, 0.0])), GRID)
     assert _orthogonality_defect(sym.Q.eval_on(GRID)) <= 1e-12
+
+
+def test_constant_input_gives_constant_factors():
+    rng = np.random.default_rng(8)
+    B = rng.standard_normal((4, 2))
+    E = sd.constant(B @ B.T)  # symmetric, rank 2, not diagonal
+    sym = sd.sym_rank_split(E, GRID)
+    split = sd.rank_split(E, GRID)
+    assert sym.r == split.r == 2
+    for F in (sym.Q, sym.Sigma, split.U, split.V, split.Sigma):
+        assert np.all(F.derivative_on(GRID) == 0.0)
+        assert np.array_equal(F.eval(0.0), F.eval(1.0))
+    Q = sym.Q.eval(0.5)
+    assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-12
+    assert np.linalg.norm((Q.T @ E.value @ Q)[2:]) <= 1e-12

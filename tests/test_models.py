@@ -164,3 +164,14 @@ def test_dissipation_matrix_psd_across_constructors():
         for t in (0.0, 0.5, 1.0):
             lam = np.linalg.eigvalsh(m.dissipation_matrix(t))
             assert lam.min() >= -1e-12
+
+
+def test_validate_matches_pointwise_dissipation_matrix():
+    import dataclasses
+
+    m = sd.build_circuit(1.0, 2.0, 3.0, RL=0.5, RG=0.1, RR=0.25, interval=GRID)
+    # R(t) = R - 0.3 t I turns indefinite on the grid
+    m = dataclasses.replace(m, R=sd.poly([m.R.eval(0.0), -0.3 * np.eye(5)]))
+    pointwise = min(np.linalg.eigvalsh(m.dissipation_matrix(t))[0] for t in GRID.points)
+    assert pointwise < 0.0
+    assert m.validate(GRID)["dissipation_min_eig"] == pointwise

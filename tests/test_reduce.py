@@ -293,3 +293,20 @@ def test_self_adjoint_dynamic_extract_from_global_form():
     )
     with pytest.raises(StructureError):
         sd.self_adjoint_dynamic_extract(nonsym, GRID)
+
+
+def test_constant_nondiagonal_e_matches_its_eigenbasis_reduction():
+    # the kernel split of a constant E comes from one SVD; moving the pair
+    # into E's eigenbasis first must not change the full states
+    grid = sd.TimeGrid.uniform(0.0, 2.0, 201)
+    pair, w = seeded_semidefinite_skew_pair(3, grid)
+    _, V = np.linalg.eigh(pair.E.value)
+    rotated = sd.apply_congruence(pair, sd.CongruenceTransform(sd.constant(V), sd.zero(6, 6)))
+    f = sd.from_callable(lambda t: w[:, None] * np.sin(t), grid,
+                         dfn=lambda t: w[:, None] * np.cos(t))
+    x0 = np.linspace(1.0, 2.0, 6)
+    states = []
+    for p, fp, xp in ((pair, f, x0), (rotated, sd.mf_matmul(sd.constant(V.T), f), V.T @ x0)):
+        red = sd.semidefinite_skew_reduce(p, fp, grid)
+        states.append(sd.integrate_reduced(red, red.dynamic_from_full(0.0, xp), grid).states)
+    assert np.abs(states[0] - states[1] @ V.T).max() <= 1e-12 * np.abs(states[0]).max()

@@ -235,3 +235,24 @@ def test_singular_checks_name_the_first_failing_time():
             run()
         assert err.value.t == 0.25
         assert "t=0.25" in str(err.value)
+
+
+def test_congruence_arrays_constant_stage_and_matrix_function_agree():
+    from structdae.structure import _congruence_arrays
+
+    rng = np.random.default_rng(4)
+    pair = random_skew_adjoint_poly_pair(rng, 4, 2, GRID)
+    Ev, Ed, Av = pair.E.eval_on(GRID), pair.E.derivative_on(GRID), pair.A.eval_on(GRID)
+    # a constant (2-D) Q with Qd=None is the product rule with Qdot = 0
+    Qc = rng.standard_normal((4, 4))
+    E2, E2d, A2 = _congruence_arrays(Ev, Ed, Av, Qc)
+    assert np.allclose(E2, Qc.T @ Ev @ Qc, rtol=0, atol=1e-13)
+    assert np.allclose(E2d, Qc.T @ Ed @ Qc, rtol=0, atol=1e-13)
+    assert np.allclose(A2, Qc.T @ Av @ Qc, rtol=0, atol=1e-13)
+    # a time-varying Q gives the grid values of apply_congruence's pair
+    T = random_poly_congruence(rng, 4, 2)
+    E2, E2d, A2 = _congruence_arrays(Ev, Ed, Av, T.Q.eval_on(GRID), T.Qdot.eval_on(GRID))
+    moved = sd.apply_congruence(pair, T)
+    assert np.allclose(E2, moved.E.eval_on(GRID), rtol=0, atol=1e-12)
+    assert np.allclose(E2d, moved.E.derivative_on(GRID), rtol=0, atol=1e-12)
+    assert np.allclose(A2, moved.A.eval_on(GRID), rtol=0, atol=1e-12)
