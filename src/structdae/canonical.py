@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matfun as mf
 from . import structure as st
@@ -37,6 +36,14 @@ from .factor import smooth_inertia, smooth_kernel_frame
 from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
+
+
+def _sla():
+    """scipy.linalg, imported on first use: the import costs a fresh process
+    about 0.2 s, and only the basis, pairing and QZ steps need it."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 @dataclass
@@ -148,7 +155,8 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
 
     mags = np.abs(np.linalg.eigvals(Ehat))
     thr = max(rank_tol * mags.max(initial=0.0), 1e-14 * (1.0 + np.linalg.norm(Ehat)))
-    T, Z, sdim = sla.schur(Ehat, output="real", sort=lambda re, im: re * re + im * im > thr * thr)
+    T, Z, sdim = _sla().schur(Ehat, output="real",
+                              sort=lambda re, im: re * re + im * im > thr * thr)
     d = int(sdim)
 
     t0 = grid.points[0]
@@ -161,7 +169,7 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
     B11 = T[:d, :d]
     M = lam0 * np.eye(d) - np.linalg.solve(B11, np.eye(d))
 
-    phiv = Z1 @ sla.expm((grid.points - t0)[:, None, None] * M)
+    phiv = Z1 @ _sla().expm((grid.points - t0)[:, None, None] * M)
     phid = phiv @ M
     phidd = phid @ M
     res = _maxnorm(E[None] @ phid - A[None] @ phiv)
@@ -181,9 +189,14 @@ def brute_force_dimension(pair):
         and isinstance(pair.A, mf.ConstantMatrixFunction)
     ):
         raise UnsupportedError("dimension oracle needs a constant pair")
-    _, _, alpha, beta, *_ = sla.ordqz(pair.A.value, pair.E.value, sort="lhp")
-    scale = 1.0 + np.abs(alpha).max(initial=0.0)
-    return int(np.sum(np.abs(beta) > 1e-10 * scale))
+    return _finite_eigenvalue_count(pair.A.value, pair.E.value)
+
+
+def _finite_eigenvalue_count(A, E):
+    """Finite eigenvalues of the constant pencil lambda*E - A, counted on its
+    QZ form: |beta| above 1e-10 * (1 + max |alpha|)."""
+    _, _, alpha, beta, *_ = _sla().ordqz(A, E, sort="lhp")
+    return int(np.sum(np.abs(beta) > 1e-10 * (1.0 + np.abs(alpha).max(initial=0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +316,7 @@ def _skew_pairing_transform(E11c, p, scale, rel_tol=1e-8):
     d = E11c.shape[0]
     if d == 0:
         return np.zeros((0, 0))
-    T, Z = sla.schur(E11c, output="real")
+    T, Z = _sla().schur(E11c, output="real")
     tol = rel_tol * scale
     firsts, seconds, zeros = [], [], []
     i = 0
@@ -334,8 +347,7 @@ def _check_algebraic_block_static(Ev33, Av33, scale, where):
         or _maxnorm(Av33 - Av33[0]) > 1e-8 * scale
     ):
         return
-    _, _, alpha, beta, *_ = sla.ordqz(Av33[0], Ev33[0], sort="lhp")
-    finite = int(np.sum(np.abs(beta) > 1e-10 * (1.0 + np.abs(alpha).max(initial=0.0))))
+    finite = _finite_eigenvalue_count(Av33[0], Ev33[0])
     if finite > 0:
         raise BasisDeficiencyError(
             f"algebraic part of the {where} canonical form still carries "
@@ -363,7 +375,7 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
         pipe.require(
             "leading block of paired E11 zero", _maxnorm((Ub.T @ E11c @ Ub)[None, :p, :p])
         )
-        Q2 = sla.block_diag(Ub, np.eye(a))
+        Q2 = _sla().block_diag(Ub, np.eye(a))
         pipe.apply("skew pairing", Q2)
 
         # normalize [E12 E13] V = [I_p 0]
@@ -452,7 +464,7 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
             )
         inertia = smooth_inertia(mf.constant(E11c), grid)
         p, q = inertia.p, inertia.q
-        Q2 = sla.block_diag(inertia.W.value, np.eye(a))
+        Q2 = _sla().block_diag(inertia.W.value, np.eye(a))
         pipe.apply("inertia normalization", Q2)
         S = st._signature(p, q)
         pipe.require("leading signature block", _maxnorm(pipe.Ev[:, :d, :d] - S))

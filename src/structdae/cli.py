@@ -202,9 +202,7 @@ def cmd_check(args):
     pair = model_pair(obj)
     grid = _grid(args, pair.interval)
     tol = args.tol if args.tol is not None else st.default_tolerance(pair, grid)
-    rep_self = st.self_adjoint_residual(pair, grid)
-    rep_skew = st.skew_adjoint_residual(pair, grid)
-    tag = st.classify(pair, grid, tol)
+    tag, rep_self, rep_skew = st._classified(pair, grid, tol)
     out = {
         "tolerance": tol,
         "tag": tag.value,

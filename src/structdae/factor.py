@@ -272,9 +272,9 @@ def smooth_kernel_frame(B, grid, rel_tol=1e-10):
             raise ConditioningError("row-rank-deficient matrix in kernel continuation")
         return Bv.T @ np.linalg.solve(BBt, np.eye(p)) if p else np.zeros((n, 0))
 
-    def project(Bv, N):
+    def project(P, Bv, N):
         if p:
-            N = N - pinv(Bv) @ (Bv @ N)
+            N = N - P @ (Bv @ N)
         qn, rn = np.linalg.qr(N)
         return qn * np.sign(np.diag(rn))
 
@@ -283,27 +283,33 @@ def smooth_kernel_frame(B, grid, rel_tol=1e-10):
     if a == 0:
         return Ns, Nds
 
-    B0 = B.eval(grid.points[0])
-    _, _, vt = np.linalg.svd(B0) if p else (None, None, np.eye(n))
+    # B and Bdot at every stage point, computed as the steps compute them:
+    # the nodes t, then t + h/2 and t + h of each step
+    ts = grid.points
+    h = ts[1:] - ts[:-1]
+    stage_ts = np.concatenate([ts, ts[:-1] + 0.5 * h, ts[:-1] + h])
+    Bn, Bh, Bf = np.split(B._eval_at(stage_ts), [K, 2 * K - 1])
+    Bdn, Bdh, Bdf = np.split(B._derivative_at(stage_ts), [K, 2 * K - 1])
+
+    _, _, vt = np.linalg.svd(Bn[0]) if p else (None, None, np.eye(n))
     N = vt.T[:, p:] if p else np.eye(n)
 
-    def rhs(t, N):
-        Bt = B.eval(t)
-        Bd = B.derivative(t)
-        return -pinv(Bt) @ (Bd @ N) if p else np.zeros_like(N)
+    def rhs(P, Bd, N):
+        # P is the pseudo-inverse of B at the stage point of Bd
+        return -P @ (Bd @ N) if p else np.zeros_like(N)
 
-    for k, t in enumerate(grid.points):
-        Bt = B.eval(t)
-        N = project(Bt, N)
+    for k in range(K):
+        P = pinv(Bn[k])
+        N = project(P, Bn[k], N)
         if k > 0:
             N = procrustes_align(N, Ns[k - 1])
         Ns[k] = N
-        Nds[k] = rhs(t, N)
+        k1 = rhs(P, Bdn[k], N)
+        Nds[k] = k1
         if k + 1 < K:
-            h = grid.points[k + 1] - t
-            k1 = rhs(t, N)
-            k2 = rhs(t + 0.5 * h, N + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, N + 0.5 * h * k2)
-            k4 = rhs(t + h, N + h * k3)
-            N = N + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Ph = pinv(Bh[k])
+            k2 = rhs(Ph, Bdh[k], N + 0.5 * h[k] * k1)
+            k3 = rhs(Ph, Bdh[k], N + 0.5 * h[k] * k2)
+            k4 = rhs(pinv(Bf[k]), Bdf[k], N + h[k] * k3)
+            N = N + (h[k] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return Ns, Nds

@@ -9,7 +9,10 @@ Three concrete kinds cover everything the toolkit needs:
     (order 1) or cubic interpolation (order 3, not-a-knot end rule).
     Optionally carries derivative samples; the interpolant is then the
     piecewise cubic Hermite matching both, which keeps value/derivative
-    pairs exactly consistent at the nodes.
+    pairs exactly consistent at the nodes.  The cubic interpolants repeat
+    the arithmetic of scipy's ``CubicSpline``/``CubicHermiteSpline``, so
+    they agree with them bit for bit; scipy is imported only to solve the
+    not-a-knot slope system.
 
 All evaluation is deterministic and side-effect free.
 """
@@ -20,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import ConstructionError, DimensionError, DomainError
 
@@ -222,6 +224,46 @@ def _horner(coeffs, t):
     return out
 
 
+def _not_a_knot_slopes(x, y):
+    """Node slopes of scipy's not-a-knot CubicSpline through samples y (K, r, c)
+    on nodes x, from the same linear system and the same LAPACK solver."""
+    from scipy.linalg import solve, solve_banded
+
+    n = x.size
+    if y.size == 0:
+        return np.zeros_like(y)
+    dx = np.diff(x)
+    dxr = dx[:, None, None]
+    slope = np.diff(y, axis=0) / dxr
+    if n == 3:
+        # both end rules coincide on two intervals: the parabola through the samples
+        A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.stack([2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]])
+        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True, check_finite=False)
+        return s.reshape(y.shape)
+    # tridiagonal system in banded storage: superdiagonal, diagonal, subdiagonal
+    A = np.zeros((3, n))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if n == 2:
+        # a straight line: both ends take the chord slope
+        A[1] = 1.0
+        b[0] = b[-1] = slope[0]
+    else:
+        d = x[2] - x[0]
+        A[1, 0], A[0, 1] = dx[1], d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[1, -1], A[-1, -2] = dx[-2], d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    return s.reshape(y.shape)
+
+
 class SampledMatrixFunction(MatrixFunction):
     def __init__(self, grid, values, order=3, deriv_values=None):
         if order not in (1, 3):
@@ -250,8 +292,7 @@ class SampledMatrixFunction(MatrixFunction):
             self.deriv_values = dv
         else:
             self.deriv_values = None
-        self._spline = None
-        self._dspline = None
+        self._slopes = None
 
     # own class entries, which perfbench/spans.py wraps by class and name
     eval = MatrixFunction.eval
@@ -265,16 +306,6 @@ class SampledMatrixFunction(MatrixFunction):
                 f"[{self.grid.t0}, {self.grid.tf}]"
             )
 
-    def _build(self):
-        if self._spline is None:
-            x = self.grid.points
-            if self.deriv_values is not None:
-                self._spline = CubicHermiteSpline(x, self.values, self.deriv_values, axis=0)
-            else:
-                self._spline = CubicSpline(x, self.values, axis=0)
-            self._dspline = self._spline.derivative()
-        return self._spline, self._dspline
-
     def _segments(self, ts):
         """Index k of the interval [x_k, x_k+1] holding each t; the last
         interval also takes tf (and points past it within the slack)."""
@@ -282,27 +313,51 @@ class SampledMatrixFunction(MatrixFunction):
         k = np.searchsorted(x, ts, side="right") - 1
         return np.clip(k, 0, x.size - 2)
 
+    def _cubic(self, k):
+        """Power-basis coefficients (c0, c1, c2, c3) of the cubic on each
+        interval k, in powers 3, 2, 1, 0 of t - x_k; computed as scipy's
+        CubicHermiteSpline computes them, for the gathered intervals only."""
+        x, y = self.grid.points, self.values
+        if self.deriv_values is not None:
+            m = self.deriv_values
+        else:
+            if self._slopes is None:
+                self._slopes = _not_a_knot_slopes(x, y)
+            m = self._slopes
+        dx = (x[k + 1] - x[k])[:, None, None]
+        slope = (y[k + 1] - y[k]) / dx
+        tt = (m[k] + m[k + 1] - 2 * slope) / dx
+        return tt / dx, (slope - m[k]) / dx - tt, m[k], y[k]
+
     def _eval_at(self, ts):
         ts = np.asarray(ts, dtype=float)
         self._check_domain(ts)
+        x = self.grid.points
+        k = self._segments(ts)
+        s = ts - x[k]
         if self.order == 1:
-            x = self.grid.points
-            k = self._segments(ts)
-            w = ((ts - x[k]) / (x[k + 1] - x[k]))[:, None, None]
+            w = (s / (x[k + 1] - x[k]))[:, None, None]
             return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-        spline, _ = self._build()
-        return np.asarray(spline(ts), dtype=float)
+        if not np.any(s):
+            # every point is a node below tf: the power sum reduces to the
+            # sample (+ 0.0 turns a -0.0 sample into 0.0, as the sum does)
+            return self.values[k] + 0.0
+        c0, c1, c2, c3 = self._cubic(k)
+        s = s[:, None, None]
+        return (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
     def _derivative_at(self, ts):
         ts = np.asarray(ts, dtype=float)
         self._check_domain(ts)
         x = self.grid.points
+        k = self._segments(ts)
         if self.order == 1:
             # right-hand slope at the nodes, except tf which takes the left one
-            k = self._segments(ts)
             return (self.values[k + 1] - self.values[k]) / (x[k + 1] - x[k])[:, None, None]
-        _, dspline = self._build()
-        out = np.asarray(dspline(ts), dtype=float)
+        # the derivative's power sum, coefficients (3 c0, 2 c1, c2) as in scipy
+        c0, c1, c2, _ = self._cubic(k)
+        s = (ts - x[k])[:, None, None]
+        out = (0.0 + c2) + (2.0 * c1) * s + (3.0 * c0) * (s * s)
         if self.deriv_values is not None:
             # a point within 1e-14 of a node takes that node's derivative
             # sample (the lower node when two qualify)

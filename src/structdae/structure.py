@@ -151,10 +151,18 @@ def default_tolerance(pair, grid):
 
 
 def classify(pair, grid, tol):
+    return _classified(pair, grid, tol)[0]
+
+
+def _classified(pair, grid, tol):
+    """(tag, self-adjoint report, skew-adjoint report): classify's tag and the
+    two residual reports it is read from, each computed once."""
     if tol <= 0:
         raise StructureError("classification tolerance must be positive")
-    is_self = self_adjoint_residual(pair, grid).passes(tol)
-    is_skew = skew_adjoint_residual(pair, grid).passes(tol)
+    rep_self = self_adjoint_residual(pair, grid)
+    rep_skew = skew_adjoint_residual(pair, grid)
+    is_self = rep_self.passes(tol)
+    is_skew = rep_skew.passes(tol)
     if is_self and is_skew:
         value = "both"
     elif is_self:
@@ -163,7 +171,7 @@ def classify(pair, grid, tol):
         value = SKEW_ADJOINT
     else:
         value = "none"
-    return StructureTag(value, tol)
+    return StructureTag(value, tol), rep_self, rep_skew
 
 
 def _check_nonsingular_values(Fv, grid, rel_tol, what):

@@ -244,3 +244,37 @@ def test_malformed_model_entries_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert run(["factor", "--model", str(path)]) == 2, name
         assert capsys.readouterr().err.count("\n") == 1, name
+
+
+def test_check_computes_each_residual_report_once(tmp_path, monkeypatch):
+    import structdae as sd
+    from structdae import structure
+    from structdae.cli import model_pair
+
+    model = tmp_path / "m.json"
+    run(["demo", "circuit", "--out", str(model)])
+    pair = model_pair(json.loads(model.read_text()))
+    grid = sd.TimeGrid.uniform(pair.interval.t0, pair.interval.tf, 401)
+    reports = {kind: fn(pair, grid) for kind, fn in
+               (("self_adjoint", sd.self_adjoint_residual),
+                ("skew_adjoint", sd.skew_adjoint_residual))}
+    tol = sd.default_tolerance(pair, grid)
+    want = {
+        "tolerance": tol,
+        "tag": sd.classify(pair, grid, tol).value,
+        **{kind: {"e_residual": r.e_residual, "a_residual": r.a_residual}
+           for kind, r in reports.items()},
+        "grid_points": 401,
+    }
+    calls = []
+    residuals = structure._residuals
+
+    def counting(*args):
+        calls.append(args[2])
+        return residuals(*args)
+
+    monkeypatch.setattr(structure, "_residuals", counting)
+    rep = tmp_path / "rep.json"
+    assert run(["check", "--model", str(model), "--grid", "401", "--out", str(rep)]) == 0
+    assert sorted(calls) == ["self_adjoint", "skew_adjoint"]
+    assert json.loads(rep.read_text()) == want

@@ -216,3 +216,89 @@ def test_poly_eval_on_matches_pointwise():
     const = sd.PolynomialMatrixFunction(c[:1])
     assert np.array_equal(const.eval_on(grid), np.broadcast_to(c[0], (17, 2, 3)))
     assert np.array_equal(const.derivative_on(grid), np.zeros((17, 2, 3)))
+
+
+def _assert_matches_scipy(grid, with_derivatives, seed):
+    # values and derivatives, zero signs included, at the nodes, tf, the
+    # midpoints and random interior points
+    rng = np.random.default_rng(seed)
+    x = grid.points
+    vals = rng.standard_normal((grid.n, 2, 3))
+    vals[0, 0, 0] = -0.0
+    ders = rng.standard_normal((grid.n, 2, 3)) if with_derivatives else None
+    s = sd.SampledMatrixFunction(grid, vals, deriv_values=ders)
+    spline = (CubicSpline(x, vals, axis=0) if ders is None
+              else CubicHermiteSpline(x, vals, ders, axis=0))
+    inner = np.concatenate([0.5 * (x[:-1] + x[1:]), rng.uniform(x[0], x[-1], 7)])
+    ts = np.concatenate([x, inner])
+    got, want = s._eval_at(ts), spline(ts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(s.eval(x[-1]), spline(x[-1]))
+    # with derivative samples the nodes return the samples (node rule)
+    dts = ts if ders is None else inner
+    assert np.array_equal(s._derivative_at(dts), spline.derivative()(dts))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("with_derivatives", [False, True])
+def test_cubic_interpolant_is_scipys_bit_for_bit(n, with_derivatives):
+    _assert_matches_scipy(sd.TimeGrid.uniform(-1.0, 2.0, n), with_derivatives, seed=n)
+
+
+@pytest.mark.parametrize("with_derivatives", [False, True])
+def test_cubic_interpolant_is_scipys_on_a_nonuniform_grid(with_derivatives):
+    grid = sd.TimeGrid([0.0, 0.1, 0.15, 0.4, 1.0, 1.05, 2.5, 3.0])
+    _assert_matches_scipy(grid, with_derivatives, seed=7)
+
+
+def test_node_evaluation_builds_no_slopes():
+    rng = np.random.default_rng(8)
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 6)
+    vals = rng.standard_normal((6, 2, 2))
+    vals[2, 1, 0] = -0.0
+    s = sd.SampledMatrixFunction(grid, vals)
+    spline = CubicSpline(grid.points, vals, axis=0)
+    nodes = grid.points[[4, 0, 2]]
+    got = s._eval_at(nodes)
+    assert s._slopes is None
+    assert np.array_equal(got, spline(nodes))
+    assert np.array_equal(np.signbit(got), np.signbit(spline(nodes)))
+    # tf lies in the last interval, as in scipy, and needs the slopes
+    assert np.array_equal(s.eval(1.0), spline(1.0))
+    assert s._slopes is not None
+
+
+def test_dynamic_from_full_at_t0_builds_no_projector_slopes():
+    grid = sd.TimeGrid.uniform(0.0, 2.0, 41)
+    mb = sd.build_multibody(np.diag([1.0, 2.0, 1.5]), np.diag([1.0, 0.5, 0.7]),
+                            [[1.0, 0.0, 1.0]], interval=grid)
+    n = mb.skew_pair.n
+    g = np.ones((n, 1))
+    f = sd.from_callable(lambda t: g * np.sin(t), grid, dfn=lambda t: g * np.cos(t))
+    red = sd.semidefinite_skew_reduce(mb.skew_pair, f, grid)
+    x0 = np.arange(n, dtype=float)
+    x2 = red.dynamic_from_full(grid.t0, x0)
+    assert red.projector._slopes is None
+    P0 = CubicSpline(grid.points, red.projector.values, axis=0)(grid.t0)
+    assert np.array_equal(x2, P0 @ x0)
+
+
+def test_derivative_on_foreign_grid_retains_at_most_the_slopes():
+    # scipy.linalg, which the slope solve imports, is already loaded by the
+    # scipy.interpolate import above, so no module import is traced here
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 401)
+    s = sd.SampledMatrixFunction(grid, rng.standard_normal((401, 20, 20)))
+    foreign = grid.refine()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = s.derivative_on(foreign)
+        del d
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * s.values.nbytes
