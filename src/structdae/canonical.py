@@ -139,15 +139,12 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
     n = pair.n
     scale = max(1.0, np.linalg.norm(E), np.linalg.norm(A))
 
-    best = None
-    for lam0 in _SHIFT_CANDIDATES:
-        P = lam0 * E - A
-        s = np.linalg.svd(P, compute_uv=False)
-        smin = s[-1] / max(s[0], 1e-300)
-        if best is None or smin > best[1]:
-            best = (lam0, smin, P)
-    lam0, smin, P = best
-    if smin <= 1e-12:
+    # the first probe shift with the largest relative smallest singular value
+    Ps = np.stack([lam0 * E - A for lam0 in _SHIFT_CANDIDATES])
+    rel = st._rel_smin(Ps)
+    best = int(np.argmax(rel))
+    lam0, P = _SHIFT_CANDIDATES[best], Ps[best]
+    if rel[best] <= 1e-12:
         raise RegularityError(
             "pencil appears irregular: lambda*E - A is singular at every probe shift"
         )
@@ -288,8 +285,8 @@ def _basis_congruence(pipe, basis):
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
     phid = basis.Phidot.eval_on(grid)
-    if d and _min_rel_sv(phiv) <= RANK_FLOOR:
-        raise BasisDeficiencyError("Phi loses rank on the grid")
+    st._require_nonsingular(phiv, grid.points, RANK_FLOOR, BasisDeficiencyError,
+                            "Phi loses rank")
     resid = _maxnorm(pipe.Ev @ phid - pipe.Av @ phiv)
     if resid > 1e-8 * pipe.scale:
         raise BasisDeficiencyError(
@@ -381,8 +378,8 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
         # normalize [E12 E13] V = [I_p 0]
         Bv = pipe.Ev[:, :p, p:].copy()
         Bd = pipe.Ed[:, :p, p:].copy()
-        if _min_rel_sv(Bv) <= RANK_FLOOR:
-            raise StageError("[E12 E13] loses row rank on the grid", stage="row normalization")
+        st._require_nonsingular(Bv, grid.points, RANK_FLOOR, StageError,
+                                "[E12 E13] loses row rank", stage="row normalization")
         BBt = Bv @ _bT(Bv)
         Binv = np.linalg.solve(BBt, np.eye(p)[None].repeat(pipe.K, axis=0))
         V1 = _bT(Bv) @ Binv
@@ -503,13 +500,6 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _min_rel_sv(vals):
-    if vals.shape[1] == 0 or vals.shape[2] == 0:
-        return 1.0
-    s = np.linalg.svd(vals, compute_uv=False)
-    return float((s[:, -1] / np.maximum(s[:, 0], 1e-300)).min())
-
-
 def _pattern_entries(form, grid, lead, z):
     """E_pattern and A_pattern defects of the assembled transformed pair."""
     if form.pair_transformed is None:
@@ -622,7 +612,7 @@ def verify_local_form(blocks, grid, tol=1e-8):
             entries["delta_skew" if sgn > 0 else "delta_symmetric"] = _maxnorm(e_def)
             if blocks.sigma11 is not None:
                 entries["sigma11_relation"] = _maxnorm(a_def)
-            cond["delta"] = _min_rel_sv(C)
+            cond["delta"] = float(st._rel_smin(C).min())
         elif v == SELF_REFINED:
             entries["J_canonical"] = _maxnorm(C - st._J(blocks.p))
         else:
@@ -643,7 +633,7 @@ def verify_local_form(blocks, grid, tol=1e-8):
         S22 = ev(blocks.sigma22)
         key = "sigma22_symmetric" if sgn > 0 else "sigma22_skew"
         entries[key] = _maxnorm(S22 - sgn * _bT(S22))
-        cond["sigma22"] = _min_rel_sv(S22)
+        cond["sigma22"] = float(st._rel_smin(S22).min())
 
     if blocks.a14 is not None and blocks.a41 is not None:
         A14 = ev(blocks.a14)
@@ -677,7 +667,7 @@ def verify_local_form(blocks, grid, tol=1e-8):
                     blk = A14[:, rows[i][0] : rows[i][1], cols[j][0] : cols[j][1]]
                     if i + j == w - 1:
                         label = f"gamma{w - i}"
-                        cond[label] = _min_rel_sv(blk)
+                        cond[label] = float(st._rel_smin(blk).min())
                         if v in (SELF_REFINED, SKEW_REFINED):
                             eye = np.eye(blk.shape[1])
                             entries[label + "_identity"] = _maxnorm(blk - eye)

@@ -314,9 +314,7 @@ def cmd_reduce(args):
         "certificate": red.certificate.kind,
         "lie_algebra_defect": red.certificate_defect(grid),
         "max_inhomogeneity_derivative": red.max_f_derivative,
-        "recovery": [
-            {"name": rec.name, "rows": rec.coef_x.rows} for rec in red.recovery
-        ],
+        "recovery": [{"name": name, "rows": rows} for name, rows in red.recovery],
         "grid_points": grid.n,
     }
     _emit(out, args.out)

@@ -7,7 +7,11 @@ structural findings.
 
 
 class StructDaeError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; t is the failing time when known."""
+
+    def __init__(self, message="", t=None):
+        super().__init__(message)
+        self.t = t
 
 
 class DomainError(StructDaeError):
@@ -23,11 +27,7 @@ class ConstructionError(StructDaeError):
 
 
 class SingularityError(StructDaeError):
-    """A matrix required to be nonsingular is singular; carries the time."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+    """A matrix required to be nonsingular is singular."""
 
 
 class RankDropError(StructDaeError):
@@ -66,8 +66,8 @@ class RegularityError(StructDaeError):
 class StageError(StructDaeError):
     """A staged canonical-form construction failed; carries the stage name."""
 
-    def __init__(self, message, stage=None):
-        super().__init__(message)
+    def __init__(self, message, stage=None, t=None):
+        super().__init__(message, t=t)
         self.stage = stage
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun as mf
+from . import structure as st
 from .errors import (
     ConditioningError,
     IllPosedRankError,
@@ -250,7 +251,7 @@ def max_jump(values):
 # smooth kernel frame with consistent derivative samples
 # ---------------------------------------------------------------------------
 
-def smooth_kernel_frame(B, grid, rel_tol=1e-10):
+def smooth_kernel_frame(B, grid):
     """Orthonormal N(t) spanning ker B(t) with derivative samples.
 
     B must have full row rank pointwise; N is propagated along the grid by
@@ -265,13 +266,6 @@ def smooth_kernel_frame(B, grid, rel_tol=1e-10):
     a = n - p
     K = grid.n
 
-    def pinv(Bv):
-        BBt = Bv @ Bv.T
-        c = np.linalg.cond(BBt) if p else 1.0
-        if p and c > 1e14:
-            raise ConditioningError("row-rank-deficient matrix in kernel continuation")
-        return Bv.T @ np.linalg.solve(BBt, np.eye(p)) if p else np.zeros((n, 0))
-
     def project(P, Bv, N):
         if p:
             N = N - P @ (Bv @ N)
@@ -283,12 +277,18 @@ def smooth_kernel_frame(B, grid, rel_tol=1e-10):
     if a == 0:
         return Ns, Nds
 
-    # B and Bdot at every stage point, computed as the steps compute them:
-    # the nodes t, then t + h/2 and t + h of each step
+    # B, Bdot and the pseudo-inverse B^+ = B^T (B B^T)^-1 at every stage
+    # point: the nodes t, then t + h/2 and t + h of each step
     ts = grid.points
     h = ts[1:] - ts[:-1]
     stage_ts = np.concatenate([ts, ts[:-1] + 0.5 * h, ts[:-1] + h])
-    Bn, Bh, Bf = np.split(B._eval_at(stage_ts), [K, 2 * K - 1])
+    Bs = B._eval_at(stage_ts)
+    BBt = Bs @ _bT(Bs)
+    st._require_nonsingular(BBt, stage_ts, 1e-14, ConditioningError,
+                            "row-rank-deficient matrix in kernel continuation")
+    Ps = _bT(Bs) @ np.linalg.solve(BBt, np.eye(p))
+    Bn, Bh, Bf = np.split(Bs, [K, 2 * K - 1])
+    Pn, Ph, Pf = np.split(Ps, [K, 2 * K - 1])
     Bdn, Bdh, Bdf = np.split(B._derivative_at(stage_ts), [K, 2 * K - 1])
 
     _, _, vt = np.linalg.svd(Bn[0]) if p else (None, None, np.eye(n))
@@ -299,17 +299,15 @@ def smooth_kernel_frame(B, grid, rel_tol=1e-10):
         return -P @ (Bd @ N) if p else np.zeros_like(N)
 
     for k in range(K):
-        P = pinv(Bn[k])
-        N = project(P, Bn[k], N)
+        N = project(Pn[k], Bn[k], N)
         if k > 0:
             N = procrustes_align(N, Ns[k - 1])
         Ns[k] = N
-        k1 = rhs(P, Bdn[k], N)
+        k1 = rhs(Pn[k], Bdn[k], N)
         Nds[k] = k1
         if k + 1 < K:
-            Ph = pinv(Bh[k])
-            k2 = rhs(Ph, Bdh[k], N + 0.5 * h[k] * k1)
-            k3 = rhs(Ph, Bdh[k], N + 0.5 * h[k] * k2)
-            k4 = rhs(pinv(Bf[k]), Bdf[k], N + h[k] * k3)
+            k2 = rhs(Ph[k], Bdh[k], N + 0.5 * h[k] * k1)
+            k3 = rhs(Ph[k], Bdh[k], N + 0.5 * h[k] * k2)
+            k4 = rhs(Pf[k], Bdf[k], N + h[k] * k3)
             N = N + (h[k] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return Ns, Nds

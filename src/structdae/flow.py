@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun as mf
+from . import structure as st
 from .errors import DimensionError, SingularityError
 from .reduce import FlowCertificate, ReducedSystem, index1_reduce, semidefinite_skew_reduce
 
@@ -54,14 +55,10 @@ def _step_maps(M_fun, grid, g_fun=None):
     n = half.shape[1]
     L = np.eye(n) - half
     R = np.eye(n) + half
-    if n:
-        s = np.linalg.svd(L, compute_uv=False)
-        bad = np.flatnonzero(s[:, -1] <= 1e-14 * np.maximum(s[:, 0], 1e-300))
-        if bad.size:
-            t = float(mids[bad[0]])
-            raise SingularityError(
-                f"midpoint step matrix singular near t={t}; refine the step size", t=t,
-            )
+    st._require_nonsingular(
+        L, mids, 1e-14, SingularityError, "midpoint step matrix I - h/2 M is singular "
+        "(refine the step size)",
+    )
     if g_fun is None:
         return np.linalg.solve(L, R), np.zeros((h.size, n))
     CD = np.linalg.solve(L, np.concatenate([R, h[:, None, None] * g_fun._eval_at(mids)], axis=2))

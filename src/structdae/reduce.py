@@ -30,17 +30,14 @@ from .structure import _bT, _maxnorm
 COND_LIMIT = 1e12
 
 
-def _batch_solve(A, B):
-    """Solve A_k X_k = B_k for every grid point, guarding conditioning."""
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], 0, B.shape[2]))
-    conds = np.linalg.cond(A)
-    if np.any(~np.isfinite(conds)) or np.any(conds > COND_LIMIT):
-        raise RegularityError(
-            "algebraic block is numerically singular; the system is not regular "
-            "(or has higher index) on this grid"
-        )
-    return np.linalg.solve(A, B)
+def _require_regular(F, grid, what="algebraic block"):
+    """RegularityError at the first grid time where F's condition number
+    exceeds COND_LIMIT."""
+    st._require_nonsingular(
+        F, grid.points, 1.0 / COND_LIMIT, RegularityError,
+        f"{what} is numerically singular; the system is not regular "
+        "(or has higher index) on this grid",
+    )
 
 
 @dataclass(frozen=True)
@@ -58,20 +55,6 @@ class FlowCertificate:
     def symplectic(cls, p):
         return cls("symplectic", st._J(p))
 
-    @classmethod
-    def indefinite_orthogonal(cls, p, q):
-        return cls("indefinite_orthogonal", st._signature(p, q))
-
-
-@dataclass
-class AffineRecovery:
-    """eliminated(t) = coef_x(t) x2 + coef_f(t) f(t) + coef_fd(t) fdot(t)."""
-
-    name: str
-    coef_x: mf.MatrixFunction
-    coef_f: mf.MatrixFunction
-    coef_fd: mf.MatrixFunction
-
 
 @dataclass
 class ReducedSystem:
@@ -81,6 +64,7 @@ class ReducedSystem:
     m_fun: mf.MatrixFunction
     g_fun: mf.MatrixFunction
     certificate: FlowCertificate | None
+    # (name, rows) of each group of eliminated variables
     recovery: list = field(default_factory=list)
     # full original state as an affine map of (x2, f, fdot)
     rx: mf.MatrixFunction | None = None
@@ -89,12 +73,7 @@ class ReducedSystem:
     max_f_derivative: int = 0
     pair: mf.MatrixPair | None = None
     f: mf.MatrixFunction | None = None
-    grid: mf.TimeGrid | None = None
     projector: mf.MatrixFunction | None = None  # full state -> dynamic x2
-
-    @property
-    def n_full(self):
-        return self.rx.rows if self.rx is not None else self.dynamic_dim
 
     def reconstruct(self, t, x2):
         """Full original state at time t from the dynamic state x2."""
@@ -222,12 +201,12 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
 
     C0 = Theta[:, k_rank:].T @ A1[0, r:, :r] if tau else np.zeros((0, r))
     if tau:
-        sc = np.linalg.svd(C0, compute_uv=False)
-        if sc.size == 0 or sc[-1] <= 1e-10 * max(sc[0], 1e-300):
+        # the tau constraint rows need full row rank
+        _, sc, vtc = np.linalg.svd(C0)
+        if r < tau or st._rel_smin(C0, sc) <= 1e-10:
             raise RegularityError(
                 "constraint rows are rank deficient; the pair is not regular"
             )
-        _, _, vtc = np.linalg.svd(C0)
         Psi = np.hstack([vtc.T[:, tau:], vtc.T[:, :tau]])
     else:
         Psi = np.eye(r)
@@ -266,14 +245,18 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     def zero_w(rows):
         return np.zeros((K, rows, n))
 
-    # eta from the constraint rows: C2 eta = -f4
+    # eta from the constraint rows: C2 eta = -f4; C2^T (for the chain
+    # variables below) has the same singular values, so one guard covers both
     C2 = A2[:, i4, ih]
-    eta_f = -_batch_solve(C2, P[:, i4, :])
+    _require_regular(C2, grid, "constraint block")
+    eta_f = -np.linalg.solve(C2, P[:, i4, :])
     # etadot: C2 etadot = -f4dot - C2dot eta, so its f4dot weight is eta_f itself
-    etad_f = -_batch_solve(C2, A2d[:, i4, ih] @ eta_f) if tau else zero_w(0)
+    etad_f = -np.linalg.solve(C2, A2d[:, i4, ih] @ eta_f) if tau else zero_w(0)
 
     # w3 from the nonsingular skew block; depends on f only (never fdot)
-    W3x, w3_f = np.split(-_batch_solve(A2[:, i3, i3], np.concatenate(
+    A33 = A2[:, i3, i3]
+    _require_regular(A33, grid)
+    W3x, w3_f = np.split(-np.linalg.solve(A33, np.concatenate(
         [A2[:, i3, ix], A2[:, i3, ih] @ eta_f + P[:, i3, :]], axis=2)), [dxi], axis=2)
 
     # dynamic block before scaling: Sb xidot = Ceff xi + gpre
@@ -300,10 +283,11 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         Shh = E2[:, ih, ih]
         # xidot for the (x, f, fdot) weights, then w4 for the same three
         cols = [dxi, dxi + n]
+        _require_regular(Sb, grid, "dynamic E block")
         xdot_x, xdot_f, xdot_fd = np.split(
-            _batch_solve(Sb, np.concatenate([Ceff, g_f, g_fd], axis=2)), cols, axis=2
+            np.linalg.solve(Sb, np.concatenate([Ceff, g_f, g_fd], axis=2)), cols, axis=2
         )
-        W4x, w4_f, w4_fd = np.split(_batch_solve(_bT(C2), np.concatenate([
+        W4x, w4_f, w4_fd = np.split(np.linalg.solve(_bT(C2), np.concatenate([
             A2[:, ih, ix] + A2[:, ih, i3] @ W3x - Shx @ xdot_x,
             A2[:, ih, ih] @ eta_f + A2[:, ih, i3] @ w3_f + P[:, ih, :]
             - Shx @ xdot_f - Shh @ etad_f,
@@ -329,19 +313,9 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     Rfd = Qall @ Zfd
 
     uses_fd = max(_maxnorm(Gfd), _maxnorm(Zfd)) > 1e-13 * (1.0 + _maxnorm(fv))
-    recovery = []
-    if tau:
-        recovery.append(AffineRecovery(
-            "constraint variables", _sampled(grid, np.zeros((K, tau, dxi))),
-            _sampled(grid, eta_f), _sampled(grid, np.zeros((K, tau, n)))))
-    if k_rank:
-        recovery.append(AffineRecovery(
-            "algebraic variables", _sampled(grid, W3x @ Finv),
-            _sampled(grid, w3_f), _sampled(grid, zero_w(k_rank))))
-    if tau:
-        recovery.append(AffineRecovery(
-            "chain variables", _sampled(grid, W4x @ Finv),
-            _sampled(grid, w4_f), _sampled(grid, w4_fd)))
+    recovery = [(name, rows) for name, rows in (
+        ("constraint variables", tau), ("algebraic variables", k_rank),
+        ("chain variables", tau)) if rows]
 
     gvals = Gf @ fv + Gfd @ fd
     return ReducedSystem(
@@ -356,7 +330,6 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         max_f_derivative=1 if (tau and uses_fd) else 0,
         pair=pair,
         f=f,
-        grid=grid,
         projector=_sampled(grid, F @ P[:, ix, :]),
     )
 
@@ -377,8 +350,7 @@ def stokes_reduce(M, B, Jfun, f, grid):
     lam = np.linalg.eigvalsh(0.5 * (M + M.T))
     if lam[0] <= 0 or np.linalg.norm(M - M.T) > 1e-12 * lam[-1]:
         raise StructureError("mass matrix must be symmetric positive definite")
-    sv = np.linalg.svd(B, compute_uv=False)
-    if npp and (sv.size < npp or sv[npp - 1] <= 1e-10 * max(sv[0], 1e-300)):
+    if npp and (nv < npp or st._rel_smin(B) <= 1e-10):
         raise RegularityError("discrete gradient B is column-rank deficient")
     Jv = Jfun.eval_on(grid)
     if _maxnorm(Jv + _bT(Jv)) > 1e-10 * (1.0 + _maxnorm(Jv)):
@@ -428,18 +400,10 @@ def stokes_reduce(M, B, Jfun, f, grid):
     Rf[:, nv:, :nv] = p_f
     Rfd = np.zeros((K, n_full, n_full))
 
-    recovery = [
-        AffineRecovery("pressure", _sampled(grid, p_x),
-                       _sampled(grid, np.concatenate([p_f, np.zeros((K, npp, npp))], axis=2)),
-                       _sampled(grid, np.zeros((K, npp, n_full)))),
-    ]
     E_full = np.zeros((nv + npp, nv + npp))
     E_full[:nv, :nv] = M
-    A_full_v = np.zeros((K, n_full, n_full))
-    A_full_v[:, :nv, :nv] = Jv
-    A_full_v[:, :nv, nv:] = -B[None]
-    A_full_v[:, nv:, :nv] = B.T[None]
-    pair = mf.MatrixPair(mf.constant(E_full), _sampled(grid, A_full_v), grid)
+    A_full = mf.mf_block([[Jfun, -B], [B.T, np.zeros((npp, npp))]])
+    pair = mf.MatrixPair(mf.constant(E_full), A_full, grid)
     f_full = mf.mf_block([[f], [mf.zero(npp, 1)]])
 
     return ReducedSystem(
@@ -447,14 +411,13 @@ def stokes_reduce(M, B, Jfun, f, grid):
         m_fun=_sampled(grid, Mv),
         g_fun=_sampled(grid, g),
         certificate=FlowCertificate.orthogonal(n2),
-        recovery=recovery,
+        recovery=[("pressure", npp)],
         rx=_sampled(grid, Rx),
         rf=_sampled(grid, Rf),
         rfd=_sampled(grid, Rfd),
         max_f_derivative=0,
         pair=pair,
         f=f_full,
-        grid=grid,
         projector=_sampled(
             grid,
             np.broadcast_to(
@@ -486,20 +449,17 @@ def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
     sym_defect = _maxnorm(Cv - _bT(Cv))
     if sym_defect > tol * scale:
         raise StructureError(f"C block is not symmetric (defect {sym_defect:.3e})")
-    J = st._J(p)
-    Mv = -J @ Cv  # J^{-1} = -J
-    K = grid.n
+    cert = FlowCertificate.symplectic(p)
+    Mv = -cert.B @ Cv  # J^{-1} = -J
     return ReducedSystem(
         dynamic_dim=2 * p,
         m_fun=_sampled(grid, Mv),
-        g_fun=_sampled(grid, np.zeros((K, 2 * p, 1))),
-        certificate=FlowCertificate("symplectic", J),
-        recovery=[],
-        grid=grid,
+        g_fun=_sampled(grid, np.zeros((grid.n, 2 * p, 1))),
+        certificate=cert,
     )
 
 
-def index1_reduce(pair, f, grid, gap_tol=1e-8):
+def index1_reduce(pair, f, grid):
     """Plain kernel elimination for index-1 linear DAEs with E >= 0.
 
     No structure is claimed (certificate None); used to simulate dissipative
@@ -520,12 +480,14 @@ def index1_reduce(pair, f, grid, gap_tol=1e-8):
 
     a = n - r
     A22 = A1[:, r:, r:]
-    X21 = -_batch_solve(A22, A1[:, r:, :r]) if a else np.zeros((K, 0, r))
-    x2_f = -_batch_solve(A22, QT[:, r:, :]) if a else np.zeros((K, 0, n))
+    _require_regular(A22, grid)
+    X21 = -np.linalg.solve(A22, A1[:, r:, :r])
+    x2_f = -np.linalg.solve(A22, QT[:, r:, :])
     Sb = E1[:, :r, :r]
+    _require_regular(Sb, grid, "dynamic E block")
     Ceff = A1[:, :r, :r] + A1[:, :r, r:] @ X21
-    Mv = _batch_solve(Sb, Ceff)
-    Gf = _batch_solve(Sb, A1[:, :r, r:] @ x2_f + QT[:, :r, :])
+    Mv = np.linalg.solve(Sb, Ceff)
+    Gf = np.linalg.solve(Sb, A1[:, :r, r:] @ x2_f + QT[:, :r, :])
     gvals = Gf @ fv
 
     Zx = np.concatenate([np.broadcast_to(np.eye(r), (K, r, r)), X21], axis=1)
@@ -537,15 +499,12 @@ def index1_reduce(pair, f, grid, gap_tol=1e-8):
         m_fun=_sampled(grid, Mv),
         g_fun=_sampled(grid, gvals),
         certificate=None,
-        recovery=[AffineRecovery(
-            "algebraic variables", _sampled(grid, X21), _sampled(grid, x2_f),
-            _sampled(grid, np.zeros((K, a, n))))] if a else [],
+        recovery=[("algebraic variables", a)] if a else [],
         rx=_sampled(grid, Rx),
         rf=_sampled(grid, Rf),
         rfd=_sampled(grid, np.zeros((K, n, n))),
         max_f_derivative=0,
         pair=pair,
         f=f,
-        grid=grid,
         projector=_sampled(grid, QT[:, :r, :].copy()),
     )

@@ -174,18 +174,37 @@ def _classified(pair, grid, tol):
     return StructureTag(value, tol), rep_self, rep_skew
 
 
-def _check_nonsingular_values(Fv, grid, rel_tol, what):
-    """Raise SingularityError naming the first grid time where Fv is singular."""
-    s = np.linalg.svd(Fv, compute_uv=False)
-    bad = np.flatnonzero((s[:, 0] == 0.0) | (s[:, -1] <= rel_tol * s[:, 0]))
+def _rel_smin(F, s=None):
+    """Smallest over largest singular value of each matrix of F (..., m, n):
+    1.0 for empty blocks, 0.0 for zero matrices.  s gives F's singular
+    values when they are already computed."""
+    F = np.asarray(F)
+    if 0 in F.shape[-2:]:
+        return np.ones(F.shape[:-2])
+    if s is None:
+        s = np.linalg.svd(F, compute_uv=False)
+    return s[..., -1] / np.maximum(s[..., 0], 1e-300)
+
+
+def _require_nonsingular(F, ts, rel_tol, error, what, **fields):
+    """Raise error(..., t=t, **fields) at the earliest time of ts (one per
+    matrix of F) where _rel_smin(F) <= rel_tol (or is not a number)."""
+    rel = _rel_smin(F)
+    bad = np.flatnonzero(~(rel > rel_tol))
     if bad.size:
-        t = float(grid.points[bad[0]])
-        raise SingularityError(f"{what} is numerically singular at t={t}", t=t)
+        k = bad[np.argmin(ts[bad])]
+        t = float(ts[k])
+        raise error(
+            f"{what} at t={t} (relative smallest singular value {rel[k]:.3e} "
+            f"<= {rel_tol:.0e})", t=t, **fields,
+        )
 
 
 def check_nonsingular(F, grid, rel_tol=1e-12, what="Q"):
     """Raise SingularityError (naming the time) if F(t) is singular on the grid."""
-    _check_nonsingular_values(F.eval_on(grid), grid, rel_tol, what)
+    _require_nonsingular(
+        F.eval_on(grid), grid.points, rel_tol, SingularityError, f"{what} is numerically singular"
+    )
 
 
 def _transformed(pair, P, transform):
@@ -233,7 +252,7 @@ def invert(transform, grid):
     """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv."""
     Qv = transform.Q.eval_on(grid)
     Qd = transform.Qdot.eval_on(grid)
-    _check_nonsingular_values(Qv, grid, 1e-12, "Q")
+    _require_nonsingular(Qv, grid.points, 1e-12, SingularityError, "Q is numerically singular")
     inv = np.linalg.inv(Qv)
     dinv = -inv @ Qd @ inv
     return CongruenceTransform(
@@ -257,8 +276,7 @@ def remark1_convert(pair, check_tol=1e-10):
             f"input pair is not self-adjoint (residual {rep.max_residual:.3e})"
         )
     for name, M in (("E", E), ("A", A)):
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+        if _rel_smin(M) <= 1e-12:
             raise SingularityError(f"{name} is singular; conversion needs invertibility")
     return mf.MatrixPair(
         mf.constant(np.linalg.inv(A)), mf.constant(np.linalg.inv(E)), pair.interval

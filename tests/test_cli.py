@@ -278,3 +278,22 @@ def test_check_computes_each_residual_report_once(tmp_path, monkeypatch):
     assert run(["check", "--model", str(model), "--grid", "401", "--out", str(rep)]) == 0
     assert sorted(calls) == ["self_adjoint", "skew_adjoint"]
     assert json.loads(rep.read_text()) == want
+
+
+def test_reduce_cli_recovery_lists(tmp_path, capsys):
+    circ, stokes, mb = (tmp_path / name for name in ("c.json", "s.json", "mb.json"))
+    run(["demo", "circuit", "--out", str(circ)])
+    run(["demo", "stokes", "--nv", "4", "--np", "2", "--out", str(stokes)])
+    run(["demo", "multibody", "--form", "skew", "--out", str(mb)])
+    capsys.readouterr()
+    cases = [
+        (["--model", str(circ), "--input", "sin", "--grid", "101"],
+         [("constraint variables", 2), ("chain variables", 2)]),
+        (["--model", str(stokes), "--pipeline", "stokes", "--grid", "101"],
+         [("pressure", 2)]),
+        (["--model", str(mb)], [("constraint variables", 1), ("chain variables", 1)]),
+    ]
+    for args, want in cases:
+        assert run(["reduce", *args]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["recovery"] == [{"name": name, "rows": rows} for name, rows in want]

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import structdae as sd
-from structdae.errors import SingularityError, StructureError, UnsupportedError
+from structdae.errors import (
+    ConditioningError,
+    RegularityError,
+    SingularityError,
+    StructureError,
+    UnsupportedError,
+)
 
 from oracles import random_poly_congruence, random_self_adjoint_poly_pair, random_skew_adjoint_poly_pair
 
@@ -235,6 +241,70 @@ def test_singular_checks_name_the_first_failing_time():
             run()
         assert err.value.t == 0.25
         assert "t=0.25" in str(err.value)
+
+
+# a(t) = (t - 0.25)(t - 0.75) vanishes at the grid node t = 0.25 first;
+# b(t) = t - 0.125 vanishes only at the first kernel-frame half step
+_A_OF_T = [0.1875, -1.0, 1.0]
+_MINUS_A_OF_T = [-0.1875, 1.0, -1.0]
+
+
+def _index1_singular_algebraic_block(grid):
+    A = sd.PolynomialMatrixFunction.from_entries([[[-1.0], [0.0]], [[0.0], _A_OF_T]])
+    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 0.0])), A, grid)
+    sd.index1_reduce(pair, sd.zero(2, 1), grid)
+
+
+def _skew_singular_algebraic_block(grid):
+    # the kernel block [[0, a], [-a, 0]] of A is skew and nonsingular at t = 0
+    A = sd.PolynomialMatrixFunction.from_entries([
+        [[0.0], [0.0], [0.0]], [[0.0], [0.0], _A_OF_T], [[0.0], _MINUS_A_OF_T, [0.0]],
+    ])
+    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 0.0, 0.0])), A, grid)
+    sd.semidefinite_skew_reduce(pair, sd.zero(3, 1), grid)
+
+
+def _kernel_frame_row_rank_loss(grid):
+    from structdae.factor import smooth_kernel_frame
+
+    smooth_kernel_frame(sd.PolynomialMatrixFunction.from_entries([[[-0.125, 1.0], [0.0]]]), grid)
+
+
+@pytest.mark.parametrize("run, error, first", [
+    (_index1_singular_algebraic_block, RegularityError, 0.25),
+    (_skew_singular_algebraic_block, RegularityError, 0.25),
+    (_kernel_frame_row_rank_loss, ConditioningError, 0.125),
+])
+def test_grid_guards_name_the_first_failing_time(run, error, first):
+    with pytest.raises(error) as err:
+        run(sd.TimeGrid.uniform(0.0, 1.0, 5))
+    assert err.value.t == first
+    assert f"t={first}" in str(err.value)
+
+
+def test_circuit_reduction_guards_each_matrix_once(monkeypatch):
+    from structdae import structure
+
+    guard = structure._require_nonsingular
+    seen = []
+
+    def counting(F, *args, **kwargs):
+        seen.append(np.array(F))
+        return guard(F, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_require_nonsingular", counting)
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 201)
+    model = sd.build_circuit(1.0, 1.5, 0.7, interval=grid)
+    pair = sd.MatrixPair(model.E, model.coefficient(), grid)
+    u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
+    sd.semidefinite_skew_reduce(pair, sd.mf_matmul(model.G, u), grid)
+    # the 2 x 2 constraint block C2 (also solved as C2^T) and the 1 x 1 dynamic
+    # E block; the index-1 block of this circuit is empty
+    assert [F.shape for F in seen if F.size] == [(201, 2, 2), (201, 1, 1)]
+    for i, F in enumerate(seen):
+        for G in seen[i + 1:]:
+            assert not np.array_equal(F, G)
+            assert not np.array_equal(F, np.swapaxes(G, 1, 2))
 
 
 def test_congruence_arrays_constant_stage_and_matrix_function_agree():
