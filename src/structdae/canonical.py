@@ -156,7 +156,10 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
                               sort=lambda re, im: re * re + im * im > thr * thr)
     d = int(sdim)
 
-    t0 = grid.points[0]
+    # anchored at the centre: with real parts of the spectrum spread by D,
+    # the basis keeps a relative margin of about exp(-D (tf - t0) / 2) at both
+    # ends instead of exp(-D (tf - t0)) at one
+    t0 = 0.5 * (grid.points[0] + grid.points[-1])
     if d == 0:
         phi = mf.SampledMatrixFunction(grid, np.zeros((grid.n, n, 0)), order=3,
                                        deriv_values=np.zeros((grid.n, n, 0)))

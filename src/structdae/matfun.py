@@ -1,6 +1,6 @@
 """Time-dependent matrices on a compact interval.
 
-Three concrete kinds cover everything the toolkit needs:
+Three concrete kinds carry matrix data:
 
   * ``ConstantMatrixFunction``    -- a fixed matrix, zero derivative;
   * ``PolynomialMatrixFunction``  -- per-entry polynomials in t, analytic
@@ -13,6 +13,11 @@ Three concrete kinds cover everything the toolkit needs:
     the arithmetic of scipy's ``CubicSpline``/``CubicHermiteSpline``, so
     they agree with them bit for bit; scipy is imported only to solve the
     not-a-knot slope system.
+
+Other modules may define further kinds on the same interface by providing
+``_eval_at`` and ``_derivative_at``; the reduced inhomogeneity g of
+``reduce.AffineInput`` is one, evaluated from the input wherever it is read.
+Such kinds take part in evaluation only, not in the algebra below.
 
 All evaluation is deterministic and side-effect free.
 """

@@ -58,7 +58,12 @@ class FlowCertificate:
 
 @dataclass
 class ReducedSystem:
-    """Dynamic core  x2dot = M(t) x2 + g(t)  with full-state recovery."""
+    """Dynamic core  x2dot = M(t) x2 + g(t)  with full-state recovery.
+
+    Coefficients whose grid samples are all equal are constants.  g is an
+    ``AffineInput`` of the inhomogeneity f, evaluated where it is read (a
+    zero constant when the core has no inhomogeneity).
+    """
 
     dynamic_dim: int
     m_fun: mf.MatrixFunction
@@ -124,8 +129,31 @@ class ReducedSystem:
         return _maxnorm(_bT(Mv) @ B[None] + B[None] @ Mv)
 
 
-def _sampled(grid, vals, ders=None):
-    return mf.SampledMatrixFunction(grid, vals, order=3, deriv_values=ders)
+def _sampled(grid, vals):
+    """Cubic through the grid samples, or a constant when every sample is
+    bitwise equal to the first (non-finite samples raise either way)."""
+    bits = np.ascontiguousarray(vals).reshape(grid.n, -1).view(np.uint64)
+    if np.all(bits == bits[0]):
+        return mf.ConstantMatrixFunction(vals[0])
+    return mf.SampledMatrixFunction(grid, vals, order=3)
+
+
+class AffineInput(mf.MatrixFunction):
+    """g(t) = G_f(t) f(t) + G_fd(t) fdot(t), with f and fdot evaluated at the
+    points asked for, so the midpoint rule reads g without interpolating it."""
+
+    def __init__(self, Gf, f, Gfd=None):
+        self.Gf, self.f, self.Gfd = Gf, f, Gfd
+        self.rows, self.cols = Gf.rows, 1
+
+    def _eval_at(self, ts):
+        g = self.Gf._eval_at(ts) @ self.f._eval_at(ts)
+        if self.Gfd is not None:
+            g += self.Gfd._eval_at(ts) @ self.f._derivative_at(ts)
+        return g
+
+    def _derivative_at(self, ts):
+        raise UnsupportedError("the reduced inhomogeneity g carries no derivative")
 
 
 def _spd_sqrt_with_derivative(Sv, Sd):
@@ -238,7 +266,6 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         )
 
     fv = f.eval_on(grid)
-    fd = f.derivative_on(grid)
     # selection of f-components in the transformed frame: fT = P f
     P = _bT(Qall)
 
@@ -317,11 +344,10 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         ("constraint variables", tau), ("algebraic variables", k_rank),
         ("chain variables", tau)) if rows]
 
-    gvals = Gf @ fv + Gfd @ fd
     return ReducedSystem(
         dynamic_dim=dxi,
         m_fun=_sampled(grid, Mv),
-        g_fun=_sampled(grid, gvals),
+        g_fun=AffineInput(_sampled(grid, Gf), f, _sampled(grid, Gfd) if tau else None),
         certificate=FlowCertificate.orthogonal(dxi),
         recovery=recovery,
         rx=_sampled(grid, Rx),
@@ -376,10 +402,6 @@ def stokes_reduce(M, B, Jfun, f, grid):
     M22inv = Finv @ Finv
     Mv = Finv[None] @ J22 @ Finv[None]
 
-    fv = f.eval_on(grid)
-    f2 = U2.T[None] @ fv
-    g = Finv[None] @ f2
-
     n_full = nv + npp
     # v2 = Finv x2, v1 = 0, p = B1^{-1}(J12 v2 - M12 v2dot + f1)
     # with v2dot = M22^{-1}(J22 v2 + f2); weights below act on the raw f
@@ -398,7 +420,6 @@ def stokes_reduce(M, B, Jfun, f, grid):
     Rx[:, nv:] = p_x
     Rf = np.zeros((K, n_full, n_full))
     Rf[:, nv:, :nv] = p_f
-    Rfd = np.zeros((K, n_full, n_full))
 
     E_full = np.zeros((nv + npp, nv + npp))
     E_full[:nv, :nv] = M
@@ -409,21 +430,16 @@ def stokes_reduce(M, B, Jfun, f, grid):
     return ReducedSystem(
         dynamic_dim=n2,
         m_fun=_sampled(grid, Mv),
-        g_fun=_sampled(grid, g),
+        g_fun=AffineInput(mf.constant(Finv @ U2.T), f),
         certificate=FlowCertificate.orthogonal(n2),
         recovery=[("pressure", npp)],
         rx=_sampled(grid, Rx),
         rf=_sampled(grid, Rf),
-        rfd=_sampled(grid, Rfd),
+        rfd=mf.zero(n_full, n_full),
         max_f_derivative=0,
         pair=pair,
         f=f_full,
-        projector=_sampled(
-            grid,
-            np.broadcast_to(
-                np.hstack([F @ U2.T, np.zeros((n2, npp))]), (K, n2, n_full)
-            ).copy(),
-        ),
+        projector=mf.constant(np.hstack([F @ U2.T, np.zeros((n2, npp))])),
     )
 
 
@@ -454,7 +470,7 @@ def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
     return ReducedSystem(
         dynamic_dim=2 * p,
         m_fun=_sampled(grid, Mv),
-        g_fun=_sampled(grid, np.zeros((grid.n, 2 * p, 1))),
+        g_fun=mf.zero(2 * p, 1),
         certificate=cert,
     )
 
@@ -466,6 +482,8 @@ def index1_reduce(pair, f, grid):
     systems whose algebraic block is nonsingular.
     """
     pair.check_grid(grid)
+    if f.rows != pair.n or f.cols != 1:
+        raise DimensionError("inhomogeneity must be an n x 1 matrix function")
     n = pair.n
     K = grid.n
     Ev = pair.E.eval_on(grid)
@@ -476,7 +494,6 @@ def index1_reduce(pair, f, grid):
     Qv, Qd, r = _kernel_split(pair.E, grid)
     E1, _, A1 = st._congruence_arrays(Ev, None, pair.A.eval_on(grid), Qv, Qd)
     QT = _bT(Qv)
-    fv = f.eval_on(grid)
 
     a = n - r
     A22 = A1[:, r:, r:]
@@ -488,7 +505,6 @@ def index1_reduce(pair, f, grid):
     Ceff = A1[:, :r, :r] + A1[:, :r, r:] @ X21
     Mv = np.linalg.solve(Sb, Ceff)
     Gf = np.linalg.solve(Sb, A1[:, :r, r:] @ x2_f + QT[:, :r, :])
-    gvals = Gf @ fv
 
     Zx = np.concatenate([np.broadcast_to(np.eye(r), (K, r, r)), X21], axis=1)
     Zf = np.concatenate([np.zeros((K, r, n)), x2_f], axis=1)
@@ -497,14 +513,14 @@ def index1_reduce(pair, f, grid):
     return ReducedSystem(
         dynamic_dim=r,
         m_fun=_sampled(grid, Mv),
-        g_fun=_sampled(grid, gvals),
+        g_fun=AffineInput(_sampled(grid, Gf), f),
         certificate=None,
         recovery=[("algebraic variables", a)] if a else [],
         rx=_sampled(grid, Rx),
         rf=_sampled(grid, Rf),
-        rfd=_sampled(grid, np.zeros((K, n, n))),
+        rfd=mf.zero(n, n),
         max_f_derivative=0,
         pair=pair,
         f=f,
-        projector=_sampled(grid, QT[:, :r, :].copy()),
+        projector=_sampled(grid, QT[:, :r, :]),
     )

@@ -45,6 +45,25 @@ def test_solution_basis_constants_pair():
     assert np.linalg.norm(basis.Phidot.eval(0.5)) <= 1e-12
 
 
+def test_solution_basis_margin_on_a_hyperbolic_pencil():
+    # finite eigenvalues +-a (real parts spread D = 2a) plus one algebraic
+    # variable, moved by an orthogonal congruence; the relative smallest
+    # singular value of Phi cannot exceed exp(-D (tf - t0) / 2) at both ends,
+    # and the centre-anchored basis attains that bound
+    a, t0, tf = np.sqrt(2.0), 0.0, 10.0
+    grid = sd.TimeGrid.uniform(t0, tf, 201)
+    U, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    E = U.T @ np.diag([1.0, 1.0, 0.0]) @ U
+    A = U.T @ np.diag([a, -a, 1.0]) @ U
+    basis = sd.solution_basis_constant(sd.MatrixPair(sd.constant(E), sd.constant(A), grid), grid)
+    assert basis.d == 2
+    s = np.linalg.svd(basis.Phi.eval_on(grid), compute_uv=False)
+    margin = (s[:, -1] / s[:, 0]).min()
+    bound = np.exp(-2 * a * (tf - t0) / 2)
+    assert abs(margin / bound - 1.0) <= 1e-8
+    assert margin > sd.canonical.RANK_FLOOR
+
+
 def test_solution_basis_multibody_dimensions():
     mb = _multibody()
     d_self, d_skew = multibody_solution_dims(2, 1)

@@ -177,6 +177,24 @@ def test_demo_ocp_is_self_adjoint(tmp_path):
     assert run(["check", "--model", str(model), "--structure", "self"]) == 0
 
 
+def test_demo_ocp_canonical_self_form_passes_its_verifier(tmp_path, capsys):
+    import structdae as sd
+
+    model = tmp_path / "ocp.json"
+    run(["demo", "ocp", "--out", str(model)])
+    capsys.readouterr()
+    assert run(["canonical", "--model", str(model), "--structure", "self"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["solution_space_dim"] == 2 and out["p"] == 1
+    assert max(out["residuals"].values()) <= 1e-8
+    assert max(out["stage_residuals"].values()) <= 1e-8
+    # the same form, checked with the verifier's rank floor on Phi
+    pair = sd.pair_from_json(json.loads(model.read_text()))
+    grid = sd.TimeGrid.uniform(pair.interval.t0, pair.interval.tf, 201)
+    form = sd.global_canonical_self(pair, sd.solution_basis_constant(pair, grid), grid)
+    assert sd.verify_self_global_form(form, grid).passes()
+
+
 def test_demo_seed_env_override(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

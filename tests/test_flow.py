@@ -88,6 +88,18 @@ def test_midpoint_second_order_convergence():
         assert 3.6 <= errs[k] / errs[k + 1] <= 4.4
 
 
+def test_constant_coefficient_matches_equal_samples_bitwise():
+    M = np.array([[0.0, 0.7, -0.0], [-0.7, 0.0, 1.3], [0.0, -1.3, 0.0]])
+    sampled = sd.SampledMatrixFunction(GRID, np.broadcast_to(M, (GRID.n, 3, 3)))
+    g = sd.from_callable(lambda t: np.array([[np.sin(t)], [0.5], [t]]), GRID,
+                         dfn=lambda t: np.array([[np.cos(t)], [0.0], [1.0]]))
+    x0 = [1.0, -2.0, 0.5]
+    assert np.array_equal(sd.integrate_linear(sd.constant(M), g, x0, GRID),
+                          sd.integrate_linear(sampled, g, x0, GRID))
+    assert np.array_equal(sd.fundamental_solution(sd.constant(M), GRID).matrices,
+                          sd.fundamental_solution(sampled, GRID).matrices)
+
+
 def test_integrate_linear_trivial():
     traj = sd.integrate_linear(sd.zero(2, 2), None, [1.0, 0.0], GRID)
     assert np.abs(traj - np.array([1.0, 0.0])).max() == 0.0

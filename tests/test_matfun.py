@@ -279,6 +279,25 @@ def test_dynamic_from_full_at_t0_builds_no_projector_slopes():
     red = sd.semidefinite_skew_reduce(mb.skew_pair, f, grid)
     x0 = np.arange(n, dtype=float)
     x2 = red.dynamic_from_full(grid.t0, x0)
+    # a constant pair has a constant projector: no samples, no spline
+    assert isinstance(red.projector, sd.ConstantMatrixFunction)
+    assert np.array_equal(x2, red.projector.value @ x0)
+
+
+def test_dynamic_from_full_at_t0_builds_no_slopes_of_a_time_varying_projector():
+    from oracles import random_poly_congruence
+
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    E0 = np.diag([1.0, 2.0, 0.0, 0.0])
+    A0 = np.array([[-0.3, 1.0, 0.2, 0.0], [-1.0, -0.1, 0.0, 0.5],
+                   [0.1, 0.0, -1.0, 0.8], [0.0, -0.4, -0.8, -0.5]])
+    pair0 = sd.MatrixPair(sd.constant(E0), sd.constant(A0), grid)
+    T = random_poly_congruence(np.random.default_rng(4), 4, 2)
+    pair = sd.apply_congruence(pair0, T)
+    red = sd.index1_reduce(pair, sd.zero(4, 1), grid)
+    x0 = np.arange(4, dtype=float)
+    x2 = red.dynamic_from_full(grid.t0, x0)
+    assert isinstance(red.projector, sd.SampledMatrixFunction)
     assert red.projector._slopes is None
     P0 = CubicSpline(grid.points, red.projector.values, axis=0)(grid.t0)
     assert np.array_equal(x2, P0 @ x0)

@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 import structdae as sd
-from structdae.errors import RegularityError, StructureError
+from structdae.errors import (
+    ConstructionError,
+    RegularityError,
+    StructureError,
+    UnsupportedError,
+)
+from structdae.reduce import AffineInput, _sampled
 
-from oracles import seeded_semidefinite_skew_pair, solve_index1_dae, solve_stokes_dae
+from oracles import (
+    random_poly_congruence,
+    seeded_semidefinite_skew_pair,
+    solve_index1_dae,
+    solve_stokes_dae,
+)
 
 GRID = sd.TimeGrid.uniform(0.0, 1.0, 401)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -151,6 +162,61 @@ def test_time_varying_e_index1_vs_mapped_oracle():
         np.linalg.solve(Q.eval(t), oracle_x[k]) for k, t in enumerate(grid.points)
     ])
     assert np.abs(traj.states - mapped).max() <= 1e-5
+
+
+def test_forced_index1_flow_is_second_order():
+    # a constant dissipative index-1 pair moved by a polynomial congruence and
+    # driven by sin t; the full state converges at order 2 to the dense
+    # oracle of the unmoved pair mapped back by Q(t)^-1
+    E0 = np.diag([1.0, 2.0, 0.0, 0.0])
+    A0 = np.array([[-0.3, 1.0, 0.2, 0.0], [-1.0, -0.1, 0.0, 0.5],
+                   [0.1, 0.0, -1.0, 0.8], [0.0, -0.4, -0.8, -0.5]])
+    b = np.array([1.0, -0.5, 0.3, 0.8])
+    T = random_poly_congruence(np.random.default_rng(12), 4, 2)
+    errs = []
+    for K in (101, 201, 401):
+        grid = sd.TimeGrid.uniform(0.0, 2.0, K)
+        pair = sd.apply_congruence(sd.MatrixPair(sd.constant(E0), sd.constant(A0), grid), T)
+        u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
+        f = sd.mf_matmul(sd.mf_transpose(T.Q), sd.mf_matmul(sd.constant(b[:, None]), u))
+        red = sd.index1_reduce(pair, f, grid)
+        oracle = solve_index1_dae(E0, lambda t: A0, lambda t: b * np.sin(t), grid.points,
+                                  x_dyn0=[1.0, -0.5])
+        mapped = np.linalg.solve(T.Q.eval_on(grid), oracle[:, :, None])[:, :, 0]
+        traj = sd.integrate_reduced(red, red.dynamic_from_full(grid.t0, mapped[0]), grid)
+        errs.append(np.abs(traj.states - mapped).max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert orders.min() >= 1.9, (errs, orders)
+
+
+def test_sampled_reduced_data_are_constant_only_when_bitwise_equal():
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 11)
+    M = np.array([[0.0, 1.5], [-1.5, 0.1]])
+    vals = np.broadcast_to(M, (grid.n, 2, 2)).copy()
+    const = _sampled(grid, vals)
+    assert isinstance(const, sd.ConstantMatrixFunction)
+    assert np.array_equal(const.value, M)
+    vals[7, 1, 0] = np.nextafter(vals[7, 1, 0], 0.0)  # one ulp
+    assert isinstance(_sampled(grid, vals), sd.SampledMatrixFunction)
+    vals[3, 0, 0] = np.nan
+    with pytest.raises(ConstructionError):
+        _sampled(grid, vals)
+    with pytest.raises(ConstructionError):
+        _sampled(grid, np.full((grid.n, 2, 2), np.nan))
+
+
+def test_constant_pairs_reduce_to_constant_cores():
+    _, red = _circuit_reduction()
+    for fun in (red.m_fun, red.rx, red.rf, red.rfd, red.projector):
+        assert isinstance(fun, sd.ConstantMatrixFunction)
+    # g is read at the points asked for, from f and fdot there
+    assert isinstance(red.g_fun, AffineInput)
+    mids = 0.5 * (GRID.points[:-1] + GRID.points[1:])
+    want = (red.g_fun.Gf._eval_at(mids) @ red.f._eval_at(mids)
+            + red.g_fun.Gfd._eval_at(mids) @ red.f._derivative_at(mids))
+    assert np.array_equal(red.g_fun._eval_at(mids), want)
+    with pytest.raises(UnsupportedError):
+        red.g_fun.derivative(0.5)
 
 
 def test_semidefinite_preconditions():
