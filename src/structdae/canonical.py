@@ -13,6 +13,11 @@ on grid samples carrying exact derivative values, so the verification
 residuals are limited by roundoff (plus the kernel-frame continuation
 error) rather than by interpolation.
 
+The solution basis of a constant pair comes from the pencil's finite
+deflating subspace, found by a Wong sequence with every rank decided by a
+gap test, and an in-house matrix exponential; the whole construction runs on
+numpy alone.
+
 Local canonical forms are verified only, never constructed.
 """
 
@@ -26,21 +31,23 @@ from . import matfun as mf
 from . import structure as st
 from .errors import (
     BasisDeficiencyError,
+    IllPosedRankError,
     ParityError,
     RegularityError,
     StageError,
     StructureError,
     UnsupportedError,
 )
-from .factor import smooth_inertia, smooth_kernel_frame
+from .factor import _numerical_rank, smooth_inertia, smooth_kernel_frame
 from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
 
 
 def _sla():
-    """scipy.linalg, imported on first use: the import costs a fresh process
-    about 0.2 s, and only the basis, pairing and QZ steps need it."""
+    """scipy.linalg, imported on first use by the QZ oracle
+    `brute_force_dimension` only: the import costs a fresh process about
+    0.2 s, and the library itself never needs it."""
     import scipy.linalg
 
     return scipy.linalg
@@ -120,15 +127,79 @@ class SkewAdjointGlobalForm:
 # solution basis for constant pairs
 # ---------------------------------------------------------------------------
 
-_SHIFT_CANDIDATES = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.14159, -2.71828)
+# Pade [13/13] coefficients of exp, divided by the constant term so that
+# exp(0) = I exactly, and the 1-norm up to which that approximant is accurate
+# to unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
+
+
+def _expm(X):
+    """Matrix exponential of a stack X (..., d, d): the Pade [13/13]
+    approximant of X / 2^s, squared s times, with s chosen per matrix."""
+    b = _PADE13
+    s = np.maximum(np.frexp(np.abs(X).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
+    X = X * np.exp2(-s)[..., None, None]
+    eye = np.eye(X.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(int(s.max(initial=0))):
+        sq = s > j
+        Rj = R[sq]
+        R[sq] = Rj @ Rj
+    return R
+
+
+def _finite_subspace(E, A, rank_tol):
+    """Orthonormal bases (V, Vc) of the finite deflating subspace of the
+    regular pencil lambda*E - A and of its orthogonal complement.
+
+    Wong sequence V_0 = R^n, V_{i+1} = A^{-1}(E V_i) (Berger, Ilchmann &
+    Trenn, SIAM J. Matrix Anal. Appl. 33, 2012): one SVD spans E V_i, a second
+    one gives the kernel of W^T A, W the complement of that span.  Ranks of
+    E V_i are decided against rank_tol * |E|_2 and ranks of W^T A against
+    rank_tol * |A|_2, with the gap test of `factor._numerical_rank`, so the
+    result does not change when E or A is scaled on its own (a change of time
+    unit); the sequence stops when the dimension stops falling.  E must be
+    injective on the limit, else the pencil is singular.
+    """
+    n = E.shape[0]
+    e_scale, a_scale = np.linalg.norm(E, 2), np.linalg.norm(A, 2)
+    V, Vc = np.eye(n), np.zeros((n, 0))
+    while True:
+        u, s, _ = np.linalg.svd(E @ V)
+        r = _numerical_rank(s, rank_tol, e_scale)
+        _, s2, vt2 = np.linalg.svd(u[:, r:].T @ A)
+        r2 = _numerical_rank(s2, rank_tol, a_scale)
+        if n - r2 >= V.shape[1]:
+            break
+        V, Vc = vt2[r2:].T, vt2[:r2].T
+    if r < V.shape[1]:
+        raise RegularityError(
+            f"pencil is singular: E has rank {r} on the {V.shape[1]}-dimensional "
+            "limit of its Wong sequence"
+        )
+    return V, Vc
 
 
 def solution_basis_constant(pair, grid, rank_tol=1e-8):
     """Basis of the solution space of E xdot = A x for constant (E, A).
 
-    Uses the shifted pencil: with Ehat = (l0 E - A)^{-1} E, the invariant
-    subspace of Ehat for its nonzero eigenvalues carries the finite
-    dynamics; solutions are matrix exponentials on that subspace.
+    Every solution lies in the finite deflating subspace V*, found by a Wong
+    sequence whose ranks are decided against rank_tol * |E|_2 and
+    rank_tol * |A|_2.  With E V* M = A V* (exact, since A V* lies in E V*),
+    the basis is Phi(t) = V* expm((t - tc) M), anchored at the centre tc of
+    the grid.
     """
     if not (
         isinstance(pair.E, mf.ConstantMatrixFunction)
@@ -138,64 +209,53 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
     E, A = pair.E.value, pair.A.value
     n = pair.n
     scale = max(1.0, np.linalg.norm(E), np.linalg.norm(A))
-
-    # the first probe shift with the largest relative smallest singular value
-    Ps = np.stack([lam0 * E - A for lam0 in _SHIFT_CANDIDATES])
-    rel = st._rel_smin(Ps)
-    best = int(np.argmax(rel))
-    lam0, P = _SHIFT_CANDIDATES[best], Ps[best]
-    if rel[best] <= 1e-12:
-        raise RegularityError(
-            "pencil appears irregular: lambda*E - A is singular at every probe shift"
-        )
-    Ehat = np.linalg.solve(P, E)
-
-    mags = np.abs(np.linalg.eigvals(Ehat))
-    thr = max(rank_tol * mags.max(initial=0.0), 1e-14 * (1.0 + np.linalg.norm(Ehat)))
-    T, Z, sdim = _sla().schur(Ehat, output="real",
-                              sort=lambda re, im: re * re + im * im > thr * thr)
-    d = int(sdim)
-
-    # anchored at the centre: with real parts of the spectrum spread by D,
-    # the basis keeps a relative margin of about exp(-D (tf - t0) / 2) at both
-    # ends instead of exp(-D (tf - t0)) at one
-    t0 = 0.5 * (grid.points[0] + grid.points[-1])
+    V, Vc = _finite_subspace(E, A, rank_tol)
+    d = V.shape[1]
     if d == 0:
         phi = mf.SampledMatrixFunction(grid, np.zeros((grid.n, n, 0)), order=3,
                                        deriv_values=np.zeros((grid.n, n, 0)))
-        return SolutionBasis(phi, phi, 0, complement=mf.constant(Z))
+        return SolutionBasis(phi, phi, 0, complement=mf.constant(Vc))
 
-    Z1 = Z[:, :d]
-    B11 = T[:d, :d]
-    M = lam0 * np.eye(d) - np.linalg.solve(B11, np.eye(d))
-
-    phiv = Z1 @ _sla().expm((grid.points - t0)[:, None, None] * M)
-    phid = phiv @ M
-    phidd = phid @ M
-    res = _maxnorm(E[None] @ phid - A[None] @ phiv)
-    if res > 1e-8 * scale:
+    M = np.linalg.lstsq(E @ V, A @ V, rcond=None)[0]
+    # anchored at the centre: with real parts of the spectrum spread by D,
+    # the basis keeps a relative margin of about exp(-D (tf - t0) / 2) at both
+    # ends instead of exp(-D (tf - t0)) at one
+    ts = grid.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        phiv = V @ _expm((ts - 0.5 * (ts[0] + ts[-1]))[:, None, None] * M)
+        phid = phiv @ M
+        phidd = phid @ M
+        res = _maxnorm(E[None] @ phid - A[None] @ phiv)
+    finite = np.all(np.isfinite(phiv) & np.isfinite(phid) & np.isfinite(phidd), axis=(1, 2))
+    if not finite.all():
+        t = float(ts[np.argmin(finite)])
+        re = np.linalg.eigvals(M).real
+        raise BasisDeficiencyError(
+            f"Phi overflows at t={t:.6g}: no basis of the solution space keeps "
+            f"rank on this interval (predicted margin "
+            f"exp(-{0.5 * (re.max() - re.min()) * (ts[-1] - ts[0]):.4g}))",
+            t=t,
+        )
+    if not res <= 1e-8 * scale:
         raise StageError(
             f"solution basis failed its residual test ({res:.3e})", stage="solution basis"
         )
     Phi = mf.SampledMatrixFunction(grid, phiv, order=3, deriv_values=phid)
     Phidot = mf.SampledMatrixFunction(grid, phid, order=3, deriv_values=phidd)
-    return SolutionBasis(Phi, Phidot, d, complement=mf.constant(Z[:, d:]))
+    return SolutionBasis(Phi, Phidot, d, complement=mf.constant(Vc))
 
 
 def brute_force_dimension(pair):
-    """Independent count of finite pencil eigenvalues via the QZ form."""
+    """Independent count of finite pencil eigenvalues on the unsorted complex
+    QZ form: |beta| above 1e-10 * (1 + max |alpha|).  A test oracle; the
+    library never calls it."""
     if not (
         isinstance(pair.E, mf.ConstantMatrixFunction)
         and isinstance(pair.A, mf.ConstantMatrixFunction)
     ):
         raise UnsupportedError("dimension oracle needs a constant pair")
-    return _finite_eigenvalue_count(pair.A.value, pair.E.value)
-
-
-def _finite_eigenvalue_count(A, E):
-    """Finite eigenvalues of the constant pencil lambda*E - A, counted on its
-    QZ form: |beta| above 1e-10 * (1 + max |alpha|)."""
-    _, _, alpha, beta, *_ = _sla().ordqz(A, E, sort="lhp")
+    AA, BB, *_ = _sla().qz(pair.A.value, pair.E.value, output="complex")
+    alpha, beta = np.diag(AA), np.diag(BB)
     return int(np.sum(np.abs(beta) > 1e-10 * (1.0 + np.abs(alpha).max(initial=0.0))))
 
 
@@ -306,39 +366,37 @@ def _basis_congruence(pipe, basis):
     return E11[0].copy()
 
 
-def _skew_pairing_transform(E11c, p, scale, rel_tol=1e-8):
-    """Orthogonal U with U^T E11 U having a vanishing leading p x p block.
+def _skew_pairing_transform(E11c, scale, rel_tol=1e-8):
+    """Orthogonal U with U^T E11 U having a vanishing leading p x p block,
+    p = d / 2 for the d x d constant E11.
 
-    Real Schur form of the constant skew-symmetric E11 pairs the nonzero
-    eigenvalues into 2x2 blocks; sending each block's first vector to the
-    leading half and its second to the trailing half produces the layout.
+    For each eigenvalue sigma > rel_tol * scale of the Hermitian i*S, S the
+    skew part of E11, the real and imaginary parts of its unit eigenvector,
+    times sqrt(2), are an orthonormal pair (x, y) with S x = sigma y.  Each
+    x goes to the leading half and each y to the trailing half; a real
+    kernel basis of S, split in halves, fills the rest.
     """
     d = E11c.shape[0]
     if d == 0:
         return np.zeros((0, 0))
-    T, Z = _sla().schur(E11c, output="real")
+    S = 0.5 * (E11c - E11c.T)
     tol = rel_tol * scale
-    firsts, seconds, zeros = [], [], []
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(T[i + 1, i]) > tol:
-            firsts.append(i)
-            seconds.append(i + 1)
-            i += 2
-        else:
-            zeros.append(i)
-            i += 1
-    half = (d - 2 * len(firsts)) // 2
-    order = firsts + zeros[:half] + seconds + zeros[half:]
-    return Z[:, order]
+    sig, vec = np.linalg.eigh(1j * S)
+    pairs = np.sqrt(2.0) * vec[:, sig > tol]
+    m = pairs.shape[1]
+    zeros = np.linalg.svd(S)[2][2 * m:].T
+    half = (d - 2 * m) // 2
+    return np.hstack([pairs.real, zeros[:, :half], pairs.imag, zeros[:, half:]])
 
 
-def _check_algebraic_block_static(Ev33, Av33, scale, where):
+def _check_algebraic_block_static(Ev33, Av33, scale, where, rank_tol=1e-8):
     """Uniquely solvable algebraic part must carry no finite dynamics.
 
-    Checked via a pencil eigenvalue count when the blocks are constant in
-    time (the only case where the count is cheaply available); a positive
-    count means the supplied basis missed part of the solution space.
+    Checked via the finite deflating subspace of the pencil when the blocks
+    are constant in time (the only case where it is cheaply available); a
+    nonzero dimension, a singular pencil or an ill-posed rank there means
+    the supplied basis missed part of the solution space, and each raises
+    `BasisDeficiencyError`.
     """
     if Ev33.shape[1] == 0:
         return
@@ -347,7 +405,13 @@ def _check_algebraic_block_static(Ev33, Av33, scale, where):
         or _maxnorm(Av33 - Av33[0]) > 1e-8 * scale
     ):
         return
-    finite = _finite_eigenvalue_count(Av33[0], Ev33[0])
+    try:
+        finite = _finite_subspace(Ev33[0], Av33[0], rank_tol)[0].shape[1]
+    except (RegularityError, IllPosedRankError) as exc:
+        raise BasisDeficiencyError(
+            f"algebraic part of the {where} canonical form is not uniquely "
+            f"solvable ({exc}); the basis does not span the full solution space"
+        ) from exc
     if finite > 0:
         raise BasisDeficiencyError(
             f"algebraic part of the {where} canonical form still carries "
@@ -371,11 +435,12 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
     E11c = _basis_congruence(pipe, basis)
 
     if d:
-        Ub = _skew_pairing_transform(E11c, p, pipe.scale)
+        Ub = _skew_pairing_transform(E11c, pipe.scale)
         pipe.require(
             "leading block of paired E11 zero", _maxnorm((Ub.T @ E11c @ Ub)[None, :p, :p])
         )
-        Q2 = _sla().block_diag(Ub, np.eye(a))
+        Q2 = np.eye(n)
+        Q2[:d, :d] = Ub
         pipe.apply("skew pairing", Q2)
 
         # normalize [E12 E13] V = [I_p 0]
@@ -464,7 +529,8 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
             )
         inertia = smooth_inertia(mf.constant(E11c), grid)
         p, q = inertia.p, inertia.q
-        Q2 = _sla().block_diag(inertia.W.value, np.eye(a))
+        Q2 = np.eye(n)
+        Q2[:d, :d] = inertia.W.value
         pipe.apply("inertia normalization", Q2)
         S = st._signature(p, q)
         pipe.require("leading signature block", _maxnorm(pipe.Ev[:, :d, :d] - S))
@@ -482,7 +548,7 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
     pipe.require("canonical leading E block", lead)
     pipe.require("canonical zero pattern", e_off + a_zero)
     _check_algebraic_block_static(
-        pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.scale, "skew-adjoint"
+        pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.scale, "skew-adjoint", rank_tol
     )
 
     form = SkewAdjointGlobalForm(

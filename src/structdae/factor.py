@@ -76,11 +76,13 @@ def procrustes_align(block, ref):
     return block @ (u @ vt)
 
 
-def _numerical_rank(s, gap_tol):
+def _numerical_rank(s, gap_tol, scale=None):
+    """Count of the descending singular values s above gap_tol * scale (scale
+    defaults to s[0]); raises IllPosedRankError on a near-tie at the cut."""
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return 0
-    thresh = gap_tol * smax
+    thresh = gap_tol * (smax if scale is None else scale)
     r = int(np.sum(s > thresh))
     if 0 < r < s.size:
         # require an actual gap around the threshold, not a near-tie

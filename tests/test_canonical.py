@@ -1,8 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import structdae as sd
-from structdae.canonical import SELF_REFINED, SKEW_REFINED, SELF_ORTHOGONAL, SKEW_ORTHOGONAL
+from structdae.canonical import (
+    SELF_ORTHOGONAL,
+    SELF_REFINED,
+    SKEW_ORTHOGONAL,
+    SKEW_REFINED,
+    _expm,
+    _skew_pairing_transform,
+)
 from structdae.errors import (
     BasisDeficiencyError,
     ParityError,
@@ -86,6 +95,117 @@ def test_solution_basis_errors():
         sd.solution_basis_constant(
             sd.MatrixPair(sd.sample(sd.identity(2), GRID), sd.constant(J2), GRID), GRID
         )
+
+
+def test_solution_basis_overflow_is_a_basis_deficiency():
+    # finite eigenvalues +-40 on [0, 40]: any basis separates like e^(1600),
+    # so Phi overflows at both ends of the centre-anchored grid
+    grid = sd.TimeGrid.uniform(0.0, 40.0, 201)
+    pair = sd.MatrixPair(sd.constant(J2), sd.constant([[0.0, 40.0], [40.0, 0.0]]), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BasisDeficiencyError, match=r"margin exp\(-1600\)") as err:
+            sd.solution_basis_constant(pair, grid)
+    assert err.value.t == 0.0
+
+
+def _stiff_multibody(seed, nq=20, nc=5, K=41):
+    """The multibody benchmark inputs with W drawn from U[0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.5, 2.0, nq))
+    W = np.diag(rng.uniform(0.5, 2.0, nq))
+    G = np.eye(nq)[np.sort(rng.choice(nq, nc, replace=False))]
+    grid = sd.TimeGrid.uniform(0.0, 10.0, K)
+    return sd.build_multibody(M, W, G, interval=grid), grid
+
+
+@pytest.mark.parametrize("seed", [31, 63, 105, 190, 237, 270, 294])
+def test_stiff_multibody_seeds(seed):
+    # stiff W perturbs the index-2 infinite eigenvalues to about sqrt(eps), so
+    # only a rank decision gets the dimension right
+    mb, grid = _stiff_multibody(seed)
+    for pair, build, verify in (
+        (mb.self_pair, sd.global_canonical_self, sd.verify_self_global_form),
+        (mb.skew_pair, sd.global_canonical_skew, sd.verify_skew_global_form),
+    ):
+        basis = sd.solution_basis_constant(pair, grid)
+        assert basis.d == sd.brute_force_dimension(pair)
+        assert verify(build(pair, basis, grid), grid).passes()
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_solution_basis_ignores_the_time_unit(c):
+    # c E xdot = A x on a grid stretched by c has the same solutions in the
+    # rescaled time, so the deflating subspace and its dimension stay put
+    mb, grid = _stiff_multibody(31)
+    pair = mb.self_pair
+    d = sd.brute_force_dimension(pair)
+    V = sd.solution_basis_constant(pair, grid).Phi.eval(grid.points[0])
+    scaled = sd.TimeGrid.uniform(0.0, 10.0 * c, grid.n)
+    spair = sd.MatrixPair(sd.constant(c * pair.E.value), pair.A, scaled)
+    basis = sd.solution_basis_constant(spair, scaled)
+    assert basis.d == d
+    Vs = basis.Phi.eval(scaled.points[0])
+    proj = [X @ np.linalg.pinv(X) for X in (V, Vs)]
+    assert np.abs(proj[0] - proj[1]).max() <= 1e-10
+    # an RC branch in SI units: 1e-9 F against 1 S on a 20 ns grid
+    rc_grid = sd.TimeGrid.uniform(0.0, 2e-8, 41)
+    rc = sd.MatrixPair(sd.constant([[1e-9]]), sd.constant([[-1.0]]), rc_grid)
+    assert sd.solution_basis_constant(rc, rc_grid).d == 1
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_coupled_multibody_skew_form(seed):
+    # non-diagonal SPD M and W: nq = 6 positions, 3 coordinate constraints
+    rng = np.random.default_rng(seed)
+    M, W = (X @ X.T / 6 + 0.5 * np.eye(6) for X in rng.standard_normal((2, 6, 6)))
+    G = np.eye(6)[[0, 2, 5]]
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    pair = sd.build_multibody(M, W, G, interval=grid).skew_pair
+    basis = sd.solution_basis_constant(pair, grid)
+    assert basis.d == sd.brute_force_dimension(pair) == multibody_solution_dims(6, 3)[1]
+    form = sd.global_canonical_skew(pair, basis, grid)
+    assert (form.p, form.q) == (9, 0)
+    assert sd.verify_skew_global_form(form, grid).passes()
+
+
+def test_expm_matches_scipy_across_scales():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(5)
+    for nrm in 10.0 ** np.arange(-3, 4):
+        X = rng.standard_normal((8, 6, 6))
+        X *= nrm / np.abs(X).sum(axis=-2).max(axis=-1)[:, None, None]
+        ours, ref = _expm(X), expm(X)
+        rel = np.abs(ours - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        # the relative condition number of exp grows like |X|
+        assert rel.max() <= 1e-13 * max(1.0, nrm)
+    assert np.array_equal(_expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+    S = 30.0 * rng.standard_normal((5, 7, 7))
+    Q = _expm(S - S.swapaxes(1, 2))
+    assert np.abs(Q.swapaxes(1, 2) @ Q - np.eye(7)).max() <= 1e-13
+
+
+def test_skew_pairing_transform_layout():
+    # sigma = 2 twice, sigma = 0.5 once, and a 2-dimensional kernel
+    rng = np.random.default_rng(9)
+    Z, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    D = np.zeros((8, 8))
+    for i, sigma in enumerate((2.0, 2.0, 0.5)):
+        D[2 * i, 2 * i + 1], D[2 * i + 1, 2 * i] = sigma, -sigma
+    S = Z @ D @ Z.T
+    U = _skew_pairing_transform(S, 1.0)
+    assert np.abs(U.T @ U - np.eye(8)).max() <= 1e-14
+    # columns: x_1..x_3, one kernel vector, y_1..y_3, one kernel vector, with
+    # S x_j = sigma_j y_j, so the leading 4 x 4 block vanishes
+    T = U.T @ S @ U
+    sig = np.diag(T[4:7, :3])
+    expected = np.zeros((8, 8))
+    expected[4:7, :3] = np.diag(sig)
+    expected[:3, 4:7] = -np.diag(sig)
+    assert np.allclose(np.sort(sig), [0.5, 2.0, 2.0], atol=1e-14, rtol=0.0)
+    assert np.abs(T - expected).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +305,13 @@ def test_global_skew_basis_deficiency():
     bad = sd.SolutionBasis(phi, sd.mf_derivative_function(phi), 1)
     with pytest.raises(BasisDeficiencyError):
         sd.global_canonical_skew(pair, bad, GRID)
+
+
+def test_singular_algebraic_block_is_a_basis_deficiency():
+    # a zero algebraic block is a singular pencil, reported against the basis
+    zero = np.zeros((3, 2, 2))
+    with pytest.raises(BasisDeficiencyError, match="algebraic part.*not uniquely solvable"):
+        sd.canonical._check_algebraic_block_static(zero, zero, 1.0, "skew-adjoint", 1e-8)
 
 
 def test_global_skew_incomplete_basis_fails_staged_checks():

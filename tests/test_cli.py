@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 
@@ -315,3 +316,19 @@ def test_reduce_cli_recovery_lists(tmp_path, capsys):
         assert run(["reduce", *args]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["recovery"] == [{"name": name, "rows": rows} for name, rows in want]
+
+
+def test_canonical_cli_overflowing_basis_exits_1(tmp_path, capsys):
+    # J2 against 40 [[0, 1], [1, 0]] on [0, 40]: no basis keeps rank there
+    import structdae as sd
+
+    pair = sd.MatrixPair(sd.constant([[0.0, 1.0], [-1.0, 0.0]]),
+                         sd.constant([[0.0, 40.0], [40.0, 0.0]]),
+                         sd.TimeGrid.uniform(0.0, 40.0, 2))
+    model = tmp_path / "m.json"
+    model.write_text(sd.dump_json(sd.pair_to_json(pair)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["canonical", "--model", str(model), "--structure", "self"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("structural failure: Phi overflows")

@@ -1,4 +1,5 @@
-"""The package imports numpy only; scipy loads where a LAPACK kernel is used."""
+"""The package imports numpy only; scipy loads only for the not-a-knot slopes
+of time-varying reduced cores and for the QZ dimension oracle."""
 
 import os
 import subprocess
@@ -51,3 +52,27 @@ def test_cli_simulate_dissipative_circuit_loads_no_scipy(tmp_path):
     demo = ["--RL", "0.3", "--RG", "0.2", "--RR", "0.5"]
     assert _scipy_modules_after_simulate(tmp_path, demo) == []
     assert (tmp_path / "traj.csv").stat().st_size > 0
+
+
+def _scipy_modules_after_canonical(cwd, demo_args, canonical_args):
+    """scipy modules loaded by one CLI `canonical` run on a demo model."""
+    return _python(
+        "import sys\n"
+        "from structdae.cli import main\n"
+        f"assert main(['demo', *{demo_args!r}, '--out', 'm.json']) == 0\n"
+        f"assert main(['canonical', '--model', 'm.json', *{canonical_args!r},\n"
+        "             '--out', 'form.json']) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        cwd,
+    )
+
+
+def test_cli_canonical_loads_no_scipy(tmp_path):
+    runs = [
+        (["multibody"], ["--structure", "self"]),
+        (["multibody", "--form", "skew"], ["--structure", "skew", "--emit-transform"]),
+        (["ocp"], ["--structure", "self"]),
+    ]
+    for demo_args, canonical_args in runs:
+        assert _scipy_modules_after_canonical(tmp_path, demo_args, canonical_args) == []
+        assert (tmp_path / "form.json").stat().st_size > 0
