@@ -17,7 +17,7 @@ import numpy as np
 from . import matfun as mf
 from . import structure as st
 from .errors import DimensionError, SingularityError
-from .reduce import FlowCertificate, ReducedSystem, index1_reduce, semidefinite_skew_reduce
+from .reduce import FlowCertificate, ReducedSystem, index1_reduce
 
 
 @dataclass
@@ -158,22 +158,17 @@ def dissipation_monitor(model, traj, u=None, tol_scale=1e-8):
 def simulate_phdae(model, u, x0, grid):
     """Trajectory of  E xdot = (J - R - E K) x + G u  from a consistent x0.
 
-    Dispatches on the algebraic block: nonsingular kernel block goes through
-    the plain index-1 elimination; the lossless index-2 case goes through
-    the structured semidefinite pipeline.  The returned trajectory carries
-    full states and the Hamiltonian sequence.
+    One kernel elimination (``index1_reduce``) for every model: index 1, or
+    index 2 with a constant kernel split and no dissipation on the
+    constraint/chain block.  The reduced core carries the orthogonal
+    certificate exactly when the data earn it (lossless pair, pointwise skew
+    scaled core).  The returned trajectory carries full states and the
+    Hamiltonian sequence.
     """
-    from .errors import RegularityError
-
     A = model.coefficient()
     pair = mf.MatrixPair(model.E, A, model.interval)
     f = mf.mf_matmul(model.G, u) if u is not None else mf.zero(model.n, 1)
-    try:
-        red = index1_reduce(pair, f, grid)
-    except RegularityError:
-        # singular algebraic block: higher index, go through the
-        # structured pipeline (requires the lossless skew-adjoint core)
-        red = semidefinite_skew_reduce(pair, f, grid)
+    red = index1_reduce(pair, f, grid)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n:
         raise DimensionError(f"x0 has size {x0.size}, expected {model.n}")

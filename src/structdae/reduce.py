@@ -1,13 +1,15 @@
 """Structured reductions to the dynamic core plus algebraic recovery maps.
 
-The central pipeline handles regular skew-adjoint pairs with positive
+One kernel-elimination driver handles regular pairs with positive
 semidefinite E of constant rank and differentiation index at most two:
-splitting off the kernel of E, eliminating the nonsingular skew part of the
+it splits off the kernel of E, eliminates the nonsingular part of the
 algebraic block (index 1) and the constraint/chain pairing (index 2), and
-scaling the dynamic block by the positive definite square root of its E
-coefficient so the extracted coefficient matrix is pointwise skew and the
-flow orthogonal.  Recovery maps are affine in the dynamic state, the
-inhomogeneity, and at most its first derivative.
+scales the dynamic block by the positive definite square root of its E
+coefficient.  The core earns the orthogonal certificate when the pair is
+skew-adjoint and the scaled coefficient is pointwise skew;
+``semidefinite_skew_reduce`` requires it, ``index1_reduce`` reports it.
+Recovery maps are affine in the dynamic state, the inhomogeneity, and at
+most its first derivative.
 """
 
 from __future__ import annotations
@@ -177,13 +179,15 @@ def _kernel_split(E, grid):
     return split.Q.eval_on(grid), split.Q.derivative_on(grid), split.r
 
 
-def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
-    """Reduce a regular skew-adjoint pair with E >= 0 to its orthogonal core.
+def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
+    """Kernel elimination of E xdot = A x + f with E >= 0 of constant rank.
 
-    Handles index 1 (nonsingular skew algebraic block) and index 2 (constraint
-    rows pairing kernel variables with dynamic ones); index-2 structure must
-    be constant in time.  Recovery never uses more than the first derivative
-    of the inhomogeneity.
+    Splits off the kernel of E, solves the nonsingular part of the kernel
+    block of A (index 1) and the constraint/chain pairing (index 2, constant
+    split only), and scales the dynamic block by F = S_b^{1/2}.  No skew
+    structure is assumed.  The certificate is orthogonal when the pair passes
+    the skew-adjoint residual test and the scaled core M is pointwise skew,
+    None otherwise; strict raises StructureError instead of returning None.
     """
     pair.check_grid(grid)
     if f.rows != pair.n or f.cols != 1:
@@ -196,7 +200,7 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     scale = 1.0 + max(_maxnorm(Ev), _maxnorm(Av))
 
     res = max(map(_maxnorm, st._defects(st.SKEW_ADJOINT, Ev, Ed, Av)))
-    if res > tol * scale:
+    if strict and res > tol * scale:
         raise StructureError(f"pair is not skew-adjoint (residual {res:.3e})")
     eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
     if eigmin < -1e-12 * scale:
@@ -206,54 +210,49 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     # a constant split (exactly zero Qdot) lets A's derivative pass through
     q_constant = _maxnorm(Qd) == 0.0
     E1, E1d, A1 = st._congruence_arrays(Ev, Ed, Av, Qv, None if q_constant else Qd)
-    A1d = _bT(Qv) @ pair.A.derivative_on(grid) @ Qv if q_constant else None
-
-    a = n - r
-    A22 = A1[:, r:, r:]
-    if _maxnorm(A22 + _bT(A22)) > 1e-8 * scale:
-        raise StructureError("kernel block of A is not skew; structure violated")
+    # grid arrays are dropped once consumed, which bounds the peak memory
+    del Ev, Ed, Av, Qd
 
     # split the kernel block into its nonsingular part and the constraint rows
+    a = n - r
     if a:
-        _, s0, vt0 = np.linalg.svd(A22[0])
+        _, s0, vt0 = np.linalg.svd(A1[0, r:, r:])
         k_rank = int(np.sum(s0 > gap_tol * max(s0[0], 1e-300)))
-        Theta = vt0.T
     else:
         k_rank = 0
-        Theta = np.zeros((0, 0))
     tau = a - k_rank  # number of chain/constraint variables
-    if tau and not q_constant:
-        raise UnsupportedError(
-            "index-2 chain elimination requires a constant kernel splitting of E"
-        )
+    dxi = r - tau
+    ix = slice(0, dxi)
+    i3 = slice(r, r + k_rank)
 
-    C0 = Theta[:, k_rank:].T @ A1[0, r:, :r] if tau else np.zeros((0, r))
     if tau:
+        if not q_constant:
+            raise UnsupportedError(
+                "index-2 chain elimination requires a constant kernel splitting of E"
+            )
+        Theta = vt0.T
+        C0 = Theta[:, k_rank:].T @ A1[0, r:, :r]
         # the tau constraint rows need full row rank
         _, sc, vtc = np.linalg.svd(C0)
         if r < tau or st._rel_smin(C0, sc) <= 1e-10:
             raise RegularityError(
                 "constraint rows are rank deficient; the pair is not regular"
             )
-        Psi = np.hstack([vtc.T[:, tau:], vtc.T[:, :tau]])
-    else:
-        Psi = np.eye(r)
-    dxi = r - tau
-
-    Qc = np.zeros((n, n))
-    Qc[:r, :r] = Psi
-    if a:
+        Qc = np.zeros((n, n))
+        Qc[:r, :r] = np.hstack([vtc.T[:, tau:], vtc.T[:, :tau]])
         Qc[r:, r:] = Theta
-    E2, E2d, A2 = st._congruence_arrays(E1, E1d, A1, Qc)
-    A2d = Qc.T @ A1d @ Qc if A1d is not None else None
-    Qall = Qv @ Qc
-
-    ix = slice(0, dxi)
+        E2, E2d, A2 = st._congruence_arrays(E1, E1d, A1, Qc)
+        A2d = Qc.T @ (_bT(Qv) @ pair.A.derivative_on(grid) @ Qv) @ Qc
+        Qall = Qv @ Qc
+        del E1, E1d, A1
+    else:
+        E2, E2d, A2, Qall = E1, E1d, A1, Qv
+    del Qv
     ih = slice(dxi, r)
-    i3 = slice(r, r + k_rank)
     i4 = slice(r + k_rank, n)
 
-    # time-invariance of the split pattern and the skew-implied zero blocks
+    # the split pattern must hold on the whole grid: the constraint rows read
+    # only eta, and the chain variables w4 enter only the eta-rows
     pattern = (
         _maxnorm(A2[:, i4, ix]) + _maxnorm(A2[:, ix, i4])
         + _maxnorm(A2[:, i3, i4]) + _maxnorm(A2[:, i4, i3])
@@ -261,26 +260,28 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     )
     if pattern > 1e-8 * scale:
         raise UnsupportedError(
-            "the kernel/constraint structure of A varies along the interval; "
-            f"pattern defect {pattern:.3e}"
+            "the kernel/constraint block pattern of A does not hold along the "
+            f"interval; pattern defect {pattern:.3e}"
         )
-
-    fv = f.eval_on(grid)
+    # the chain solve below reads the eta-rows' chain block as -C2^T
+    C2 = A2[:, i4, ih]
+    chain = _maxnorm(A2[:, ih, i4] + _bT(C2))
+    if chain > 1e-8 * scale:
+        raise UnsupportedError(
+            "dissipation on the constraint/chain block (A[eta, chain] + C2^T = "
+            f"{chain:.3e}) is not supported"
+        )
     # selection of f-components in the transformed frame: fT = P f
     P = _bT(Qall)
-
-    def zero_w(rows):
-        return np.zeros((K, rows, n))
-
     # eta from the constraint rows: C2 eta = -f4; C2^T (for the chain
     # variables below) has the same singular values, so one guard covers both
-    C2 = A2[:, i4, ih]
     _require_regular(C2, grid, "constraint block")
     eta_f = -np.linalg.solve(C2, P[:, i4, :])
-    # etadot: C2 etadot = -f4dot - C2dot eta, so its f4dot weight is eta_f itself
-    etad_f = -np.linalg.solve(C2, A2d[:, i4, ih] @ eta_f) if tau else zero_w(0)
+    if tau:
+        # etadot: C2 etadot = -f4dot - C2dot eta, so its f4dot weight is eta_f itself
+        etad_f = -np.linalg.solve(C2, A2d[:, i4, ih] @ eta_f)
 
-    # w3 from the nonsingular skew block; depends on f only (never fdot)
+    # w3 from the nonsingular block; depends on f only (never fdot)
     A33 = A2[:, i3, i3]
     _require_regular(A33, grid)
     W3x, w3_f = np.split(-np.linalg.solve(A33, np.concatenate(
@@ -288,24 +289,33 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
 
     # dynamic block before scaling: Sb xidot = Ceff xi + gpre
     Sb = E2[:, ix, ix]
-    Sbd = E2d[:, ix, ix]
-    Sxh = E2[:, ix, ih]
     Ceff = A2[:, ix, ix] + A2[:, ix, i3] @ W3x
-    g_f = A2[:, ix, ih] @ eta_f + A2[:, ix, i3] @ w3_f + P[:, ix, :] - Sxh @ etad_f
-    g_fd = -Sxh @ eta_f
+    g_f = A2[:, ix, ih] @ eta_f + A2[:, ix, i3] @ w3_f + P[:, ix, :]
+    if tau:
+        Sxh = E2[:, ix, ih]
+        g_f -= Sxh @ etad_f
+        g_fd = -Sxh @ eta_f
 
-    F, Finv, Fd = _spd_sqrt_with_derivative(Sb, Sbd)
+    F, Finv, Fd = _spd_sqrt_with_derivative(Sb, E2d[:, ix, ix])
     Mv = Finv @ Ceff @ Finv + Fd @ Finv
     cert_defect = _maxnorm(Mv + _bT(Mv))
-    if cert_defect > 1e-8 * scale:
+    earned = res <= tol * scale and cert_defect <= 1e-8 * scale
+    if strict and not earned:
         raise StructureError(
             f"scaled dynamic block is not skew (defect {cert_defect:.3e})"
         )
     Gf = Finv @ g_f
-    Gfd = Finv @ g_fd
 
-    # w4 from the eta-rows, substituting xidot through the dynamic equation
+    # assemble the full-state recovery x = Qall (Zx xi + Zf f + Zfd fdot)
+    Zx = np.zeros((K, n, dxi))
+    Zx[:, ix] = np.broadcast_to(np.eye(dxi), (K, dxi, dxi))
+    Zx[:, i3] = W3x
+    Zf = np.zeros((K, n, n))
+    Zf[:, ih] = eta_f
+    Zf[:, i3] = w3_f
     if tau:
+        Gfd = Finv @ g_fd
+        # w4 from the eta-rows, substituting xidot through the dynamic equation
         Shx = E2[:, ih, ix]
         Shh = E2[:, ih, ih]
         # xidot for the (x, f, fdot) weights, then w4 for the same three
@@ -314,50 +324,63 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
         xdot_x, xdot_f, xdot_fd = np.split(
             np.linalg.solve(Sb, np.concatenate([Ceff, g_f, g_fd], axis=2)), cols, axis=2
         )
-        W4x, w4_f, w4_fd = np.split(np.linalg.solve(_bT(C2), np.concatenate([
+        Zx[:, i4], Zf[:, i4], w4_fd = np.split(np.linalg.solve(_bT(C2), np.concatenate([
             A2[:, ih, ix] + A2[:, ih, i3] @ W3x - Shx @ xdot_x,
             A2[:, ih, ih] @ eta_f + A2[:, ih, i3] @ w3_f + P[:, ih, :]
             - Shx @ xdot_f - Shh @ etad_f,
             -Shx @ xdot_fd - Shh @ eta_f,
         ], axis=2)), cols, axis=2)
+        # eta itself uses only f; its derivative (etadot) appears inside g and w4
+        Zfd = np.zeros((K, n, n))
+        Zfd[:, i4] = w4_fd
+        uses_fd = max(_maxnorm(Gfd), _maxnorm(Zfd)) > 1e-13 * (1.0 + _maxnorm(f.eval_on(grid)))
+        rfd = _sampled(grid, Qall @ Zfd)
     else:
-        W4x, w4_f, w4_fd = np.zeros((K, 0, dxi)), zero_w(0), zero_w(0)
+        uses_fd = False
+        rfd = mf.zero(n, n)
 
-    # assemble the full-state recovery x = Qall (Zx xi + Zf f + Zfd fdot)
-    Zx = np.zeros((K, n, dxi))
-    Zx[:, ix] = np.broadcast_to(np.eye(dxi), (K, dxi, dxi))
-    Zx[:, i3] = W3x
-    Zx[:, i4] = W4x
-    Zf = np.zeros((K, n, n))
-    Zf[:, ih] = eta_f
-    Zf[:, i3] = w3_f
-    Zf[:, i4] = w4_f
-    # eta itself uses only f; its derivative (etadot) appears inside g and w4
-    Zfd = np.zeros((K, n, n))
-    Zfd[:, i4] = w4_fd
-    Rx = Qall @ Zx @ Finv
-    Rf = Qall @ Zf
-    Rfd = Qall @ Zfd
-
-    uses_fd = max(_maxnorm(Gfd), _maxnorm(Zfd)) > 1e-13 * (1.0 + _maxnorm(fv))
     recovery = [(name, rows) for name, rows in (
         ("constraint variables", tau), ("algebraic variables", k_rank),
         ("chain variables", tau)) if rows]
-
     return ReducedSystem(
         dynamic_dim=dxi,
         m_fun=_sampled(grid, Mv),
         g_fun=AffineInput(_sampled(grid, Gf), f, _sampled(grid, Gfd) if tau else None),
-        certificate=FlowCertificate.orthogonal(dxi),
+        certificate=FlowCertificate.orthogonal(dxi) if earned else None,
         recovery=recovery,
-        rx=_sampled(grid, Rx),
-        rf=_sampled(grid, Rf),
-        rfd=_sampled(grid, Rfd),
-        max_f_derivative=1 if (tau and uses_fd) else 0,
+        rx=_sampled(grid, Qall @ Zx @ Finv),
+        rf=_sampled(grid, Qall @ Zf),
+        rfd=rfd,
+        max_f_derivative=int(uses_fd),
         pair=pair,
         f=f,
         projector=_sampled(grid, F @ P[:, ix, :]),
     )
+
+
+def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
+    """Reduce a regular skew-adjoint pair with E >= 0 to its orthogonal core.
+
+    Handles index 1 (nonsingular skew algebraic block) and index 2 (constraint
+    rows pairing kernel variables with dynamic ones); index-2 structure must
+    be constant in time.  Recovery never uses more than the first derivative
+    of the inhomogeneity.  Raises StructureError unless the pair passes the
+    skew-adjoint residual test and the scaled core is pointwise skew.
+    """
+    return _eliminate(pair, f, grid, tol, gap_tol, strict=True)
+
+
+def index1_reduce(pair, f, grid):
+    """Kernel elimination for linear DAEs with E >= 0, dissipative or not.
+
+    The same elimination as ``semidefinite_skew_reduce`` without its
+    structure requirement: index 1, and (despite the name) index 2 when the
+    kernel split is constant and the constraint/chain block carries no
+    dissipation.  The certificate is orthogonal when the data earn it
+    (skew-adjoint pair, pointwise skew scaled core) and None otherwise.
+    """
+    # every kernel block the regularity guard accepts is eliminated at index 1
+    return _eliminate(pair, f, grid, gap_tol=1.0 / COND_LIMIT)
 
 
 def stokes_reduce(M, B, Jfun, f, grid):
@@ -472,55 +495,4 @@ def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
         m_fun=_sampled(grid, Mv),
         g_fun=mf.zero(2 * p, 1),
         certificate=cert,
-    )
-
-
-def index1_reduce(pair, f, grid):
-    """Plain kernel elimination for index-1 linear DAEs with E >= 0.
-
-    No structure is claimed (certificate None); used to simulate dissipative
-    systems whose algebraic block is nonsingular.
-    """
-    pair.check_grid(grid)
-    if f.rows != pair.n or f.cols != 1:
-        raise DimensionError("inhomogeneity must be an n x 1 matrix function")
-    n = pair.n
-    K = grid.n
-    Ev = pair.E.eval_on(grid)
-    scale = 1.0 + _maxnorm(Ev)
-    eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
-    if eigmin < -1e-12 * scale:
-        raise StructureError("index1_reduce expects positive semidefinite E")
-    Qv, Qd, r = _kernel_split(pair.E, grid)
-    E1, _, A1 = st._congruence_arrays(Ev, None, pair.A.eval_on(grid), Qv, Qd)
-    QT = _bT(Qv)
-
-    a = n - r
-    A22 = A1[:, r:, r:]
-    _require_regular(A22, grid)
-    X21 = -np.linalg.solve(A22, A1[:, r:, :r])
-    x2_f = -np.linalg.solve(A22, QT[:, r:, :])
-    Sb = E1[:, :r, :r]
-    _require_regular(Sb, grid, "dynamic E block")
-    Ceff = A1[:, :r, :r] + A1[:, :r, r:] @ X21
-    Mv = np.linalg.solve(Sb, Ceff)
-    Gf = np.linalg.solve(Sb, A1[:, :r, r:] @ x2_f + QT[:, :r, :])
-
-    Zx = np.concatenate([np.broadcast_to(np.eye(r), (K, r, r)), X21], axis=1)
-    Zf = np.concatenate([np.zeros((K, r, n)), x2_f], axis=1)
-    Rx = Qv @ Zx
-    Rf = Qv @ Zf
-    return ReducedSystem(
-        dynamic_dim=r,
-        m_fun=_sampled(grid, Mv),
-        g_fun=AffineInput(_sampled(grid, Gf), f),
-        certificate=None,
-        recovery=[("algebraic variables", a)] if a else [],
-        rx=_sampled(grid, Rx),
-        rf=_sampled(grid, Rf),
-        rfd=mf.zero(n, n),
-        max_f_derivative=0,
-        pair=pair,
-        f=f,
-        projector=_sampled(grid, QT[:, :r, :]),
     )

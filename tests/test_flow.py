@@ -170,6 +170,47 @@ def test_simulate_phdae_with_input_matches_reduction():
     assert np.abs(traj.states[:, 3] - np.cos(t)).max() <= 1e-10  # IG = cos
 
 
+def test_simulate_phdae_certifies_a_lossless_index1_model():
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 2001)
+    pair, w = seeded_semidefinite_skew_pair(11, grid)
+    z = sd.zero(6, 6)
+    m = sd.PHDAEModel(E=pair.E, J=pair.A, R=z, K=z, G=sd.constant(w[:, None]),
+                      P=sd.zero(6, 1), S=sd.zero(1, 1), N=sd.zero(1, 1), interval=grid)
+    A = pair.A.value
+    x1 = np.ones(4)
+    x0 = np.concatenate([x1, -np.linalg.solve(A[4:, 4:], A[4:, :4] @ x1)])
+    traj, red = sd.simulate_phdae(m, None, x0, grid)
+    assert red.certificate.kind == "orthogonal"
+    assert sd.certify_flow(red.m_fun, grid, red.certificate).max_defect <= 1e-12
+    H = traj.hamiltonian
+    assert np.abs(H - H[0]).max() <= 1e-10 * H[0]
+
+
+@pytest.mark.parametrize("resistors", [{"RL": 0.3}, {"RL": 0.3, "RR": 0.5}], ids=["RL", "RL-RR"])
+def test_simulate_phdae_dissipative_index2_circuit(resistors):
+    # RG = 0 keeps IG and V1 an index-2 constraint/chain pair
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 2001)
+    L, C1, C2, I0 = 1.0, 1.5, 0.7, 1.2
+    m = sd.build_circuit(L, C1, C2, interval=grid, **resistors)
+    u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
+    RR = resistors.get("RR", 0.0)
+    x0 = np.array([I0, 0.0, 0.0, C1, 0.0 if RR else I0])
+    traj, red = sd.simulate_phdae(m, u, x0, grid)
+    assert red.certificate is None
+    t = grid.points
+    assert np.abs(traj.states[:, 1] + np.sin(t)).max() <= 1e-6  # V1 = -u
+    assert np.abs(traj.states[:, 3] - C1 * np.cos(t)).max() <= 1e-6  # IG = C1 u'
+    if not RR:  # L Idot = -RL I with V2 = 0
+        assert np.abs(traj.states[:, 0] - I0 * np.exp(-resistors["RL"] * t / L)).max() <= 1e-6
+        return
+    # (I, V2) solve L Idot = -V2 - RL I, C2 V2dot = I - V2 / RR, and IR = V2 / RR;
+    # the midpoint rule is second order (h = 0.005)
+    Msys = np.array([[-resistors["RL"] / L, -1.0 / L], [1.0 / C2, -1.0 / (RR * C2)]])
+    ref = np.stack([sla.expm(Msys * s) @ [I0, 0.0] for s in t])
+    assert np.abs(traj.states[:, [0, 2]] - ref).max() <= 1e-5
+    assert np.abs(traj.states[:, 4] - traj.states[:, 2] / RR).max() <= 1e-12
+
+
 def test_integrate_reduced_refined_grid_matches_pointwise_reconstruct():
     # time-varying recovery maps (a polynomial congruence of a constant
     # index-1 pair) with an inhomogeneity, integrated on a finer grid than

@@ -48,10 +48,10 @@ def test_cli_simulate_loads_no_scipy_interpolate(tmp_path):
 
 
 def test_cli_simulate_dissipative_circuit_loads_no_scipy(tmp_path):
-    # resistors route the model through index1_reduce
-    demo = ["--RL", "0.3", "--RG", "0.2", "--RR", "0.5"]
-    assert _scipy_modules_after_simulate(tmp_path, demo) == []
-    assert (tmp_path / "traj.csv").stat().st_size > 0
+    # index 1 (RG, RR > 0) and index 2 with a dissipative inductor (RL only)
+    for demo in (["--RL", "0.3", "--RG", "0.2", "--RR", "0.5"], ["--RL", "0.3"]):
+        assert _scipy_modules_after_simulate(tmp_path, demo) == []
+        assert (tmp_path / "traj.csv").stat().st_size > 0
 
 
 def _scipy_modules_after_canonical(cwd, demo_args, canonical_args):

@@ -234,6 +234,56 @@ def test_semidefinite_preconditions():
         sd.semidefinite_skew_reduce(irregular, sd.zero(2, 1), GRID)
 
 
+def test_dissipation_on_the_chain_block_is_unsupported():
+    # E = diag(1, 1, 0): x3 is the chain variable, x1 its constraint partner;
+    # the chain solve needs A[0, 2] = -A[2, 0]
+    E = sd.constant(np.diag([1.0, 1.0, 0.0]))
+    A = np.array([[-0.2, 0.5, -2.0], [-0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    pair = sd.MatrixPair(E, sd.constant(A), GRID)
+    with pytest.raises(UnsupportedError, match="constraint/chain block"):
+        sd.index1_reduce(pair, sd.zero(3, 1), GRID)
+    with pytest.raises(StructureError, match="not skew-adjoint"):
+        sd.semidefinite_skew_reduce(pair, sd.zero(3, 1), GRID)
+
+    A[0, 2] = -1.0  # dissipation on x1's own row only
+    red = sd.index1_reduce(sd.MatrixPair(E, sd.constant(A), GRID), sd.zero(3, 1), GRID)
+    assert red.dynamic_dim == 1 and red.certificate is None
+    # x1 = 0 and x2dot = -0.5 x1 = 0: the dynamic state stays put, and the
+    # x1-row 0 = 0.5 x2 - x3 recovers x3
+    traj = sd.integrate_reduced(red, red.dynamic_from_full(0.0, [0.0, 2.0, 1.0]), GRID)
+    assert np.abs(traj.states - [0.0, 2.0, 1.0]).max() <= 1e-12
+
+
+def test_index1_reduce_takes_every_kernel_block_the_guard_accepts():
+    # kernel block diag(-1, -1e-9): relative smallest singular value 1e-9,
+    # above 1 / COND_LIMIT, so index 1 with x2 = x1, x3 = 1e9 x1
+    A = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1e-9]])
+    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 0.0, 0.0])), sd.constant(A), GRID)
+    red = sd.index1_reduce(pair, sd.zero(3, 1), GRID)
+    assert red.recovery == [("algebraic variables", 2)]
+    assert red.m_fun.eval(0.0)[0, 0] == pytest.approx(1e9, rel=1e-6)
+
+
+def test_certificate_is_earned_from_the_data():
+    # lossless constant pair: the uncertified entry point earns the same
+    # orthogonal core as the certified one
+    pair, _ = seeded_semidefinite_skew_pair(11, GRID)
+    red = sd.index1_reduce(pair, sd.zero(6, 1), GRID)
+    strict = sd.semidefinite_skew_reduce(pair, sd.zero(6, 1), GRID)
+    assert red.certificate.kind == strict.certificate.kind == "orthogonal"
+    assert np.array_equal(red.m_fun.eval_on(GRID), strict.m_fun.eval_on(GRID))
+
+    # a smooth congruence of a lossless pair on a coarse grid: the spline
+    # Qdot leaves the scaled core short of skew, so no certificate is earned
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    pair0, _ = seeded_semidefinite_skew_pair(2, grid)
+    moved = sd.apply_congruence(pair0, random_poly_congruence(np.random.default_rng(6), 6, 2))
+    red = sd.index1_reduce(moved, sd.zero(6, 1), grid)
+    assert red.dynamic_dim == 4 and red.certificate is None
+    with pytest.raises(StructureError, match="scaled dynamic block is not skew"):
+        sd.semidefinite_skew_reduce(moved, sd.zero(6, 1), grid)
+
+
 def test_index2_derivative_bound():
     for seed in range(20):
         pair, _ = seeded_semidefinite_skew_pair(seed, GRID, index2=True)

@@ -297,14 +297,22 @@ def test_circuit_reduction_guards_each_matrix_once(monkeypatch):
     model = sd.build_circuit(1.0, 1.5, 0.7, interval=grid)
     pair = sd.MatrixPair(model.E, model.coefficient(), grid)
     u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
-    sd.semidefinite_skew_reduce(pair, sd.mf_matmul(model.G, u), grid)
-    # the 2 x 2 constraint block C2 (also solved as C2^T) and the 1 x 1 dynamic
-    # E block; the index-1 block of this circuit is empty
-    assert [F.shape for F in seen if F.size] == [(201, 2, 2), (201, 1, 1)]
-    for i, F in enumerate(seen):
-        for G in seen[i + 1:]:
-            assert not np.array_equal(F, G)
-            assert not np.array_equal(F, np.swapaxes(G, 1, 2))
+    # the reducer alone, and the whole simulation (whose Cayley steps add
+    # the one midpoint guard)
+    runs = [
+        (lambda: sd.semidefinite_skew_reduce(pair, sd.mf_matmul(model.G, u), grid), []),
+        (lambda: sd.simulate_phdae(model, u, np.zeros(5), grid), [(200, 1, 1)]),
+    ]
+    for run, steps in runs:
+        seen.clear()
+        run()
+        # the 2 x 2 constraint block C2 (also solved as C2^T) and the 1 x 1
+        # dynamic E block; the index-1 block of this circuit is empty
+        assert [F.shape for F in seen if F.size] == [(201, 2, 2), (201, 1, 1)] + steps
+        for i, F in enumerate(seen):
+            for G in seen[i + 1:]:
+                assert not np.array_equal(F, G)
+                assert not np.array_equal(F, np.swapaxes(G, 1, 2))
 
 
 def test_congruence_arrays_constant_stage_and_matrix_function_agree():
