@@ -160,6 +160,14 @@ def _expm(X):
     return R
 
 
+def _rank(s, rank_tol, scale):
+    """Numerical rank of one descending singular-value vector s."""
+    (r,), failure = _numerical_rank(s[None], rank_tol, scale)
+    if failure:
+        raise failure[1]
+    return int(r)
+
+
 def _finite_subspace(E, A, rank_tol):
     """Orthonormal bases (V, Vc) of the finite deflating subspace of the
     regular pencil lambda*E - A and of its orthogonal complement.
@@ -178,9 +186,9 @@ def _finite_subspace(E, A, rank_tol):
     V, Vc = np.eye(n), np.zeros((n, 0))
     while True:
         u, s, _ = np.linalg.svd(E @ V)
-        r = _numerical_rank(s, rank_tol, e_scale)
+        r = _rank(s, rank_tol, e_scale)
         _, s2, vt2 = np.linalg.svd(u[:, r:].T @ A)
-        r2 = _numerical_rank(s2, rank_tol, a_scale)
+        r2 = _rank(s2, rank_tol, a_scale)
         if n - r2 >= V.shape[1]:
             break
         V, Vc = vt2[r2:].T, vt2[:r2].T

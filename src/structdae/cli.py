@@ -334,19 +334,20 @@ def cmd_simulate(args):
     u = _input_function(args.input, args.input_scale, grid)
     x0 = np.array([float(v) for v in args.x0.split(",")])
     traj, red = fl.simulate_phdae(model, u, x0, grid)
+    # an uncertified core has no group to measure its flow against: the
+    # flow_defect column stays empty
     defects = None
-    if args.flow:
+    if args.flow and red.certificate:
         fund = fl.fundamental_solution(red.m_fun, grid)
-        B = red.certificate.B if red.certificate else np.eye(red.dynamic_dim)
-        defects = fl.flow_defect_series(fund, B)
+        defects = fl.flow_defect_series(fund, red.certificate)
     labels = list(model.labels) if model.labels else [f"x{i+1}" for i in range(model.n)]
     lines = []
-    header = ["t"] + labels + ["H"] + (["flow_defect"] if defects is not None else [])
+    header = ["t"] + labels + ["H"] + (["flow_defect"] if args.flow else [])
     lines.append(",".join(header))
     for k, t in enumerate(grid.points):
         row = [_fmt(t)] + [_fmt(v) for v in traj.states[k]] + [_fmt(traj.hamiltonian[k])]
-        if defects is not None:
-            row.append(_fmt(defects[k]))
+        if args.flow:
+            row.append(_fmt(defects[k]) if defects is not None else "")
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:

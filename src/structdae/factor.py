@@ -1,8 +1,12 @@
 """Discrete realizations of smooth matrix factorizations on a grid.
 
-Pointwise factorizations (SVD, symmetric eigendecomposition, QR) are glued
-into continuous families by aligning each grid point's bases to the previous
-point with an orthogonal Procrustes rotation per invariant block.  The gauge
+Each factorization decomposes the whole (K, ., .) stack of grid samples in
+one call (SVD, symmetric eigendecomposition) and checks every point at once;
+errors come in the order of a sweep along t.  The pointwise factors are
+glued into continuous families by one polar chain per invariant block:
+G_0 = I, G_k = polar(B_k^T B_{k-1}) G_{k-1}, aligned block B_k G_k.  Since
+polar(X G) = polar(X) G for orthogonal G, this is the orthogonal Procrustes
+rotation of every point's block onto its aligned predecessor.  The gauge
 freedom inside a block (range space, kernel, positive/negative eigenspace)
 is exactly an orthogonal group, so the alignment never violates the defining
 block relations; it only removes arbitrary per-point rotations.
@@ -68,64 +72,109 @@ class RowRankNormalization:
     grid: mf.TimeGrid
 
 
+def _polar(X):
+    """Orthogonal polar factors U V^T of X = U S V^T, one (w, w) matrix or a
+    stack of them, from one stacked SVD."""
+    u, _, vt = np.linalg.svd(X)
+    return u @ vt
+
+
 def procrustes_align(block, ref):
     """Orthogonal G minimizing ||block @ G - ref||_F; returns block @ G."""
     if block.shape[1] == 0:
         return block
-    u, _, vt = np.linalg.svd(block.T @ ref)
-    return block @ (u @ vt)
+    return block @ _polar(block.T @ ref)
+
+
+def _chain(B):
+    """Blocks B_k G_k of the stack B (K, m, w) with G_0 = I and
+    G_k = polar(B_k^T B_{k-1}) G_{k-1}: each block Procrustes-aligned to its
+    aligned predecessor."""
+    K, _, w = B.shape
+    if w == 0 or K == 1:
+        return B
+    G = np.empty((K, w, w))
+    G[0] = np.eye(w)
+    G[1:] = _polar(_bT(B[1:]) @ B[:-1])
+    # prefix products G_k ... G_1 by recursive doubling
+    shift = 1
+    while shift < K:
+        G[shift:] = G[shift:] @ G[:-shift]
+        shift *= 2
+    # re-orthogonalize, so the product's roundoff does not drift with K
+    return B @ _polar(G)
+
+
+def _first(bad, error):
+    """(k, error(k)) for the first point k flagged in bad, or None."""
+    hits = np.flatnonzero(bad)
+    return (int(hits[0]), error(int(hits[0]))) if hits.size else None
+
+
+def _earliest(*failures):
+    """The failure at the earliest point; at a tie, the one listed first."""
+    found = [f for f in failures if f is not None]
+    return min(found, key=lambda f: f[0]) if found else None
 
 
 def _numerical_rank(s, gap_tol, scale=None):
-    """Count of the descending singular values s above gap_tol * scale (scale
-    defaults to s[0]); raises IllPosedRankError on a near-tie at the cut."""
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return 0
-    thresh = gap_tol * (smax if scale is None else scale)
-    r = int(np.sum(s > thresh))
-    if 0 < r < s.size:
-        # require an actual gap around the threshold, not a near-tie
-        if s[r - 1] < 10.0 * max(s[r], thresh / 10.0) and s[r] > thresh / 10.0:
-            raise IllPosedRankError(
-                f"singular values {s[r - 1]:.3e} and {s[r]:.3e} do not separate "
-                f"cleanly at gap tolerance {gap_tol:.1e}"
-            )
-    return r
+    """Counts of the descending singular values in each row of s (K, m) above
+    gap_tol * scale (scale defaults to the row's largest), and the failure
+    (k, IllPosedRankError) of the first row with a near-tie at its cut."""
+    K, m = s.shape
+    if m == 0:
+        return np.zeros(K, dtype=int), None
+    thresh = np.broadcast_to(gap_tol * (s[:, 0] if scale is None else scale), (K,))
+    ranks = np.sum(s > thresh[:, None], axis=1)
+    rows = np.arange(K)
+    cut = np.minimum(np.maximum(ranks, 1), m - 1)
+    above, below = s[rows, cut - 1], s[rows, cut]
+    # require an actual gap around the threshold, not a near-tie
+    tie = ((0 < ranks) & (ranks < m) & (below > thresh / 10.0)
+           & (above < 10.0 * np.maximum(below, thresh / 10.0)))
+    return ranks, _first(tie, lambda k: IllPosedRankError(
+        f"singular values {above[k]:.3e} and {below[k]:.3e} do not separate "
+        f"cleanly at gap tolerance {gap_tol:.1e}"
+    ))
 
 
-def _aligned(F, grid, decompose, changed):
-    """Pointwise factorizations of F glued into continuous families.
-
-    decompose(value, t) returns (factors, r): orthogonal-gauge factors whose
-    leading r columns and trailing columns are each fixed only up to an
-    orthogonal rotation; it raises when the point itself is ill-posed.  Each
-    point's blocks are rotated onto the previous point's (block Procrustes).
-    changed(r, rk, t_prev, t) raises when r moves between neighbours.  A
-    constant F is decomposed once.  Returns (values, factors, r), the values
-    and factors as (K, ., .) samples, or as single matrices for constant F.
-    """
+def _values(F, grid, samples=None):
+    """F's grid samples (K, ., .), or its one value when F is constant;
+    samples are F's grid samples when the caller has evaluated them."""
     if isinstance(F, mf.ConstantMatrixFunction):
-        factors, r = decompose(F.value, grid.points[0])
-        return F.value, factors, r
-    vals = F.eval_on(grid)
-    ts = grid.points
-    for k, t in enumerate(ts):
-        factors, rk = decompose(vals[k], t)
-        if k == 0:
-            r = rk
-            out = [np.empty((len(ts), *f.shape)) for f in factors]
-        else:
-            if rk != r:
-                changed(r, rk, ts[k - 1], t)
-            factors = [
-                np.hstack([procrustes_align(f[:, :r], prev[k - 1, :, :r]),
-                           procrustes_align(f[:, r:], prev[k - 1, :, r:])])
-                for f, prev in zip(factors, out)
-            ]
-        for f, samples in zip(factors, out):
-            samples[k] = f
-    return vals, out, r
+        return F.value
+    return F.eval_on(grid) if samples is None else samples
+
+
+def _aligned(values, ts, decompose, changed):
+    """Pointwise factorizations of values glued into continuous families.
+
+    values are (K, ., .) samples at the times ts, or one matrix for a
+    constant function, decomposed once.  decompose(values, ts) returns
+    (factors, ranks, failure): stacked orthogonal-gauge factors whose leading
+    ranks[k] columns and trailing columns are each fixed only up to an
+    orthogonal rotation, the per-point ranks, and (k, error) for the first
+    point whose own checks fail (or None).  changed(r, rk, t_prev, t) builds
+    the error for a rank that moves between neighbours.  The error raised is
+    the one a sweep along t meets first; at one point its own checks come
+    before a rank change.  Returns (factors, r); each block is aligned by
+    its polar chain.
+    """
+    constant = values.ndim == 2
+    if constant:
+        values, ts = values[None], ts[:1]
+    factors, ranks, failure = decompose(values, ts)
+    failure = _earliest(failure, _first(ranks != ranks[0], lambda k: changed(
+        int(ranks[0]), int(ranks[k]), ts[k - 1], ts[k])))
+    if failure:
+        raise failure[1]
+    r = int(ranks[0])
+    if constant:
+        return [f[0] for f in factors], r
+    for f in factors:
+        f[..., :r] = _chain(f[..., :r])
+        f[..., r:] = _chain(f[..., r:])
+    return factors, r
 
 
 def _family(grid, values):
@@ -138,89 +187,106 @@ def _family(grid, values):
 def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
     """Constant-rank orthogonal splitting of F(t) with continuity alignment."""
 
-    def decompose(value, t):
-        u, s, vt = np.linalg.svd(value)
-        return (u, vt.T), _numerical_rank(s, gap_tol)
+    def decompose(vals, ts):
+        u, s, vt = np.linalg.svd(vals)
+        return [u, _bT(vt)], *_numerical_rank(s, gap_tol)
 
     def changed(r, rk, t_prev, t):
-        raise RankDropError(
+        return RankDropError(
             f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
             t_first=float(t_prev),
             t_second=float(t),
         )
 
-    vals, (U, V), r = _aligned(F, grid, decompose, changed)
+    vals = _values(F, grid)
+    (U, V), r = _aligned(vals, grid.points, decompose, changed)
     Sig = _bT(U[..., :r]) @ vals @ V[..., :r]
-    return RankSplit(_family(grid, U), _family(grid, V), _family(grid, Sig), int(r), grid)
+    return RankSplit(_family(grid, U), _family(grid, V), _family(grid, Sig), r, grid)
 
 
-def _kernel_defect(u, vt, r):
-    """Largest principal-angle sine between ker(E) and ker(E^T), from E's SVD."""
-    if r == vt.shape[0]:
-        return 0.0
-    right = vt.T[:, r:]
-    left = u[:, r:]
-    # 2-norm distance of the two orthogonal projectors
-    return float(np.linalg.norm(right @ right.T - left @ left.T, 2))
+def _kernel_defect(u, vt, ranks):
+    """Largest principal-angle sine between ker(E) and ker(E^T) at each point,
+    ||V_2^T U_1||_2 from E's stacked SVD: the 2-norm distance of the two
+    kernel projectors, whose dimensions are equal."""
+    n = vt.shape[-1]
+    defect = np.zeros(len(ranks))
+    for r in set(ranks.tolist()):
+        if 0 < r < n:
+            at = ranks == r
+            defect[at] = np.linalg.svd(vt[at, r:] @ u[at, :, :r], compute_uv=False)[:, 0]
+    return defect
+
+
+def _sym_split(E, grid, samples=None, gap_tol=DEFAULT_GAP_TOL, kernel_tol=1e-8):
+    """E's values (as _values), the aligned Q values and the rank r of
+    sym_rank_split; samples are E's grid samples when already evaluated."""
+
+    def decompose(vals, ts):
+        u, s, vt = np.linalg.svd(vals)
+        ranks, ill = _numerical_rank(s, gap_tol)
+        defect = _kernel_defect(u, vt, ranks)
+        del u
+        kernel = _first(defect > kernel_tol, lambda k: StructureError(
+            f"kernel condition ker(E^T) = ker(E) fails at t={ts[k]} "
+            f"(projector distance {defect[k]:.3e})"
+        ))
+        return [_bT(vt)], ranks, _earliest(ill, kernel)
+
+    def changed(r, rk, t_prev, t):
+        return RankDropError(
+            f"rank changed from {r} to {rk} at t={t}",
+            t_first=float(t_prev),
+            t_second=float(t),
+        )
+
+    vals = _values(E, grid, samples)
+    (Q,), r = _aligned(vals, grid.points, decompose, changed)
+    return vals, Q, r
 
 
 def sym_rank_split(E, grid, gap_tol=DEFAULT_GAP_TOL, kernel_tol=1e-8):
     """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T)."""
     if E.rows != E.cols:
         raise StructureError("sym_rank_split needs a square matrix function")
-
-    def decompose(value, t):
-        u, s, vt = np.linalg.svd(value)
-        rk = _numerical_rank(s, gap_tol)
-        defect = _kernel_defect(u, vt, rk)
-        if defect > kernel_tol:
-            raise StructureError(
-                f"kernel condition ker(E^T) = ker(E) fails at t={t} "
-                f"(projector distance {defect:.3e})"
-            )
-        return (vt.T,), rk
-
-    def changed(r, rk, t_prev, t):
-        raise RankDropError(
-            f"rank changed from {r} to {rk} at t={t}",
-            t_first=float(t_prev),
-            t_second=float(t),
-        )
-
-    vals, (Q,), r = _aligned(E, grid, decompose, changed)
+    vals, Q, r = _sym_split(E, grid, None, gap_tol, kernel_tol)
     Sig = _bT(Q[..., :r]) @ vals @ Q[..., :r]
-    return SymRankSplit(_family(grid, Q), _family(grid, Sig), int(r), grid)
+    return SymRankSplit(_family(grid, Q), _family(grid, Sig), r, grid)
 
 
 def smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
     """Congruence W(t) with W^T D W = diag(I_p, -I_q), constant signature."""
     n = D.rows
 
-    def decompose(Dk, t):
-        scale = max(1.0, float(np.linalg.norm(Dk)))
-        if np.linalg.norm(Dk - Dk.T) > sym_tol * scale:
-            raise StructureError(f"matrix is not symmetric at t={t}")
-        lam, vec = np.linalg.eigh(0.5 * (Dk + Dk.T))
-        if np.min(np.abs(lam)) <= near_zero_rel * np.max(np.abs(lam)):
-            raise ConditioningError(
-                f"eigenvalue too close to zero at t={t}; inertia is ill-posed"
-            )
-        qk = n - int(np.sum(lam > 0))
-        # eigh sorts ascending: negatives first; reorder positives first and
-        # scale so the congruence lands exactly on diag(I_p, -I_q); the
-        # residual gauge group of each sign block is orthogonal, so the
-        # block alignment preserves W^T D W exactly
-        pos = vec[:, qk:] / np.sqrt(lam[qk:])
-        neg = vec[:, :qk][:, ::-1] / np.sqrt(-lam[:qk][::-1])
-        return (np.hstack([pos, neg]),), n - qk
+    def decompose(Dv, ts):
+        scale = np.maximum(1.0, np.linalg.norm(Dv, axis=(-2, -1)))
+        asym = _first(np.linalg.norm(Dv - _bT(Dv), axis=(-2, -1)) > sym_tol * scale,
+                      lambda k: StructureError(f"matrix is not symmetric at t={ts[k]}"))
+        lam, vec = np.linalg.eigh(0.5 * (Dv + _bT(Dv)))
+        mag = np.abs(lam)
+        flat = _first(mag.min(axis=1) <= near_zero_rel * mag.max(axis=1),
+                      lambda k: ConditioningError(
+                          f"eigenvalue too close to zero at t={ts[k]}; inertia is ill-posed"))
+        p = np.sum(lam > 0, axis=1)
+        # eigh sorts ascending: negatives first; reorder positives first
+        # (ascending) and negatives after (descending), and scale so the
+        # congruence lands exactly on diag(I_p, -I_q); the residual gauge
+        # group of each sign block is orthogonal, so the block alignment
+        # preserves W^T D W exactly
+        j = np.arange(n)
+        order = np.where(j < p[:, None], (n - p)[:, None] + j, n - 1 - j)
+        # a zero eigenvalue divides by zero only at points `flat` reports
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = (np.take_along_axis(vec, order[:, None, :], axis=2)
+                 / np.sqrt(np.take_along_axis(mag, order, axis=1))[:, None, :])
+        return [W], p, _earliest(asym, flat)
 
     def changed(p, pk, t_prev, t):
-        raise InertiaChangeError(
+        return InertiaChangeError(
             f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
         )
 
-    _, (W,), p = _aligned(D, grid, decompose, changed)
-    return InertiaSplit(_family(grid, W), int(p), int(n - p), grid)
+    (W,), p = _aligned(_values(D, grid), grid.points, decompose, changed)
+    return InertiaSplit(_family(grid, W), p, n - p, grid)
 
 
 def row_rank_normalize(B, grid, gap_tol=DEFAULT_GAP_TOL):
@@ -229,17 +295,17 @@ def row_rank_normalize(B, grid, gap_tol=DEFAULT_GAP_TOL):
     if m < n:
         raise StructureError("full column rank needs at least as many rows as columns")
 
-    def decompose(value, t):
-        u, s, _ = np.linalg.svd(value)
-        rk = _numerical_rank(s, gap_tol)
-        if rk < n:
-            raise RankDropError(
-                f"column-rank deficiency at t={t} (rank {rk} < {n})",
-                t_first=float(t),
-            )
-        return (u,), n
+    def decompose(vals, ts):
+        u, s, _ = np.linalg.svd(vals)
+        ranks, ill = _numerical_rank(s, gap_tol)
+        short = _first(ranks < n, lambda k: RankDropError(
+            f"column-rank deficiency at t={ts[k]} (rank {ranks[k]} < {n})",
+            t_first=float(ts[k]),
+        ))
+        return [u], np.full(len(ts), n), _earliest(ill, short)
 
-    vals, (U,), _ = _aligned(B, grid, decompose, None)
+    vals = _values(B, grid)
+    (U,), _ = _aligned(vals, grid.points, decompose, None)
     B1 = _bT(U[..., :n]) @ vals
     return RowRankNormalization(_family(grid, U), _family(grid, B1), grid)
 

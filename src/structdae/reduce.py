@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import sym_rank_split
+from .factor import _family, _sym_split
 from .structure import _bT, _maxnorm
 
 COND_LIMIT = 1e12
@@ -173,10 +173,12 @@ def _spd_sqrt_with_derivative(Sv, Sd):
     return F, Finv, Fd
 
 
-def _kernel_split(E, grid):
-    """Grid Q, Qdot and rank of sym_rank_split, dropping the split's spline caches."""
-    split = sym_rank_split(E, grid)
-    return split.Q.eval_on(grid), split.Q.derivative_on(grid), split.r
+def _kernel_split(E, Ev, grid):
+    """Grid Q, Qdot and rank of sym_rank_split from E's grid values Ev,
+    dropping the split's spline caches."""
+    _, Q, r = _sym_split(E, grid, Ev)
+    Q = _family(grid, Q)
+    return Q.eval_on(grid), Q.derivative_on(grid), r
 
 
 def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
@@ -206,7 +208,7 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     if eigmin < -1e-12 * scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
-    Qv, Qd, r = _kernel_split(pair.E, grid)
+    Qv, Qd, r = _kernel_split(pair.E, Ev, grid)
     # a constant split (exactly zero Qdot) lets A's derivative pass through
     q_constant = _maxnorm(Qd) == 0.0
     E1, E1d, A1 = st._congruence_arrays(Ev, Ed, Av, Qv, None if q_constant else Qd)

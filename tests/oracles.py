@@ -151,3 +151,145 @@ def seeded_semidefinite_skew_pair(seed, interval, index2=False):
     w = rng.standard_normal(n)
     pair = sd.MatrixPair(sd.constant(E), sd.constant(A), interval)
     return pair, w
+
+
+# ---------------------------------------------------------------------------
+# sequential smooth factorizations: one decomposition and one Procrustes
+# rotation per grid point and block, in the order of a sweep along t
+# ---------------------------------------------------------------------------
+
+def _procrustes(block, ref):
+    if block.shape[1] == 0:
+        return block
+    u, _, vt = np.linalg.svd(block.T @ ref)
+    return block @ (u @ vt)
+
+
+def _point_rank(s, gap_tol):
+    from structdae.errors import IllPosedRankError
+
+    smax = s[0] if s.size else 0.0
+    if smax == 0.0:
+        return 0
+    thresh = gap_tol * smax
+    r = int(np.sum(s > thresh))
+    if 0 < r < s.size:
+        if s[r - 1] < 10.0 * max(s[r], thresh / 10.0) and s[r] > thresh / 10.0:
+            raise IllPosedRankError(
+                f"singular values {s[r - 1]:.3e} and {s[r]:.3e} do not separate "
+                f"cleanly at gap tolerance {gap_tol:.1e}"
+            )
+    return r
+
+
+def sequential_aligned(F, grid, decompose, changed):
+    """Per-point decompositions, each block rotated onto the previous point's
+    aligned block; returns (factors as (K, ., .) samples, rank)."""
+    vals = F.eval_on(grid)
+    ts = grid.points
+    for k, t in enumerate(ts):
+        factors, rk = decompose(vals[k], t)
+        if k == 0:
+            r = rk
+            out = [np.empty((len(ts), *f.shape)) for f in factors]
+        else:
+            if rk != r:
+                changed(r, rk, ts[k - 1], t)
+            factors = [
+                np.hstack([_procrustes(f[:, :r], prev[k - 1, :, :r]),
+                           _procrustes(f[:, r:], prev[k - 1, :, r:])])
+                for f, prev in zip(factors, out)
+            ]
+        for f, samples in zip(factors, out):
+            samples[k] = f
+    return out, r
+
+
+def sequential_rank_split(F, grid, gap_tol=1e-8):
+    """(U, V) samples and rank of rank_split, point by point."""
+    from structdae.errors import RankDropError
+
+    def decompose(value, t):
+        u, s, vt = np.linalg.svd(value)
+        return (u, vt.T), _point_rank(s, gap_tol)
+
+    def changed(r, rk, t_prev, t):
+        raise RankDropError(
+            f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
+            t_first=float(t_prev), t_second=float(t),
+        )
+
+    return sequential_aligned(F, grid, decompose, changed)
+
+
+def sequential_sym_rank_split(E, grid, gap_tol=1e-8, kernel_tol=1e-8):
+    """(Q,) samples and rank of sym_rank_split, point by point."""
+    from structdae.errors import RankDropError, StructureError
+
+    def decompose(value, t):
+        u, s, vt = np.linalg.svd(value)
+        rk = _point_rank(s, gap_tol)
+        if rk < vt.shape[0]:
+            right, left = vt.T[:, rk:], u[:, rk:]
+            defect = float(np.linalg.norm(right @ right.T - left @ left.T, 2))
+            if defect > kernel_tol:
+                raise StructureError(
+                    f"kernel condition ker(E^T) = ker(E) fails at t={t} "
+                    f"(projector distance {defect:.3e})"
+                )
+        return (vt.T,), rk
+
+    def changed(r, rk, t_prev, t):
+        raise RankDropError(
+            f"rank changed from {r} to {rk} at t={t}",
+            t_first=float(t_prev), t_second=float(t),
+        )
+
+    return sequential_aligned(E, grid, decompose, changed)
+
+
+def sequential_smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
+    """(W,) samples and p of smooth_inertia, point by point."""
+    from structdae.errors import ConditioningError, InertiaChangeError, StructureError
+
+    n = D.rows
+
+    def decompose(Dk, t):
+        scale = max(1.0, float(np.linalg.norm(Dk)))
+        if np.linalg.norm(Dk - Dk.T) > sym_tol * scale:
+            raise StructureError(f"matrix is not symmetric at t={t}")
+        lam, vec = np.linalg.eigh(0.5 * (Dk + Dk.T))
+        if np.min(np.abs(lam)) <= near_zero_rel * np.max(np.abs(lam)):
+            raise ConditioningError(
+                f"eigenvalue too close to zero at t={t}; inertia is ill-posed"
+            )
+        qk = n - int(np.sum(lam > 0))
+        pos = vec[:, qk:] / np.sqrt(lam[qk:])
+        neg = vec[:, :qk][:, ::-1] / np.sqrt(-lam[:qk][::-1])
+        return (np.hstack([pos, neg]),), n - qk
+
+    def changed(p, pk, t_prev, t):
+        raise InertiaChangeError(
+            f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
+        )
+
+    return sequential_aligned(D, grid, decompose, changed)
+
+
+def sequential_row_rank_normalize(B, grid, gap_tol=1e-8):
+    """(U,) samples of row_rank_normalize, point by point."""
+    from structdae.errors import RankDropError
+
+    n = B.cols
+
+    def decompose(value, t):
+        u, s, _ = np.linalg.svd(value)
+        rk = _point_rank(s, gap_tol)
+        if rk < n:
+            raise RankDropError(
+                f"column-rank deficiency at t={t} (rank {rk} < {n})",
+                t_first=float(t),
+            )
+        return (u,), n
+
+    return sequential_aligned(B, grid, decompose, None)

@@ -90,6 +90,22 @@ def test_simulate_with_flow_column(tmp_path):
     assert all(float(line.split(",")[-1]) <= 1e-12 for line in lines[1:])
 
 
+def test_simulate_flow_column_empty_without_certificate(tmp_path, monkeypatch):
+    import structdae.flow as fl
+
+    model = tmp_path / "m.json"
+    run(["demo", "circuit", "--RL", "0.3", "--RG", "0.2", "--RR", "0.5", "--out", str(model)])
+    # a dissipative core carries no certificate: nothing to measure its flow against
+    monkeypatch.setattr(fl, "fundamental_solution", None)
+    out = tmp_path / "traj.csv"
+    run(["simulate", "--model", str(model), "--x0", "1,0,0,0,0", "--steps", "2000",
+         "--input", "sin", "--flow", "--out", str(out)])
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].split(",")[-1] == "flow_defect"
+    assert len(lines) == 2002
+    assert all(line.endswith(",") for line in lines[1:])
+
+
 def test_canonical_cli_multibody(tmp_path, capsys):
     model = tmp_path / "mb.json"
     run(["demo", "multibody", "--form", "skew", "--out", str(model)])

@@ -1,0 +1,224 @@
+"""The stacked factorizations against the sequential per-point sweep.
+
+`tests/oracles.py` keeps the sweep that decomposes one grid point at a time
+and rotates each block onto its predecessor with its own Procrustes SVD;
+the library decomposes the whole grid at once and aligns it with a polar
+chain.  Both must give the same factors, ranks and errors.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+import structdae as sd
+from structdae.errors import StructDaeError
+from structdae.factor import _polar
+
+from oracles import (
+    sequential_rank_split,
+    sequential_row_rank_normalize,
+    sequential_smooth_inertia,
+    sequential_sym_rank_split,
+)
+
+GRID = sd.TimeGrid.uniform(0.0, 2.0, 201)
+
+
+def _poly(rng, m, n, deg=2):
+    return sd.poly(rng.standard_normal((deg + 1, m, n)) * (0.7 ** np.arange(deg + 1))[:, None, None])
+
+
+def _congruence(rng, n):
+    coeffs = rng.standard_normal((3, n, n))
+    coeffs *= 0.4 / sum(np.linalg.norm(c, 2) for c in coeffs)
+    coeffs[0] += np.eye(n)
+    return sd.poly(coeffs)
+
+
+def _moved(C, core):
+    """C(t)^T core C(t) for a constant core."""
+    return sd.mf_matmul(sd.mf_transpose(C), sd.mf_matmul(sd.constant(core), C))
+
+
+def _orthogonality_defect(U):
+    return float(np.abs(np.swapaxes(U, 1, 2) @ U - np.eye(U.shape[-1])).max())
+
+
+def _close(fun, samples):
+    return float(np.abs(fun.eval_on(GRID) - samples).max())
+
+
+def test_rank_split_rectangular_matches_sequential():
+    rng = np.random.default_rng(31)
+    F = sd.mf_matmul(_poly(rng, 6, 2), sd.mf_transpose(_poly(rng, 4, 2)))
+    split = sd.rank_split(F, GRID)
+    (U, V), r = sequential_rank_split(F, GRID)
+    assert split.r == r == 2
+    assert _close(split.U, U) <= 1e-12 and _close(split.V, V) <= 1e-12
+    assert _orthogonality_defect(split.U.eval_on(GRID)) <= 1e-13
+    assert _orthogonality_defect(split.V.eval_on(GRID)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "skew"])
+def test_sym_rank_split_matches_sequential(kind):
+    rng = np.random.default_rng(32)
+    core = np.zeros((6, 6))
+    X = rng.standard_normal((4, 4))
+    core[:4, :4] = X + X.T if kind == "symmetric" else X - X.T
+    E = _moved(_congruence(rng, 6), core)
+    split = sd.sym_rank_split(E, GRID)
+    (Q,), r = sequential_sym_rank_split(E, GRID)
+    assert split.r == r == 4
+    assert _close(split.Q, Q) <= 1e-12
+    assert _orthogonality_defect(split.Q.eval_on(GRID)) <= 1e-13
+
+
+def test_smooth_inertia_rotating_matches_sequential():
+    rng = np.random.default_rng(33)
+    S = rng.standard_normal((4, 4))
+    S = S - S.T
+    Lam = np.diag([3.0, 1.0, -2.0, -0.5])
+    D = sd.from_callable(lambda t: expm(t * S).T @ Lam @ expm(t * S), GRID)
+    split = sd.smooth_inertia(D, GRID)
+    (W,), p = sequential_smooth_inertia(D, GRID)
+    assert (split.p, split.q) == (p, 4 - p) == (2, 2)
+    assert _close(split.W, W) <= 1e-12
+    Wv = split.W.eval_on(GRID)
+    residual = np.swapaxes(Wv, 1, 2) @ D.eval_on(GRID) @ Wv - np.diag([1.0, 1.0, -1.0, -1.0])
+    assert np.abs(residual).max() <= 1e-12
+
+
+def test_row_rank_normalize_matches_sequential():
+    rng = np.random.default_rng(34)
+    B = sd.mf_add(sd.constant(np.eye(6)[:, :3]), sd.mf_scale(_poly(rng, 6, 3), 0.3))
+    norm = sd.row_rank_normalize(B, GRID)
+    (U,), _ = sequential_row_rank_normalize(B, GRID)
+    assert _close(norm.U, U) <= 1e-12
+    assert _orthogonality_defect(norm.U.eval_on(GRID)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# errors: the earliest point wins, a point's own checks before a rank change
+# ---------------------------------------------------------------------------
+
+ERR_GRID = sd.TimeGrid.uniform(0.0, 1.0, 11)
+
+
+def _sampled(base, at):
+    vals = np.repeat(np.asarray(base, dtype=float)[None], ERR_GRID.n, axis=0)
+    for k, value in at.items():
+        vals[k] = value
+    return sd.SampledMatrixFunction(ERR_GRID, vals)
+
+
+def _raised(fn, F):
+    with pytest.raises(StructDaeError) as info:
+        fn(F, ERR_GRID)
+    e = info.value
+    return (type(e), str(e), e.t, getattr(e, "t_first", None), getattr(e, "t_second", None))
+
+
+RANK_BASE = np.diag([1.0, 0.5, 0.0, 0.0])
+RANK_ILL = np.diag([1.0, 0.5, 1.1e-8, 0.95e-8])  # near-tie at its cut, rank 3
+RANK_UP = np.diag([1.0, 0.5, 0.3, 0.0])
+SYM_BASE = np.diag([1.0, 0.0, 0.0])
+SYM_KERNEL = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])  # rank 2
+SYM_UP = np.diag([1.0, 1.0, 0.0])
+SYM_ILL = np.diag([1.0, 1.1e-8, 0.95e-8])
+INERTIA_BASE = np.diag([2.0, -1.0])
+INERTIA_FLAT = np.diag([2.0, 1e-14])  # also two positive eigenvalues
+INERTIA_UP = np.diag([2.0, 1.0])
+INERTIA_ASYM = np.array([[2.0, 0.1], [0.0, 1e-14]])
+ROW_BASE = np.eye(4)[:, :3]
+ROW_ILL = np.diag([1.0, 1.1e-8, 0.95e-8, 0.0])[:, :3]
+ROW_SHORT = np.diag([1.0, 1.0, 0.0, 0.0])[:, :3]
+
+ORDER_CASES = [
+    (sd.rank_split, sequential_rank_split, RANK_BASE, {3: RANK_ILL, 6: RANK_UP}),
+    (sd.rank_split, sequential_rank_split, RANK_BASE, {3: RANK_UP, 6: RANK_ILL}),
+    (sd.rank_split, sequential_rank_split, RANK_BASE, {4: RANK_ILL}),
+    (sd.sym_rank_split, sequential_sym_rank_split, SYM_BASE, {2: SYM_KERNEL, 7: SYM_UP}),
+    (sd.sym_rank_split, sequential_sym_rank_split, SYM_BASE, {2: SYM_UP, 7: SYM_KERNEL}),
+    (sd.sym_rank_split, sequential_sym_rank_split, SYM_BASE, {5: SYM_KERNEL}),
+    (sd.sym_rank_split, sequential_sym_rank_split, SYM_BASE, {5: SYM_ILL, 8: SYM_KERNEL}),
+    (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {3: INERTIA_FLAT, 8: INERTIA_UP}),
+    (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {3: INERTIA_UP, 8: INERTIA_FLAT}),
+    (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {0: INERTIA_FLAT, 9: INERTIA_UP}),
+    (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {6: INERTIA_ASYM}),
+    (sd.row_rank_normalize, sequential_row_rank_normalize, ROW_BASE, {2: ROW_ILL, 6: ROW_SHORT}),
+    (sd.row_rank_normalize, sequential_row_rank_normalize, ROW_BASE, {2: ROW_SHORT, 6: ROW_ILL}),
+]
+
+
+@pytest.mark.parametrize("fn, ref, base, at", ORDER_CASES)
+def test_error_order_matches_sequential(fn, ref, base, at):
+    F = _sampled(base, at)
+    assert _raised(fn, F) == _raised(ref, F)
+
+
+# ---------------------------------------------------------------------------
+# the polar chain
+# ---------------------------------------------------------------------------
+
+def test_chain_does_not_drift_on_long_grids():
+    # the prefix products reach neighbouring points through different
+    # product trees; their roundoff would show as neighbour-to-neighbour
+    # noise, which the spline derivative amplifies by 1/h = 2e4
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 20001)
+    rng = np.random.default_rng(35)
+    F = sd.mf_matmul(_poly(rng, 4, 1), sd.mf_transpose(_poly(rng, 3, 1)))
+    split = sd.rank_split(F, grid)
+    (U, V), r = sequential_rank_split(F, grid)
+    assert split.r == r == 1
+    for fun, ref in ((split.U, U), (split.V, V)):
+        assert _orthogonality_defect(fun.eval_on(grid)) <= 1e-13
+        assert np.abs(fun.eval_on(grid) - ref).max() <= 1e-12
+        dref = sd.SampledMatrixFunction(grid, ref, order=3).derivative_on(grid)
+        assert np.abs(fun.derivative_on(grid) - dref).max() <= 1e-8 * np.abs(dref).max()
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("overlap", [
+    # singular: the second direction is lost
+    np.array([[np.cos(0.3), 0.0], [np.sin(0.3), 0.0]]),
+    # the second basis vector turned a little more than 90 degrees
+    np.diag([1.0, np.cos(np.pi / 2 + 1e-11)]),
+    # a scaled rotation, as a block of smooth_inertia's W gives
+    3.0 * np.array([[0.6, -0.8], [0.8, 0.6]]),
+])
+def test_polar_of_degenerate_overlaps(monkeypatch, overlap):
+    calls = _counting_svd(monkeypatch)
+    G = _polar(overlap[None])[0]
+    assert len(calls) == 1
+    assert np.abs(G.T @ G - np.eye(2)).max() <= 1e-15
+    # G is a polar factor: G^T X is symmetric positive semidefinite
+    H = G.T @ overlap
+    assert np.abs(H - H.T).max() <= 1e-12
+    assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= -1e-12
+
+
+def test_factor_svd_calls_do_not_grow_with_the_grid(monkeypatch):
+    rng = np.random.default_rng(36)
+    F = sd.mf_matmul(_poly(rng, 5, 2), sd.mf_transpose(_poly(rng, 4, 2)))
+    core = np.diag([2.0, 1.0, -1.0, 0.0, 0.0])
+    E = _moved(_congruence(rng, 5), core)
+    calls = _counting_svd(monkeypatch)
+    counts = []
+    for K in (101, 401):
+        grid = sd.TimeGrid.uniform(0.0, 1.0, K)
+        for fn, G in ((sd.rank_split, F), (sd.sym_rank_split, E)):
+            calls.clear()
+            fn(G, grid)
+            counts.append(len(calls))
+    assert counts[:2] == counts[2:]

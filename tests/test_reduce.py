@@ -426,3 +426,22 @@ def test_constant_nondiagonal_e_matches_its_eigenbasis_reduction():
         red = sd.semidefinite_skew_reduce(p, fp, grid)
         states.append(sd.integrate_reduced(red, red.dynamic_from_full(0.0, xp), grid).states)
     assert np.abs(states[0] - states[1] @ V.T).max() <= 1e-12 * np.abs(states[0]).max()
+
+
+def test_index1_reduce_evaluates_e_once(monkeypatch):
+    # the kernel split reads the E samples the elimination has already taken
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 201)
+    pair0, _ = seeded_semidefinite_skew_pair(4, grid)
+    Q = random_poly_congruence(np.random.default_rng(4), 6, 2)
+    pair = sd.apply_congruence(pair0, Q)
+    calls = []
+    eval_on = pair.E.eval_on
+
+    def counted(g):
+        calls.append(g.n)
+        return eval_on(g)
+
+    monkeypatch.setattr(pair.E, "eval_on", counted)
+    red = sd.index1_reduce(pair, sd.zero(6, 1), grid)
+    assert red.dynamic_dim == 4
+    assert calls == [grid.n]
