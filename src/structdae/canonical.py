@@ -14,9 +14,11 @@ residuals are limited by roundoff (plus the kernel-frame continuation
 error) rather than by interpolation.
 
 The solution basis of a constant pair comes from the pencil's finite
-deflating subspace, found by a Wong sequence with every rank decided by a
-gap test, and an in-house matrix exponential; the whole construction runs on
-numpy alone.
+deflating subspace, found by a Wong sequence, and an in-house matrix
+exponential; the whole construction runs on numpy alone.  Every rank is
+decided by the gap test of `factor._numerical_rank` against the norms of the
+input pair, never against a block's own roundoff; a value within a factor 10
+of its threshold raises IllPosedRankError.
 
 Local canonical forms are verified only, never constructed.
 """
@@ -38,10 +40,14 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import _numerical_rank, smooth_inertia, smooth_kernel_frame
+from .factor import _rank, smooth_inertia, smooth_kernel_frame
 from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
+# structure residual every stage keeps, relative to the pair's scale
+STAGE_TOL = 1e-8
+# gap tolerance of every rank decision, against the norm of the whole pair
+RANK_TOL = 1e-8
 
 
 def _sla():
@@ -60,16 +66,14 @@ class ResidualRecord:
 
     entries: dict
     conditioning: dict = field(default_factory=dict)
-    tol: float = 1e-8
 
     @property
     def worst(self):
         return max(self.entries.values()) if self.entries else 0.0
 
-    def passes(self, tol=None, rank_floor=RANK_FLOOR):
-        tol = self.tol if tol is None else tol
+    def passes(self, tol=1e-8):
         ok = all(v <= tol for v in self.entries.values())
-        return ok and all(v >= rank_floor for v in self.conditioning.values())
+        return ok and all(v >= RANK_FLOOR for v in self.conditioning.values())
 
 
 @dataclass
@@ -160,35 +164,26 @@ def _expm(X):
     return R
 
 
-def _rank(s, rank_tol, scale):
-    """Numerical rank of one descending singular-value vector s."""
-    (r,), failure = _numerical_rank(s[None], rank_tol, scale)
-    if failure:
-        raise failure[1]
-    return int(r)
-
-
-def _finite_subspace(E, A, rank_tol):
+def _finite_subspace(E, A, e_scale, a_scale):
     """Orthonormal bases (V, Vc) of the finite deflating subspace of the
     regular pencil lambda*E - A and of its orthogonal complement.
 
     Wong sequence V_0 = R^n, V_{i+1} = A^{-1}(E V_i) (Berger, Ilchmann &
     Trenn, SIAM J. Matrix Anal. Appl. 33, 2012): one SVD spans E V_i, a second
     one gives the kernel of W^T A, W the complement of that span.  Ranks of
-    E V_i are decided against rank_tol * |E|_2 and ranks of W^T A against
-    rank_tol * |A|_2, with the gap test of `factor._numerical_rank`, so the
-    result does not change when E or A is scaled on its own (a change of time
-    unit); the sequence stops when the dimension stops falling.  E must be
-    injective on the limit, else the pencil is singular.
+    E V_i and W^T A are decided against RANK_TOL times e_scale and a_scale,
+    the norms of the E and A that (E, A) were cut from, so the result does
+    not change when E or A is scaled on its own (a change of time unit); the
+    sequence stops when the dimension stops falling.  E must be injective on
+    the limit, else the pencil is singular.
     """
     n = E.shape[0]
-    e_scale, a_scale = np.linalg.norm(E, 2), np.linalg.norm(A, 2)
     V, Vc = np.eye(n), np.zeros((n, 0))
     while True:
         u, s, _ = np.linalg.svd(E @ V)
-        r = _rank(s, rank_tol, e_scale)
+        r = _rank(s, RANK_TOL, e_scale)
         _, s2, vt2 = np.linalg.svd(u[:, r:].T @ A)
-        r2 = _rank(s2, rank_tol, a_scale)
+        r2 = _rank(s2, RANK_TOL, a_scale)
         if n - r2 >= V.shape[1]:
             break
         V, Vc = vt2[r2:].T, vt2[:r2].T
@@ -200,12 +195,12 @@ def _finite_subspace(E, A, rank_tol):
     return V, Vc
 
 
-def solution_basis_constant(pair, grid, rank_tol=1e-8):
+def solution_basis_constant(pair, grid):
     """Basis of the solution space of E xdot = A x for constant (E, A).
 
     Every solution lies in the finite deflating subspace V*, found by a Wong
-    sequence whose ranks are decided against rank_tol * |E|_2 and
-    rank_tol * |A|_2.  With E V* M = A V* (exact, since A V* lies in E V*),
+    sequence whose ranks are decided against RANK_TOL * |E|_2 and
+    RANK_TOL * |A|_2.  With E V* M = A V* (exact, since A V* lies in E V*),
     the basis is Phi(t) = V* expm((t - tc) M), anchored at the centre tc of
     the grid.
     """
@@ -217,7 +212,7 @@ def solution_basis_constant(pair, grid, rank_tol=1e-8):
     E, A = pair.E.value, pair.A.value
     n = pair.n
     scale = max(1.0, np.linalg.norm(E), np.linalg.norm(A))
-    V, Vc = _finite_subspace(E, A, rank_tol)
+    V, Vc = _finite_subspace(E, A, np.linalg.norm(E, 2), np.linalg.norm(A, 2))
     d = V.shape[1]
     if d == 0:
         phi = mf.SampledMatrixFunction(grid, np.zeros((grid.n, n, 0)), order=3,
@@ -283,8 +278,8 @@ def _layout_defects(Ev, Av, lead, z):
 
 
 class _Pipeline:
-    def __init__(self, pair, grid, kind, tol, stage_tol):
-        """Evaluate the pair once and check its input structure to tol."""
+    def __init__(self, pair, grid, kind):
+        """Evaluate the pair once and check its input structure."""
         pair.check_grid(grid)
         self.grid = grid
         self.kind = kind
@@ -293,14 +288,15 @@ class _Pipeline:
         self.Ev = pair.E.eval_on(grid)
         self.Ed = pair.E.derivative_on(grid)
         self.Av = pair.A.eval_on(grid)
-        self.scale = 1.0 + max(_maxnorm(self.Ev), _maxnorm(self.Av))
+        # the input pair's norms of E and A, which every rank is decided against
+        self.e_scale, self.a_scale = _maxnorm(self.Ev), _maxnorm(self.Av)
+        self.scale = 1.0 + max(self.e_scale, self.a_scale)
         res = max(map(_maxnorm, st._defects(kind, self.Ev, self.Ed, self.Av)))
-        if res > tol * self.scale:
+        if res > 1e-10 * self.scale:
             what = "self-adjoint" if kind == st.SELF_ADJOINT else "skew-adjoint"
             raise StructureError(f"pair is not {what} (residual {res:.3e})")
         self.Qv = np.broadcast_to(np.eye(self.n), (self.K, self.n, self.n)).copy()
         self.Qd = np.zeros((self.K, self.n, self.n))
-        self.stage_tol = stage_tol
         self.stage_residuals = []
 
     def apply(self, name, Qv, Qd=None):
@@ -310,7 +306,7 @@ class _Pipeline:
         self.Qv = self.Qv @ Qv
         res = max(map(_maxnorm, st._defects(self.kind, self.Ev, self.Ed, self.Av))) / self.scale
         self.stage_residuals.append((name, float(res)))
-        if res > self.stage_tol:
+        if res > STAGE_TOL:
             raise StageError(
                 f"structure lost after stage '{name}' (residual {res:.3e})", stage=name
             )
@@ -318,7 +314,7 @@ class _Pipeline:
     def require(self, name, defect):
         defect = float(defect) / self.scale
         self.stage_residuals.append((name, defect))
-        if defect > self.stage_tol:
+        if defect > STAGE_TOL:
             raise StageError(f"check '{name}' failed (defect {defect:.3e})", stage=name)
 
     def transform(self):
@@ -374,11 +370,11 @@ def _basis_congruence(pipe, basis):
     return E11[0].copy()
 
 
-def _skew_pairing_transform(E11c, scale, rel_tol=1e-8):
+def _skew_pairing_transform(E11c, scale):
     """Orthogonal U with U^T E11 U having a vanishing leading p x p block,
     p = d / 2 for the d x d constant E11.
 
-    For each eigenvalue sigma > rel_tol * scale of the Hermitian i*S, S the
+    For each eigenvalue sigma > RANK_TOL * scale of the Hermitian i*S, S the
     skew part of E11, the real and imaginary parts of its unit eigenvector,
     times sqrt(2), are an orthonormal pair (x, y) with S x = sigma y.  Each
     x goes to the leading half and each y to the trailing half; a real
@@ -388,33 +384,35 @@ def _skew_pairing_transform(E11c, scale, rel_tol=1e-8):
     if d == 0:
         return np.zeros((0, 0))
     S = 0.5 * (E11c - E11c.T)
-    tol = rel_tol * scale
     sig, vec = np.linalg.eigh(1j * S)
-    pairs = np.sqrt(2.0) * vec[:, sig > tol]
-    m = pairs.shape[1]
+    # the eigenvalues come in pairs +-sigma: rank the d // 2 largest
+    m = _rank(sig[::-1][: d // 2], RANK_TOL, scale)
+    pairs = np.sqrt(2.0) * vec[:, d - m:]
     zeros = np.linalg.svd(S)[2][2 * m:].T
     half = (d - 2 * m) // 2
     return np.hstack([pairs.real, zeros[:, :half], pairs.imag, zeros[:, half:]])
 
 
-def _check_algebraic_block_static(Ev33, Av33, scale, where, rank_tol=1e-8):
+def _check_algebraic_block_static(Ev33, Av33, e_scale, where, a_scale):
     """Uniquely solvable algebraic part must carry no finite dynamics.
 
     Checked via the finite deflating subspace of the pencil when the blocks
-    are constant in time (the only case where it is cheaply available); a
-    nonzero dimension, a singular pencil or an ill-posed rank there means
-    the supplied basis missed part of the solution space, and each raises
+    are constant in time (the only case where it is cheaply available).
+    e_scale and a_scale are the norms of the E and A the blocks were cut
+    from; each block's constancy and ranks are judged against its own.  A
+    nonzero dimension, a singular pencil or an ill-posed rank there means the
+    supplied basis missed part of the solution space, and each raises
     `BasisDeficiencyError`.
     """
     if Ev33.shape[1] == 0:
         return
     if (
-        _maxnorm(Ev33 - Ev33[0]) > 1e-8 * scale
-        or _maxnorm(Av33 - Av33[0]) > 1e-8 * scale
+        _maxnorm(Ev33 - Ev33[0]) > 1e-8 * e_scale
+        or _maxnorm(Av33 - Av33[0]) > 1e-8 * a_scale
     ):
         return
     try:
-        finite = _finite_subspace(Ev33[0], Av33[0], rank_tol)[0].shape[1]
+        finite = _finite_subspace(Ev33[0], Av33[0], e_scale, a_scale)[0].shape[1]
     except (RegularityError, IllPosedRankError) as exc:
         raise BasisDeficiencyError(
             f"algebraic part of the {where} canonical form is not uniquely "
@@ -428,13 +426,13 @@ def _check_algebraic_block_static(Ev33, Av33, scale, where, rank_tol=1e-8):
         )
 
 
-def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
+def global_canonical_self(pair, basis, grid):
     """Constructive congruence to the self-adjoint global canonical layout
 
         E = [[0, I_p, 0], [-I_p, 0, 0], [0, 0, E33]],
         A = [[0, 0, 0], [0, A22, A23], [0, A32, A33]].
     """
-    pipe = _Pipeline(pair, grid, st.SELF_ADJOINT, tol, stage_tol)
+    pipe = _Pipeline(pair, grid, st.SELF_ADJOINT)
     d, n = basis.d, pair.n
     if d % 2:
         raise ParityError(f"solution space dimension {d} is odd for a self-adjoint pair")
@@ -480,11 +478,11 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
         )
 
         # decouple: congruence by [[I, E22/2, E23], [0, I, 0], [0, 0, I]]
-        E22 = pipe.Ev[:, p:d, p:d]
-        pipe.require("E22 constant", _maxnorm(E22 - E22[0]))
+        # Q4 carries its own derivative, so the (2,2) block of E becomes
+        # X^T - X + E22 = 0 (X = E22/2) at every t, constant E22 or not
         Q4 = np.broadcast_to(np.eye(n), (pipe.K, n, n)).copy()
         Q4d = np.zeros((pipe.K, n, n))
-        Q4[:, :p, p:d] = 0.5 * E22
+        Q4[:, :p, p:d] = 0.5 * pipe.Ev[:, p:d, p:d]
         Q4[:, :p, d:] = pipe.Ev[:, p:d, d:]
         Q4d[:, :p, p:d] = 0.5 * pipe.Ed[:, p:d, p:d]
         Q4d[:, :p, d:] = pipe.Ed[:, p:d, d:]
@@ -493,9 +491,8 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
     lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._J(p), p)
     pipe.require("canonical leading E block", lead)
     pipe.require("canonical zero pattern", e_off + a_zero)
-    _check_algebraic_block_static(
-        pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.scale, "self-adjoint"
-    )
+    _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.e_scale,
+                                  "self-adjoint", pipe.a_scale)
 
     form = SelfAdjointGlobalForm(
         p=p,
@@ -513,12 +510,12 @@ def global_canonical_self(pair, basis, grid, tol=1e-10, stage_tol=1e-8):
     return form
 
 
-def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol=1e-8):
+def global_canonical_skew(pair, basis, grid):
     """Constructive congruence to the skew-adjoint global canonical layout
 
         E = diag(I_p, -I_q, E33),   A = diag(0, 0, A33).
     """
-    pipe = _Pipeline(pair, grid, st.SKEW_ADJOINT, tol, stage_tol)
+    pipe = _Pipeline(pair, grid, st.SKEW_ADJOINT)
     d, n = basis.d, pair.n
     a = n - d
     E11c = _basis_congruence(pipe, basis)
@@ -526,13 +523,12 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
     p = q = 0
     if d:
         E11c = 0.5 * (E11c + E11c.T)
-        lam = np.linalg.eigvalsh(E11c)
-        near_zero = np.abs(lam) <= rank_tol * pipe.scale
-        if np.any(near_zero):
+        rank = _rank(np.sort(np.abs(np.linalg.eigvalsh(E11c)))[::-1], RANK_TOL, pipe.scale)
+        if rank < d:
             # the dimension argument of the global form forces a nonsingular
             # E11; a kernel here means Phi missed part of the solution space
             raise BasisDeficiencyError(
-                f"E11 = Phi^T E Phi is singular ({int(near_zero.sum())} near-zero "
+                f"E11 = Phi^T E Phi is singular ({d - rank} near-zero "
                 "eigenvalues); the basis does not span the full solution space"
             )
         inertia = smooth_inertia(mf.constant(E11c), grid)
@@ -555,9 +551,8 @@ def global_canonical_skew(pair, basis, grid, tol=1e-10, stage_tol=1e-8, rank_tol
     lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._signature(p, q), d)
     pipe.require("canonical leading E block", lead)
     pipe.require("canonical zero pattern", e_off + a_zero)
-    _check_algebraic_block_static(
-        pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.scale, "skew-adjoint", rank_tol
-    )
+    _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.e_scale,
+                                  "skew-adjoint", pipe.a_scale)
 
     form = SkewAdjointGlobalForm(
         p=p,
@@ -587,7 +582,7 @@ def _pattern_entries(form, grid, lead, z):
     return {"E_pattern": lead_defect + e_off, "A_pattern": a_zero}
 
 
-def verify_self_global_form(form, grid, tol=1e-8):
+def verify_self_global_form(form, grid):
     """Residuals of the four block relations of the self-adjoint layout plus
     the zero-pattern defects of the assembled pair (reports, never raises)."""
     E33 = form.E33.eval_on(grid)
@@ -603,10 +598,10 @@ def verify_self_global_form(form, grid, tol=1e-8):
         "A33_self_adjoint": _maxnorm(a33),
     }
     entries.update(_pattern_entries(form, grid, st._J(form.p), form.p))
-    return ResidualRecord(entries, tol=tol)
+    return ResidualRecord(entries)
 
 
-def verify_skew_global_form(form, grid, tol=1e-8):
+def verify_skew_global_form(form, grid):
     """Residuals of the block relations of the skew-adjoint layout plus the
     zero-pattern defects (reports, never raises)."""
     E33 = form.E33.eval_on(grid)
@@ -617,7 +612,7 @@ def verify_skew_global_form(form, grid, tol=1e-8):
     entries.update(
         _pattern_entries(form, grid, st._signature(form.p, form.q), form.p + form.q)
     )
-    return ResidualRecord(entries, tol=tol)
+    return ResidualRecord(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +660,7 @@ def _block_slices(sizes):
     return out
 
 
-def verify_local_form(blocks, grid, tol=1e-8):
+def verify_local_form(blocks, grid):
     """Check the property display of the claimed local form (reports only)."""
     v = blocks.variant
     if v not in (SELF_ORTHOGONAL, SELF_REFINED, SKEW_ORTHOGONAL, SKEW_REFINED):
@@ -752,4 +747,4 @@ def verify_local_form(blocks, grid, tol=1e-8):
                         defect += _maxnorm(blk)
             entries["a14_pattern"] = defect
 
-    return ResidualRecord(entries, cond, tol=tol)
+    return ResidualRecord(entries, cond)

@@ -14,7 +14,8 @@ block relations; it only removes arbitrary per-point rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,17 @@ class RankSplit:
 
 @dataclass(frozen=True)
 class SymRankSplit:
-    """Q^T E Q = [[Sigma, 0], [0, 0]] with a single orthogonal Q."""
+    """Q^T E Q = [[Sigma, 0], [0, 0]] with a single orthogonal Q.  Sigma is
+    formed on first use, so a caller that reads only Q never builds it."""
 
     Q: mf.MatrixFunction
-    Sigma: mf.MatrixFunction
     r: int
     grid: mf.TimeGrid
+    _sigma: object = field(repr=False, compare=False)
+
+    @cached_property
+    def Sigma(self):
+        return self._sigma()
 
 
 @dataclass(frozen=True)
@@ -117,25 +123,38 @@ def _earliest(*failures):
     return min(found, key=lambda f: f[0]) if found else None
 
 
-def _numerical_rank(s, gap_tol, scale=None):
+def _numerical_rank(s, gap_tol, scale):
     """Counts of the descending singular values in each row of s (K, m) above
-    gap_tol * scale (scale defaults to the row's largest), and the failure
-    (k, IllPosedRankError) of the first row with a near-tie at its cut."""
+    gap_tol * scale, and the failure (k, IllPosedRankError) of the first row
+    with no clean gap at its cut.  scale is the norm of the matrix the block
+    was cut from (a scalar or one per row): a block that vanishes in exact
+    arithmetic then has rank 0, however its roundoff compares with itself.
+    A whole matrix passes its own largest singular values."""
     K, m = s.shape
     if m == 0:
         return np.zeros(K, dtype=int), None
-    thresh = np.broadcast_to(gap_tol * (s[:, 0] if scale is None else scale), (K,))
+    thresh = np.broadcast_to(gap_tol * scale, (K,))
     ranks = np.sum(s > thresh[:, None], axis=1)
+    # the values either side of the cut; past the ends, 0 above and the
+    # threshold itself below, so that at rank 0 (m) the largest (smallest)
+    # value must also clear the threshold by a factor 10
     rows = np.arange(K)
-    cut = np.minimum(np.maximum(ranks, 1), m - 1)
-    above, below = s[rows, cut - 1], s[rows, cut]
-    # require an actual gap around the threshold, not a near-tie
-    tie = ((0 < ranks) & (ranks < m) & (below > thresh / 10.0)
-           & (above < 10.0 * np.maximum(below, thresh / 10.0)))
+    above = np.where(ranks > 0, s[rows, np.maximum(ranks - 1, 0)], 0.0)
+    below = np.where(ranks < m, s[rows, np.minimum(ranks, m - 1)], thresh)
+    tie = (below > thresh / 10.0) & (above < 10.0 * below)
     return ranks, _first(tie, lambda k: IllPosedRankError(
         f"singular values {above[k]:.3e} and {below[k]:.3e} do not separate "
         f"cleanly at gap tolerance {gap_tol:.1e}"
     ))
+
+
+def _rank(s, gap_tol, scale):
+    """_numerical_rank of one descending singular-value vector s; an
+    ill-posed gap raises."""
+    (r,), failure = _numerical_rank(s[None], gap_tol, scale)
+    if failure:
+        raise failure[1]
+    return int(r)
 
 
 def _values(F, grid, samples=None):
@@ -189,7 +208,7 @@ def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
 
     def decompose(vals, ts):
         u, s, vt = np.linalg.svd(vals)
-        return [u, _bT(vt)], *_numerical_rank(s, gap_tol)
+        return [u, _bT(vt)], *_numerical_rank(s, gap_tol, s.max(axis=1, initial=0.0))
 
     def changed(r, rk, t_prev, t):
         return RankDropError(
@@ -217,16 +236,18 @@ def _kernel_defect(u, vt, ranks):
     return defect
 
 
-def _sym_split(E, grid, samples=None, gap_tol=DEFAULT_GAP_TOL, kernel_tol=1e-8):
-    """E's values (as _values), the aligned Q values and the rank r of
-    sym_rank_split; samples are E's grid samples when already evaluated."""
+def sym_rank_split(E, grid, samples=None):
+    """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T);
+    samples are E's grid samples when the caller has already evaluated them."""
+    if E.rows != E.cols:
+        raise StructureError("sym_rank_split needs a square matrix function")
 
     def decompose(vals, ts):
         u, s, vt = np.linalg.svd(vals)
-        ranks, ill = _numerical_rank(s, gap_tol)
+        ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
         defect = _kernel_defect(u, vt, ranks)
         del u
-        kernel = _first(defect > kernel_tol, lambda k: StructureError(
+        kernel = _first(defect > 1e-8, lambda k: StructureError(
             f"kernel condition ker(E^T) = ker(E) fails at t={ts[k]} "
             f"(projector distance {defect[k]:.3e})"
         ))
@@ -241,29 +262,21 @@ def _sym_split(E, grid, samples=None, gap_tol=DEFAULT_GAP_TOL, kernel_tol=1e-8):
 
     vals = _values(E, grid, samples)
     (Q,), r = _aligned(vals, grid.points, decompose, changed)
-    return vals, Q, r
+    return SymRankSplit(_family(grid, Q), r, grid,
+                        lambda: _family(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]))
 
 
-def sym_rank_split(E, grid, gap_tol=DEFAULT_GAP_TOL, kernel_tol=1e-8):
-    """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T)."""
-    if E.rows != E.cols:
-        raise StructureError("sym_rank_split needs a square matrix function")
-    vals, Q, r = _sym_split(E, grid, None, gap_tol, kernel_tol)
-    Sig = _bT(Q[..., :r]) @ vals @ Q[..., :r]
-    return SymRankSplit(_family(grid, Q), _family(grid, Sig), r, grid)
-
-
-def smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
+def smooth_inertia(D, grid):
     """Congruence W(t) with W^T D W = diag(I_p, -I_q), constant signature."""
     n = D.rows
 
     def decompose(Dv, ts):
         scale = np.maximum(1.0, np.linalg.norm(Dv, axis=(-2, -1)))
-        asym = _first(np.linalg.norm(Dv - _bT(Dv), axis=(-2, -1)) > sym_tol * scale,
+        asym = _first(np.linalg.norm(Dv - _bT(Dv), axis=(-2, -1)) > 1e-12 * scale,
                       lambda k: StructureError(f"matrix is not symmetric at t={ts[k]}"))
         lam, vec = np.linalg.eigh(0.5 * (Dv + _bT(Dv)))
         mag = np.abs(lam)
-        flat = _first(mag.min(axis=1) <= near_zero_rel * mag.max(axis=1),
+        flat = _first(mag.min(axis=1) <= 1e-12 * mag.max(axis=1),
                       lambda k: ConditioningError(
                           f"eigenvalue too close to zero at t={ts[k]}; inertia is ill-posed"))
         p = np.sum(lam > 0, axis=1)
@@ -289,7 +302,7 @@ def smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
     return InertiaSplit(_family(grid, W), p, n - p, grid)
 
 
-def row_rank_normalize(B, grid, gap_tol=DEFAULT_GAP_TOL):
+def row_rank_normalize(B, grid):
     """Orthogonal U with U^T B = [B1; 0], B1 square nonsingular."""
     m, n = B.shape
     if m < n:
@@ -297,7 +310,7 @@ def row_rank_normalize(B, grid, gap_tol=DEFAULT_GAP_TOL):
 
     def decompose(vals, ts):
         u, s, _ = np.linalg.svd(vals)
-        ranks, ill = _numerical_rank(s, gap_tol)
+        ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
         short = _first(ranks < n, lambda k: RankDropError(
             f"column-rank deficiency at t={ts[k]} (rank {ranks[k]} < {n})",
             t_first=float(ts[k]),

@@ -139,7 +139,7 @@ class DissipationReport:
     checked: bool  # False when the supplied input is not identically zero
 
 
-def dissipation_monitor(model, traj, u=None, tol_scale=1e-8):
+def dissipation_monitor(model, traj, u=None):
     """Check the discrete dissipation inequality H_{k+1} <= H_k (+ roundoff).
 
     Meaningful for zero input; with a nonzero u the report still carries the
@@ -150,7 +150,7 @@ def dissipation_monitor(model, traj, u=None, tol_scale=1e-8):
     if u is not None:
         umax = float(np.abs(u.eval_on(traj.grid)).max())
         checked = umax <= 1e-14 * (1.0 + umax)
-    excess = np.diff(H) - tol_scale * (1.0 + np.abs(H[:-1]))
+    excess = np.diff(H) - 1e-8 * (1.0 + np.abs(H[:-1]))
     viol = float(excess.max(initial=0.0))
     return DissipationReport(H, viol, viol <= 0.0, checked)
 

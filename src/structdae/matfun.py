@@ -82,16 +82,15 @@ class TimeGrid:
         mids = 0.5 * (self.points[:-1] + self.points[1:])
         return TimeGrid(np.sort(np.concatenate([self.points, mids])))
 
-    def contains(self, t, slack=None):
-        """Whether t lies in [t0, tf] up to the slack; elementwise for arrays."""
-        if slack is None:
-            slack = 1e-12 * max(1.0, abs(self.t0), abs(self.tf))
+    def contains(self, t):
+        """Whether t lies in [t0, tf] up to a slack of 1e-12 times the larger
+        of 1 and the bounds' magnitudes; elementwise for arrays."""
+        slack = 1e-12 * max(1.0, abs(self.t0), abs(self.tf))
         return (self.t0 - slack <= t) & (t <= self.tf + slack)
 
-    def within(self, other, slack=None):
-        if slack is None:
-            slack = 1e-12 * max(1.0, abs(other.t0), abs(other.tf))
-        return other.t0 - slack <= self.t0 and self.tf <= other.tf + slack
+    def within(self, other):
+        """Whether [t0, tf] lies in other's interval, up to other's slack."""
+        return bool(other.contains(self.t0) and other.contains(self.tf))
 
     def __eq__(self, other):
         return (

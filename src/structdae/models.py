@@ -29,10 +29,10 @@ def _as_mf(x):
     return x if isinstance(x, mf.MatrixFunction) else mf.constant(np.asarray(x, dtype=float))
 
 
-def _check_sym(name, F, interval, tol=1e-10):
+def _check_sym(name, F, interval):
     for t in (interval.t0, 0.5 * (interval.t0 + interval.tf), interval.tf):
         v = F.eval(t)
-        if np.linalg.norm(v - v.T) > tol * (1.0 + np.linalg.norm(v)):
+        if np.linalg.norm(v - v.T) > 1e-10 * (1.0 + np.linalg.norm(v)):
             raise ParameterError(f"{name} must be symmetric")
 
 
@@ -88,7 +88,7 @@ class PHDAEModel:
         S = self.S.eval(t)
         return np.block([[R, P], [P.T, S]])
 
-    def validate(self, grid, tol=1e-10):
+    def validate(self, grid):
         """Residuals of the defining structural properties on the grid."""
         R, P, S, N = (F.eval_on(grid) for F in (self.R, self.P, self.S, self.N))
         W = np.block([[R, P], [st._bT(P), S]])

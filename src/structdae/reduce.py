@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import _family, _sym_split
+from .factor import _rank, sym_rank_split
 from .structure import _bT, _maxnorm
 
 COND_LIMIT = 1e12
@@ -111,16 +111,13 @@ class ReducedSystem:
         """Dynamic coordinates of a full state at time t.
 
         Uses the pipeline's projector; inconsistent components of x_full
-        (those determined by the algebraic relations) are ignored.
+        (those determined by the algebraic relations) are ignored.  Without
+        a projector the full state is the dynamic state.
         """
         x_full = np.asarray(x_full, dtype=float).reshape(-1)
-        if self.projector is not None:
-            return self.projector.eval(t) @ x_full
-        if self.rx is None:
+        if self.projector is None:
             return x_full
-        shift = self.reconstruct(t, np.zeros(self.dynamic_dim))
-        x2, *_ = np.linalg.lstsq(self.rx.eval(t), x_full - shift, rcond=None)
-        return x2
+        return self.projector.eval(t) @ x_full
 
     def certificate_defect(self, grid):
         """max_t || M^T B + B M ||_F for the certificate's quadratic form."""
@@ -173,15 +170,7 @@ def _spd_sqrt_with_derivative(Sv, Sd):
     return F, Finv, Fd
 
 
-def _kernel_split(E, Ev, grid):
-    """Grid Q, Qdot and rank of sym_rank_split from E's grid values Ev,
-    dropping the split's spline caches."""
-    _, Q, r = _sym_split(E, grid, Ev)
-    Q = _family(grid, Q)
-    return Q.eval_on(grid), Q.derivative_on(grid), r
-
-
-def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
+def _eliminate(pair, f, grid, gap_tol, strict=False):
     """Kernel elimination of E xdot = A x + f with E >= 0 of constant rank.
 
     Splits off the kernel of E, solves the nonsingular part of the kernel
@@ -190,6 +179,11 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     structure is assumed.  The certificate is orthogonal when the pair passes
     the skew-adjoint residual test and the scaled core M is pointwise skew,
     None otherwise; strict raises StructureError instead of returning None.
+    The kernel block and the constraint rows are both cut from A1(t0), the
+    transformed A, so their ranks are decided against its norm (gap_tol for
+    the block, 1e-10 for the rows), never against E's: with a constant
+    split, scaling E alone (a change of time unit) or the whole pair moves
+    neither decision.
     """
     pair.check_grid(grid)
     if f.rows != pair.n or f.cols != 1:
@@ -202,13 +196,15 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     scale = 1.0 + max(_maxnorm(Ev), _maxnorm(Av))
 
     res = max(map(_maxnorm, st._defects(st.SKEW_ADJOINT, Ev, Ed, Av)))
-    if strict and res > tol * scale:
+    if strict and res > 1e-10 * scale:
         raise StructureError(f"pair is not skew-adjoint (residual {res:.3e})")
     eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
     if eigmin < -1e-12 * scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
-    Qv, Qd, r = _kernel_split(pair.E, Ev, grid)
+    split = sym_rank_split(pair.E, grid, Ev)
+    Qv, Qd, r = split.Q.eval_on(grid), split.Q.derivative_on(grid), split.r
+    del split  # with its spline caches, before the congruence below
     # a constant split (exactly zero Qdot) lets A's derivative pass through
     q_constant = _maxnorm(Qd) == 0.0
     E1, E1d, A1 = st._congruence_arrays(Ev, Ed, Av, Qv, None if q_constant else Qd)
@@ -217,9 +213,10 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
 
     # split the kernel block into its nonsingular part and the constraint rows
     a = n - r
+    a_scale = np.linalg.norm(A1[0])
     if a:
         _, s0, vt0 = np.linalg.svd(A1[0, r:, r:])
-        k_rank = int(np.sum(s0 > gap_tol * max(s0[0], 1e-300)))
+        k_rank = _rank(s0, gap_tol, a_scale)
     else:
         k_rank = 0
     tau = a - k_rank  # number of chain/constraint variables
@@ -236,7 +233,7 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
         C0 = Theta[:, k_rank:].T @ A1[0, r:, :r]
         # the tau constraint rows need full row rank
         _, sc, vtc = np.linalg.svd(C0)
-        if r < tau or st._rel_smin(C0, sc) <= 1e-10:
+        if r < tau or _rank(sc, 1e-10, a_scale) < tau:
             raise RegularityError(
                 "constraint rows are rank deficient; the pair is not regular"
             )
@@ -252,6 +249,7 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     del Qv
     ih = slice(dxi, r)
     i4 = slice(r + k_rank, n)
+    a2_scale = _maxnorm(A2)  # of the matrix the blocks below are cut from
 
     # the split pattern must hold on the whole grid: the constraint rows read
     # only eta, and the chain variables w4 enter only the eta-rows
@@ -260,7 +258,7 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
         + _maxnorm(A2[:, i3, i4]) + _maxnorm(A2[:, i4, i3])
         + _maxnorm(A2[:, i4, i4])
     )
-    if pattern > 1e-8 * scale:
+    if pattern > 1e-8 * a2_scale:
         raise UnsupportedError(
             "the kernel/constraint block pattern of A does not hold along the "
             f"interval; pattern defect {pattern:.3e}"
@@ -268,7 +266,7 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     # the chain solve below reads the eta-rows' chain block as -C2^T
     C2 = A2[:, i4, ih]
     chain = _maxnorm(A2[:, ih, i4] + _bT(C2))
-    if chain > 1e-8 * scale:
+    if chain > 1e-8 * a2_scale:
         raise UnsupportedError(
             "dissipation on the constraint/chain block (A[eta, chain] + C2^T = "
             f"{chain:.3e}) is not supported"
@@ -301,7 +299,10 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     F, Finv, Fd = _spd_sqrt_with_derivative(Sb, E2d[:, ix, ix])
     Mv = Finv @ Ceff @ Finv + Fd @ Finv
     cert_defect = _maxnorm(Mv + _bT(Mv))
-    earned = res <= tol * scale and cert_defect <= 1e-8 * scale
+    # M's skewness is judged against the scale M is built from, A seen
+    # through F^{-1} on both sides, so it too is free of the time unit
+    m_scale = _maxnorm(Finv) ** 2 * a2_scale + _maxnorm(Fd @ Finv)
+    earned = res <= 1e-10 * scale and cert_defect <= 1e-8 * m_scale
     if strict and not earned:
         raise StructureError(
             f"scaled dynamic block is not skew (defect {cert_defect:.3e})"
@@ -360,7 +361,7 @@ def _eliminate(pair, f, grid, tol=1e-10, gap_tol=1e-8, strict=False):
     )
 
 
-def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
+def semidefinite_skew_reduce(pair, f, grid):
     """Reduce a regular skew-adjoint pair with E >= 0 to its orthogonal core.
 
     Handles index 1 (nonsingular skew algebraic block) and index 2 (constraint
@@ -369,7 +370,7 @@ def semidefinite_skew_reduce(pair, f, grid, tol=1e-10, gap_tol=1e-8):
     of the inhomogeneity.  Raises StructureError unless the pair passes the
     skew-adjoint residual test and the scaled core is pointwise skew.
     """
-    return _eliminate(pair, f, grid, tol, gap_tol, strict=True)
+    return _eliminate(pair, f, grid, 1e-8, strict=True)
 
 
 def index1_reduce(pair, f, grid):
@@ -381,8 +382,9 @@ def index1_reduce(pair, f, grid):
     dissipation.  The certificate is orthogonal when the data earn it
     (skew-adjoint pair, pointwise skew scaled core) and None otherwise.
     """
-    # every kernel block the regularity guard accepts is eliminated at index 1
-    return _eliminate(pair, f, grid, gap_tol=1.0 / COND_LIMIT)
+    # the kernel block's rank is cut at the regularity guard's limit, relative
+    # to A: only a block that vanishes against A goes to index 2
+    return _eliminate(pair, f, grid, 1.0 / COND_LIMIT)
 
 
 def stokes_reduce(M, B, Jfun, f, grid):
@@ -468,7 +470,7 @@ def stokes_reduce(M, B, Jfun, f, grid):
     )
 
 
-def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
+def self_adjoint_dynamic_extract(form, grid):
     """M = J^{-1} C from a self-adjoint global form (C = diag(0, A22)) or a
     refined local layout carrying (J, C) directly; certifies Hamiltonian
     structure M^T J + J M = 0."""
@@ -488,7 +490,7 @@ def self_adjoint_dynamic_extract(form, grid, tol=1e-8):
         )
     scale = 1.0 + _maxnorm(Cv)
     sym_defect = _maxnorm(Cv - _bT(Cv))
-    if sym_defect > tol * scale:
+    if sym_defect > 1e-8 * scale:
         raise StructureError(f"C block is not symmetric (defect {sym_defect:.3e})")
     cert = FlowCertificate.symplectic(p)
     Mv = -cert.B @ Cv  # J^{-1} = -J

@@ -174,15 +174,13 @@ def _classified(pair, grid, tol):
     return StructureTag(value, tol), rep_self, rep_skew
 
 
-def _rel_smin(F, s=None):
+def _rel_smin(F):
     """Smallest over largest singular value of each matrix of F (..., m, n):
-    1.0 for empty blocks, 0.0 for zero matrices.  s gives F's singular
-    values when they are already computed."""
+    1.0 for empty blocks, 0.0 for zero matrices."""
     F = np.asarray(F)
     if 0 in F.shape[-2:]:
         return np.ones(F.shape[:-2])
-    if s is None:
-        s = np.linalg.svd(F, compute_uv=False)
+    s = np.linalg.svd(F, compute_uv=False)
     return s[..., -1] / np.maximum(s[..., 0], 1e-300)
 
 
@@ -200,10 +198,10 @@ def _require_nonsingular(F, ts, rel_tol, error, what, **fields):
         )
 
 
-def check_nonsingular(F, grid, rel_tol=1e-12, what="Q"):
+def check_nonsingular(F, grid, what="Q"):
     """Raise SingularityError (naming the time) if F(t) is singular on the grid."""
     _require_nonsingular(
-        F.eval_on(grid), grid.points, rel_tol, SingularityError, f"{what} is numerically singular"
+        F.eval_on(grid), grid.points, 1e-12, SingularityError, f"{what} is numerically singular"
     )
 
 
@@ -261,7 +259,7 @@ def invert(transform, grid):
     )
 
 
-def remark1_convert(pair, check_tol=1e-10):
+def remark1_convert(pair):
     """Constant nonsingular self-adjoint (E, A) -> skew-adjoint (A^-1, E^-1)."""
     if not (
         isinstance(pair.E, mf.ConstantMatrixFunction)
@@ -271,7 +269,7 @@ def remark1_convert(pair, check_tol=1e-10):
     E, A = pair.E.value, pair.A.value
     rep = self_adjoint_residual(pair, pair.interval)
     scale = 1.0 + max(np.linalg.norm(E), np.linalg.norm(A))
-    if rep.max_residual > check_tol * scale:
+    if rep.max_residual > 1e-10 * scale:
         raise StructureError(
             f"input pair is not self-adjoint (residual {rep.max_residual:.3e})"
         )

@@ -14,13 +14,14 @@ from structdae.canonical import (
 )
 from structdae.errors import (
     BasisDeficiencyError,
+    IllPosedRankError,
     ParityError,
     RegularityError,
     StageError,
     UnsupportedError,
 )
 
-from oracles import multibody_solution_dims
+from oracles import multibody_solution_dims, seeded_semidefinite_skew_pair
 
 GRID = sd.TimeGrid.uniform(0.0, 1.0, 201)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -555,3 +556,74 @@ def test_verify_local_chain_patterns():
     assert rec.entries["e14_pattern"] == pytest.approx(1.0)
     assert rec.entries["a14_pattern"] == 0.0
     assert rec.conditioning["gamma1"] == 1.0 and rec.conditioning["gamma2"] == 1.0
+
+
+def _coupled_multibody_self(seed, K):
+    rng = np.random.default_rng(seed)
+    M, W = (X @ X.T / 6 + 0.5 * np.eye(6) for X in rng.standard_normal((2, 6, 6)))
+    grid = sd.TimeGrid.uniform(0.0, 1.0, K)
+    return sd.build_multibody(M, W, np.eye(6)[:3], interval=grid).self_pair, grid
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coupled_multibody_self_form(seed):
+    # non-diagonal SPD M and W make E22 vary in time after the row
+    # normalization; the decoupling stage carries its own derivative, so the
+    # form is still exact at roundoff
+    pair, grid = _coupled_multibody_self(seed, 41)
+    form = sd.global_canonical_self(pair, sd.solution_basis_constant(pair, grid), grid)
+    assert form.p == 3
+    rec = sd.verify_self_global_form(form, grid)
+    assert rec.passes() and rec.worst <= 1e-13
+    assert sd.self_adjoint_dynamic_extract(form, grid).certificate_defect(grid) <= 1e-14
+
+
+def test_coupled_multibody_self_form_derivative_is_consistent():
+    # Q and Qdot of the form agree to the central difference's O(h^2)
+    mismatch = []
+    for K in (41, 161, 641):
+        pair, grid = _coupled_multibody_self(0, K)
+        form = sd.global_canonical_self(pair, sd.solution_basis_constant(pair, grid), grid)
+        Qv, Qd = form.Q.Q.eval_on(grid), form.Q.Qdot.eval_on(grid)
+        h = grid.points[1] - grid.points[0]
+        mismatch.append(np.abs((Qv[2:] - Qv[:-2]) / (2 * h) - Qd[1:-1]).max())
+    orders = np.log(np.array(mismatch[:-1]) / mismatch[1:]) / np.log(4.0)
+    assert np.all(orders >= 1.8), mismatch
+
+
+def test_skew_form_of_generic_index1_pairs():
+    # E33 = E / E11 vanishes in exact arithmetic; decided against the pair's
+    # norms, its roundoff carries no rank and no finite dynamics
+    for seed in range(40):
+        pair, _ = seeded_semidefinite_skew_pair(seed, GRID)
+        form = sd.global_canonical_skew(pair, sd.solution_basis_constant(pair, GRID), GRID)
+        assert (form.p, form.q) == (4, 0), seed
+        assert sd.verify_skew_global_form(form, GRID).passes(), seed
+
+
+@pytest.mark.parametrize("sign, pq", [(1.0, (4, 0)), (-1.0, (2, 2))])
+def test_skew_form_of_definite_and_indefinite_pairs(sign, pq):
+    E = np.diag([1.0, 2.0, sign, 0.5 * sign, 0.0, 0.0])
+    S0 = np.random.default_rng(3).standard_normal((6, 6))
+    A = 0.5 * (S0 - S0.T)
+    A[4:, 4:] = [[0.0, 0.8], [-0.8, 0.0]]
+    pair = sd.MatrixPair(sd.constant(E), sd.constant(A), GRID)
+    form = sd.global_canonical_skew(pair, sd.solution_basis_constant(pair, GRID), GRID)
+    assert (form.p, form.q) == pq
+    assert sd.verify_skew_global_form(form, GRID).passes()
+
+
+@pytest.mark.parametrize("delta, ill", [(5e-8, True), (1e-6, False)])
+def test_e11_rank_near_the_threshold_is_ill_posed(delta, ill):
+    # E11 = Phi^T E Phi with an eigenvalue (skew: a pair +-i delta) within a
+    # factor 10 of RANK_TOL times the pair's scale is neither singular nor
+    # clearly nonsingular: both forms raise rather than guess
+    basis = sd.SolutionBasis(sd.identity(2), sd.zero(2, 2), 2)
+    skew = sd.MatrixPair(sd.constant(np.diag([1.0, delta])), sd.zero(2, 2), GRID)
+    selfp = sd.MatrixPair(sd.constant(delta * J2), sd.zero(2, 2), GRID)
+    for build, pair in ((sd.global_canonical_skew, skew), (sd.global_canonical_self, selfp)):
+        if ill:
+            with pytest.raises(IllPosedRankError):
+                build(pair, basis, GRID)
+        else:
+            build(pair, basis, GRID)

@@ -348,3 +348,35 @@ def test_canonical_cli_overflowing_basis_exits_1(tmp_path, capsys):
         assert run(["canonical", "--model", str(model), "--structure", "self"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("structural failure: Phi overflows")
+
+
+def test_simulate_circuit_in_non_diagonal_coordinates(tmp_path):
+    # the demo circuit written in coordinates x = Q y must simulate to the
+    # same closed form: I = 1, V1 = -sin t, V2 = 0, IG = cos t, IR = 1
+    from structdae.cli import phdae_from_json, phdae_to_json
+    import structdae as sd
+
+    model = tmp_path / "m.json"
+    run(["demo", "circuit", "--L", "1", "--C1", "1", "--C2", "1", "--out", str(model)])
+    m = phdae_from_json(json.loads(model.read_text()))
+    Q = np.eye(5) + 0.3 * np.random.default_rng(7).standard_normal((5, 5))
+    t0 = m.interval.t0
+
+    def congruent(F):
+        return sd.constant(Q.T @ F.eval(t0) @ Q)
+
+    moved = sd.PHDAEModel(
+        E=congruent(m.E), J=congruent(m.J), R=congruent(m.R), K=m.K,
+        G=sd.constant(Q.T @ m.G.eval(t0)), P=sd.constant(Q.T @ m.P.eval(t0)),
+        S=m.S, N=m.N, interval=m.interval, labels=m.labels, meta=m.meta,
+    )
+    model.write_text(json.dumps(phdae_to_json(moved)))
+    y0 = np.linalg.solve(Q, [1.0, 0.0, 0.0, 1.0, 1.0])
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", "--model", str(model), "--x0", ",".join(str(float(v)) for v in y0),
+                "--input", "sin", "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    t, y, H = data[:, 0], data[:, 1:6], data[:, 6]
+    exact = np.stack([np.ones_like(t), -np.sin(t), 0 * t, np.cos(t), np.ones_like(t)], axis=1)
+    assert np.abs(y @ Q.T - exact).max() <= 1e-5
+    assert np.abs(H - 0.5 * (1.0 + np.sin(t) ** 2)).max() <= 1e-5

@@ -4,6 +4,7 @@ import pytest
 import structdae as sd
 from structdae.errors import (
     ConstructionError,
+    IllPosedRankError,
     RegularityError,
     StructureError,
     UnsupportedError,
@@ -445,3 +446,59 @@ def test_index1_reduce_evaluates_e_once(monkeypatch):
     red = sd.index1_reduce(pair, sd.zero(6, 1), grid)
     assert red.dynamic_dim == 4
     assert calls == [grid.n]
+
+
+def test_index2_pairs_in_non_diagonal_coordinates():
+    # a constant non-diagonal congruence leaves the index-2 kernel block zero
+    # only up to roundoff; decided against the pair's scale it is still zero,
+    # so both entry points take the chain path and earn the certificate
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 201)
+    for seed in range(40):
+        pair0, _ = seeded_semidefinite_skew_pair(seed, grid, index2=True)
+        Q = np.eye(5) + 0.3 * np.random.default_rng(100 + seed).standard_normal((5, 5))
+        pair = sd.apply_congruence(pair0, sd.CongruenceTransform(sd.constant(Q), sd.zero(5, 5)))
+        for reduce in (sd.index1_reduce, sd.semidefinite_skew_reduce):
+            red = reduce(pair, sd.zero(5, 1), grid)
+            assert red.dynamic_dim == 1, (seed, reduce.__name__)
+            assert red.certificate.kind == "orthogonal"
+            assert red.certificate_defect(grid) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_kernel_block_rank_ignores_the_scale_of_the_pair(c):
+    # the kernel block and the constraint rows are cut from A: scaling E on
+    # its own (a change of time unit) or the whole pair moves no rank decision
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    for index2, dim in ((False, 4), (True, 1)):
+        for seed in range(4):
+            pair0, _ = seeded_semidefinite_skew_pair(seed, grid, index2=index2)
+            n = pair0.n
+            Q = np.eye(n) + 0.3 * np.random.default_rng(100 + seed).standard_normal((n, n))
+            E, A = Q.T @ pair0.E.value @ Q, Q.T @ pair0.A.value @ Q
+            for Es, As in ((c * E, A), (c * E, c * A)):
+                pair = sd.MatrixPair(sd.constant(Es), sd.constant(As), grid)
+                for reduce in (sd.index1_reduce, sd.semidefinite_skew_reduce):
+                    red = reduce(pair, sd.zero(n, 1), grid)
+                    assert red.dynamic_dim == dim, (index2, seed, reduce.__name__)
+    # the chain-block test is judged against A too: dissipation there is
+    # refused whatever the units
+    pair0, _ = seeded_semidefinite_skew_pair(0, grid, index2=True)
+    A = pair0.A.value.copy()
+    A[2, 4] -= 0.3
+    pair = sd.MatrixPair(sd.constant(c * pair0.E.value), sd.constant(c * A), grid)
+    with pytest.raises(UnsupportedError, match="constraint/chain block"):
+        sd.index1_reduce(pair, sd.zero(5, 1), grid)
+
+
+@pytest.mark.parametrize("reduce, gap_tol", [
+    (sd.index1_reduce, 1e-12), (sd.semidefinite_skew_reduce, 1e-8),
+])
+def test_kernel_block_near_the_threshold_is_ill_posed(reduce, gap_tol):
+    # a kernel block at half the threshold is neither zero nor nonsingular
+    pair0, _ = seeded_semidefinite_skew_pair(0, GRID)
+    A = pair0.A.value.copy()
+    eps = 0.5 * gap_tol * np.linalg.norm(A)
+    A[4:, 4:] = [[0.0, eps], [-eps, 0.0]]
+    pair = sd.MatrixPair(pair0.E, sd.constant(A), GRID)
+    with pytest.raises(IllPosedRankError):
+        reduce(pair, sd.zero(6, 1), GRID)
