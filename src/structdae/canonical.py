@@ -9,9 +9,9 @@ solution space, the construction runs the staged congruence pipeline
                  -> [algebraic decoupling]
 
 re-verifying the structural invariants after every stage.  All stages work
-on grid samples carrying exact derivative values, so the verification
-residuals are limited by roundoff (plus the kernel-frame continuation
-error) rather than by interpolation.
+on grid samples carrying exact derivative values (the kernel frame's
+included), so the verification residuals are limited by roundoff rather
+than by interpolation.
 
 The solution basis of a constant pair comes from the pencil's finite
 deflating subspace, found by a Wong sequence, and an in-house matrix
@@ -48,15 +48,6 @@ RANK_FLOOR = 1e-10
 STAGE_TOL = 1e-8
 # gap tolerance of every rank decision, against the norm of the whole pair
 RANK_TOL = 1e-8
-
-
-def _sla():
-    """scipy.linalg, imported on first use by the QZ oracle
-    `brute_force_dimension` only: the import costs a fresh process about
-    0.2 s, and the library itself never needs it."""
-    import scipy.linalg
-
-    return scipy.linalg
 
 
 @dataclass
@@ -246,20 +237,6 @@ def solution_basis_constant(pair, grid):
     Phi = mf.SampledMatrixFunction(grid, phiv, order=3, deriv_values=phid)
     Phidot = mf.SampledMatrixFunction(grid, phid, order=3, deriv_values=phidd)
     return SolutionBasis(Phi, Phidot, d, complement=mf.constant(Vc))
-
-
-def brute_force_dimension(pair):
-    """Independent count of finite pencil eigenvalues on the unsorted complex
-    QZ form: |beta| above 1e-10 * (1 + max |alpha|).  A test oracle; the
-    library never calls it."""
-    if not (
-        isinstance(pair.E, mf.ConstantMatrixFunction)
-        and isinstance(pair.A, mf.ConstantMatrixFunction)
-    ):
-        raise UnsupportedError("dimension oracle needs a constant pair")
-    AA, BB, *_ = _sla().qz(pair.A.value, pair.E.value, output="complex")
-    alpha, beta = np.diag(AA), np.diag(BB)
-    return int(np.sum(np.abs(beta) > 1e-10 * (1.0 + np.abs(alpha).max(initial=0.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     ParameterError,
     StructDaeError,
+    StructureError,
     UnsupportedError,
 )
 
@@ -294,6 +295,10 @@ def cmd_reduce(args):
         if obj["type"] != "stokes":
             raise ConstructionError("--pipeline stokes needs a stokes model file")
         model = stokes_from_json(obj)
+        if model.damped:
+            raise StructureError(
+                "the damped saddle point (A_H, C) is not skew-adjoint; "
+                "--pipeline stokes reduces lossless models only")
         grid = _grid(args, model.interval)
         Jfun = mf.constant(model.A_S)
         f = mf.zero(model.nv, 1)

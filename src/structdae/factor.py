@@ -85,13 +85,6 @@ def _polar(X):
     return u @ vt
 
 
-def procrustes_align(block, ref):
-    """Orthogonal G minimizing ||block @ G - ref||_F; returns block @ G."""
-    if block.shape[1] == 0:
-        return block
-    return block @ _polar(block.T @ ref)
-
-
 def _chain(B):
     """Blocks B_k G_k of the stack B (K, m, w) with G_0 = I and
     G_k = polar(B_k^T B_{k-1}) G_{k-1}: each block Procrustes-aligned to its
@@ -328,67 +321,24 @@ def max_jump(values):
     return _maxnorm(np.diff(values, axis=0))
 
 
-# ---------------------------------------------------------------------------
-# smooth kernel frame with consistent derivative samples
-# ---------------------------------------------------------------------------
-
 def smooth_kernel_frame(B, grid):
     """Orthonormal N(t) spanning ker B(t) with derivative samples.
 
-    B must have full row rank pointwise; N is propagated along the grid by
-    the minimal-rotation law  Ndot = -B^+ Bdot N  (classic RK4 with an exact
-    re-projection onto the kernel after every step), which keeps the frame
-    orthonormal and gives derivative samples consistent with the values to
-    the integrator's accuracy.
+    B must have full row rank at the nodes and the midpoints of the grid.
+    The kernel bases of one stacked SVD are glued by the polar chain, so each
+    N_k is Procrustes-aligned to N_{k-1}; the derivative samples follow the
+    minimal-rotation law  Ndot = -B^T (B B^T)^{-1} Bdot N  at the nodes.
 
     Returns (N_values, Ndot_values) of shape (len(grid), n, n - p).
     """
-    p, n = B.rows, B.cols
-    a = n - p
-    K = grid.n
-
-    def project(P, Bv, N):
-        if p:
-            N = N - P @ (Bv @ N)
-        qn, rn = np.linalg.qr(N)
-        return qn * np.sign(np.diag(rn))
-
-    Ns = np.empty((K, n, a))
-    Nds = np.empty((K, n, a))
-    if a == 0:
-        return Ns, Nds
-
-    # B, Bdot and the pseudo-inverse B^+ = B^T (B B^T)^-1 at every stage
-    # point: the nodes t, then t + h/2 and t + h of each step
+    p = B.rows
     ts = grid.points
-    h = ts[1:] - ts[:-1]
-    stage_ts = np.concatenate([ts, ts[:-1] + 0.5 * h, ts[:-1] + h])
-    Bs = B._eval_at(stage_ts)
+    guard_ts = np.concatenate([ts, ts[:-1] + 0.5 * np.diff(ts)])
+    Bs = B._eval_at(guard_ts)
     BBt = Bs @ _bT(Bs)
-    st._require_nonsingular(BBt, stage_ts, 1e-14, ConditioningError,
-                            "row-rank-deficient matrix in kernel continuation")
-    Ps = _bT(Bs) @ np.linalg.solve(BBt, np.eye(p))
-    Bn, Bh, Bf = np.split(Bs, [K, 2 * K - 1])
-    Pn, Ph, Pf = np.split(Ps, [K, 2 * K - 1])
-    Bdn, Bdh, Bdf = np.split(B._derivative_at(stage_ts), [K, 2 * K - 1])
-
-    _, _, vt = np.linalg.svd(Bn[0]) if p else (None, None, np.eye(n))
-    N = vt.T[:, p:] if p else np.eye(n)
-
-    def rhs(P, Bd, N):
-        # P is the pseudo-inverse of B at the stage point of Bd
-        return -P @ (Bd @ N) if p else np.zeros_like(N)
-
-    for k in range(K):
-        N = project(Pn[k], Bn[k], N)
-        if k > 0:
-            N = procrustes_align(N, Ns[k - 1])
-        Ns[k] = N
-        k1 = rhs(Pn[k], Bdn[k], N)
-        Nds[k] = k1
-        if k + 1 < K:
-            k2 = rhs(Ph[k], Bdh[k], N + 0.5 * h[k] * k1)
-            k3 = rhs(Ph[k], Bdh[k], N + 0.5 * h[k] * k2)
-            k4 = rhs(Pf[k], Bdf[k], N + h[k] * k3)
-            N = N + (h[k] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Ns, Nds
+    st._require_nonsingular(BBt, guard_ts, 1e-14, ConditioningError,
+                            "row-rank-deficient matrix in kernel frame")
+    Bn, BBt = Bs[:grid.n], BBt[:grid.n]
+    N = _chain(_bT(np.linalg.svd(Bn)[2])[..., p:])
+    Nd = -_bT(Bn) @ np.linalg.solve(BBt, B._derivative_at(ts) @ N)
+    return N, Nd

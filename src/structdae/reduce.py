@@ -8,8 +8,11 @@ scales the dynamic block by the positive definite square root of its E
 coefficient.  The core earns the orthogonal certificate when the pair is
 skew-adjoint and the scaled coefficient is pointwise skew;
 ``semidefinite_skew_reduce`` requires it, ``index1_reduce`` reports it.
-Recovery maps are affine in the dynamic state, the inhomogeneity, and at
-most its first derivative.
+``stokes_reduce`` is its index-2 case: the saddle point of incompressible
+flow, with the pressure as the recovered chain variables.  Recovery maps
+are affine in the dynamic state, the inhomogeneity, and at most its first
+derivative; an input component that is identically zero on the grid has no
+derivative to read.
 """
 
 from __future__ import annotations
@@ -336,7 +339,14 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
         # eta itself uses only f; its derivative (etadot) appears inside g and w4
         Zfd = np.zeros((K, n, n))
         Zfd[:, i4] = w4_fd
-        uses_fd = max(_maxnorm(Gfd), _maxnorm(Zfd)) > 1e-13 * (1.0 + _maxnorm(f.eval_on(grid)))
+        # fdot weights on a component of f that vanishes, with its derivative,
+        # at every grid point read nothing; zeroed in place, since a masked
+        # copy would add a grid array at the reducer's peak memory
+        fv = f.eval_on(grid)[:, :, 0]
+        dead = ~(fv.any(axis=0) | f.derivative_on(grid)[:, :, 0].any(axis=0))
+        Gfd[..., dead] = 0.0
+        Zfd[..., dead] = 0.0
+        uses_fd = max(_maxnorm(Gfd), _maxnorm(Zfd)) > 1e-13 * (1.0 + _maxnorm(fv))
         rfd = _sampled(grid, Qall @ Zfd)
     else:
         uses_fd = False
@@ -389,7 +399,9 @@ def index1_reduce(pair, f, grid):
 
 def stokes_reduce(M, B, Jfun, f, grid):
     """Saddle-point elimination for  [[M,0],[0,0]] (vdot,pdot) =
-    [[J,-B],[B^T,0]] (v,p) + (f,0):  divergence-free core plus pressure map."""
+    [[J,-B],[B^T,0]] (v,p) + (f,0):  the index-2 case of the kernel
+    elimination, with a divergence-free orthogonal core and the pressure as
+    its recovered variables."""
     M = np.asarray(M, dtype=float)
     B = np.asarray(B, dtype=float)
     nv = M.shape[0]
@@ -400,74 +412,13 @@ def stokes_reduce(M, B, Jfun, f, grid):
         raise DimensionError("J must be nv x nv")
     if f.shape != (nv, 1):
         raise DimensionError("f must be nv x 1")
-    lam = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if lam[0] <= 0 or np.linalg.norm(M - M.T) > 1e-12 * lam[-1]:
-        raise StructureError("mass matrix must be symmetric positive definite")
-    if npp and (nv < npp or st._rel_smin(B) <= 1e-10):
-        raise RegularityError("discrete gradient B is column-rank deficient")
-    Jv = Jfun.eval_on(grid)
-    if _maxnorm(Jv + _bT(Jv)) > 1e-10 * (1.0 + _maxnorm(Jv)):
-        raise StructureError("convection block must be pointwise skew-symmetric")
-
-    # complete QR is exactly the full rank decomposition U^T B = [B1; 0]
-    U, R = np.linalg.qr(B, mode="complete")
-    U1, U2 = U[:, :npp], U[:, npp:]
-    B1 = R[:npp, :]
-    n2 = nv - npp
-    K = grid.n
-
-    M12 = U1.T @ M @ U2
-    M22 = U2.T @ M @ U2
-    J12 = U1.T[None] @ Jv @ U2[None]
-    J22 = U2.T[None] @ Jv @ U2[None]
-
-    lam2, V2 = np.linalg.eigh(M22)
-    if np.any(lam2 <= 0):
-        raise StructureError("mass matrix restricted to divergence-free space is not spd")
-    F = (V2 * np.sqrt(lam2)) @ V2.T
-    Finv = (V2 / np.sqrt(lam2)) @ V2.T
-    M22inv = Finv @ Finv
-    Mv = Finv[None] @ J22 @ Finv[None]
-
-    n_full = nv + npp
-    # v2 = Finv x2, v1 = 0, p = B1^{-1}(J12 v2 - M12 v2dot + f1)
-    # with v2dot = M22^{-1}(J22 v2 + f2); weights below act on the raw f
-    if npp:
-        B1inv = np.linalg.inv(B1)
-        v2dot_x = (M22inv[None] @ J22) @ Finv[None]
-        p_x = B1inv[None] @ (J12 @ Finv[None] - M12[None] @ v2dot_x)
-        p_f = B1inv[None] @ ((U1.T - M12 @ M22inv @ U2.T)[None] @ np.broadcast_to(np.eye(nv), (K, nv, nv)))
-    else:
-        p_x = np.zeros((K, 0, n2))
-        p_f = np.zeros((K, 0, nv))
-
-    # recovery weights act on the padded inhomogeneity (f; 0) of the full system
-    Rx = np.zeros((K, n_full, n2))
-    Rx[:, :nv] = U2[None] @ Finv[None]
-    Rx[:, nv:] = p_x
-    Rf = np.zeros((K, n_full, n_full))
-    Rf[:, nv:, :nv] = p_f
-
-    E_full = np.zeros((nv + npp, nv + npp))
-    E_full[:nv, :nv] = M
-    A_full = mf.mf_block([[Jfun, -B], [B.T, np.zeros((npp, npp))]])
-    pair = mf.MatrixPair(mf.constant(E_full), A_full, grid)
+    E = np.zeros((nv + npp, nv + npp))
+    E[:nv, :nv] = M
+    A = mf.mf_block([[Jfun, -B], [B.T, np.zeros((npp, npp))]])
     f_full = mf.mf_block([[f], [mf.zero(npp, 1)]])
-
-    return ReducedSystem(
-        dynamic_dim=n2,
-        m_fun=_sampled(grid, Mv),
-        g_fun=AffineInput(mf.constant(Finv @ U2.T), f),
-        certificate=FlowCertificate.orthogonal(n2),
-        recovery=[("pressure", npp)],
-        rx=_sampled(grid, Rx),
-        rf=_sampled(grid, Rf),
-        rfd=mf.zero(n_full, n_full),
-        max_f_derivative=0,
-        pair=pair,
-        f=f_full,
-        projector=mf.constant(np.hstack([F @ U2.T, np.zeros((n2, npp))])),
-    )
+    red = _eliminate(mf.MatrixPair(mf.constant(E), A, grid), f_full, grid, 1e-8, strict=True)
+    red.recovery = [("pressure", npp)]
+    return red
 
 
 def self_adjoint_dynamic_extract(form, grid):

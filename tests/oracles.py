@@ -7,6 +7,7 @@ closed-form solutions.
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import qz
 
 
 def rotation(theta):
@@ -70,6 +71,14 @@ def solve_stokes_dae(M, B, Jfun, ffun, grid, v0=None):
         v = sol.y[:, k]
         out[k] = np.concatenate([v, pressure(t, v)])
     return out
+
+
+def brute_force_dimension(pair):
+    """Count of the finite eigenvalues of a constant pencil on its unsorted
+    complex QZ form: |beta| above 1e-10 * (1 + max |alpha|)."""
+    AA, BB, *_ = qz(pair.A.value, pair.E.value, output="complex")
+    alpha, beta = np.diag(AA), np.diag(BB)
+    return int(np.sum(np.abs(beta) > 1e-10 * (1.0 + np.abs(alpha).max(initial=0.0))))
 
 
 def multibody_solution_dims(n_q, n_constraints):
@@ -293,3 +302,15 @@ def sequential_row_rank_normalize(B, grid, gap_tol=1e-8):
         return (u,), n
 
     return sequential_aligned(B, grid, decompose, None)
+
+
+def sequential_kernel_frame(B, grid):
+    """Kernel frame of B by a sweep along t: each point's SVD kernel basis
+    rotated onto the previous point's frame, and Ndot = -pinv(B) Bdot N."""
+    Bv = B.eval_on(grid)
+    p, n = B.shape
+    N = np.empty((grid.n, n, n - p))
+    for k in range(grid.n):
+        basis = np.linalg.svd(Bv[k])[2].T[:, p:]
+        N[k] = basis if k == 0 else _procrustes(basis, N[k - 1])
+    return N, -np.linalg.pinv(Bv) @ B.derivative_on(grid) @ N

@@ -10,6 +10,7 @@ from structdae.factor import max_jump
 from structdae.reduce import FlowCertificate
 
 from oracles import (
+    brute_force_dimension,
     multibody_solution_dims,
     random_poly_congruence,
     random_self_adjoint_poly_pair,
@@ -169,14 +170,14 @@ def test_criterion_4_global_canonical_forms():
     basis_s = sd.solution_basis_constant(mb.self_pair, grid)
     form_s = sd.global_canonical_self(mb.self_pair, basis_s, grid)
     rec_s = sd.verify_self_global_form(form_s, grid)
-    assert basis_s.d == d_self_oracle == sd.brute_force_dimension(mb.self_pair)
+    assert basis_s.d == d_self_oracle == brute_force_dimension(mb.self_pair)
     assert 2 * form_s.p == basis_s.d
     assert rec_s.worst <= 1e-8
 
     basis_k = sd.solution_basis_constant(mb.skew_pair, grid)
     form_k = sd.global_canonical_skew(mb.skew_pair, basis_k, grid)
     rec_k = sd.verify_skew_global_form(form_k, grid)
-    assert basis_k.d == d_skew_oracle == sd.brute_force_dimension(mb.skew_pair)
+    assert basis_k.d == d_skew_oracle == brute_force_dimension(mb.skew_pair)
     assert form_k.p + form_k.q == basis_k.d
     assert form_k.q == 0  # E >= 0 forces an orthogonal dynamic flow
     assert rec_k.worst <= 1e-8

@@ -21,7 +21,11 @@ from structdae.errors import (
     UnsupportedError,
 )
 
-from oracles import multibody_solution_dims, seeded_semidefinite_skew_pair
+from oracles import (
+    brute_force_dimension,
+    multibody_solution_dims,
+    seeded_semidefinite_skew_pair,
+)
 
 GRID = sd.TimeGrid.uniform(0.0, 1.0, 201)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -82,8 +86,8 @@ def test_solution_basis_multibody_dimensions():
     assert basis_self.d == d_self == 2
     assert basis_skew.d == d_skew == 3
     # cross-check with the independent pencil oracle
-    assert sd.brute_force_dimension(mb.self_pair) == d_self
-    assert sd.brute_force_dimension(mb.skew_pair) == d_skew
+    assert brute_force_dimension(mb.self_pair) == d_self
+    assert brute_force_dimension(mb.skew_pair) == d_skew
 
 
 def test_solution_basis_errors():
@@ -130,7 +134,7 @@ def test_stiff_multibody_seeds(seed):
         (mb.skew_pair, sd.global_canonical_skew, sd.verify_skew_global_form),
     ):
         basis = sd.solution_basis_constant(pair, grid)
-        assert basis.d == sd.brute_force_dimension(pair)
+        assert basis.d == brute_force_dimension(pair)
         assert verify(build(pair, basis, grid), grid).passes()
 
 
@@ -140,7 +144,7 @@ def test_solution_basis_ignores_the_time_unit(c):
     # rescaled time, so the deflating subspace and its dimension stay put
     mb, grid = _stiff_multibody(31)
     pair = mb.self_pair
-    d = sd.brute_force_dimension(pair)
+    d = brute_force_dimension(pair)
     V = sd.solution_basis_constant(pair, grid).Phi.eval(grid.points[0])
     scaled = sd.TimeGrid.uniform(0.0, 10.0 * c, grid.n)
     spair = sd.MatrixPair(sd.constant(c * pair.E.value), pair.A, scaled)
@@ -164,7 +168,7 @@ def test_coupled_multibody_skew_form(seed):
     grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
     pair = sd.build_multibody(M, W, G, interval=grid).skew_pair
     basis = sd.solution_basis_constant(pair, grid)
-    assert basis.d == sd.brute_force_dimension(pair) == multibody_solution_dims(6, 3)[1]
+    assert basis.d == brute_force_dimension(pair) == multibody_solution_dims(6, 3)[1]
     form = sd.global_canonical_skew(pair, basis, grid)
     assert (form.p, form.q) == (9, 0)
     assert sd.verify_skew_global_form(form, grid).passes()
@@ -356,7 +360,7 @@ def test_global_self_optimal_control_pair():
         [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], [[1.0]], interval=GRID
     )
     basis = sd.solution_basis_constant(pair, GRID)
-    assert basis.d == sd.brute_force_dimension(pair) == 2
+    assert basis.d == brute_force_dimension(pair) == 2
     form = sd.global_canonical_self(pair, basis, GRID)
     assert form.p == 1 and form.algebraic_dim == 1
     assert sd.verify_self_global_form(form, GRID).worst <= 1e-8

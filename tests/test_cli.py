@@ -154,6 +154,28 @@ def test_reduce_cli_semidefinite_and_stokes(tmp_path, capsys):
     assert out2["lie_algebra_defect"] <= 1e-10
 
 
+def test_reduce_cli_flags_fdot_only_for_live_inputs(tmp_path, capsys):
+    # the lossless Stokes demo has f = 0: the index-2 elimination has fdot
+    # weights, but they act on a zero input, so no derivative is read
+    smodel = tmp_path / "s.json"
+    run(["demo", "stokes", "--nv", "4", "--np", "2", "--out", str(smodel)])
+    for pipeline in ("semidefinite", "stokes"):
+        capsys.readouterr()
+        assert run(["reduce", "--model", str(smodel), "--pipeline", pipeline]) == 0
+        assert json.loads(capsys.readouterr().out)["max_inhomogeneity_derivative"] == 0
+
+
+def test_reduce_cli_damped_stokes_is_a_structural_failure(tmp_path, capsys):
+    smodel = tmp_path / "s.json"
+    run(["demo", "stokes", "--nv", "4", "--np", "2", "--damped", "--out", str(smodel)])
+    for pipeline in ("semidefinite", "stokes"):
+        capsys.readouterr()
+        assert run(["reduce", "--model", str(smodel), "--pipeline", pipeline]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "structural failure" in captured.err
+
+
 def test_factor_and_flow_cli(tmp_path, capsys):
     model = tmp_path / "mb.json"
     run(["demo", "multibody", "--form", "skew", "--out", str(model)])

@@ -230,6 +230,32 @@ def test_smooth_kernel_frame_consistency():
     assert np.abs(fd - Nd[1:-1]).max() < 1e-3
 
 
+def test_smooth_kernel_frame_is_the_procrustes_chain():
+    # the frame is defined by its alignment: at every node an orthonormal
+    # basis of ker B rotated onto its predecessor by the polar factor, so the
+    # overlap N_k^T N_{k-1} is symmetric positive definite; its derivative
+    # samples obey B Ndot = -Bdot N with no rotation inside the kernel
+    grid = sd.TimeGrid.uniform(0.0, 2.0, 201)
+    rng = np.random.default_rng(1)
+    cases = [sd.PolynomialMatrixFunction(rng.standard_normal((3, p, 7)))
+             for p in (2, 3, 4, 2, 3, 4)]
+    cases.append(sd.from_callable(lambda t: [[np.cos(t), np.sin(t)]], grid,
+                                  dfn=lambda t: [[-np.sin(t), np.cos(t)]]))
+    for B in cases:
+        N, Nd = smooth_kernel_frame(B, grid)
+        Bv, NT = B.eval_on(grid), np.swapaxes(N, 1, 2)
+        assert N.shape == (grid.n, B.cols, B.cols - B.rows)
+        assert np.linalg.norm(Bv @ N, axis=(1, 2)).max() <= 1e-12
+        assert np.abs(NT @ N - np.eye(N.shape[2])).max() <= 1e-12
+        overlap = NT[1:] @ N[:-1]
+        sym = 0.5 * (overlap + np.swapaxes(overlap, 1, 2))
+        assert np.abs(overlap - sym).max() <= 1e-12
+        assert np.linalg.eigvalsh(sym).min() > 0
+        law = Bv @ Nd + B.derivative_on(grid) @ N
+        assert np.linalg.norm(law, axis=(1, 2)).max() <= 1e-12
+        assert np.abs(NT @ Nd).max() <= 1e-12
+
+
 def test_orthogonality_of_all_factors():
     F = rotating_rank1(GRID)
     split = sd.rank_split(F, GRID)

@@ -12,9 +12,10 @@ from scipy.linalg import expm
 
 import structdae as sd
 from structdae.errors import StructDaeError
-from structdae.factor import _polar
+from structdae.factor import _polar, smooth_kernel_frame
 
 from oracles import (
+    sequential_kernel_frame,
     sequential_rank_split,
     sequential_row_rank_normalize,
     sequential_smooth_inertia,
@@ -71,6 +72,16 @@ def test_sym_rank_split_matches_sequential(kind):
     assert split.r == r == 4
     assert _close(split.Q, Q) <= 1e-12
     assert _orthogonality_defect(split.Q.eval_on(GRID)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_smooth_kernel_frame_matches_sequential(p):
+    rng = np.random.default_rng(36)
+    B = _poly(rng, p, 7)
+    N, Nd = smooth_kernel_frame(B, GRID)
+    N_ref, Nd_ref = sequential_kernel_frame(B, GRID)
+    assert np.abs(N - N_ref).max() <= 1e-12
+    assert np.abs(Nd - Nd_ref).max() <= 1e-12
 
 
 def test_smooth_inertia_rotating_matches_sequential():

@@ -357,6 +357,12 @@ def test_stokes_preconditions():
                          sd.constant(np.zeros((2, 2))), sd.zero(2, 1), GRID)
 
 
+def test_stokes_reduce_rejects_a_non_skew_convection_block():
+    with pytest.raises(StructureError, match="not skew-adjoint"):
+        sd.stokes_reduce(np.eye(3), np.array([[1.0], [0.0], [0.0]]),
+                         sd.constant(np.diag([0.0, -0.1, 0.0])), sd.zero(3, 1), GRID)
+
+
 # ---------------------------------------------------------------------------
 # symplectic extraction
 # ---------------------------------------------------------------------------
