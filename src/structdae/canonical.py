@@ -16,9 +16,11 @@ than by interpolation.
 The solution basis of a constant pair comes from the pencil's finite
 deflating subspace, found by a Wong sequence, and an in-house matrix
 exponential; the whole construction runs on numpy alone.  Every rank is
-decided by the gap test of `factor._numerical_rank` against the norms of the
-input pair, never against a block's own roundoff; a value within a factor 10
-of its threshold raises IllPosedRankError.
+decided by the gap test of `factor._numerical_rank` against the norm of the
+pair the block is cut from, never against a block's own roundoff; a value
+within a factor 10 of its threshold raises IllPosedRankError.  Every
+structure residual and layout defect is likewise relative to the norm of the
+pair it is read from, with no absolute floor.
 
 Local canonical forms are verified only, never constructed.
 """
@@ -44,9 +46,10 @@ from .factor import _rank, smooth_inertia, smooth_kernel_frame
 from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
-# structure residual every stage keeps, relative to the pair's scale
+# structure residual every stage keeps, relative to the norm of its pair
 STAGE_TOL = 1e-8
-# gap tolerance of every rank decision, against the norm of the whole pair
+# gap tolerance of every rank decision, against the norm of the pair the
+# ranked block is cut from
 RANK_TOL = 1e-8
 
 
@@ -202,7 +205,6 @@ def solution_basis_constant(pair, grid):
         raise UnsupportedError("solution_basis_constant needs a constant pair")
     E, A = pair.E.value, pair.A.value
     n = pair.n
-    scale = max(1.0, np.linalg.norm(E), np.linalg.norm(A))
     V, Vc = _finite_subspace(E, A, np.linalg.norm(E, 2), np.linalg.norm(A, 2))
     d = V.shape[1]
     if d == 0:
@@ -230,7 +232,7 @@ def solution_basis_constant(pair, grid):
             f"exp(-{0.5 * (re.max() - re.min()) * (ts[-1] - ts[0]):.4g}))",
             t=t,
         )
-    if not res <= 1e-8 * scale:
+    if not res <= 1e-8 * max(np.linalg.norm(E), np.linalg.norm(A)):
         raise StageError(
             f"solution basis failed its residual test ({res:.3e})", stage="solution basis"
         )
@@ -257,21 +259,21 @@ def _layout_defects(Ev, Av, lead, z):
 class _Pipeline:
     def __init__(self, pair, grid, kind):
         """Evaluate the pair once and check its input structure."""
-        pair.check_grid(grid)
+        self.Ev, self.Ed, self.Av = st._values(pair, grid)
         self.grid = grid
         self.kind = kind
         self.K = grid.n
         self.n = pair.n
-        self.Ev = pair.E.eval_on(grid)
-        self.Ed = pair.E.derivative_on(grid)
-        self.Av = pair.A.eval_on(grid)
-        # the input pair's norms of E and A, which every rank is decided against
+        # the input pair's norms of E and A, which the algebraic block's
+        # ranks are decided against
         self.e_scale, self.a_scale = _maxnorm(self.Ev), _maxnorm(self.Av)
-        self.scale = 1.0 + max(self.e_scale, self.a_scale)
-        res = max(map(_maxnorm, st._defects(kind, self.Ev, self.Ed, self.Av)))
-        if res > 1e-10 * self.scale:
+        # every structure and layout check is judged against the norm of the
+        # pair it reads: the input pair here, the latest stage's after apply
+        res, self.norm = st._structure(kind, self.Ev, self.Ed, self.Av,
+                                       max(self.e_scale, self.a_scale))
+        if res > 1e-10:
             what = "self-adjoint" if kind == st.SELF_ADJOINT else "skew-adjoint"
-            raise StructureError(f"pair is not {what} (residual {res:.3e})")
+            raise StructureError(f"pair is not {what} (relative residual {res:.3e})")
         self.Qv = np.broadcast_to(np.eye(self.n), (self.K, self.n, self.n)).copy()
         self.Qd = np.zeros((self.K, self.n, self.n))
         self.stage_residuals = []
@@ -281,7 +283,7 @@ class _Pipeline:
         self.Ev, self.Ed, self.Av = st._congruence_arrays(self.Ev, self.Ed, self.Av, Qv, Qd)
         self.Qd = self.Qd @ Qv if Qd is None else self.Qd @ Qv + self.Qv @ Qd
         self.Qv = self.Qv @ Qv
-        res = max(map(_maxnorm, st._defects(self.kind, self.Ev, self.Ed, self.Av))) / self.scale
+        res, self.norm = st._structure(self.kind, self.Ev, self.Ed, self.Av)
         self.stage_residuals.append((name, float(res)))
         if res > STAGE_TOL:
             raise StageError(
@@ -289,7 +291,7 @@ class _Pipeline:
             )
 
     def require(self, name, defect):
-        defect = float(defect) / self.scale
+        defect = st._relative(float(defect), self.norm)
         self.stage_residuals.append((name, defect))
         if defect > STAGE_TOL:
             raise StageError(f"check '{name}' failed (defect {defect:.3e})", stage=name)
@@ -332,7 +334,7 @@ def _basis_congruence(pipe, basis):
     st._require_nonsingular(phiv, grid.points, RANK_FLOOR, BasisDeficiencyError,
                             "Phi loses rank")
     resid = _maxnorm(pipe.Ev @ phid - pipe.Av @ phiv)
-    if resid > 1e-8 * pipe.scale:
+    if resid > 1e-8 * pipe.norm:
         raise BasisDeficiencyError(
             f"Phi does not solve the homogeneous DAE (residual {resid:.3e})"
         )
@@ -370,7 +372,7 @@ def _skew_pairing_transform(E11c, scale):
     return np.hstack([pairs.real, zeros[:, :half], pairs.imag, zeros[:, half:]])
 
 
-def _check_algebraic_block_static(Ev33, Av33, e_scale, where, a_scale):
+def _check_algebraic_block_static(Ev33, Av33, where, e_scale, a_scale):
     """Uniquely solvable algebraic part must carry no finite dynamics.
 
     Checked via the finite deflating subspace of the pencil when the blocks
@@ -418,7 +420,8 @@ def global_canonical_self(pair, basis, grid):
     E11c = _basis_congruence(pipe, basis)
 
     if d:
-        Ub = _skew_pairing_transform(E11c, pipe.scale)
+        # ranked against |E| of the pair E11 was cut from
+        Ub = _skew_pairing_transform(E11c, _maxnorm(pipe.Ev))
         pipe.require(
             "leading block of paired E11 zero", _maxnorm((Ub.T @ E11c @ Ub)[None, :p, :p])
         )
@@ -468,8 +471,8 @@ def global_canonical_self(pair, basis, grid):
     lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._J(p), p)
     pipe.require("canonical leading E block", lead)
     pipe.require("canonical zero pattern", e_off + a_zero)
-    _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.e_scale,
-                                  "self-adjoint", pipe.a_scale)
+    _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], "self-adjoint",
+                                  pipe.e_scale, pipe.a_scale)
 
     form = SelfAdjointGlobalForm(
         p=p,
@@ -500,7 +503,9 @@ def global_canonical_skew(pair, basis, grid):
     p = q = 0
     if d:
         E11c = 0.5 * (E11c + E11c.T)
-        rank = _rank(np.sort(np.abs(np.linalg.eigvalsh(E11c)))[::-1], RANK_TOL, pipe.scale)
+        # ranked against |E| of the pair E11 was cut from
+        rank = _rank(np.sort(np.abs(np.linalg.eigvalsh(E11c)))[::-1], RANK_TOL,
+                     _maxnorm(pipe.Ev))
         if rank < d:
             # the dimension argument of the global form forces a nonsingular
             # E11; a kernel here means Phi missed part of the solution space
@@ -528,8 +533,8 @@ def global_canonical_skew(pair, basis, grid):
     lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._signature(p, q), d)
     pipe.require("canonical leading E block", lead)
     pipe.require("canonical zero pattern", e_off + a_zero)
-    _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], pipe.e_scale,
-                                  "skew-adjoint", pipe.a_scale)
+    _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], "skew-adjoint",
+                                  pipe.e_scale, pipe.a_scale)
 
     form = SkewAdjointGlobalForm(
         p=p,

@@ -202,10 +202,9 @@ def cmd_check(args):
     obj = load_model(args.model)
     pair = model_pair(obj)
     grid = _grid(args, pair.interval)
-    tol = args.tol if args.tol is not None else st.default_tolerance(pair, grid)
-    tag, rep_self, rep_skew = st._classified(pair, grid, tol)
+    tag, rep_self, rep_skew = st._classified(pair, grid, args.tol)
     out = {
-        "tolerance": tol,
+        "tolerance": tag.tolerance,
         "tag": tag.value,
         "self_adjoint": {"e_residual": rep_self.e_residual, "a_residual": rep_self.a_residual},
         "skew_adjoint": {"e_residual": rep_skew.e_residual, "a_residual": rep_skew.a_residual},

@@ -264,7 +264,7 @@ def smooth_inertia(D, grid):
     n = D.rows
 
     def decompose(Dv, ts):
-        scale = np.maximum(1.0, np.linalg.norm(Dv, axis=(-2, -1)))
+        scale = np.linalg.norm(Dv, axis=(-2, -1))
         asym = _first(np.linalg.norm(Dv - _bT(Dv), axis=(-2, -1)) > 1e-12 * scale,
                       lambda k: StructureError(f"matrix is not symmetric at t={ts[k]}"))
         lam, vec = np.linalg.eigh(0.5 * (Dv + _bT(Dv)))

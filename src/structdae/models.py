@@ -32,13 +32,13 @@ def _as_mf(x):
 def _check_sym(name, F, interval):
     for t in (interval.t0, 0.5 * (interval.t0 + interval.tf), interval.tf):
         v = F.eval(t)
-        if np.linalg.norm(v - v.T) > 1e-10 * (1.0 + np.linalg.norm(v)):
+        if np.linalg.norm(v - v.T) > 1e-10 * np.linalg.norm(v):
             raise ParameterError(f"{name} must be symmetric")
 
 
 def _check_spd(name, value):
     value = np.asarray(value, dtype=float)
-    if np.linalg.norm(value - value.T) > 1e-12 * (1.0 + np.linalg.norm(value)):
+    if np.linalg.norm(value - value.T) > 1e-12 * np.linalg.norm(value):
         raise ParameterError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(0.5 * (value + value.T))) <= 0:
         raise ParameterError(f"{name} must be positive definite")
@@ -283,7 +283,7 @@ def build_optimal_control(E, A, B, W, S, R, Mf, interval=None):
         raise DimensionError("S must be n x m and R m x m")
     _check_sym("W", W, interval)
     _check_sym("R", R, interval)
-    if np.linalg.norm(Mf - Mf.T) > 1e-12 * (1.0 + np.linalg.norm(Mf)):
+    if np.linalg.norm(Mf - Mf.T) > 1e-12 * np.linalg.norm(Mf):
         raise ParameterError("terminal cost matrix must be symmetric")
 
     zn = mf.zero(n, n)

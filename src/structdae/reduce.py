@@ -188,21 +188,17 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     split, scaling E alone (a change of time unit) or the whole pair moves
     neither decision.
     """
-    pair.check_grid(grid)
+    Ev, Ed, Av = st._values(pair, grid)
     if f.rows != pair.n or f.cols != 1:
         raise DimensionError("inhomogeneity must be an n x 1 matrix function")
     n = pair.n
     K = grid.n
-    Ev = pair.E.eval_on(grid)
-    Ed = pair.E.derivative_on(grid)
-    Av = pair.A.eval_on(grid)
-    scale = 1.0 + max(_maxnorm(Ev), _maxnorm(Av))
 
-    res = max(map(_maxnorm, st._defects(st.SKEW_ADJOINT, Ev, Ed, Av)))
-    if strict and res > 1e-10 * scale:
-        raise StructureError(f"pair is not skew-adjoint (residual {res:.3e})")
+    res = st._structure(st.SKEW_ADJOINT, Ev, Ed, Av)[0]
+    if strict and res > 1e-10:
+        raise StructureError(f"pair is not skew-adjoint (relative residual {res:.3e})")
     eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
-    if eigmin < -1e-12 * scale:
+    if eigmin < -1e-12 * _maxnorm(Ev):
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
     split = sym_rank_split(pair.E, grid, Ev)
@@ -305,7 +301,7 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     # M's skewness is judged against the scale M is built from, A seen
     # through F^{-1} on both sides, so it too is free of the time unit
     m_scale = _maxnorm(Finv) ** 2 * a2_scale + _maxnorm(Fd @ Finv)
-    earned = res <= 1e-10 * scale and cert_defect <= 1e-8 * m_scale
+    earned = res <= 1e-10 and cert_defect <= 1e-8 * m_scale
     if strict and not earned:
         raise StructureError(
             f"scaled dynamic block is not skew (defect {cert_defect:.3e})"
@@ -439,9 +435,8 @@ def self_adjoint_dynamic_extract(form, grid):
         raise UnsupportedError(
             "expected a self-adjoint global form or a refined local layout"
         )
-    scale = 1.0 + _maxnorm(Cv)
     sym_defect = _maxnorm(Cv - _bT(Cv))
-    if sym_defect > 1e-8 * scale:
+    if sym_defect > 1e-8 * _maxnorm(Cv):
         raise StructureError(f"C block is not symmetric (defect {sym_defect:.3e})")
     cert = FlowCertificate.symplectic(p)
     Mv = -cert.B @ Cv  # J^{-1} = -J

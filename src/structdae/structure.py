@@ -128,9 +128,46 @@ def _congruence_arrays(Ev, Ed, Av, Q, Qd=None):
     return E2, E2d, A2
 
 
-def _residuals(pair, grid, kind):
+def _relative(x, norm):
+    """x / norm, where the zero norm of an all-zero pair makes 0 of a zero x
+    and inf of any other."""
+    if norm:
+        return x / norm
+    return np.inf if x else 0.0
+
+
+def _structure(kind, Ev, Ed, Av, norm=None):
+    """(defect, norm): the structure defect of the grid arrays (E, Edot, A),
+    the larger grid maximum of the two `_defects` arrays, relative to the
+    pair's norm max_t max(|E|_F, |A|_F), which `norm` passes when the caller
+    has it.  Every self-/skew-adjoint decision compares this defect with a
+    fixed threshold, so a pair written in other units gets the same answer.
+    Edot stays out of the norm: a structured pair has
+    |Edot| <= 2 |A| + defect, so an unstructured pair with a large Edot
+    still shows a large defect.
+    """
+    if norm is None:
+        norm = max(_maxnorm(Ev), _maxnorm(Av))
+    return _relative(max(map(_maxnorm, _defects(kind, Ev, Ed, Av))), norm), norm
+
+
+def _values(pair, grid):
+    """Grid values of E, Edot and A."""
     pair.check_grid(grid)
-    e, a = _defects(kind, pair.E.eval_on(grid), pair.E.derivative_on(grid), pair.A.eval_on(grid))
+    return pair.E.eval_on(grid), pair.E.derivative_on(grid), pair.A.eval_on(grid)
+
+
+def _tolerance(Ev, Av):
+    """`default_tolerance` from the grid values of E and A."""
+    return max(1e-10 * max(_maxnorm(Ev), _maxnorm(Av)), np.finfo(float).tiny)
+
+
+def _residuals(pair, grid, kind, values=None):
+    """Absolute structure residuals of the pair; `values` passes its grid
+    values of (E, Edot, A) when the caller has them."""
+    if values is None:
+        values = _values(pair, grid)
+    e, a = _defects(kind, *values)
     return StructureReport(kind, _maxnorm(e), _maxnorm(a), grid)
 
 
@@ -145,22 +182,28 @@ def skew_adjoint_residual(pair, grid):
 
 
 def default_tolerance(pair, grid):
-    """1e-10 scaled by the largest grid norm of E and A."""
-    scale = max(_maxnorm(pair.E.eval_on(grid)), _maxnorm(pair.A.eval_on(grid)))
-    return 1e-10 * (1.0 + scale)
+    """1e-10 times the pair's norm, the largest grid norm of E and A, with no
+    absolute floor: a pair and the same pair in other units get the same
+    classification.  Only the all-zero pair gets the smallest normal float."""
+    pair.check_grid(grid)
+    return _tolerance(pair.E.eval_on(grid), pair.A.eval_on(grid))
 
 
 def classify(pair, grid, tol):
     return _classified(pair, grid, tol)[0]
 
 
-def _classified(pair, grid, tol):
+def _classified(pair, grid, tol=None):
     """(tag, self-adjoint report, skew-adjoint report): classify's tag and the
-    two residual reports it is read from, each computed once."""
-    if tol <= 0:
+    two residual reports it is read from, from one evaluation of the pair.
+    tol=None takes `default_tolerance` from the same values."""
+    if tol is not None and tol <= 0:
         raise StructureError("classification tolerance must be positive")
-    rep_self = self_adjoint_residual(pair, grid)
-    rep_skew = skew_adjoint_residual(pair, grid)
+    values = _values(pair, grid)
+    if tol is None:
+        tol = _tolerance(values[0], values[2])
+    rep_self = _residuals(pair, grid, SELF_ADJOINT, values)
+    rep_skew = _residuals(pair, grid, SKEW_ADJOINT, values)
     is_self = rep_self.passes(tol)
     is_skew = rep_skew.passes(tol)
     if is_self and is_skew:
@@ -267,12 +310,9 @@ def remark1_convert(pair):
     ):
         raise UnsupportedError("the conversion applies to constant pairs only")
     E, A = pair.E.value, pair.A.value
-    rep = self_adjoint_residual(pair, pair.interval)
-    scale = 1.0 + max(np.linalg.norm(E), np.linalg.norm(A))
-    if rep.max_residual > 1e-10 * scale:
-        raise StructureError(
-            f"input pair is not self-adjoint (residual {rep.max_residual:.3e})"
-        )
+    res = _structure(SELF_ADJOINT, E, np.zeros_like(E), A)[0]
+    if res > 1e-10:
+        raise StructureError(f"input pair is not self-adjoint (relative residual {res:.3e})")
     for name, M in (("E", E), ("A", A)):
         if _rel_smin(M) <= 1e-12:
             raise SingularityError(f"{name} is singular; conversion needs invertibility")

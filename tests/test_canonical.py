@@ -59,6 +59,20 @@ def test_solution_basis_constants_pair():
     assert np.linalg.norm(basis.Phidot.eval(0.5)) <= 1e-12
 
 
+@pytest.mark.parametrize("build, verify, A", [
+    (sd.global_canonical_skew, sd.verify_skew_global_form, J2),
+    (sd.global_canonical_self, sd.verify_self_global_form, np.eye(2)),
+])
+def test_pair_without_dynamics_has_an_empty_basis(build, verify, A):
+    # E = 0: the solution space is {0}, and the form is all algebraic part
+    pair = sd.MatrixPair(sd.zero(2, 2), sd.constant(A), GRID)
+    basis = sd.solution_basis_constant(pair, GRID)
+    assert basis.d == 0
+    form = build(pair, basis, GRID)
+    assert (form.p, form.algebraic_dim) == (0, 2)
+    assert verify(form, GRID).passes()
+
+
 def test_solution_basis_margin_on_a_hyperbolic_pencil():
     # finite eigenvalues +-a (real parts spread D = 2a) plus one algebraic
     # variable, moved by an orthogonal congruence; the relative smallest
@@ -316,7 +330,7 @@ def test_singular_algebraic_block_is_a_basis_deficiency():
     # a zero algebraic block is a singular pencil, reported against the basis
     zero = np.zeros((3, 2, 2))
     with pytest.raises(BasisDeficiencyError, match="algebraic part.*not uniquely solvable"):
-        sd.canonical._check_algebraic_block_static(zero, zero, 1.0, "skew-adjoint", 1e-8)
+        sd.canonical._check_algebraic_block_static(zero, zero, "skew-adjoint", 1.0, 1.0)
 
 
 def test_global_skew_incomplete_basis_fails_staged_checks():
@@ -620,14 +634,18 @@ def test_skew_form_of_definite_and_indefinite_pairs(sign, pq):
 @pytest.mark.parametrize("delta, ill", [(5e-8, True), (1e-6, False)])
 def test_e11_rank_near_the_threshold_is_ill_posed(delta, ill):
     # E11 = Phi^T E Phi with an eigenvalue (skew: a pair +-i delta) within a
-    # factor 10 of RANK_TOL times the pair's scale is neither singular nor
-    # clearly nonsingular: both forms raise rather than guess
-    basis = sd.SolutionBasis(sd.identity(2), sd.zero(2, 2), 2)
+    # factor 10 of RANK_TOL times the pair's norm is neither singular nor
+    # clearly nonsingular: both forms raise rather than guess.  The small
+    # part sits beside a unit block, since a pair that is uniformly small is
+    # just the same pair in other units
     skew = sd.MatrixPair(sd.constant(np.diag([1.0, delta])), sd.zero(2, 2), GRID)
-    selfp = sd.MatrixPair(sd.constant(delta * J2), sd.zero(2, 2), GRID)
+    E = np.zeros((4, 4))
+    E[:2, :2], E[2:, 2:] = J2, delta * J2
+    selfp = sd.MatrixPair(sd.constant(E), sd.zero(4, 4), GRID)
     for build, pair in ((sd.global_canonical_skew, skew), (sd.global_canonical_self, selfp)):
+        basis = sd.SolutionBasis(sd.identity(pair.n), sd.zero(pair.n, pair.n), pair.n)
         if ill:
             with pytest.raises(IllPosedRankError):
                 build(pair, basis, GRID)
         else:
-            build(pair, basis, GRID)
+            assert build(pair, basis, GRID).p == 2

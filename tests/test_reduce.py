@@ -470,6 +470,17 @@ def test_index2_pairs_in_non_diagonal_coordinates():
             assert red.certificate_defect(grid) <= 1e-12
 
 
+def test_index2_with_a_moving_kernel_split_is_unsupported():
+    # a time-varying congruence moves the kernel of E, and the chain
+    # elimination reads the kernel split at t0 only
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 81)
+    pair0, _ = seeded_semidefinite_skew_pair(0, grid, index2=True)
+    pair = sd.apply_congruence(pair0, random_poly_congruence(np.random.default_rng(6), 5, 2))
+    for reduce in (sd.index1_reduce, sd.semidefinite_skew_reduce):
+        with pytest.raises(UnsupportedError, match="requires a constant kernel splitting of E"):
+            reduce(pair, sd.zero(5, 1), grid)
+
+
 @pytest.mark.parametrize("c", [1e-9, 1e9])
 def test_kernel_block_rank_ignores_the_scale_of_the_pair(c):
     # the kernel block and the constraint rows are cut from A: scaling E on

@@ -1,0 +1,116 @@
+"""Structure decisions made against the norm of the pair they test.
+
+A pair written in other units (every coefficient times one factor) is the
+same pair, so every self-/skew-adjoint classification, conversion, reduction
+and canonical form must come out the same as in unit scale.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import structdae as sd
+from structdae.canonical import STAGE_TOL
+from structdae.cli import main
+from structdae.errors import StructureError
+
+from oracles import seeded_semidefinite_skew_pair
+
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+GRID41 = sd.TimeGrid.uniform(0.0, 1.0, 41)
+GRID201 = sd.TimeGrid.uniform(0.0, 1.0, 201)
+
+
+def _scaled(pair, e, a):
+    return sd.MatrixPair(sd.mf_scale(pair.E, e), sd.mf_scale(pair.A, a), pair.interval)
+
+
+def _multibody_skew(dissipative=False):
+    """Skew pair of the multibody system nq=2, M=I, W=diag(1, 2), G=[1, 0],
+    optionally with A - R, R = diag(0.5, 0, ..., 0)."""
+    pair = sd.build_multibody(np.eye(2), np.diag([1.0, 2.0]), [[1.0, 0.0]],
+                              interval=GRID41).skew_pair
+    if dissipative:
+        R = np.zeros((pair.n, pair.n))
+        R[0, 0] = 0.5
+        pair = sd.MatrixPair(pair.E, sd.mf_sub(pair.A, sd.constant(R)), pair.interval)
+    return pair
+
+
+@pytest.mark.parametrize("dissipative, tag", [(True, "none"), (False, "skew_adjoint")])
+def test_classify_a_pair_in_small_units(dissipative, tag):
+    pair = _scaled(_multibody_skew(dissipative), 1e-12, 1e-12)
+    assert sd.classify(pair, GRID41, sd.default_tolerance(pair, GRID41)).value == tag
+
+
+def test_check_rejects_a_dissipative_pair_in_small_units(tmp_path):
+    model, rep = tmp_path / "m.json", tmp_path / "rep.json"
+    pair = _scaled(_multibody_skew(dissipative=True), 1e-12, 1e-12)
+    model.write_text(json.dumps(sd.pair_to_json(pair)))
+    assert main(["check", "--model", str(model), "--grid", "41", "--out", str(rep)]) == 1
+    assert json.loads(rep.read_text())["tag"] == "none"
+
+
+def test_check_evaluates_the_pair_once(tmp_path, monkeypatch):
+    # without --tol the default tolerance comes from the same grid values
+    from structdae import cli
+
+    model = tmp_path / "m.json"
+    assert main(["demo", "circuit", "--out", str(model)]) == 0
+    calls = []
+    model_pair = cli.model_pair
+
+    def counted(obj):
+        pair = model_pair(obj)
+        for name, F in (("E", pair.E), ("A", pair.A)):
+            for method in ("eval_on", "derivative_on"):
+                def counting(grid, _f=getattr(F, method), _key=f"{name}.{method}"):
+                    calls.append(_key)
+                    return _f(grid)
+
+                setattr(F, method, counting)
+        return pair
+
+    monkeypatch.setattr(cli, "model_pair", counted)
+    assert main(["check", "--model", str(model), "--out", str(tmp_path / "rep.json")]) == 0
+    assert sorted(calls) == ["A.eval_on", "E.derivative_on", "E.eval_on"]
+
+
+def test_remark1_rejects_a_small_pair_that_is_not_self_adjoint():
+    pair = sd.MatrixPair(sd.constant(1e-12 * J2),
+                         sd.constant(1e-12 * np.array([[2.0, 0.3], [0.5, 1.0]])), GRID41)
+    with pytest.raises(StructureError, match="not self-adjoint"):
+        sd.remark1_convert(pair)
+
+
+def test_skew_reduce_names_the_structure_of_a_small_dissipative_pair():
+    pair = _scaled(_multibody_skew(dissipative=True), 1e-12, 1e-12)
+    with pytest.raises(StructureError, match="pair is not skew-adjoint"):
+        sd.semidefinite_skew_reduce(pair, sd.zero(pair.n, 1), GRID41)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-12])
+def test_skew_form_of_seeded_pairs_in_small_units(c):
+    for seed in range(40):
+        pair, _ = seeded_semidefinite_skew_pair(seed, GRID201)
+        pair = _scaled(pair, c, c)
+        form = sd.global_canonical_skew(pair, sd.solution_basis_constant(pair, GRID201),
+                                        GRID201)
+        assert (form.p, form.q) == (4, 0), seed
+        assert max(res for _, res in form.stage_residuals) <= STAGE_TOL, seed
+
+
+def test_skew_form_with_a_large_a():
+    pair = _scaled(_multibody_skew(), 1.0, 1e9)
+    basis = sd.solution_basis_constant(pair, GRID41)
+    form = sd.global_canonical_skew(pair, basis, GRID41)
+    assert (basis.d, form.p, form.q) == (3, 3, 0)
+
+
+def test_self_form_of_a_small_symplectic_pair():
+    pair = sd.MatrixPair(sd.constant(5e-8 * J2), sd.zero(2, 2), GRID201)
+    basis = sd.SolutionBasis(sd.identity(2), sd.zero(2, 2), 2)
+    form = sd.global_canonical_self(pair, basis, GRID201)
+    assert form.p == 1
+    assert sd.verify_self_global_form(form, GRID201).passes()
