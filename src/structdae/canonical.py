@@ -258,7 +258,7 @@ def _layout_defects(Ev, Av, lead, z):
 
 class _Pipeline:
     def __init__(self, pair, grid, kind):
-        """Evaluate the pair once and check its input structure."""
+        """Sample the pair once and check its input structure."""
         self.Ev, self.Ed, self.Av = st._values(pair, grid)
         self.grid = grid
         self.kind = kind
@@ -274,8 +274,8 @@ class _Pipeline:
         if res > 1e-10:
             what = "self-adjoint" if kind == st.SELF_ADJOINT else "skew-adjoint"
             raise StructureError(f"pair is not {what} (relative residual {res:.3e})")
-        self.Qv = np.broadcast_to(np.eye(self.n), (self.K, self.n, self.n)).copy()
-        self.Qd = np.zeros((self.K, self.n, self.n))
+        self.Qv = np.eye(self.n)[None]  # one sample until the first stage
+        self.Qd = np.zeros((1, self.n, self.n))
         self.stage_residuals = []
 
     def apply(self, name, Qv, Qd=None):
@@ -360,8 +360,6 @@ def _skew_pairing_transform(E11c, scale):
     kernel basis of S, split in halves, fills the rest.
     """
     d = E11c.shape[0]
-    if d == 0:
-        return np.zeros((0, 0))
     S = 0.5 * (E11c - E11c.T)
     sig, vec = np.linalg.eigh(1j * S)
     # the eigenvalues come in pairs +-sigma: rank the d // 2 largest

@@ -9,6 +9,7 @@ CSV.  Exit codes: 0 success, 1 structural check failed, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -61,7 +62,10 @@ def _fmt(x):
 
 def load_model(path):
     with open(path) as fh:
-        obj = json.load(fh)
+        return _checked_model(json.load(fh), path)
+
+
+def _checked_model(obj, path):
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind not in ("pair", "phdae", "stokes"):
         raise ConstructionError(f"unknown model type {kind!r} in {path}")
@@ -233,8 +237,7 @@ def cmd_factor(args):
         )
         grid = _grid(args, interval)
     else:
-        obj = load_model(args.model)
-        pair = model_pair(obj)
+        pair = model_pair(_checked_model(raw, args.model))
         grid = _grid(args, pair.interval)
         target = pair.E if args.what == "E" else pair.A
     split = fa.rank_split(target, grid, gap_tol=args.gap_tol)
@@ -331,10 +334,7 @@ def cmd_simulate(args):
         raise ConstructionError("simulate expects a phdae model file")
     model = phdae_from_json(obj)
     grid = mf.TimeGrid.uniform(args.t0, args.tf, args.steps + 1)
-    model = mo.PHDAEModel(
-        E=model.E, J=model.J, R=model.R, K=model.K, G=model.G, P=model.P,
-        S=model.S, N=model.N, interval=grid, labels=model.labels, meta=model.meta,
-    )
+    model = dataclasses.replace(model, interval=grid)
     u = _input_function(args.input, args.input_scale, grid)
     x0 = np.array([float(v) for v in args.x0.split(",")])
     traj, red = fl.simulate_phdae(model, u, x0, grid)

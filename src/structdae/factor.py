@@ -9,7 +9,8 @@ polar(X G) = polar(X) G for orthogonal G, this is the orthogonal Procrustes
 rotation of every point's block onto its aligned predecessor.  The gauge
 freedom inside a block (range space, kernel, positive/negative eigenspace)
 is exactly an orthogonal group, so the alignment never violates the defining
-block relations; it only removes arbitrary per-point rotations.
+block relations; it only removes arbitrary per-point rotations.  A constant
+is one sample (`structure._samples`), decomposed once by the same path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     RankDropError,
     StructureError,
 )
-from .structure import _bT, _maxnorm
+from .structure import _bT, _maxnorm, _sampled, _samples
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -150,50 +151,31 @@ def _rank(s, gap_tol, scale):
     return int(r)
 
 
-def _values(F, grid, samples=None):
-    """F's grid samples (K, ., .), or its one value when F is constant;
-    samples are F's grid samples when the caller has evaluated them."""
-    if isinstance(F, mf.ConstantMatrixFunction):
-        return F.value
-    return F.eval_on(grid) if samples is None else samples
-
-
 def _aligned(values, ts, decompose, changed):
     """Pointwise factorizations of values glued into continuous families.
 
-    values are (K, ., .) samples at the times ts, or one matrix for a
-    constant function, decomposed once.  decompose(values, ts) returns
-    (factors, ranks, failure): stacked orthogonal-gauge factors whose leading
-    ranks[k] columns and trailing columns are each fixed only up to an
-    orthogonal rotation, the per-point ranks, and (k, error) for the first
-    point whose own checks fail (or None).  changed(r, rk, t_prev, t) builds
-    the error for a rank that moves between neighbours.  The error raised is
-    the one a sweep along t meets first; at one point its own checks come
-    before a rank change.  Returns (factors, r); each block is aligned by
-    its polar chain.
+    values are (K, ., .) samples at the times ts, or the one sample of a
+    constant (`structure._samples`), decomposed once by the same path.
+    decompose(values, ts) returns (factors, ranks, failure): stacked
+    orthogonal-gauge factors whose leading ranks[k] columns and trailing
+    columns are each fixed only up to an orthogonal rotation, the per-point
+    ranks, and (k, error) for the first point whose own checks fail (or
+    None).  changed(r, rk, t_prev, t) builds the error for a rank that moves
+    between neighbours.  The error raised is the one a sweep along t meets
+    first; at one point its own checks come before a rank change.  Returns
+    (factors, r); each block is aligned by its polar chain, which leaves a
+    one-sample block as it is.
     """
-    constant = values.ndim == 2
-    if constant:
-        values, ts = values[None], ts[:1]
     factors, ranks, failure = decompose(values, ts)
     failure = _earliest(failure, _first(ranks != ranks[0], lambda k: changed(
         int(ranks[0]), int(ranks[k]), ts[k - 1], ts[k])))
     if failure:
         raise failure[1]
     r = int(ranks[0])
-    if constant:
-        return [f[0] for f in factors], r
     for f in factors:
         f[..., :r] = _chain(f[..., :r])
         f[..., r:] = _chain(f[..., r:])
     return factors, r
-
-
-def _family(grid, values):
-    """Matrix function of the factor values returned by _aligned."""
-    if values.ndim == 2:
-        return mf.constant(values)
-    return mf.SampledMatrixFunction(grid, values, order=3)
 
 
 def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
@@ -210,10 +192,10 @@ def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
             t_second=float(t),
         )
 
-    vals = _values(F, grid)
+    vals = _samples(F, grid)
     (U, V), r = _aligned(vals, grid.points, decompose, changed)
     Sig = _bT(U[..., :r]) @ vals @ V[..., :r]
-    return RankSplit(_family(grid, U), _family(grid, V), _family(grid, Sig), r, grid)
+    return RankSplit(_sampled(grid, U), _sampled(grid, V), _sampled(grid, Sig), r, grid)
 
 
 def _kernel_defect(u, vt, ranks):
@@ -231,7 +213,7 @@ def _kernel_defect(u, vt, ranks):
 
 def sym_rank_split(E, grid, samples=None):
     """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T);
-    samples are E's grid samples when the caller has already evaluated them."""
+    samples are E's `structure._samples` when the caller has them."""
     if E.rows != E.cols:
         raise StructureError("sym_rank_split needs a square matrix function")
 
@@ -253,10 +235,10 @@ def sym_rank_split(E, grid, samples=None):
             t_second=float(t),
         )
 
-    vals = _values(E, grid, samples)
+    vals = _samples(E, grid) if samples is None else samples
     (Q,), r = _aligned(vals, grid.points, decompose, changed)
-    return SymRankSplit(_family(grid, Q), r, grid,
-                        lambda: _family(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]))
+    return SymRankSplit(_sampled(grid, Q), r, grid,
+                        lambda: _sampled(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]))
 
 
 def smooth_inertia(D, grid):
@@ -291,8 +273,8 @@ def smooth_inertia(D, grid):
             f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
         )
 
-    (W,), p = _aligned(_values(D, grid), grid.points, decompose, changed)
-    return InertiaSplit(_family(grid, W), p, n - p, grid)
+    (W,), p = _aligned(_samples(D, grid), grid.points, decompose, changed)
+    return InertiaSplit(_sampled(grid, W), p, n - p, grid)
 
 
 def row_rank_normalize(B, grid):
@@ -308,12 +290,12 @@ def row_rank_normalize(B, grid):
             f"column-rank deficiency at t={ts[k]} (rank {ranks[k]} < {n})",
             t_first=float(ts[k]),
         ))
-        return [u], np.full(len(ts), n), _earliest(ill, short)
+        return [u], np.full(len(vals), n), _earliest(ill, short)
 
-    vals = _values(B, grid)
+    vals = _samples(B, grid)
     (U,), _ = _aligned(vals, grid.points, decompose, None)
     B1 = _bT(U[..., :n]) @ vals
-    return RowRankNormalization(_family(grid, U), _family(grid, B1), grid)
+    return RowRankNormalization(_sampled(grid, U), _sampled(grid, B1), grid)
 
 
 def max_jump(values):

@@ -165,8 +165,7 @@ def simulate_phdae(model, u, x0, grid):
     scaled core).  The returned trajectory carries full states and the
     Hamiltonian sequence.
     """
-    A = model.coefficient()
-    pair = mf.MatrixPair(model.E, A, model.interval)
+    pair = model.pair()
     f = mf.mf_matmul(model.G, u) if u is not None else mf.zero(model.n, 1)
     red = index1_reduce(pair, f, grid)
     x0 = np.asarray(x0, dtype=float).reshape(-1)

@@ -12,7 +12,8 @@ skew-adjoint and the scaled coefficient is pointwise skew;
 flow, with the pressure as the recovered chain variables.  Recovery maps
 are affine in the dynamic state, the inhomogeneity, and at most its first
 derivative; an input component that is identically zero on the grid has no
-derivative to read.
+derivative to read.  A constant coefficient is one sample throughout
+(`structure._samples`), so a constant pair reduces once, to constants.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedError,
 )
 from .factor import _rank, sym_rank_split
-from .structure import _bT, _maxnorm
+from .structure import _bT, _maxnorm, _sampled, _samples
 
 COND_LIMIT = 1e12
 
@@ -131,15 +132,6 @@ class ReducedSystem:
         return _maxnorm(_bT(Mv) @ B[None] + B[None] @ Mv)
 
 
-def _sampled(grid, vals):
-    """Cubic through the grid samples, or a constant when every sample is
-    bitwise equal to the first (non-finite samples raise either way)."""
-    bits = np.ascontiguousarray(vals).reshape(grid.n, -1).view(np.uint64)
-    if np.all(bits == bits[0]):
-        return mf.ConstantMatrixFunction(vals[0])
-    return mf.SampledMatrixFunction(grid, vals, order=3)
-
-
 class AffineInput(mf.MatrixFunction):
     """g(t) = G_f(t) f(t) + G_fd(t) fdot(t), with f and fdot evaluated at the
     points asked for, so the midpoint rule reads g without interpolating it."""
@@ -192,7 +184,6 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     if f.rows != pair.n or f.cols != 1:
         raise DimensionError("inhomogeneity must be an n x 1 matrix function")
     n = pair.n
-    K = grid.n
 
     res = st._structure(st.SKEW_ADJOINT, Ev, Ed, Av)[0]
     if strict and res > 1e-10:
@@ -202,7 +193,7 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
     split = sym_rank_split(pair.E, grid, Ev)
-    Qv, Qd, r = split.Q.eval_on(grid), split.Q.derivative_on(grid), split.r
+    Qv, Qd, r = _samples(split.Q, grid), _samples(split.Q, grid, True), split.r
     del split  # with its spline caches, before the congruence below
     # a constant split (exactly zero Qdot) lets A's derivative pass through
     q_constant = _maxnorm(Qd) == 0.0
@@ -240,7 +231,7 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
         Qc[:r, :r] = np.hstack([vtc.T[:, tau:], vtc.T[:, :tau]])
         Qc[r:, r:] = Theta
         E2, E2d, A2 = st._congruence_arrays(E1, E1d, A1, Qc)
-        A2d = Qc.T @ (_bT(Qv) @ pair.A.derivative_on(grid) @ Qv) @ Qc
+        A2d = Qc.T @ (_bT(Qv) @ _samples(pair.A, grid, True) @ Qv) @ Qc
         Qall = Qv @ Qc
         del E1, E1d, A1
     else:
@@ -292,7 +283,8 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     g_f = A2[:, ix, ih] @ eta_f + A2[:, ix, i3] @ w3_f + P[:, ix, :]
     if tau:
         Sxh = E2[:, ix, ih]
-        g_f -= Sxh @ etad_f
+        # not in place: g_f is still one sample when only E moves
+        g_f = g_f - Sxh @ etad_f
         g_fd = -Sxh @ eta_f
 
     F, Finv, Fd = _spd_sqrt_with_derivative(Sb, E2d[:, ix, ix])
@@ -308,9 +300,10 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
         )
     Gf = Finv @ g_f
 
-    # assemble the full-state recovery x = Qall (Zx xi + Zf f + Zfd fdot)
+    # full-state recovery x = Qall (Zx xi + Zf f + Zfd fdot), sized like M
+    K = len(Mv)
     Zx = np.zeros((K, n, dxi))
-    Zx[:, ix] = np.broadcast_to(np.eye(dxi), (K, dxi, dxi))
+    Zx[:, ix] = np.eye(dxi)
     Zx[:, i3] = W3x
     Zf = np.zeros((K, n, n))
     Zf[:, ih] = eta_f
@@ -323,9 +316,9 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
         # xidot for the (x, f, fdot) weights, then w4 for the same three
         cols = [dxi, dxi + n]
         _require_regular(Sb, grid, "dynamic E block")
-        xdot_x, xdot_f, xdot_fd = np.split(
-            np.linalg.solve(Sb, np.concatenate([Ceff, g_f, g_fd], axis=2)), cols, axis=2
-        )
+        # Ceff is one sample when A and the split are constant, even if E moves
+        xdot_x, xdot_f, xdot_fd = np.split(np.linalg.solve(Sb, np.concatenate(
+            [np.broadcast_to(Ceff, (K, dxi, dxi)), g_f, g_fd], axis=2)), cols, axis=2)
         Zx[:, i4], Zf[:, i4], w4_fd = np.split(np.linalg.solve(_bT(C2), np.concatenate([
             A2[:, ih, ix] + A2[:, ih, i3] @ W3x - Shx @ xdot_x,
             A2[:, ih, ih] @ eta_f + A2[:, ih, i3] @ w3_f + P[:, ih, :]

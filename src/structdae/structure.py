@@ -113,7 +113,9 @@ def _defects(kind, Ev, Ed, Av):
 def _congruence_arrays(Ev, Ed, Av, Q, Qd=None):
     """Grid values of Q^T E Q, its derivative, and Q^T A Q - Q^T E Qdot.
 
-    Q is a (K, n, n) grid array or one constant (n, n) matrix; Qd=None
+    Every operand is a (K, ., .) grid array or the one-sample (1, ., .)
+    stack of a constant (`_samples`), which broadcasts against the grid
+    arrays; a bare (n, n) stage matrix Q broadcasts the same way.  Qd=None
     means Qdot = 0.  Ed=None skips the derivative (returned as None).
     """
     QT = _bT(Q)
@@ -151,10 +153,30 @@ def _structure(kind, Ev, Ed, Av, norm=None):
     return _relative(max(map(_maxnorm, _defects(kind, Ev, Ed, Av))), norm), norm
 
 
+def _samples(F, grid, derivative=False):
+    """Grid samples (K, rows, cols) of F or of its derivative.  A constant
+    is one sample, a (1, rows, cols) copy of its value (zeros for the
+    derivative) that broadcasts against the grid arrays: the only place
+    that decides how a constant looks on the grid."""
+    if isinstance(F, mf.ConstantMatrixFunction):
+        return np.zeros((1, *F.shape)) if derivative else F.value[None].copy()
+    return F.derivative_on(grid) if derivative else F.eval_on(grid)
+
+
+def _sampled(grid, vals):
+    """Function of the samples vals (K or 1, ., .): a constant when every
+    sample is bitwise equal to the first, else the cubic through the grid
+    samples (non-finite samples raise either way)."""
+    bits = np.ascontiguousarray(vals).reshape(len(vals), -1).view(np.uint64)
+    if np.all(bits == bits[0]):
+        return mf.ConstantMatrixFunction(vals[0])
+    return mf.SampledMatrixFunction(grid, vals, order=3)
+
+
 def _values(pair, grid):
-    """Grid values of E, Edot and A."""
+    """`_samples` of E, Edot and A."""
     pair.check_grid(grid)
-    return pair.E.eval_on(grid), pair.E.derivative_on(grid), pair.A.eval_on(grid)
+    return _samples(pair.E, grid), _samples(pair.E, grid, True), _samples(pair.A, grid)
 
 
 def _tolerance(Ev, Av):
@@ -186,7 +208,7 @@ def default_tolerance(pair, grid):
     absolute floor: a pair and the same pair in other units get the same
     classification.  Only the all-zero pair gets the smallest normal float."""
     pair.check_grid(grid)
-    return _tolerance(pair.E.eval_on(grid), pair.A.eval_on(grid))
+    return _tolerance(_samples(pair.E, grid), _samples(pair.A, grid))
 
 
 def classify(pair, grid, tol):
@@ -244,7 +266,7 @@ def _require_nonsingular(F, ts, rel_tol, error, what, **fields):
 def check_nonsingular(F, grid, what="Q"):
     """Raise SingularityError (naming the time) if F(t) is singular on the grid."""
     _require_nonsingular(
-        F.eval_on(grid), grid.points, 1e-12, SingularityError, f"{what} is numerically singular"
+        _samples(F, grid), grid.points, 1e-12, SingularityError, f"{what} is numerically singular"
     )
 
 

@@ -649,3 +649,51 @@ def test_e11_rank_near_the_threshold_is_ill_posed(delta, ill):
                 build(pair, basis, GRID)
         else:
             assert build(pair, basis, GRID).p == 2
+
+
+# ---------------------------------------------------------------------------
+# failure paths: each known limit raises a typed error naming its stage
+# ---------------------------------------------------------------------------
+
+GRID41 = sd.TimeGrid.uniform(0.0, 1.0, 41)
+
+
+def _limit_multibody():
+    return sd.build_multibody(np.eye(2), np.diag([1.0, 2.0]), [[1.0, 0.0]], interval=GRID41)
+
+
+def _scaled(pair, e, a):
+    return sd.MatrixPair(sd.mf_scale(pair.E, e), sd.mf_scale(pair.A, a), pair.interval)
+
+
+def _residual(err):
+    return float(str(err).rsplit(" ", 1)[1].rstrip(")"))
+
+
+@pytest.mark.parametrize("c, residual", [(1e-8, 2.340e-08), (1e-9, 2.925e-07)])
+def test_self_form_in_small_units_fails_at_row_normalization(c, residual):
+    pair = _scaled(_limit_multibody().self_pair, c, c)
+    basis = sd.solution_basis_constant(pair, GRID41)
+    with pytest.raises(StageError, match="structure lost after stage 'row normalization'") as err:
+        sd.global_canonical_self(pair, basis, GRID41)
+    assert err.value.stage == "row normalization"
+    assert _residual(err.value) == pytest.approx(residual, rel=0.1)
+
+
+def test_skew_form_with_a_small_e_fails_at_inertia_normalization():
+    pair = _scaled(_limit_multibody().skew_pair, 1e-9, 1.0)
+    basis = sd.solution_basis_constant(pair, GRID41)
+    with pytest.raises(StageError, match="after stage 'inertia normalization'") as err:
+        sd.global_canonical_skew(pair, basis, GRID41)
+    assert err.value.stage == "inertia normalization"
+    assert _residual(err.value) == pytest.approx(2.525e-07, rel=0.1)
+
+
+def test_basis_with_a_wrong_derivative_is_a_basis_deficiency():
+    pair = _limit_multibody().skew_pair
+    basis = sd.solution_basis_constant(pair, GRID41)
+    wrong = sd.SolutionBasis(basis.Phi, sd.mf_scale(basis.Phidot, 2.0), basis.d,
+                             complement=basis.complement)
+    with pytest.raises(BasisDeficiencyError, match="Phi does not solve the homogeneous DAE") as err:
+        sd.global_canonical_skew(pair, wrong, GRID41)
+    assert _residual(err.value) == pytest.approx(2.974, rel=0.1)

@@ -15,7 +15,7 @@ from structdae.canonical import STAGE_TOL
 from structdae.cli import main
 from structdae.errors import StructureError
 
-from oracles import seeded_semidefinite_skew_pair
+from oracles import random_poly_congruence, seeded_semidefinite_skew_pair
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 GRID41 = sd.TimeGrid.uniform(0.0, 1.0, 41)
@@ -53,11 +53,16 @@ def test_check_rejects_a_dissipative_pair_in_small_units(tmp_path):
 
 
 def test_check_evaluates_the_pair_once(tmp_path, monkeypatch):
-    # without --tol the default tolerance comes from the same grid values
+    # without --tol the default tolerance comes from the same samples; a
+    # constant pair is one sample each and is not evaluated on the grid
     from structdae import cli
 
-    model = tmp_path / "m.json"
-    assert main(["demo", "circuit", "--out", str(model)]) == 0
+    circuit, moved = tmp_path / "circuit.json", tmp_path / "moved.json"
+    assert main(["demo", "circuit", "--out", str(circuit)]) == 0
+    # the demo circuit moved by a degree-1 polynomial congruence
+    pair = cli.model_pair(json.loads(circuit.read_text()))
+    T = random_poly_congruence(np.random.default_rng(2), pair.n, 1)
+    moved.write_text(json.dumps(sd.pair_to_json(sd.apply_congruence(pair, T))))
     calls = []
     model_pair = cli.model_pair
 
@@ -73,8 +78,10 @@ def test_check_evaluates_the_pair_once(tmp_path, monkeypatch):
         return pair
 
     monkeypatch.setattr(cli, "model_pair", counted)
-    assert main(["check", "--model", str(model), "--out", str(tmp_path / "rep.json")]) == 0
-    assert sorted(calls) == ["A.eval_on", "E.derivative_on", "E.eval_on"]
+    for model, want in ((circuit, []), (moved, ["A.eval_on", "E.derivative_on", "E.eval_on"])):
+        calls.clear()
+        assert main(["check", "--model", str(model), "--out", str(tmp_path / "rep.json")]) == 0
+        assert sorted(calls) == want, model.name
 
 
 def test_remark1_rejects_a_small_pair_that_is_not_self_adjoint():

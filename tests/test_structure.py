@@ -307,8 +307,9 @@ def test_circuit_reduction_guards_each_matrix_once(monkeypatch):
         seen.clear()
         run()
         # the 2 x 2 constraint block C2 (also solved as C2^T) and the 1 x 1
-        # dynamic E block; the index-1 block of this circuit is empty
-        assert [F.shape for F in seen if F.size] == [(201, 2, 2), (201, 1, 1)] + steps
+        # dynamic E block, one sample each of the constant pair; the index-1
+        # block of this circuit is empty
+        assert [F.shape for F in seen if F.size] == [(1, 2, 2), (1, 1, 1)] + steps
         for i, F in enumerate(seen):
             for G in seen[i + 1:]:
                 assert not np.array_equal(F, G)
