@@ -198,12 +198,9 @@ def solution_basis_constant(pair, grid):
     the basis is Phi(t) = V* expm((t - tc) M), anchored at the centre tc of
     the grid.
     """
-    if not (
-        isinstance(pair.E, mf.ConstantMatrixFunction)
-        and isinstance(pair.A, mf.ConstantMatrixFunction)
-    ):
+    E, A = st._constant(pair.E), st._constant(pair.A)
+    if E is None or A is None:
         raise UnsupportedError("solution_basis_constant needs a constant pair")
-    E, A = pair.E.value, pair.A.value
     n = pair.n
     V, Vc = _finite_subspace(E, A, np.linalg.norm(E, 2), np.linalg.norm(A, 2))
     d = V.shape[1]

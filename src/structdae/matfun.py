@@ -1,10 +1,11 @@
 """Time-dependent matrices on a compact interval.
 
-Three concrete kinds carry matrix data:
+Two concrete kinds carry matrix data:
 
-  * ``ConstantMatrixFunction``    -- a fixed matrix, zero derivative;
   * ``PolynomialMatrixFunction``  -- per-entry polynomials in t, analytic
-    derivative, closed under sums/products/transposition;
+    derivative, closed under sums/products/transposition.  A constant is
+    the polynomial of degree 0, ``ConstantMatrixFunction``: it holds one
+    matrix, and every algebra result of degree 0 is one;
   * ``SampledMatrixFunction``     -- values on a grid, piecewise linear
     (order 1) or cubic interpolation (order 3, not-a-knot end rule).
     Optionally carries derivative samples; the interpolant is then the
@@ -73,10 +74,6 @@ class TimeGrid:
     def n(self):
         return int(self.points.size)
 
-    @property
-    def span(self):
-        return self.tf - self.t0
-
     def refine(self):
         """Grid with every interval halved (keeps original points)."""
         mids = 0.5 * (self.points[:-1] + self.points[1:])
@@ -104,7 +101,7 @@ class TimeGrid:
 
 
 class MatrixFunction:
-    """Common interface of the three kinds."""
+    """Common interface of the kinds."""
 
     rows: int
     cols: int
@@ -140,28 +137,6 @@ class MatrixFunction:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-class ConstantMatrixFunction(MatrixFunction):
-    def __init__(self, value):
-        self.value = _as_matrix(value, "constant matrix")
-        self.rows, self.cols = self.value.shape
-
-    def eval(self, t):
-        return self.value.copy()
-
-    def derivative(self, t):
-        return np.zeros_like(self.value)
-
-    # own class entries, which perfbench/spans.py wraps by class and name
-    eval_on = MatrixFunction.eval_on
-    derivative_on = MatrixFunction.derivative_on
-
-    def _eval_at(self, ts):
-        return np.broadcast_to(self.value, (len(ts), self.rows, self.cols)).copy()
-
-    def _derivative_at(self, ts):
-        return np.zeros((len(ts), self.rows, self.cols))
-
-
 class PolynomialMatrixFunction(MatrixFunction):
     """Matrix polynomial sum_k coeffs[k] * t**k (lowest degree first)."""
 
@@ -179,8 +154,9 @@ class PolynomialMatrixFunction(MatrixFunction):
             deg -= 1
         self.coeffs = c[: deg + 1]
         self.rows, self.cols = c.shape[1], c.shape[2]
+        # a constant's zero derivative is a read-only view, not a stored matrix
         self._dcoeffs = (self.coeffs[1:] * np.arange(1, deg + 1)[:, None, None]
-                         if deg else np.zeros_like(self.coeffs))
+                         if deg else np.broadcast_to(0.0, self.coeffs.shape))
 
     @classmethod
     def from_entries(cls, entries):
@@ -217,7 +193,29 @@ class PolynomialMatrixFunction(MatrixFunction):
         return _horner(self._dcoeffs, np.asarray(ts, dtype=float)[:, None, None])
 
     def derivative_function(self):
-        return PolynomialMatrixFunction(self._dcoeffs)
+        return _poly(self._dcoeffs)
+
+
+class ConstantMatrixFunction(PolynomialMatrixFunction):
+    """The polynomial of degree 0: one matrix, zero derivative."""
+
+    def __init__(self, value):
+        super().__init__(_as_matrix(value, "constant matrix")[None])
+
+    @property
+    def value(self):
+        return self.coeffs[0]
+
+    # own class entries, which perfbench/spans.py wraps by class and name
+    eval_on = MatrixFunction.eval_on
+    derivative_on = MatrixFunction.derivative_on
+
+
+def _poly(c):
+    """The polynomial with coefficients c (lowest degree first): a
+    ConstantMatrixFunction when its trimmed degree is 0."""
+    p = PolynomialMatrixFunction(c)
+    return ConstantMatrixFunction(p.coeffs[0]) if p.degree == 0 else p
 
 
 def _horner(coeffs, t):
@@ -419,22 +417,9 @@ def from_callable(fn, grid, dfn=None, order=3):
 
 
 # ---------------------------------------------------------------------------
-# algebra on matrix functions, closed over the kinds
+# algebra on matrix functions, closed over the two kinds: a result is
+# sampled when an operand is, else a polynomial (`_poly`)
 # ---------------------------------------------------------------------------
-
-def _kind_rank(f):
-    if isinstance(f, ConstantMatrixFunction):
-        return 0
-    if isinstance(f, PolynomialMatrixFunction):
-        return 1
-    return 2
-
-
-def _as_poly(f):
-    if isinstance(f, PolynomialMatrixFunction):
-        return f
-    return PolynomialMatrixFunction(f.value[None, :, :])
-
 
 def _result_grid(*funs):
     for f in funs:
@@ -454,21 +439,15 @@ def mf_add(a, b):
     grid = _result_grid(a, b)
     if grid is not None:
         return _sampled_binary(a, b, grid, lambda x, y: x + y, lambda x, y, dx, dy: dx + dy)
-    if _kind_rank(a) == 0 and _kind_rank(b) == 0:
-        return ConstantMatrixFunction(a.value + b.value)
-    pa, pb = _as_poly(a), _as_poly(b)
-    deg = max(pa.degree, pb.degree)
-    c = np.zeros((deg + 1, a.rows, a.cols))
-    c[: pa.degree + 1] += pa.coeffs
-    c[: pb.degree + 1] += pb.coeffs
-    return PolynomialMatrixFunction(c)
+    c = np.zeros((max(a.degree, b.degree) + 1, a.rows, a.cols))
+    c[: a.degree + 1] += a.coeffs
+    c[: b.degree + 1] += b.coeffs
+    return _poly(c)
 
 
 def mf_scale(a, s):
-    if isinstance(a, ConstantMatrixFunction):
-        return ConstantMatrixFunction(s * a.value)
     if isinstance(a, PolynomialMatrixFunction):
-        return PolynomialMatrixFunction(s * a.coeffs)
+        return _poly(s * a.coeffs)
     dv = None if a.deriv_values is None else s * a.deriv_values
     return SampledMatrixFunction(a.grid, s * a.values, order=a.order, deriv_values=dv)
 
@@ -485,21 +464,16 @@ def mf_matmul(a, b):
         return _sampled_binary(
             a, b, grid, lambda x, y: x @ y, lambda x, y, dx, dy: dx @ y + x @ dy
         )
-    if _kind_rank(a) == 0 and _kind_rank(b) == 0:
-        return ConstantMatrixFunction(a.value @ b.value)
-    pa, pb = _as_poly(a), _as_poly(b)
-    c = np.zeros((pa.degree + pb.degree + 1, a.rows, b.cols))
-    for i in range(pa.degree + 1):
-        for j in range(pb.degree + 1):
-            c[i + j] += pa.coeffs[i] @ pb.coeffs[j]
-    return PolynomialMatrixFunction(c)
+    c = np.zeros((a.degree + b.degree + 1, a.rows, b.cols))
+    for i in range(a.degree + 1):
+        for j in range(b.degree + 1):
+            c[i + j] += a.coeffs[i] @ b.coeffs[j]
+    return _poly(c)
 
 
 def mf_transpose(a):
-    if isinstance(a, ConstantMatrixFunction):
-        return ConstantMatrixFunction(a.value.T)
     if isinstance(a, PolynomialMatrixFunction):
-        return PolynomialMatrixFunction(np.transpose(a.coeffs, (0, 2, 1)))
+        return _poly(np.transpose(a.coeffs, (0, 2, 1)))
     dv = None if a.deriv_values is None else np.transpose(a.deriv_values, (0, 2, 1))
     return SampledMatrixFunction(
         a.grid, np.transpose(a.values, (0, 2, 1)), order=a.order, deriv_values=dv
@@ -508,8 +482,6 @@ def mf_transpose(a):
 
 def mf_derivative_function(a):
     """The derivative as a MatrixFunction of the same (or simpler) kind."""
-    if isinstance(a, ConstantMatrixFunction):
-        return zero(a.rows, a.cols)
     if isinstance(a, PolynomialMatrixFunction):
         return a.derivative_function()
     vals = a.derivative_on(a.grid)
@@ -520,14 +492,26 @@ def mf_block(blocks):
     """Assemble a block matrix function from a 2d list of blocks.
 
     Entries may be MatrixFunction or plain arrays (treated as constants).
+    Every block of a row has the row's height and every row the same width.
     """
     norm = [
         [b if isinstance(b, MatrixFunction) else ConstantMatrixFunction(b) for b in row]
         for row in blocks
     ]
-    rank = max(_kind_rank(b) for row in norm for b in row)
-    if rank == 2:
-        grid = _result_grid(*[b for row in norm for b in row])
+    heights = [row[0].rows for row in norm]
+    width = sum(b.cols for b in norm[0])
+    for i, row in enumerate(norm):
+        for j, b in enumerate(row):
+            if b.rows != heights[i]:
+                raise DimensionError(
+                    f"block ({i}, {j}) has {b.rows} rows, row {i} has {heights[i]}"
+                )
+        end = sum(b.cols for b in row)
+        if end != width:
+            raise DimensionError(f"row {i} ends at column {end}, row 0 at column {width}")
+    funs = [b for row in norm for b in row]
+    grid = _result_grid(*funs)
+    if grid is not None:
         vals = np.concatenate(
             [np.concatenate([b.eval_on(grid) for b in row], axis=2) for row in norm], axis=1
         )
@@ -536,23 +520,15 @@ def mf_block(blocks):
             axis=1,
         )
         return SampledMatrixFunction(grid, vals, order=3, deriv_values=dvals)
-    if rank == 0:
-        return ConstantMatrixFunction(
-            np.block([[b.value for b in row] for row in norm])
-        )
-    polys = [[_as_poly(b) for b in row] for row in norm]
-    deg = max(p.degree for row in polys for p in row)
-    rows = sum(row[0].rows for row in polys)
-    cols = sum(p.cols for p in polys[0])
-    c = np.zeros((deg + 1, rows, cols))
+    c = np.zeros((max(p.degree for p in funs) + 1, sum(heights), width))
     r0 = 0
-    for row in polys:
+    for row, height in zip(norm, heights):
         c0 = 0
         for p in row:
-            c[: p.degree + 1, r0 : r0 + p.rows, c0 : c0 + p.cols] = p.coeffs
+            c[: p.degree + 1, r0 : r0 + height, c0 : c0 + p.cols] = p.coeffs
             c0 += p.cols
-        r0 += row[0].rows
-    return PolynomialMatrixFunction(c)
+        r0 += height
+    return _poly(c)
 
 
 @dataclass(frozen=True)

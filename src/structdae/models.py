@@ -65,10 +65,6 @@ class PHDAEModel:
     def n(self):
         return self.E.rows
 
-    @property
-    def m(self):
-        return self.G.cols
-
     def coefficient(self):
         """A = J - R - E K, the right-hand-side coefficient of the DAE."""
         return mf.mf_sub(mf.mf_sub(self.J, self.R), mf.mf_matmul(self.E, self.K))

@@ -153,13 +153,22 @@ def _structure(kind, Ev, Ed, Av, norm=None):
     return _relative(max(map(_maxnorm, _defects(kind, Ev, Ed, Av))), norm), norm
 
 
+def _constant(F):
+    """The value of F when F is a polynomial of degree 0 (a constant), else
+    None: the only test of whether a function is constant."""
+    if isinstance(F, mf.PolynomialMatrixFunction) and F.degree == 0:
+        return F.coeffs[0]
+    return None
+
+
 def _samples(F, grid, derivative=False):
     """Grid samples (K, rows, cols) of F or of its derivative.  A constant
-    is one sample, a (1, rows, cols) copy of its value (zeros for the
-    derivative) that broadcasts against the grid arrays: the only place
-    that decides how a constant looks on the grid."""
-    if isinstance(F, mf.ConstantMatrixFunction):
-        return np.zeros((1, *F.shape)) if derivative else F.value[None].copy()
+    (`_constant`) is one sample, a (1, rows, cols) copy of its value (zeros
+    for the derivative) that broadcasts against the grid arrays: the only
+    place that decides how a constant looks on the grid."""
+    c = _constant(F)
+    if c is not None:
+        return np.zeros((1, *F.shape)) if derivative else c[None].copy()
     return F.derivative_on(grid) if derivative else F.eval_on(grid)
 
 
@@ -326,12 +335,9 @@ def invert(transform, grid):
 
 def remark1_convert(pair):
     """Constant nonsingular self-adjoint (E, A) -> skew-adjoint (A^-1, E^-1)."""
-    if not (
-        isinstance(pair.E, mf.ConstantMatrixFunction)
-        and isinstance(pair.A, mf.ConstantMatrixFunction)
-    ):
+    E, A = _constant(pair.E), _constant(pair.A)
+    if E is None or A is None:
         raise UnsupportedError("the conversion applies to constant pairs only")
-    E, A = pair.E.value, pair.A.value
     res = _structure(SELF_ADJOINT, E, np.zeros_like(E), A)[0]
     if res > 1e-10:
         raise StructureError(f"input pair is not self-adjoint (relative residual {res:.3e})")

@@ -116,6 +116,26 @@ def test_canonical_cli_multibody(tmp_path, capsys):
     assert max(out["residuals"].values()) <= 1e-8
 
 
+def test_canonical_cli_reads_a_degree_0_polynomial_pair_as_a_constant(tmp_path, capsys):
+    import structdae as sd
+
+    model = tmp_path / "mb.json"
+    run(["demo", "multibody", "--form", "skew", "--out", str(model)])
+    obj = json.loads(model.read_text())
+    for key in ("E", "A"):
+        value = sd.matrix_function_from_json(obj[key]).value
+        obj[key] = sd.matrix_function_to_json(sd.poly([value]))
+        assert obj[key]["kind"] == "poly"
+    poly = tmp_path / "mb_poly.json"
+    poly.write_text(sd.dump_json(obj))
+    outs = []
+    for path in (model, poly):
+        assert run(["canonical", "--model", str(path), "--structure", "skew",
+                    "--emit-transform"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_canonical_cli_emit_transform_roundtrip(tmp_path, capsys):
     import structdae as sd
 

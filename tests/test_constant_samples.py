@@ -4,7 +4,7 @@
 against the (K, ., .) grid arrays, and `structure._sampled` turns results
 back into functions.  A constant pair is then never evaluated on the grid,
 and its reduced data come out bit-identical to those of the same pair
-written as K equal samples (a degree-0 polynomial).
+written as K equal samples (a Hermite-sampled copy of the constant).
 """
 
 import numpy as np
@@ -61,8 +61,9 @@ def test_one_sample_and_equal_samples_reduce_alike(case):
     # mixed path, and both sides take the same constant kernel split
     build, reduce = CASES[case]
     pair, f = build()
-    poly = sd.MatrixPair(pair.E, sd.poly([pair.A.value]), pair.interval)
-    one, equal = reduce(pair, f, GRID), reduce(poly, f, GRID)
+    sampled = sd.MatrixPair(pair.E, sd.sample(pair.A, GRID, with_derivatives=True),
+                            pair.interval)
+    one, equal = reduce(pair, f, GRID), reduce(sampled, f, GRID)
     kinds, values = _reduced_data(one)
     assert kinds == _reduced_data(equal)[0]
     assert kinds == [sd.ConstantMatrixFunction] * 6
@@ -81,7 +82,8 @@ def test_moving_e_with_a_constant_split_and_one_sample_a():
     E = sd.poly([pair.E.value, np.diag([0.5, 0.0, 0.0, 0.0, 0.0])])
     f = _sine(w, grid)
     one = sd.index1_reduce(sd.MatrixPair(E, pair.A, grid), f, grid)
-    equal = sd.index1_reduce(sd.MatrixPair(E, sd.poly([pair.A.value]), grid), f, grid)
+    A = sd.sample(pair.A, grid, with_derivatives=True)
+    equal = sd.index1_reduce(sd.MatrixPair(E, A, grid), f, grid)
     assert one.dynamic_dim == equal.dynamic_dim == 1
     for F, G in ((one.m_fun, equal.m_fun), (one.rx, equal.rx), (one.rf, equal.rf),
                  (one.rfd, equal.rfd), (one.projector, equal.projector),
@@ -90,9 +92,11 @@ def test_moving_e_with_a_constant_split_and_one_sample_a():
 
 
 def _counted(pair, calls):
-    """Record every grid evaluation of the pair's E and A in calls."""
+    """Record every evaluation of the pair's E and A in calls: on the grid
+    and at single points."""
     for name, F in (("E", pair.E), ("A", pair.A)):
-        for method in ("eval_on", "derivative_on", "_eval_at", "_derivative_at"):
+        for method in ("eval", "derivative", "eval_on", "derivative_on", "_eval_at",
+                       "_derivative_at"):
             def counting(ts, _f=getattr(F, method), _key=f"{name}.{method}"):
                 calls.append(_key)
                 return _f(ts)
@@ -100,28 +104,51 @@ def _counted(pair, calls):
             setattr(F, method, counting)
 
 
+def _bits(*funs, grid=GRID):
+    """Kinds and grid-value bytes of the functions."""
+    return [(type(F), F.eval_on(grid).tobytes()) for F in funs]
+
+
 def _classified(pair, f, grid):
-    return sd.classify(pair, grid, sd.default_tolerance(pair, grid))
+    tag = sd.classify(pair, grid, sd.default_tolerance(pair, grid))
+    return tag.value, tag.tolerance
+
+
+def _basis(pair, f, grid):
+    b = sd.solution_basis_constant(pair, grid)
+    return b.d, _bits(b.Phi, b.Phidot, b.complement)
+
+
+def _form_bits(form):
+    return (form.p, getattr(form, "q", None), form.stage_residuals,
+            _bits(form.Q.Q, form.Q.Qdot, form.E33, form.A33))
 
 
 def _self_form(pair, f, grid):
-    return sd.global_canonical_self(pair, sd.solution_basis_constant(pair, grid), grid)
+    return _form_bits(sd.global_canonical_self(pair, sd.solution_basis_constant(pair, grid), grid))
 
 
 def _skew_form(pair, f, grid):
-    return sd.global_canonical_skew(pair, sd.solution_basis_constant(pair, grid), grid)
+    return _form_bits(sd.global_canonical_skew(pair, sd.solution_basis_constant(pair, grid), grid))
 
 
 def _reducers(pair, f, grid):
-    sd.index1_reduce(pair, f, grid)
-    sd.semidefinite_skew_reduce(pair, f, grid)
+    out = []
+    for reduce in (sd.index1_reduce, sd.semidefinite_skew_reduce):
+        red = reduce(pair, f, grid)
+        kinds, values = _reduced_data(red)
+        cert = red.certificate
+        out.append((red.dynamic_dim, kinds, [v.tobytes() for v in values],
+                    cert and (cert.kind, cert.B.tobytes()), red.max_f_derivative))
+    return out
 
 
 COUNTED = {
-    "circuit": (_circuit, [_reducers, _classified, _skew_form]),
+    "circuit": (_circuit, [_reducers, _classified, _basis, _skew_form]),
     "multibody skew": (lambda: (_multibody().skew_pair, _sine(np.arange(1.0, 6.0))),
-                       [_reducers, _classified, _skew_form]),
-    "multibody self": (lambda: (_multibody().self_pair, None), [_classified, _self_form]),
+                       [_reducers, _classified, _basis, _skew_form]),
+    "multibody self": (lambda: (_multibody().self_pair, None),
+                       [_classified, _basis, _self_form]),
 }
 
 
@@ -136,6 +163,34 @@ def test_a_constant_pair_is_not_evaluated_on_the_grid(case):
         run(pair, f, GRID)
     assert calls == []
     assert np.array_equal(pair.E.value, E) and np.array_equal(pair.A.value, A)
+
+
+def _degree_0(pair):
+    """The pair with E and A written as polynomials of degree 0."""
+    return sd.MatrixPair(sd.poly([pair.E.value]), sd.poly([pair.A.value]), pair.interval)
+
+
+@pytest.mark.parametrize("case", list(COUNTED))
+def test_a_degree_0_polynomial_pair_gives_the_constant_pairs_bits(case):
+    # a degree-0 polynomial is one sample too: no grid evaluation, same bits
+    build, runs = COUNTED[case]
+    pair, f = build()
+    poly = _degree_0(pair)
+    assert type(poly.E) is type(poly.A) is sd.PolynomialMatrixFunction
+    calls = []
+    _counted(poly, calls)
+    for run in runs:
+        assert run(poly, f, GRID) == run(pair, f, GRID)
+    assert calls == []
+
+
+def test_remark1_accepts_a_degree_0_polynomial_pair():
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((4, 4))
+    pair = sd.MatrixPair(sd.constant(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))),
+                         sd.constant(S + S.T), GRID)
+    one, poly = sd.remark1_convert(pair), sd.remark1_convert(_degree_0(pair))
+    assert _bits(one.E, one.A) == _bits(poly.E, poly.A)
 
 
 def test_samples_of_a_constant_do_not_alias_its_value():

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import structdae as sd
-from structdae.errors import ConstructionError, DomainError
+from structdae.errors import ConstructionError, DimensionError, DomainError
 
 
 def test_time_grid_validation():
@@ -131,6 +131,111 @@ def test_block_and_algebra_kind_promotion():
     assert np.allclose(prod.derivative(0.5), [[0.0, 2.0], [0.0, 0.0]])
     tr = sd.mf_transpose(blk)
     assert np.allclose(tr.eval(0.25), [[1.0, 0.0], [0.25, 1.0]])
+
+
+# The algebra closes over two kinds: a result is sampled when an operand is,
+# else a polynomial, and a polynomial of degree 0 is a constant.
+KIND_GRID = sd.TimeGrid.uniform(0.0, 1.0, 11)
+KIND_POINTS = KIND_GRID.points[[0, 4, 10]]
+_C = np.random.default_rng(7).standard_normal((6, 2, 2))
+OPERANDS = {
+    "constant": lambda: sd.constant(_C[0]),
+    "degree 0": lambda: sd.poly([_C[1]]),
+    "degree 1": lambda: sd.poly([_C[2], _C[3]]),
+    "sampled": lambda: sd.sample(sd.poly([_C[4], _C[5], _C[0]]), KIND_GRID,
+                                 with_derivatives=True),
+}
+
+
+def _result_kind(*names):
+    if "sampled" in names:
+        return sd.SampledMatrixFunction
+    if "degree 1" in names:
+        return sd.PolynomialMatrixFunction
+    return sd.ConstantMatrixFunction
+
+
+def _check_values(F, expected, exact):
+    for t in KIND_POINTS:
+        if exact:
+            assert F.eval(t).tobytes() == expected(t).tobytes()
+        else:
+            assert np.allclose(F.eval(t), expected(t), rtol=1e-13, atol=1e-13)
+
+
+BINARY = {
+    "mf_add": (sd.mf_add, lambda x, y: x + y),
+    "mf_sub": (sd.mf_sub, lambda x, y: x - y),
+    "mf_matmul": (sd.mf_matmul, lambda x, y: x @ y),
+}
+
+
+@pytest.mark.parametrize("op", list(BINARY))
+@pytest.mark.parametrize("left", list(OPERANDS))
+@pytest.mark.parametrize("right", list(OPERANDS))
+def test_binary_kind_table(op, left, right):
+    fun, expr = BINARY[op]
+    a, b = OPERANDS[left](), OPERANDS[right]()
+    F = fun(a, b)
+    kind = _result_kind(left, right)
+    if op == "mf_sub" and left == right == "degree 1":
+        kind = sd.ConstantMatrixFunction  # a - a: the higher coefficients cancel
+    assert type(F) is kind
+    # two constants give the numpy expression of their values bit for bit
+    exact = kind is sd.ConstantMatrixFunction
+    _check_values(F, lambda t: expr(a.eval(t), b.eval(t)), exact)
+    if exact:
+        assert F.value.tobytes() == expr(a.eval(0.0), b.eval(0.0)).tobytes()
+
+
+UNARY = {
+    "mf_scale": (lambda a: sd.mf_scale(a, -2.5), lambda a, t: -2.5 * a.eval(t)),
+    "mf_transpose": (sd.mf_transpose, lambda a, t: a.eval(t).T),
+    "mf_derivative_function": (sd.mf_derivative_function, lambda a, t: a.derivative(t)),
+}
+
+
+@pytest.mark.parametrize("op", list(UNARY))
+@pytest.mark.parametrize("name", list(OPERANDS))
+def test_unary_kind_table(op, name):
+    fun, expr = UNARY[op]
+    a = OPERANDS[name]()
+    F = fun(a)
+    kind = _result_kind(name)
+    if op == "mf_derivative_function" and name == "degree 1":
+        kind = sd.ConstantMatrixFunction  # the derivative has degree 0
+    assert type(F) is kind
+    _check_values(F, lambda t: expr(a, t), kind is sd.ConstantMatrixFunction)
+
+
+@pytest.mark.parametrize("left", list(OPERANDS))
+@pytest.mark.parametrize("right", list(OPERANDS))
+def test_block_kind_table(left, right):
+    a, b = OPERANDS[left](), OPERANDS[right]()
+    F = sd.mf_block([[a, b], [b, np.ones((2, 2))]])
+    assert type(F) is _result_kind(left, right)
+    _check_values(F, lambda t: np.block([[a.eval(t), b.eval(t)], [b.eval(t), np.ones((2, 2))]]),
+                  exact=True)
+
+
+def test_a_constant_stores_no_derivative_matrix():
+    F = sd.constant(_C[0])
+    assert F.value.shape == (2, 2)
+    assert F._dcoeffs.strides == (0, 0, 0)
+    assert not F._dcoeffs.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "sampled"])
+def test_block_shapes_are_checked_for_every_kind(kind):
+    make = {
+        "constant": sd.constant,
+        "polynomial": lambda x: sd.poly([x, np.ones_like(x)]),
+        "sampled": lambda x: sd.sample(sd.poly([x, x]), KIND_GRID),
+    }[kind]
+    with pytest.raises(DimensionError, match=r"block \(0, 1\) has 1 rows, row 0 has 2"):
+        sd.mf_block([[make(np.eye(2)), np.ones((1, 1))]])
+    with pytest.raises(DimensionError, match="row 1 ends at column 3, row 0 at column 2"):
+        sd.mf_block([[make(np.eye(2))], [make(np.ones((1, 3)))]])
 
 
 def test_matrix_function_json_roundtrip():
