@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matfun as mf
 from . import structure as st
-from .errors import DimensionError, SingularityError
+from .errors import DimensionError, SingularityError, UnsupportedError
 from .reduce import FlowCertificate, ReducedSystem, index1_reduce
 
 
@@ -77,13 +77,20 @@ def fundamental_solution(M_fun, grid):
     return FundamentalSolution(grid, Phi)
 
 
+def _form(certificate):
+    """The quadratic form B of a certificate, or B itself."""
+    if certificate is None:
+        raise UnsupportedError("the reduced core is uncertified: no form to check its flow")
+    return certificate.B if isinstance(certificate, FlowCertificate) else np.asarray(certificate)
+
+
 def flow_defect_series(fundamental, certificate):
     """|| Phi_k^T B Phi_k - B ||_F at every grid point for the certificate's form B."""
+    B = _form(certificate)
     if isinstance(fundamental, FundamentalSolution):
         mats = fundamental.matrices
     else:
         mats = np.asarray(fundamental, dtype=float)
-    B = certificate.B if isinstance(certificate, FlowCertificate) else np.asarray(certificate)
     defect = np.transpose(mats, (0, 2, 1)) @ B[None] @ mats - B[None]
     return np.linalg.norm(defect, axis=(1, 2))
 
@@ -94,6 +101,8 @@ def flow_defect(fundamental, certificate):
 
 
 def certify_flow(M_fun, grid, certificate):
+    """M's fundamental solution and flow defect; an uncertified core raises first."""
+    _form(certificate)
     fund = fundamental_solution(M_fun, grid)
     return FlowDiagnostics(certificate.kind, flow_defect(fund, certificate), fund.matrices)
 
@@ -142,15 +151,12 @@ class DissipationReport:
 def dissipation_monitor(model, traj, u=None):
     """Check the discrete dissipation inequality H_{k+1} <= H_k (+ roundoff).
 
-    Meaningful for zero input; with a nonzero u the report still carries the
-    energy sequence but the inequality is not asserted.
+    A step may gain 1e-8 max(|H_k|, |H_{k+1}|), so every unit gets one verdict.
+    Unless u is exactly zero on the grid, checked is False (no assertion).
     """
     H = hamiltonian_series(model.E, traj)
-    checked = True
-    if u is not None:
-        umax = float(np.abs(u.eval_on(traj.grid)).max())
-        checked = umax <= 1e-14 * (1.0 + umax)
-    excess = np.diff(H) - 1e-8 * (1.0 + np.abs(H[:-1]))
+    checked = u is None or not np.any(u.eval_on(traj.grid))
+    excess = np.diff(H) - 1e-8 * np.maximum(np.abs(H[:-1]), np.abs(H[1:]))
     viol = float(excess.max(initial=0.0))
     return DissipationReport(H, viol, viol <= 0.0, checked)
 

@@ -2,11 +2,12 @@
 
 One kernel-elimination driver handles regular pairs with positive
 semidefinite E of constant rank and differentiation index at most two:
-it splits off the kernel of E, eliminates the nonsingular part of the
-algebraic block (index 1) and the constraint/chain pairing (index 2), and
-scales the dynamic block by the positive definite square root of its E
-coefficient.  The core earns the orthogonal certificate when the pair is
-skew-adjoint and the scaled coefficient is pointwise skew;
+one congruence (the kernel split of E times the constraint/chain frame),
+the index-1 elimination of the algebraic block for every pair, one block
+for the constraint/chain pairing (index 2), and the scaling of the dynamic
+block by the positive definite square root of its E coefficient.  The
+core earns the orthogonal certificate when the pair is skew-adjoint and
+the scaled coefficient is pointwise skew;
 ``semidefinite_skew_reduce`` requires it, ``index1_reduce`` reports it.
 ``stokes_reduce`` is its index-2 case: the saddle point of incompressible
 flow, with the pressure as the recovered chain variables.  Recovery maps
@@ -168,17 +169,18 @@ def _spd_sqrt_with_derivative(Sv, Sd):
 def _eliminate(pair, f, grid, gap_tol, strict=False):
     """Kernel elimination of E xdot = A x + f with E >= 0 of constant rank.
 
-    Splits off the kernel of E, solves the nonsingular part of the kernel
-    block of A (index 1) and the constraint/chain pairing (index 2, constant
-    split only), and scales the dynamic block by F = S_b^{1/2}.  No skew
-    structure is assumed.  The certificate is orthogonal when the pair passes
-    the skew-adjoint residual test and the scaled core M is pointwise skew,
-    None otherwise; strict raises StructureError instead of returning None.
-    The kernel block and the constraint rows are both cut from A1(t0), the
-    transformed A, so their ranks are decided against its norm (gap_tol for
-    the block, 1e-10 for the rows), never against E's: with a constant
-    split, scaling E alone (a change of time unit) or the whole pair moves
-    neither decision.
+    Splits off the kernel of E; the split pair's first sample A1(t0) then
+    decides the nonsingular part of A's kernel block and the constraint/
+    chain frame (index 2, constant split only), and the grid sees one
+    congruence, by the split times that frame.  Every pair takes the
+    index-1 elimination over the columns [xi | f]; a chain adds one block
+    (etadot, the chain variables, the fdot weights).  The dynamic block is
+    scaled by F = S_b^{1/2}.  The certificate is orthogonal when the pair
+    passes the skew-adjoint residual test and the scaled core M is
+    pointwise skew, None otherwise (strict raises StructureError).  Ranks
+    are decided against the norm of A1(t0) (gap_tol for the block, 1e-10
+    for the rows), never against E's, so a change of time unit or of the
+    pair's scale moves no decision.
     """
     Ev, Ed, Av = st._values(pair, grid)
     if f.rows != pair.n or f.cols != 1:
@@ -196,31 +198,27 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     Qv, Qd, r = _samples(split.Q, grid), _samples(split.Q, grid, True), split.r
     del split  # with its spline caches, before the congruence below
     # a constant split (exactly zero Qdot) lets A's derivative pass through
-    q_constant = _maxnorm(Qd) == 0.0
-    E1, E1d, A1 = st._congruence_arrays(Ev, Ed, Av, Qv, None if q_constant else Qd)
-    # grid arrays are dropped once consumed, which bounds the peak memory
-    del Ev, Ed, Av, Qd
+    Qd = None if _maxnorm(Qd) == 0.0 else Qd
+    A1 = st._congruence_arrays(Ev[:1], None, Av[:1], Qv[:1], None if Qd is None else Qd[:1])[2][0]
 
     # split the kernel block into its nonsingular part and the constraint rows
-    a = n - r
-    a_scale = np.linalg.norm(A1[0])
-    if a:
-        _, s0, vt0 = np.linalg.svd(A1[0, r:, r:])
-        k_rank = _rank(s0, gap_tol, a_scale)
-    else:
-        k_rank = 0
-    tau = a - k_rank  # number of chain/constraint variables
+    a_scale = np.linalg.norm(A1)
+    _, s0, vt0 = np.linalg.svd(A1[r:, r:])
+    k_rank = _rank(s0, gap_tol, a_scale)
+    tau = n - r - k_rank  # number of chain/constraint variables
     dxi = r - tau
     ix = slice(0, dxi)
+    ih = slice(dxi, r)
     i3 = slice(r, r + k_rank)
+    i4 = slice(r + k_rank, n)
 
+    Qall = Qv
     if tau:
-        if not q_constant:
+        if Qd is not None:
             raise UnsupportedError(
                 "index-2 chain elimination requires a constant kernel splitting of E"
             )
-        Theta = vt0.T
-        C0 = Theta[:, k_rank:].T @ A1[0, r:, :r]
+        C0 = vt0[k_rank:] @ A1[r:, :r]
         # the tau constraint rows need full row rank
         _, sc, vtc = np.linalg.svd(C0)
         if r < tau or _rank(sc, 1e-10, a_scale) < tau:
@@ -229,16 +227,12 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
             )
         Qc = np.zeros((n, n))
         Qc[:r, :r] = np.hstack([vtc.T[:, tau:], vtc.T[:, :tau]])
-        Qc[r:, r:] = Theta
-        E2, E2d, A2 = st._congruence_arrays(E1, E1d, A1, Qc)
-        A2d = Qc.T @ (_bT(Qv) @ _samples(pair.A, grid, True) @ Qv) @ Qc
+        Qc[r:, r:] = vt0.T
         Qall = Qv @ Qc
-        del E1, E1d, A1
-    else:
-        E2, E2d, A2, Qall = E1, E1d, A1, Qv
-    del Qv
-    ih = slice(dxi, r)
-    i4 = slice(r + k_rank, n)
+    # the grid's one congruence; grid arrays are dropped once consumed,
+    # which bounds the peak memory
+    E2, E2d, A2 = st._congruence_arrays(Ev, Ed, Av, Qall, Qd)
+    del Ev, Ed, Av, Qv, Qd
     a2_scale = _maxnorm(A2)  # of the matrix the blocks below are cut from
 
     # the split pattern must hold on the whole grid: the constraint rows read
@@ -261,34 +255,30 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
             "dissipation on the constraint/chain block (A[eta, chain] + C2^T = "
             f"{chain:.3e}) is not supported"
         )
-    # selection of f-components in the transformed frame: fT = P f
-    P = _bT(Qall)
-    # eta from the constraint rows: C2 eta = -f4; C2^T (for the chain
-    # variables below) has the same singular values, so one guard covers both
-    _require_regular(C2, grid, "constraint block")
-    eta_f = -np.linalg.solve(C2, P[:, i4, :])
-    if tau:
-        # etadot: C2 etadot = -f4dot - C2dot eta, so its f4dot weight is eta_f itself
-        etad_f = -np.linalg.solve(C2, A2d[:, i4, ih] @ eta_f)
 
-    # w3 from the nonsingular block; depends on f only (never fdot)
+    # the index-1 elimination, for every pair: each eliminated group is one
+    # weight array over the columns [xi | f], P = Qall^T reads f in the
+    # transformed frame, and rows carry their own weights [A2[., xi] | P]
+    cols = dxi + n
+    P = _bT(Qall)
+
+    def own(rows):
+        return np.concatenate([A2[:, rows, ix], np.broadcast_to(P, A2.shape)[:, rows]], axis=2)
+
+    # eta from the constraint rows, which read no xi: C2 eta = -f4; C2^T has
+    # the same singular values, so one guard covers the chain solve too
+    _require_regular(C2, grid, "constraint block")
+    eta = -np.linalg.solve(C2, np.pad(P[:, i4], ((0, 0), (0, 0), (dxi, 0))))
+    # w3 from the nonsingular block
     A33 = A2[:, i3, i3]
     _require_regular(A33, grid)
-    W3x, w3_f = np.split(-np.linalg.solve(A33, np.concatenate(
-        [A2[:, i3, ix], A2[:, i3, ih] @ eta_f + P[:, i3, :]], axis=2)), [dxi], axis=2)
+    w3 = -np.linalg.solve(A33, A2[:, i3, ih] @ eta + own(i3))
+    # the dynamic rows before scaling: Sb xidot = [Ceff | g_f] (xi, f)
+    dyn = A2[:, ix, ih] @ eta + A2[:, ix, i3] @ w3 + own(ix)
 
-    # dynamic block before scaling: Sb xidot = Ceff xi + gpre
     Sb = E2[:, ix, ix]
-    Ceff = A2[:, ix, ix] + A2[:, ix, i3] @ W3x
-    g_f = A2[:, ix, ih] @ eta_f + A2[:, ix, i3] @ w3_f + P[:, ix, :]
-    if tau:
-        Sxh = E2[:, ix, ih]
-        # not in place: g_f is still one sample when only E moves
-        g_f = g_f - Sxh @ etad_f
-        g_fd = -Sxh @ eta_f
-
     F, Finv, Fd = _spd_sqrt_with_derivative(Sb, E2d[:, ix, ix])
-    Mv = Finv @ Ceff @ Finv + Fd @ Finv
+    Mv = Finv @ dyn[..., :dxi] @ Finv + Fd @ Finv
     cert_defect = _maxnorm(Mv + _bT(Mv))
     # M's skewness is judged against the scale M is built from, A seen
     # through F^{-1} on both sides, so it too is free of the time unit
@@ -298,48 +288,50 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
         raise StructureError(
             f"scaled dynamic block is not skew (defect {cert_defect:.3e})"
         )
-    Gf = Finv @ g_f
 
-    # full-state recovery x = Qall (Zx xi + Zf f + Zfd fdot), sized like M
+    # full-state recovery x = Qall (Z [xi | f] + Zfd fdot), sized like M
     K = len(Mv)
-    Zx = np.zeros((K, n, dxi))
-    Zx[:, ix] = np.eye(dxi)
-    Zx[:, i3] = W3x
-    Zf = np.zeros((K, n, n))
-    Zf[:, ih] = eta_f
-    Zf[:, i3] = w3_f
+    Z = np.zeros((K, n, cols))
+    Z[:, ix, :dxi] = np.eye(dxi)
+    Z[:, ih] = eta
+    Z[:, i3] = w3
+    Gfd, rfd, uses_fd = None, mf.zero(n, n), False
     if tau:
-        Gfd = Finv @ g_fd
-        # w4 from the eta-rows, substituting xidot through the dynamic equation
-        Shx = E2[:, ih, ix]
-        Shh = E2[:, ih, ih]
-        # xidot for the (x, f, fdot) weights, then w4 for the same three
-        cols = [dxi, dxi + n]
+        # the chain: with a constant split, C2dot is A's derivative seen
+        # through Qall, and C2 etadot = -f4dot - C2dot eta gives etadot,
+        # whose f4dot weight is eta's own f weight
+        C2d = P[:, i4] @ _samples(pair.A, grid, True) @ Qall[:, :, ih]
+        etad = -np.linalg.solve(C2, C2d @ eta)
+        eta_f = eta[..., dxi:]
+        Sxh, Shx, Shh = E2[:, ix, ih], E2[:, ih, ix], E2[:, ih, ih]
+        # not in place: dyn is still one sample when only E moves
+        dyn = dyn - Sxh @ etad
+        g_fd = -Sxh @ eta_f
+        # w4 from the eta-rows, substituting xidot through the dynamic
+        # equation; fdot columns exist from here on only
         _require_regular(Sb, grid, "dynamic E block")
-        # Ceff is one sample when A and the split are constant, even if E moves
-        xdot_x, xdot_f, xdot_fd = np.split(np.linalg.solve(Sb, np.concatenate(
-            [np.broadcast_to(Ceff, (K, dxi, dxi)), g_f, g_fd], axis=2)), cols, axis=2)
-        Zx[:, i4], Zf[:, i4], w4_fd = np.split(np.linalg.solve(_bT(C2), np.concatenate([
-            A2[:, ih, ix] + A2[:, ih, i3] @ W3x - Shx @ xdot_x,
-            A2[:, ih, ih] @ eta_f + A2[:, ih, i3] @ w3_f + P[:, ih, :]
-            - Shx @ xdot_f - Shh @ etad_f,
-            -Shx @ xdot_fd - Shh @ eta_f,
-        ], axis=2)), cols, axis=2)
-        # eta itself uses only f; its derivative (etadot) appears inside g and w4
+        xdot = np.linalg.solve(Sb, np.concatenate([dyn, g_fd], axis=2))
+        w4 = np.linalg.solve(_bT(C2), np.concatenate([
+            A2[:, ih, ih] @ eta + A2[:, ih, i3] @ w3 + own(ih)
+            - Shx @ xdot[..., :cols] - Shh @ etad,
+            -Shx @ xdot[..., cols:] - Shh @ eta_f,
+        ], axis=2))
+        Z[:, i4] = w4[..., :cols]
         Zfd = np.zeros((K, n, n))
-        Zfd[:, i4] = w4_fd
+        Zfd[:, i4] = w4[..., cols:]
         # fdot weights on a component of f that vanishes, with its derivative,
         # at every grid point read nothing; zeroed in place, since a masked
         # copy would add a grid array at the reducer's peak memory
-        fv = f.eval_on(grid)[:, :, 0]
-        dead = ~(fv.any(axis=0) | f.derivative_on(grid)[:, :, 0].any(axis=0))
-        Gfd[..., dead] = 0.0
+        dead = ~(f.eval_on(grid).any(axis=0) | f.derivative_on(grid).any(axis=0))[:, 0]
+        g_fd[..., dead] = 0.0
         Zfd[..., dead] = 0.0
-        uses_fd = max(_maxnorm(Gfd), _maxnorm(Zfd)) > 1e-13 * (1.0 + _maxnorm(fv))
+        # fdot weights against the f weights in the pair's own time unit
+        # |E| / |A|, so neither a change of unit nor the size of f decides
+        tol = 1e-13 * _maxnorm(E2) / a2_scale
+        uses_fd = (_maxnorm(g_fd) > tol * _maxnorm(dyn[..., dxi:])
+                   or _maxnorm(Zfd) > tol * _maxnorm(Z[..., dxi:]))
+        Gfd = _sampled(grid, Finv @ g_fd)
         rfd = _sampled(grid, Qall @ Zfd)
-    else:
-        uses_fd = False
-        rfd = mf.zero(n, n)
 
     recovery = [(name, rows) for name, rows in (
         ("constraint variables", tau), ("algebraic variables", k_rank),
@@ -347,11 +339,11 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     return ReducedSystem(
         dynamic_dim=dxi,
         m_fun=_sampled(grid, Mv),
-        g_fun=AffineInput(_sampled(grid, Gf), f, _sampled(grid, Gfd) if tau else None),
+        g_fun=AffineInput(_sampled(grid, Finv @ dyn[..., dxi:]), f, Gfd),
         certificate=FlowCertificate.orthogonal(dxi) if earned else None,
         recovery=recovery,
-        rx=_sampled(grid, Qall @ Zx @ Finv),
-        rf=_sampled(grid, Qall @ Zf),
+        rx=_sampled(grid, Qall @ Z[..., :dxi] @ Finv),
+        rf=_sampled(grid, Qall @ Z[..., dxi:]),
         rfd=rfd,
         max_f_derivative=int(uses_fd),
         pair=pair,
@@ -375,11 +367,11 @@ def semidefinite_skew_reduce(pair, f, grid):
 def index1_reduce(pair, f, grid):
     """Kernel elimination for linear DAEs with E >= 0, dissipative or not.
 
-    The same elimination as ``semidefinite_skew_reduce`` without its
-    structure requirement: index 1, and (despite the name) index 2 when the
-    kernel split is constant and the constraint/chain block carries no
-    dissipation.  The certificate is orthogonal when the data earn it
-    (skew-adjoint pair, pointwise skew scaled core) and None otherwise.
+    The kernel elimination of ``semidefinite_skew_reduce`` without its
+    structure requirement: the index-1 elimination for every pair, plus the
+    chain block at index 2 (constant kernel split, no dissipation on the
+    constraint/chain block).  The certificate is orthogonal when the data
+    earn it (skew-adjoint pair, pointwise skew scaled core), else None.
     """
     # the kernel block's rank is cut at the regularity guard's limit, relative
     # to A: only a block that vanishes against A goes to index 2

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import structdae as sd
-from structdae.errors import SingularityError
+from structdae.errors import SingularityError, UnsupportedError
 from structdae.reduce import FlowCertificate
 
 from oracles import random_poly_congruence, rotation, seeded_semidefinite_skew_pair
@@ -259,3 +259,22 @@ def test_flow_defect_series_is_per_step():
     series = sd.flow_defect_series(mats, FlowCertificate("symplectic", J2))
     assert np.allclose(series, [0.0, 3 * np.sqrt(2.0), 0.0], atol=0)
     assert sd.flow_defect(mats, FlowCertificate("symplectic", J2)) == series.max()
+
+
+def test_certify_flow_rejects_an_uncertified_core(monkeypatch):
+    from structdae import flow
+
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 201)
+    m = sd.build_circuit(1.0, 1.5, 0.7, RL=0.3, RG=0.2, RR=0.5, interval=grid)
+    u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
+    _, red = sd.simulate_phdae(m, u, np.zeros(5), grid)
+    assert red.certificate is None
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a step map was built for an uncertified core")
+
+    monkeypatch.setattr(flow, "_step_maps", no_steps)
+    with pytest.raises(UnsupportedError, match="uncertified"):
+        sd.certify_flow(red.m_fun, grid, red.certificate)
+    with pytest.raises(UnsupportedError, match="uncertified"):
+        sd.flow_defect_series(np.eye(1)[None], red.certificate)

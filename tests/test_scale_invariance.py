@@ -5,6 +5,7 @@ same pair, so every self-/skew-adjoint classification, conversion, reduction
 and canonical form must come out the same as in unit scale.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -121,3 +122,51 @@ def test_self_form_of_a_small_symplectic_pair():
     form = sd.global_canonical_self(pair, basis, GRID201)
     assert form.p == 1
     assert sd.verify_self_global_form(form, GRID201).passes()
+
+
+@pytest.mark.parametrize("e, a", [(1e-14, 1.0), (1.0, 1.0), (1e6, 1.0), (1e-12, 1e-12),
+                                  (1e12, 1e12)])
+def test_circuit_reads_the_input_derivative_in_every_unit(e, a):
+    # E xdot = A x + f with E times e and A, f times a: IG = (e / a) C1 u'
+    # at every scale, since the fdot weights are judged in the pair's own
+    # time unit |E| / |A|, not against an absolute floor
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 201)
+    m = sd.build_circuit(1.0, 1.5, 0.7, interval=grid)
+    u = sd.from_callable(lambda t: [[a * np.sin(t)]], grid, dfn=lambda t: [[a * np.cos(t)]])
+    red = sd.index1_reduce(_scaled(m.pair(), e, a), sd.mf_matmul(m.G, u), grid)
+    assert red.max_f_derivative == 1
+    assert np.abs(red.rfd.eval(0.0)).max() == pytest.approx(1.5 * e / a**2)
+
+
+def _circuit_model(c, RL, grid):
+    """build_circuit(1, 1, 1) with R = diag(RL, 0, 0, 0, 0) and E, J, R times c."""
+    m = sd.build_circuit(1.0, 1.0, 1.0, interval=grid)
+    R = np.diag([RL, 0.0, 0.0, 0.0, 0.0])
+    return dataclasses.replace(m, E=sd.mf_scale(m.E, c), J=sd.mf_scale(m.J, c),
+                               R=sd.constant(c * R))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-9, 1e9])
+def test_dissipation_monitor_flags_energy_growth_in_every_unit(c):
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 201)
+    x0 = np.eye(5)[0]
+    # a negative resistor feeds energy in: H grows from 0.5 c to about 1.36 c
+    m = _circuit_model(c, -0.05, grid)
+    traj, _ = sd.simulate_phdae(m, None, x0, grid)
+    rep = sd.dissipation_monitor(m, traj)
+    assert rep.checked and not rep.nonincreasing
+    assert rep.hamiltonian[-1] > 2.0 * rep.hamiltonian[0]
+    # the lossless circuit conserves H up to roundoff at every scale
+    m = _circuit_model(c, 0.0, grid)
+    traj, _ = sd.simulate_phdae(m, None, x0, grid)
+    rep = sd.dissipation_monitor(m, traj)
+    assert rep.checked and rep.nonincreasing and rep.max_violation == 0.0
+
+
+def test_dissipation_monitor_checks_only_an_exactly_zero_input():
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 201)
+    m = _circuit_model(1.0, 0.0, grid)
+    traj, _ = sd.simulate_phdae(m, None, np.eye(5)[0], grid)
+    tiny = sd.from_callable(lambda t: [[1e-20 * np.sin(t)]], grid)
+    assert sd.dissipation_monitor(m, traj, sd.zero(1, 1)).checked
+    assert not sd.dissipation_monitor(m, traj, tiny).checked
