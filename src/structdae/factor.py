@@ -29,7 +29,7 @@ from .errors import (
     RankDropError,
     StructureError,
 )
-from .structure import _bT, _maxnorm, _sampled, _samples
+from .structure import _bT, _maxnorm, _prefix_products, _sampled, _samples
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -93,16 +93,9 @@ def _chain(B):
     K, _, w = B.shape
     if w == 0 or K == 1:
         return B
-    G = np.empty((K, w, w))
-    G[0] = np.eye(w)
-    G[1:] = _polar(_bT(B[1:]) @ B[:-1])
-    # prefix products G_k ... G_1 by recursive doubling
-    shift = 1
-    while shift < K:
-        G[shift:] = G[shift:] @ G[:-shift]
-        shift *= 2
+    G = np.concatenate([np.eye(w)[None], _polar(_bT(B[1:]) @ B[:-1])])
     # re-orthogonalize, so the product's roundoff does not drift with K
-    return B @ _polar(G)
+    return B @ _polar(_prefix_products(G))
 
 
 def _first(bad, error):

@@ -6,6 +6,9 @@ x^T B x with M^T B + B M = 0 exactly (up to linear-solve roundoff), so the
 computed fundamental solutions certify membership in the symplectic or
 generalized orthogonal group at machine precision instead of merely
 converging to it.
+
+The step maps come from stacked solves, and the fundamental solution and
+the states are their prefix products by recursive doubling.
 """
 
 from __future__ import annotations
@@ -46,35 +49,39 @@ def _step_maps(M_fun, grid, g_fun=None):
 
     L = I - h/2 M and R = I + h/2 M at the midpoints, from one evaluation of
     M (and g) at all of them; raises at the first midpoint where L is
-    numerically singular.
+    numerically singular.  A constant M has one L per step length, grouped
+    by a stable sort (a group is guarded at its earliest midpoint).  With g,
+    each step solves L_k [C_k | d_k] = [R_k | h_k g_k] whole, so a constant
+    M and its equal samples give the same bits.
     """
     ts = grid.points
     h = np.diff(ts)
     mids = 0.5 * (ts[:-1] + ts[1:])
-    half = 0.5 * h[:, None, None] * M_fun._eval_at(mids)
-    n = half.shape[1]
-    L = np.eye(n) - half
-    R = np.eye(n) + half
-    st._require_nonsingular(
-        L, mids, 1e-14, SingularityError, "midpoint step matrix I - h/2 M is singular "
-        "(refine the step size)",
-    )
+    M = st._constant(M_fun)
+    if M is None:
+        first = at = slice(None)
+        M = M_fun._eval_at(mids)
+    else:
+        order = np.argsort(h, kind="stable")
+        new = np.concatenate([[True], h[order[1:]] != h[order[:-1]]])
+        first, at = order[new], np.cumsum(new)[np.argsort(order)] - 1
+    half = 0.5 * h[first, None, None] * M
+    L, R = np.eye(M_fun.rows) - half, np.eye(M_fun.rows) + half
+    st._require_nonsingular(L, mids[first], 1e-14, SingularityError,
+                            "midpoint step matrix I - h/2 M is singular (refine the step size)")
     if g_fun is None:
-        return np.linalg.solve(L, R), np.zeros((h.size, n))
-    CD = np.linalg.solve(L, np.concatenate([R, h[:, None, None] * g_fun._eval_at(mids)], axis=2))
-    return CD[:, :, :n], CD[:, :, n]
+        return np.linalg.solve(L, R)[at], np.zeros((h.size, M_fun.rows))
+    hg = h[:, None, None] * g_fun._eval_at(mids)
+    CD = np.linalg.solve(L[at], np.concatenate([R[at], hg], axis=2))
+    return CD[:, :, :-1], CD[:, :, -1]
 
 
 def fundamental_solution(M_fun, grid):
     """Implicit-midpoint fundamental solution of Phidot = M(t) Phi, Phi = I."""
     if M_fun.rows != M_fun.cols:
         raise DimensionError("fundamental solution needs a square coefficient")
-    C, _ = _step_maps(M_fun, grid)
-    Phi = np.empty((grid.n, M_fun.rows, M_fun.rows))
-    Phi[0] = np.eye(M_fun.rows)
-    for k in range(grid.n - 1):
-        Phi[k + 1] = C[k] @ Phi[k]
-    return FundamentalSolution(grid, Phi)
+    Phi = st._prefix_products(_step_maps(M_fun, grid)[0])
+    return FundamentalSolution(grid, np.concatenate([np.eye(M_fun.rows)[None], Phi]))
 
 
 def _form(certificate):
@@ -87,10 +94,9 @@ def _form(certificate):
 def flow_defect_series(fundamental, certificate):
     """|| Phi_k^T B Phi_k - B ||_F at every grid point for the certificate's form B."""
     B = _form(certificate)
-    if isinstance(fundamental, FundamentalSolution):
-        mats = fundamental.matrices
-    else:
-        mats = np.asarray(fundamental, dtype=float)
+    mats = np.asarray(getattr(fundamental, "matrices", fundamental), dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != B.shape or B.shape[0] != B.shape[1]:
+        raise DimensionError(f"fundamental matrices {mats.shape} do not match the form {B.shape}")
     defect = np.transpose(mats, (0, 2, 1)) @ B[None] @ mats - B[None]
     return np.linalg.norm(defect, axis=(1, 2))
 
@@ -108,16 +114,19 @@ def certify_flow(M_fun, grid, certificate):
 
 
 def integrate_linear(M_fun, g_fun, x0, grid):
-    """Implicit midpoint for xdot = M(t) x + g(t)."""
+    """Implicit midpoint for xdot = M(t) x + g(t): the states are the prefix
+    products of the affine step maps [[C_k, d_k], [0, 1]] applied to x0."""
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != M_fun.rows:
-        raise DimensionError(f"x0 has size {x.size}, expected {M_fun.rows}")
-    C, d = _step_maps(M_fun, grid, g_fun)
-    out = np.empty((grid.n, x.size))
-    out[0] = x
-    for k in range(grid.n - 1):
-        out[k + 1] = C[k] @ out[k] + d[k]
-    return out
+    n = M_fun.rows
+    if x.size != n:
+        raise DimensionError(f"x0 has size {x.size}, expected {n}")
+    if g_fun is not None and g_fun.shape != (n, 1):
+        raise DimensionError(f"g is {g_fun.shape}, expected {(n, 1)}")
+    steps = np.zeros((grid.n - 1, n + 1, n + 1))
+    steps[:, :n, :n], steps[:, :n, n] = _step_maps(M_fun, grid, g_fun)
+    steps[:, n, n] = 1.0
+    states = st._prefix_products(steps) @ np.append(x, 1.0)
+    return np.concatenate([x[None], states[:, :n]])
 
 
 def integrate_reduced(sys: ReducedSystem, x0, grid):
@@ -128,9 +137,7 @@ def integrate_reduced(sys: ReducedSystem, x0, grid):
     """
     dyn = integrate_linear(sys.m_fun, sys.g_fun, x0, grid)
     states = sys.reconstruct_on(grid, dyn)
-    ham = None
-    if sys.pair is not None:
-        ham = hamiltonian_series(sys.pair.E, Trajectory(grid, states))
+    ham = None if sys.pair is None else hamiltonian_series(sys.pair.E, Trajectory(grid, states))
     return Trajectory(grid, states, dynamic=dyn, hamiltonian=ham)
 
 

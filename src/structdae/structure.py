@@ -81,6 +81,16 @@ def _bT(x):
     return np.swapaxes(x, -1, -2)
 
 
+def _prefix_products(G):
+    """Prefix products G_k ... G_0 of the stack G (K, m, m), in place, by
+    recursive doubling (log2 K stacked matmuls, log2 K levels of roundoff)."""
+    shift = 1
+    while shift < len(G):
+        G[shift:] = G[shift:] @ G[:-shift]
+        shift *= 2
+    return G
+
+
 def _maxnorm(x):
     """Largest Frobenius norm over a grid of matrices (0 for empty blocks)."""
     if x.size == 0:

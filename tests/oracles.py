@@ -314,3 +314,12 @@ def sequential_kernel_frame(B, grid):
         basis = np.linalg.svd(Bv[k])[2].T[:, p:]
         N[k] = basis if k == 0 else _procrustes(basis, N[k - 1])
     return N, -np.linalg.pinv(Bv) @ B.derivative_on(grid) @ N
+
+
+def sequential_recurrence(C, d, x0):
+    """States x_0 = x0, x_{k+1} = C_k x_k + d_k, one step at a time (x0 may
+    be a matrix, and d a stack of matching matrices)."""
+    x = [np.asarray(x0, dtype=float)]
+    for Ck, dk in zip(C, d):
+        x.append(Ck @ x[-1] + dk)
+    return np.stack(x)

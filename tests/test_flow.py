@@ -3,10 +3,15 @@ import pytest
 import scipy.linalg as sla
 
 import structdae as sd
-from structdae.errors import SingularityError, UnsupportedError
+from structdae.errors import DimensionError, SingularityError, UnsupportedError
 from structdae.reduce import FlowCertificate
 
-from oracles import random_poly_congruence, rotation, seeded_semidefinite_skew_pair
+from oracles import (
+    random_poly_congruence,
+    rotation,
+    seeded_semidefinite_skew_pair,
+    sequential_recurrence,
+)
 
 GRID = sd.TimeGrid.uniform(0.0, 1.0, 101)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -278,3 +283,113 @@ def test_certify_flow_rejects_an_uncertified_core(monkeypatch):
         sd.certify_flow(red.m_fun, grid, red.certificate)
     with pytest.raises(UnsupportedError, match="uncertified"):
         sd.flow_defect_series(np.eye(1)[None], red.certificate)
+
+
+def test_constant_core_solves_once_per_step_length(monkeypatch):
+    from structdae import flow, structure
+
+    guard = structure._require_nonsingular
+    seen = []
+
+    def counting(F, ts, *args, **kwargs):
+        seen.append((np.array(F), np.array(ts)))
+        return guard(F, ts, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_require_nonsingular", counting)
+    # steps 0.25, 0.5, 0.25, 0.5, 0.25: two distinct lengths, exactly
+    grid = sd.TimeGrid([0.0, 0.25, 0.75, 1.0, 1.5, 1.75])
+    M = np.array([[0.3, 1.1, -0.4], [-0.9, 0.0, 2.0], [0.5, -1.7, -0.2]])
+    C, d = flow._step_maps(sd.constant(M), grid)
+    (L, mids), = seen
+    assert L.shape == (2, 3, 3)
+    assert np.array_equal(mids, [0.125, 0.5])  # the earliest step of each length
+    assert not np.any(d)
+    for k, h in enumerate(np.diff(grid.points)):
+        assert np.array_equal(C[k], np.linalg.solve(np.eye(3) - h / 2 * M, np.eye(3) + h / 2 * M))
+    fund = sd.fundamental_solution(sd.constant(M), grid)
+    assert np.array_equal(fund.matrices[1], C[0])
+    assert np.array_equal(fund.matrices[2], C[1] @ C[0])
+
+
+def test_singular_constant_step_length_names_its_first_midpoint():
+    # steps 0.125, 0.0625, 0.25, 0.125, 0.25: h/2 * 8 = 1 on the 0.25 steps,
+    # the midpoints 2 and 4
+    grid = sd.TimeGrid([0.0, 0.125, 0.1875, 0.4375, 0.5625, 0.8125])
+    M = sd.constant(np.diag([8.0, 0.0]))
+    for run in (lambda: sd.fundamental_solution(M, grid),
+                lambda: sd.integrate_linear(M, None, [1.0, 0.0], grid)):
+        with pytest.raises(SingularityError) as err:
+            run()
+        assert err.value.t == 0.3125
+        assert "t=0.3125" in str(err.value)
+
+
+def test_integrate_linear_rejects_a_misshapen_inhomogeneity():
+    M = sd.constant(J2)
+    for g in (sd.constant(np.ones((3, 1))), sd.constant(np.ones((2, 2))), sd.zero(1, 1)):
+        with pytest.raises(DimensionError):
+            sd.integrate_linear(M, g, [1.0, 0.0], GRID)
+
+
+def test_flow_defect_series_rejects_a_mismatched_form():
+    fund = sd.fundamental_solution(sd.constant(J2), GRID)
+    for B in (np.eye(3), np.ones((2, 3)), np.eye(2)[0]):
+        with pytest.raises(DimensionError):
+            sd.flow_defect_series(fund, B)
+    with pytest.raises(DimensionError):
+        sd.flow_defect_series(fund.matrices[0], np.eye(2))
+
+
+def _skew_core(n=4, seed=3):
+    """A time-varying skew M(t) (quadratic in t) and an inhomogeneity on [0, 1]."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((3, n, n))
+    M = sd.PolynomialMatrixFunction(S - np.swapaxes(S, 1, 2))
+    w = rng.standard_normal((n, 1))
+    return M, w
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 1025, 4001])
+def test_prefix_scan_matches_the_sequential_recurrence(K):
+    from structdae import flow
+
+    grid = sd.TimeGrid.uniform(0.0, 1.0, K)
+    M, w = _skew_core()
+    g = sd.from_callable(lambda t: np.cos(5 * t) * w, grid, dfn=lambda t: -5 * np.sin(5 * t) * w)
+    x0 = np.arange(1.0, 5.0)
+    C, d = flow._step_maps(M, grid, g)
+    tol = 10 * np.finfo(float).eps * K
+    ref = sequential_recurrence(C, d, x0)
+    x = sd.integrate_linear(M, g, x0, grid)
+    assert np.abs(x - ref).max() <= tol * np.abs(ref).max()
+    fund = sd.fundamental_solution(M, grid)
+    ref = sequential_recurrence(flow._step_maps(M, grid)[0], np.zeros_like(C), np.eye(4))
+    assert np.array_equal(fund.matrices[0], np.eye(4))
+    assert np.abs(fund.matrices - ref).max() <= tol
+    assert sd.flow_defect(fund, FlowCertificate("orthogonal", np.eye(4))) <= tol
+
+
+def test_midpoint_second_order_time_varying_with_input():
+    # M(t) = omega(t) J2 with omega = 1 + t, and g = xdot - M x for the exact
+    # solution x(t) = (cos 3t, sin t + t)
+    M = sd.PolynomialMatrixFunction([J2, J2])
+
+    def exact(t):
+        return np.array([np.cos(3 * t), np.sin(t) + t])
+
+    def g(t):
+        xd = np.array([-3 * np.sin(3 * t), np.cos(t) + 1])
+        return (xd - (1 + t) * J2 @ exact(t))[:, None]
+
+    def gd(t):
+        xdd = np.array([-9 * np.cos(3 * t), -np.sin(t)])
+        xd = np.array([-3 * np.sin(3 * t), np.cos(t) + 1])
+        return (xdd - J2 @ exact(t) - (1 + t) * J2 @ xd)[:, None]
+
+    errs = []
+    for K in (101, 201, 401):
+        grid = sd.TimeGrid.uniform(0.0, 2.0, K)
+        x = sd.integrate_linear(M, sd.from_callable(g, grid, dfn=gd), exact(0.0), grid)
+        errs.append(np.abs(x - np.stack([exact(t) for t in grid.points])).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), orders

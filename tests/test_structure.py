@@ -298,10 +298,12 @@ def test_circuit_reduction_guards_each_matrix_once(monkeypatch):
     pair = sd.MatrixPair(model.E, model.coefficient(), grid)
     u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
     # the reducer alone, and the whole simulation (whose Cayley steps add
-    # the one midpoint guard)
+    # the one midpoint guard, over one matrix per distinct step length of the
+    # constant core)
+    lengths = np.unique(np.diff(grid.points)).size
     runs = [
         (lambda: sd.semidefinite_skew_reduce(pair, sd.mf_matmul(model.G, u), grid), []),
-        (lambda: sd.simulate_phdae(model, u, np.zeros(5), grid), [(200, 1, 1)]),
+        (lambda: sd.simulate_phdae(model, u, np.zeros(5), grid), [(lengths, 1, 1)]),
     ]
     for run, steps in runs:
         seen.clear()
