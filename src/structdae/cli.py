@@ -131,15 +131,9 @@ def stokes_to_json(model):
     }
 
 
-def _matrix(value):
-    a = np.array(value, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix (list of rows), got ndim={a.ndim}")
-    return a
-
-
 def stokes_from_json(obj):
-    arrays = {name: mf.json_entry(obj, name, _matrix) for name in ("M", "A_S", "A_H", "C", "B")}
+    arrays = {name: mf.json_entry(obj, name, lambda v: mf._as_matrix(v, name))
+              for name in ("M", "A_S", "A_H", "C", "B")}
     return mo.StokesModel(
         interval=model_interval(obj),
         damped=mf.json_entry(obj, "damped", bool, False),
@@ -186,6 +180,8 @@ def cmd_demo(args):
                                 interval=interval)
         obj = stokes_to_json(model)
     elif args.system == "multibody":
+        if not 0 <= args.nc <= args.nq:
+            raise ParameterError(f"--nc must lie in [0, --nq], got {args.nc} with --nq {args.nq}")
         system = mo.build_multibody(np.eye(args.nq), np.eye(args.nq),
                                     np.eye(args.nq)[: args.nc], interval=interval)
         pair = system.self_pair if args.form == "self" else system.skew_pair

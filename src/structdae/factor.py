@@ -15,8 +15,7 @@ is one sample (`structure._samples`), decomposed once by the same path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,17 +46,12 @@ class RankSplit:
 
 @dataclass(frozen=True)
 class SymRankSplit:
-    """Q^T E Q = [[Sigma, 0], [0, 0]] with a single orthogonal Q.  Sigma is
-    formed on first use, so a caller that reads only Q never builds it."""
+    """Q^T E Q = [[Sigma, 0], [0, 0]] with a single orthogonal Q."""
 
     Q: mf.MatrixFunction
+    Sigma: mf.MatrixFunction
     r: int
     grid: mf.TimeGrid
-    _sigma: object = field(repr=False, compare=False)
-
-    @cached_property
-    def Sigma(self):
-        return self._sigma()
 
 
 @dataclass(frozen=True)
@@ -173,6 +167,7 @@ def _aligned(values, ts, decompose, changed):
 
 def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
     """Constant-rank orthogonal splitting of F(t) with continuity alignment."""
+    st._positive(gap_tol, "gap tolerance")
 
     def decompose(vals, ts):
         u, s, vt = np.linalg.svd(vals)
@@ -204,11 +199,9 @@ def _kernel_defect(u, vt, ranks):
     return defect
 
 
-def sym_rank_split(E, grid, samples=None):
-    """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T);
-    samples are E's `structure._samples` when the caller has them."""
-    if E.rows != E.cols:
-        raise StructureError("sym_rank_split needs a square matrix function")
+def _sym_split(vals, ts):
+    """(Q, r): the aligned orthogonal factor of the one-sided splitting of
+    the samples vals (`structure._samples`) at the times ts."""
 
     def decompose(vals, ts):
         u, s, vt = np.linalg.svd(vals)
@@ -228,10 +221,18 @@ def sym_rank_split(E, grid, samples=None):
             t_second=float(t),
         )
 
-    vals = _samples(E, grid) if samples is None else samples
-    (Q,), r = _aligned(vals, grid.points, decompose, changed)
-    return SymRankSplit(_sampled(grid, Q), r, grid,
-                        lambda: _sampled(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]))
+    (Q,), r = _aligned(vals, ts, decompose, changed)
+    return Q, r
+
+
+def sym_rank_split(E, grid):
+    """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T)."""
+    if E.rows != E.cols:
+        raise StructureError("sym_rank_split needs a square matrix function")
+    vals = _samples(E, grid)
+    Q, r = _sym_split(vals, grid.points)
+    return SymRankSplit(_sampled(grid, Q), _sampled(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]),
+                        r, grid)
 
 
 def smooth_inertia(D, grid):

@@ -50,13 +50,13 @@ def _step_maps(M_fun, grid, g_fun=None):
     L = I - h/2 M and R = I + h/2 M at the midpoints, from one evaluation of
     M (and g) at all of them; raises at the first midpoint where L is
     numerically singular.  A constant M has one L per step length, grouped
-    by a stable sort (a group is guarded at its earliest midpoint).  With g,
-    each step solves L_k [C_k | d_k] = [R_k | h_k g_k] whole, so a constant
-    M and its equal samples give the same bits.
+    by a stable sort (a group is guarded at its earliest midpoint).  Each
+    distinct L is solved once against [R | I], which gives C and L^-1 for d.
     """
     ts = grid.points
     h = np.diff(ts)
     mids = 0.5 * (ts[:-1] + ts[1:])
+    n = M_fun.rows
     M = st._constant(M_fun)
     if M is None:
         first = at = slice(None)
@@ -66,14 +66,14 @@ def _step_maps(M_fun, grid, g_fun=None):
         new = np.concatenate([[True], h[order[1:]] != h[order[:-1]]])
         first, at = order[new], np.cumsum(new)[np.argsort(order)] - 1
     half = 0.5 * h[first, None, None] * M
-    L, R = np.eye(M_fun.rows) - half, np.eye(M_fun.rows) + half
+    eye = np.eye(n)
+    L = eye - half
     st._require_nonsingular(L, mids[first], 1e-14, SingularityError,
                             "midpoint step matrix I - h/2 M is singular (refine the step size)")
+    X = np.linalg.solve(L, np.concatenate([eye + half, np.broadcast_to(eye, L.shape)], axis=2))
     if g_fun is None:
-        return np.linalg.solve(L, R)[at], np.zeros((h.size, M_fun.rows))
-    hg = h[:, None, None] * g_fun._eval_at(mids)
-    CD = np.linalg.solve(L[at], np.concatenate([R[at], hg], axis=2))
-    return CD[:, :, :-1], CD[:, :, -1]
+        return X[at, :, :n], np.zeros((h.size, n))
+    return X[at, :, :n], (X[at, :, n:] @ (h[:, None, None] * g_fun._eval_at(mids)))[..., 0]
 
 
 def fundamental_solution(M_fun, grid):

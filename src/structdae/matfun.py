@@ -66,6 +66,8 @@ class TimeGrid:
     def uniform(cls, t0, tf, n):
         if n < 2:
             raise ConstructionError("uniform grid needs n >= 2")
+        if not (np.isfinite(t0) and np.isfinite(tf)):
+            raise ConstructionError(f"grid bounds must be finite, got [{t0}, {tf}]")
         if not tf > t0:
             raise ConstructionError("grid needs t0 < tf")
         return cls(np.linspace(t0, tf, int(n)))
@@ -180,12 +182,6 @@ class PolynomialMatrixFunction(MatrixFunction):
     def degree(self):
         return self.coeffs.shape[0] - 1
 
-    def eval(self, t):
-        return _horner(self.coeffs, t)
-
-    def derivative(self, t):
-        return _horner(self._dcoeffs, t)
-
     def _eval_at(self, ts):
         return _horner(self.coeffs, np.asarray(ts, dtype=float)[:, None, None])
 
@@ -219,7 +215,7 @@ def _poly(c):
 
 
 def _horner(coeffs, t):
-    """sum_k coeffs[k] * t**k for a scalar t, or at every point of a (m, 1, 1) array t."""
+    """sum_k coeffs[k] * t**k at every point of a (m, 1, 1) array t."""
     out = coeffs[-1] * t**0  # a new array, shaped by t
     for k in range(coeffs.shape[0] - 2, -1, -1):
         out = out * t + coeffs[k]
@@ -445,11 +441,17 @@ def mf_add(a, b):
     return _poly(c)
 
 
-def mf_scale(a, s):
+def _linear(a, op):
+    """a mapped by op, a linear map of matrix stacks applied to a
+    polynomial's coefficients or to a sampled function's samples."""
     if isinstance(a, PolynomialMatrixFunction):
-        return _poly(s * a.coeffs)
-    dv = None if a.deriv_values is None else s * a.deriv_values
-    return SampledMatrixFunction(a.grid, s * a.values, order=a.order, deriv_values=dv)
+        return _poly(op(a.coeffs))
+    dv = None if a.deriv_values is None else op(a.deriv_values)
+    return SampledMatrixFunction(a.grid, op(a.values), order=a.order, deriv_values=dv)
+
+
+def mf_scale(a, s):
+    return _linear(a, lambda x: s * x)
 
 
 def mf_sub(a, b):
@@ -472,12 +474,7 @@ def mf_matmul(a, b):
 
 
 def mf_transpose(a):
-    if isinstance(a, PolynomialMatrixFunction):
-        return _poly(np.transpose(a.coeffs, (0, 2, 1)))
-    dv = None if a.deriv_values is None else np.transpose(a.deriv_values, (0, 2, 1))
-    return SampledMatrixFunction(
-        a.grid, np.transpose(a.values, (0, 2, 1)), order=a.order, deriv_values=dv
-    )
+    return _linear(a, lambda x: np.transpose(x, (0, 2, 1)))
 
 
 def mf_derivative_function(a):

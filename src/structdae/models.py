@@ -61,6 +61,10 @@ class PHDAEModel:
     labels: tuple = ()
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.labels and len(self.labels) != self.n:
+            raise DimensionError(f"{len(self.labels)} labels for {self.n} states")
+
     @property
     def n(self):
         return self.E.rows

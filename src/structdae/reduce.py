@@ -31,7 +31,7 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import _rank, sym_rank_split
+from .factor import _rank, _sym_split
 from .structure import _bT, _maxnorm, _sampled, _samples
 
 COND_LIMIT = 1e12
@@ -194,9 +194,10 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     if eigmin < -1e-12 * _maxnorm(Ev):
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
-    split = sym_rank_split(pair.E, grid, Ev)
-    Qv, Qd, r = _samples(split.Q, grid), _samples(split.Q, grid, True), split.r
-    del split  # with its spline caches, before the congruence below
+    Qv, r = _sym_split(Ev, grid.points)
+    Q = _sampled(grid, Qv)  # a constant when every aligned sample is equal
+    Qv, Qd = _samples(Q, grid), _samples(Q, grid, True)
+    del Q  # with its spline caches, before the congruence below
     # a constant split (exactly zero Qdot) lets A's derivative pass through
     Qd = None if _maxnorm(Qd) == 0.0 else Qd
     A1 = st._congruence_arrays(Ev[:1], None, Av[:1], Qv[:1], None if Qd is None else Qd[:1])[2][0]
@@ -398,7 +399,7 @@ def stokes_reduce(M, B, Jfun, f, grid):
     A = mf.mf_block([[Jfun, -B], [B.T, np.zeros((npp, npp))]])
     f_full = mf.mf_block([[f], [mf.zero(npp, 1)]])
     red = _eliminate(mf.MatrixPair(mf.constant(E), A, grid), f_full, grid, 1e-8, strict=True)
-    red.recovery = [("pressure", npp)]
+    red.recovery = [("constraint variables", npp), ("pressure", npp)]
     return red
 
 

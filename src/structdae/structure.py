@@ -19,6 +19,7 @@ import numpy as np
 from . import matfun as mf
 from .errors import (
     DimensionError,
+    ParameterError,
     SingularityError,
     StructureError,
     UnsupportedError,
@@ -89,6 +90,12 @@ def _prefix_products(G):
         G[shift:] = G[shift:] @ G[:-shift]
         shift *= 2
     return G
+
+
+def _positive(value, what):
+    """ParameterError unless value is a positive finite number."""
+    if not 0.0 < value < np.inf:
+        raise ParameterError(f"{what} must be a positive number, got {value}")
 
 
 def _maxnorm(x):
@@ -238,8 +245,8 @@ def _classified(pair, grid, tol=None):
     """(tag, self-adjoint report, skew-adjoint report): classify's tag and the
     two residual reports it is read from, from one evaluation of the pair.
     tol=None takes `default_tolerance` from the same values."""
-    if tol is not None and tol <= 0:
-        raise StructureError("classification tolerance must be positive")
+    if tol is not None:
+        _positive(tol, "classification tolerance")
     values = _values(pair, grid)
     if tol is None:
         tol = _tolerance(values[0], values[2])

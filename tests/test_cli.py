@@ -282,6 +282,8 @@ def test_malformed_model_entries_exit_2(tmp_path, capsys):
         "long_interval": {**good, "interval": [0.0, 1.0, 2.0]},
         "no_E": {k: v for k, v in good.items() if k != "E"},
         "bad_labels": {**good, "labels": 5},
+        "short_labels": {**good, "labels": ["I", "V1"]},
+        "infinite_interval": {**good, "interval": [0.0, float("inf")]},
         "not_an_object": [1, 2],
     }
     for name, obj in broken.items():
@@ -367,7 +369,7 @@ def test_reduce_cli_recovery_lists(tmp_path, capsys):
         (["--model", str(circ), "--input", "sin", "--grid", "101"],
          [("constraint variables", 2), ("chain variables", 2)]),
         (["--model", str(stokes), "--pipeline", "stokes", "--grid", "101"],
-         [("pressure", 2)]),
+         [("constraint variables", 2), ("pressure", 2)]),
         (["--model", str(mb)], [("constraint variables", 1), ("chain variables", 1)]),
     ]
     for args, want in cases:
@@ -422,3 +424,42 @@ def test_simulate_circuit_in_non_diagonal_coordinates(tmp_path):
     exact = np.stack([np.ones_like(t), -np.sin(t), 0 * t, np.cos(t), np.ones_like(t)], axis=1)
     assert np.abs(y @ Q.T - exact).max() <= 1e-5
     assert np.abs(H - 0.5 * (1.0 + np.sin(t) ** 2)).max() <= 1e-5
+
+
+def test_non_positive_tolerances_exit_2(tmp_path, capsys):
+    model = tmp_path / "mb.json"
+    run(["demo", "multibody", "--form", "skew", "--out", str(model)])
+    for value in ("-1", "0", "nan", "inf"):
+        for args in (["factor", "--gap-tol", value], ["check", "--tol", value]):
+            capsys.readouterr()
+            assert run([args[0], "--model", str(model), *args[1:]]) == 2, (args, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+    assert run(["factor", "--model", str(model), "--gap-tol", "1e-8"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 4
+
+
+def test_demo_multibody_constraint_count_exits_2(tmp_path, capsys):
+    out = tmp_path / "mb.json"
+    for nq, nc in (("2", "3"), ("2", "-1")):
+        capsys.readouterr()
+        assert run(["demo", "multibody", "--nq", nq, "--nc", nc, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    for nc in ("0", "2"):
+        assert run(["demo", "multibody", "--nq", "2", "--nc", nc, "--form", "skew",
+                    "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["E"]["data"]) == 4 + int(nc)
+
+
+def test_stokes_model_with_a_non_finite_entry_exits_2(tmp_path, capsys):
+    model = tmp_path / "s.json"
+    run(["demo", "stokes", "--out", str(model)])
+    obj = json.loads(model.read_text())
+    obj["M"][0][0] = float("nan")
+    model.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["reduce", "--pipeline", "stokes", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1, err

@@ -278,3 +278,23 @@ def test_constant_input_gives_constant_factors():
     Q = sym.Q.eval(0.5)
     assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-12
     assert np.linalg.norm((Q.T @ E.value @ Q)[2:]) <= 1e-12
+
+
+@pytest.mark.parametrize("gap_tol", [-1.0, 0.0, np.nan, np.inf])
+def test_rank_split_rejects_a_non_positive_gap_tolerance(gap_tol):
+    from structdae.errors import ParameterError
+
+    with pytest.raises(ParameterError, match="gap tolerance"):
+        sd.rank_split(sd.constant(np.diag([2.0, 1.0, 0.0])), GRID, gap_tol=gap_tol)
+
+
+def test_sym_rank_split_is_a_plain_record():
+    import dataclasses
+    import inspect
+
+    assert list(inspect.signature(sd.sym_rank_split).parameters) == ["E", "grid"]
+    assert [f.name for f in dataclasses.fields(sd.SymRankSplit)] == ["Q", "Sigma", "r", "grid"]
+    split = sd.sym_rank_split(sd.constant(np.diag([2.0, 0.0, 1.0])), GRID)
+    assert split.r == 2
+    assert np.allclose(np.sort(np.linalg.eigvalsh(split.Sigma.eval(0.3))), [1.0, 2.0],
+                       atol=1e-14, rtol=0)

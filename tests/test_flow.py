@@ -299,13 +299,20 @@ def test_constant_core_solves_once_per_step_length(monkeypatch):
     # steps 0.25, 0.5, 0.25, 0.5, 0.25: two distinct lengths, exactly
     grid = sd.TimeGrid([0.0, 0.25, 0.75, 1.0, 1.5, 1.75])
     M = np.array([[0.3, 1.1, -0.4], [-0.9, 0.0, 2.0], [0.5, -1.7, -0.2]])
-    C, d = flow._step_maps(sd.constant(M), grid)
-    (L, mids), = seen
-    assert L.shape == (2, 3, 3)
-    assert np.array_equal(mids, [0.125, 0.5])  # the earliest step of each length
-    assert not np.any(d)
-    for k, h in enumerate(np.diff(grid.points)):
-        assert np.array_equal(C[k], np.linalg.solve(np.eye(3) - h / 2 * M, np.eye(3) + h / 2 * M))
+    w = np.array([[1.0], [-2.0], [0.5]])
+    steps = np.diff(grid.points)
+    eps = np.finfo(float).eps
+    for g in (None, sd.poly([w, 3.0 * w])):
+        seen.clear()
+        C, d = flow._step_maps(sd.constant(M), grid, g)
+        (L, mids), = seen
+        assert L.shape == (2, 3, 3)
+        assert np.array_equal(mids, [0.125, 0.5])  # the earliest step of each length
+        for k, (h, t) in enumerate(zip(steps, grid.points[:-1] + 0.5 * steps)):
+            Lk = np.eye(3) - h / 2 * M
+            assert np.array_equal(C[k], np.linalg.solve(Lk, np.eye(3) + h / 2 * M))
+            ref = np.zeros(3) if g is None else h * np.linalg.solve(Lk, g.eval(t))[:, 0]
+            assert np.abs(d[k] - ref).max() <= 4 * eps * np.linalg.cond(Lk) * np.abs(ref).max()
     fund = sd.fundamental_solution(sd.constant(M), grid)
     assert np.array_equal(fund.matrices[1], C[0])
     assert np.array_equal(fund.matrices[2], C[1] @ C[0])
@@ -393,3 +400,35 @@ def test_midpoint_second_order_time_varying_with_input():
         errs.append(np.abs(x - np.stack([exact(t) for t in grid.points])).max())
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+
+
+@pytest.mark.parametrize("kind", ["skew", "dissipative", "stiff"])
+@pytest.mark.parametrize("hM", [1e-3, 1.0, 1e3, 1e6])
+def test_step_inhomogeneity_matches_per_step_solves(kind, hM):
+    # d_k = h_k L_k^-1 g_k from the one solve against [R | I], on a constant
+    # and on a time-varying core with step h and |M| = 1
+    from structdae import flow
+
+    rng = np.random.default_rng(5)
+    n = 6
+    S = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M0 = {
+        "skew": S - S.T,
+        "dissipative": S - S.T - B.T @ B,
+        "stiff": -V @ np.diag(np.logspace(0, -8, n)) @ V.T + 1e-3 * (S - S.T),
+    }[kind]
+    M0 /= np.linalg.norm(M0, 2)
+    w = rng.standard_normal((n, 1))
+    h = hM
+    grid = sd.TimeGrid.uniform(0.0, 4 * h, 5)
+    mids = grid.points[:-1] + 0.5 * h
+    g = sd.poly([w, w / h])
+    eps = np.finfo(float).eps
+    for M in (sd.constant(M0), sd.poly([M0, 0.1 * M0 / h])):
+        _, d = flow._step_maps(M, grid, g)
+        for k, t in enumerate(mids):
+            L = np.eye(n) - h / 2 * M.eval(t)
+            ref = h * np.linalg.solve(L, g.eval(t))[:, 0]
+            assert np.abs(d[k] - ref).max() <= 4 * eps * np.linalg.cond(L) * np.abs(ref).max()

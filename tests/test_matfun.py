@@ -426,3 +426,10 @@ def test_derivative_on_foreign_grid_retains_at_most_the_slopes():
     finally:
         tracemalloc.stop()
     assert retained <= 1.1 * s.values.nbytes
+
+
+@pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+def test_uniform_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ConstructionError, match="finite"):
+        sd.TimeGrid.uniform(*bounds, 2)
+

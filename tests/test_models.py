@@ -175,3 +175,13 @@ def test_validate_matches_pointwise_dissipation_matrix():
     pointwise = min(np.linalg.eigvalsh(m.dissipation_matrix(t))[0] for t in GRID.points)
     assert pointwise < 0.0
     assert m.validate(GRID)["dissipation_min_eig"] == pointwise
+
+
+def test_phdae_labels_must_match_the_state_count():
+    import dataclasses
+
+    m = sd.build_circuit(1.0, 1.0, 1.0, interval=GRID)
+    for labels in (("I", "V1"), m.labels + ("extra",)):
+        with pytest.raises(DimensionError, match="labels"):
+            dataclasses.replace(m, labels=labels)
+    assert dataclasses.replace(m, labels=()).labels == ()

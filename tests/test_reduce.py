@@ -519,3 +519,28 @@ def test_kernel_block_near_the_threshold_is_ill_posed(reduce, gap_tol):
     pair = sd.MatrixPair(pair0.E, sd.constant(A), GRID)
     with pytest.raises(IllPosedRankError):
         reduce(pair, sd.zero(6, 1), GRID)
+
+
+def test_recovery_groups_and_core_cover_the_state():
+    # every reducer accounts for each of the n variables once: the dynamic
+    # core plus the rows of the groups it lists as recovered
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    circuit = sd.build_circuit(1.0, 1.5, 0.7, interval=grid).lossless_pair()
+    skew = sd.build_multibody(np.eye(3), np.diag([1.0, 2.0, 3.0]), [[1.0, 0.0, 0.0]],
+                              interval=grid).skew_pair
+    stokes = sd.build_stokes(3, 1, seed=2, interval=grid)
+    E0 = np.diag([1.0, 2.0, 0.0, 0.0])
+    A0 = np.array([[-0.3, 1.0, 0.2, 0.0], [-1.0, -0.1, 0.0, 0.5],
+                   [0.1, 0.0, -1.0, 0.8], [0.0, -0.4, -0.8, -0.5]])
+    moved = sd.apply_congruence(sd.MatrixPair(sd.constant(E0), sd.constant(A0), grid),
+                                random_poly_congruence(np.random.default_rng(12), 4, 2))
+    cases = [(reducer, pair, pair.n)
+             for pair in (circuit, skew, stokes.pair())
+             for reducer in (sd.semidefinite_skew_reduce, sd.index1_reduce)]
+    cases.append((sd.index1_reduce, moved, 4))
+    cases.append((lambda pair, f, g: sd.stokes_reduce(
+        stokes.M, stokes.B, sd.constant(stokes.A_S), sd.zero(3, 1), g), None, 4))
+    for reducer, pair, n in cases:
+        red = reducer(pair, sd.zero(n, 1), grid)
+        assert red.dynamic_dim + sum(rows for _, rows in red.recovery) == n, red.recovery
+    assert red.recovery == [("constraint variables", 1), ("pressure", 1)]

@@ -337,3 +337,12 @@ def test_congruence_arrays_constant_stage_and_matrix_function_agree():
     assert np.allclose(E2, moved.E.eval_on(GRID), rtol=0, atol=1e-12)
     assert np.allclose(E2d, moved.E.derivative_on(GRID), rtol=0, atol=1e-12)
     assert np.allclose(A2, moved.A.eval_on(GRID), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_classify_rejects_a_non_positive_tolerance(tol):
+    from structdae.errors import ParameterError
+
+    pair = sd.build_circuit(1.0, 1.0, 1.0, interval=GRID).lossless_pair()
+    with pytest.raises(ParameterError, match="classification tolerance"):
+        sd.classify(pair, GRID, tol)
