@@ -205,8 +205,7 @@ def solution_basis_constant(pair, grid):
     V, Vc = _finite_subspace(E, A, np.linalg.norm(E, 2), np.linalg.norm(A, 2))
     d = V.shape[1]
     if d == 0:
-        phi = mf.SampledMatrixFunction(grid, np.zeros((grid.n, n, 0)), order=3,
-                                       deriv_values=np.zeros((grid.n, n, 0)))
+        phi = mf.zero(n, 0)
         return SolutionBasis(phi, phi, 0, complement=mf.constant(Vc))
 
     M = np.linalg.lstsq(E @ V, A @ V, rcond=None)[0]
@@ -233,9 +232,8 @@ def solution_basis_constant(pair, grid):
         raise StageError(
             f"solution basis failed its residual test ({res:.3e})", stage="solution basis"
         )
-    Phi = mf.SampledMatrixFunction(grid, phiv, order=3, deriv_values=phid)
-    Phidot = mf.SampledMatrixFunction(grid, phid, order=3, deriv_values=phidd)
-    return SolutionBasis(Phi, Phidot, d, complement=mf.constant(Vc))
+    return SolutionBasis(st._sampled(grid, phiv, phid), st._sampled(grid, phid, phidd), d,
+                         complement=mf.constant(Vc))
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +292,18 @@ class _Pipeline:
             raise StageError(f"check '{name}' failed (defect {defect:.3e})", stage=name)
 
     def transform(self):
-        Q = mf.SampledMatrixFunction(self.grid, self.Qv, order=3, deriv_values=self.Qd)
-        Qdot = mf.SampledMatrixFunction(self.grid, self.Qd, order=3)
-        return st.CongruenceTransform(Q, Qdot)
+        return st.CongruenceTransform(st._sampled(self.grid, self.Qv, self.Qd),
+                                      st._sampled(self.grid, self.Qd))
 
-    def block(self, rows, cols):
-        vals = self.Ev[:, rows[0] : rows[1], cols[0] : cols[1]]
-        ders = self.Ed[:, rows[0] : rows[1], cols[0] : cols[1]]
-        return mf.SampledMatrixFunction(self.grid, vals.copy(), order=3,
-                                        deriv_values=ders.copy())
-
-    def a_block(self, rows, cols):
-        vals = self.Av[:, rows[0] : rows[1], cols[0] : cols[1]]
-        return mf.SampledMatrixFunction(self.grid, vals.copy(), order=3)
+    def block(self, which, rows=slice(None), cols=slice(None)):
+        """Block [rows, cols] of the current E (with its derivative samples)
+        or A, which is "E" or "A", as a function."""
+        if which == "E":
+            return st._sampled(self.grid, self.Ev[:, rows, cols], self.Ed[:, rows, cols])
+        return st._sampled(self.grid, self.Av[:, rows, cols])
 
     def pair_mf(self, interval):
-        E = mf.SampledMatrixFunction(self.grid, self.Ev.copy(), order=3,
-                                     deriv_values=self.Ed.copy())
-        A = mf.SampledMatrixFunction(self.grid, self.Av.copy(), order=3)
-        return mf.MatrixPair(E, A, interval)
+        return mf.MatrixPair(self.block("E"), self.block("A"), interval)
 
 
 def _completion_arrays(basis, grid):
@@ -425,8 +416,8 @@ def global_canonical_self(pair, basis, grid):
         pipe.apply("skew pairing", Q2)
 
         # normalize [E12 E13] V = [I_p 0]
-        Bv = pipe.Ev[:, :p, p:].copy()
-        Bd = pipe.Ed[:, :p, p:].copy()
+        Bv = pipe.Ev[:, :p, p:]
+        Bd = pipe.Ed[:, :p, p:]
         st._require_nonsingular(Bv, grid.points, RANK_FLOOR, StageError,
                                 "[E12 E13] loses row rank", stage="row normalization")
         BBt = Bv @ _bT(Bv)
@@ -435,8 +426,7 @@ def global_canonical_self(pair, basis, grid):
         dBBt = Bd @ _bT(Bv) + Bv @ _bT(Bd)
         V1d = _bT(Bd) @ Binv - _bT(Bv) @ Binv @ dBBt @ Binv
         if a:
-            Bmf = mf.SampledMatrixFunction(grid, Bv, order=3, deriv_values=Bd)
-            Nv, Nd = smooth_kernel_frame(Bmf, grid)
+            Nv, Nd = smooth_kernel_frame(st._sampled(grid, Bv, Bd), grid)
             Vv = np.concatenate([V1, Nv], axis=2)
             Vd = np.concatenate([V1d, Nd], axis=2)
         else:
@@ -469,13 +459,14 @@ def global_canonical_self(pair, basis, grid):
     _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], "self-adjoint",
                                   pipe.e_scale, pipe.a_scale)
 
+    i2, i3 = slice(p, d), slice(d, n)
     form = SelfAdjointGlobalForm(
         p=p,
-        E33=pipe.block((d, n), (d, n)),
-        A22=pipe.a_block((p, d), (p, d)),
-        A23=pipe.a_block((p, d), (d, n)),
-        A32=pipe.a_block((d, n), (p, d)),
-        A33=pipe.a_block((d, n), (d, n)),
+        E33=pipe.block("E", i3, i3),
+        A22=pipe.block("A", i2, i2),
+        A23=pipe.block("A", i2, i3),
+        A32=pipe.block("A", i3, i2),
+        A33=pipe.block("A", i3, i3),
         Q=pipe.transform(),
         grid=grid,
         n=n,
@@ -531,11 +522,12 @@ def global_canonical_skew(pair, basis, grid):
     _check_algebraic_block_static(pipe.Ev[:, d:, d:], pipe.Av[:, d:, d:], "skew-adjoint",
                                   pipe.e_scale, pipe.a_scale)
 
+    i3 = slice(d, n)
     form = SkewAdjointGlobalForm(
         p=p,
         q=q,
-        E33=pipe.block((d, n), (d, n)),
-        A33=pipe.a_block((d, n), (d, n)),
+        E33=pipe.block("E", i3, i3),
+        A33=pipe.block("A", i3, i3),
         Q=pipe.transform(),
         grid=grid,
         n=n,

@@ -241,15 +241,15 @@ def cmd_factor(args):
     Vv = split.V.eval_on(grid)
     vals = target.eval_on(grid)
     r = split.r
-    recon = st._bT(Uv[:, :, :r]) @ vals @ Vv[:, :, :r]
-    sig = split.Sigma.eval_on(grid)
+    # what the split drops: F - U1 Sigma V1^T
+    dropped = vals - Uv[:, :, :r] @ split.Sigma.eval_on(grid) @ st._bT(Vv[:, :, :r])
     out = {
         "what": args.what,
         "rank": r,
         "orthogonality_defect": max(
             st._maxnorm(st._bT(W) @ W - np.eye(W.shape[1])) for W in (Uv, Vv)
         ),
-        "reconstruction_residual": st._maxnorm(recon - sig),
+        "reconstruction_residual": st._maxnorm(dropped),
         "max_factor_jump": fa.max_jump(Uv),
         "grid_points": grid.n,
     }

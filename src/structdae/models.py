@@ -29,11 +29,17 @@ def _as_mf(x):
     return x if isinstance(x, mf.MatrixFunction) else mf.constant(np.asarray(x, dtype=float))
 
 
-def _check_sym(name, F, interval):
-    for t in (interval.t0, 0.5 * (interval.t0 + interval.tf), interval.tf):
-        v = F.eval(t)
-        if np.linalg.norm(v - v.T) > 1e-10 * np.linalg.norm(v):
-            raise ParameterError(f"{name} must be symmetric")
+def _check_sym(name, F):
+    """ParameterError unless each matrix of F's data is symmetric to 1e-10 of
+    its norm: the polynomial coefficients, or the samples and derivative
+    samples.  F is linear in that data, so F(t) is then symmetric at every t."""
+    if isinstance(F, mf.PolynomialMatrixFunction):
+        data = F.coeffs
+    else:
+        data = F.values if F.deriv_values is None else np.concatenate([F.values, F.deriv_values])
+    defect = np.linalg.norm(data - st._bT(data), axis=(1, 2))
+    if np.any(defect > 1e-10 * np.linalg.norm(data, axis=(1, 2))):
+        raise ParameterError(f"{name} must be symmetric")
 
 
 def _check_spd(name, value):
@@ -246,6 +252,8 @@ def build_multibody(M, W, G, interval=None):
     G = np.atleast_2d(np.asarray(G, dtype=float))
     nq = M.shape[0]
     m = G.shape[0]
+    if nq == 0:
+        raise DimensionError("mass matrix is empty: the system needs at least one position")
     if G.shape[1] != nq or W.shape != (nq, nq):
         raise DimensionError("W must be n x n and G m x n")
     _check_spd("mass matrix", M)
@@ -281,8 +289,8 @@ def build_optimal_control(E, A, B, W, S, R, Mf, interval=None):
         raise DimensionError("coefficient blocks have inconsistent shapes")
     if S.shape != (n, m) or R.shape != (m, m):
         raise DimensionError("S must be n x m and R m x m")
-    _check_sym("W", W, interval)
-    _check_sym("R", R, interval)
+    _check_sym("W", W)
+    _check_sym("R", R)
     if np.linalg.norm(Mf - Mf.T) > 1e-12 * np.linalg.norm(Mf):
         raise ParameterError("terminal cost matrix must be symmetric")
 

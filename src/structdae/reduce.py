@@ -89,8 +89,6 @@ class ReducedSystem:
 
     def reconstruct(self, t, x2):
         """Full original state at time t from the dynamic state x2."""
-        if self.rx is None:
-            return np.asarray(x2, dtype=float)
         ts = np.array([t], dtype=float)
         return self._recover(
             np.reshape(x2, (1, -1)), lambda F: F._eval_at(ts), lambda F: F._derivative_at(ts)
@@ -103,9 +101,8 @@ class ReducedSystem:
     def _recover(self, x2, values, derivatives):
         """rx x2 + rf f + rfd fdot, with values(F) / derivatives(F) giving a
         matrix function at the same points as the rows of x2."""
+        self._require_recovery()
         x2 = np.asarray(x2, dtype=float)
-        if self.rx is None:
-            return x2.copy()
         out = np.einsum("kij,kj->ki", values(self.rx), x2)
         if self.f is not None:
             out += np.einsum("kij,kj->ki", values(self.rf), values(self.f)[:, :, 0])
@@ -116,13 +113,20 @@ class ReducedSystem:
         """Dynamic coordinates of a full state at time t.
 
         Uses the pipeline's projector; inconsistent components of x_full
-        (those determined by the algebraic relations) are ignored.  Without
-        a projector the full state is the dynamic state.
+        (those determined by the algebraic relations) are ignored.
         """
+        self._require_recovery()
         x_full = np.asarray(x_full, dtype=float).reshape(-1)
-        if self.projector is None:
-            return x_full
         return self.projector.eval(t) @ x_full
+
+    def _require_recovery(self):
+        """UnsupportedError unless the reduction kept its recovery maps (a
+        core from ``self_adjoint_dynamic_extract`` has none)."""
+        if self.rx is None or self.projector is None:
+            raise UnsupportedError(
+                "this reduced system has no recovery maps (rx, projector) to "
+                "full states; integrate its core with integrate_linear"
+            )
 
     def certificate_defect(self, grid):
         """max_t || M^T B + B M ||_F for the certificate's quadratic form."""
@@ -167,7 +171,7 @@ def _spd_sqrt_with_derivative(Sv, Sd):
 
 
 def _eliminate(pair, f, grid, gap_tol, strict=False):
-    """Kernel elimination of E xdot = A x + f with E >= 0 of constant rank.
+    """Kernel elimination of E xdot = A x + f with E = E^T >= 0 of constant rank.
 
     Splits off the kernel of E; the split pair's first sample A1(t0) then
     decides the nonsingular part of A's kernel block and the constraint/
@@ -190,8 +194,13 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     res = st._structure(st.SKEW_ADJOINT, Ev, Ed, Av)[0]
     if strict and res > 1e-10:
         raise StructureError(f"pair is not skew-adjoint (relative residual {res:.3e})")
-    eigmin = np.linalg.eigvalsh(0.5 * (Ev + _bT(Ev)))[:, 0].min()
-    if eigmin < -1e-12 * _maxnorm(Ev):
+    # E = E^T to roundoff, so its lower triangle holds its eigenvalues
+    e_scale = _maxnorm(Ev)
+    asym = _maxnorm(Ev - _bT(Ev))
+    if asym > 1e-12 * e_scale:
+        raise StructureError(f"E is not symmetric (defect {asym:.3e})")
+    eigmin = np.linalg.eigvalsh(Ev)[:, 0].min()
+    if eigmin < -1e-12 * e_scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
 
     Qv, r = _sym_split(Ev, grid.points)
@@ -366,7 +375,7 @@ def semidefinite_skew_reduce(pair, f, grid):
 
 
 def index1_reduce(pair, f, grid):
-    """Kernel elimination for linear DAEs with E >= 0, dissipative or not.
+    """Kernel elimination for linear DAEs with E = E^T >= 0, dissipative or not.
 
     The kernel elimination of ``semidefinite_skew_reduce`` without its
     structure requirement: the index-1 elimination for every pair, plus the
@@ -411,12 +420,12 @@ def self_adjoint_dynamic_extract(form, grid):
 
     if isinstance(form, cn.SelfAdjointGlobalForm):
         p = form.p
-        A22 = form.A22.eval_on(grid)
-        Cv = np.zeros((grid.n, 2 * p, 2 * p))
+        A22 = _samples(form.A22, grid)
+        Cv = np.zeros((len(A22), 2 * p, 2 * p))
         Cv[:, p:, p:] = A22
     elif isinstance(form, cn.LocalFormBlocks) and form.variant == cn.SELF_REFINED:
         p = form.p
-        Cv = form.sigma11.eval_on(grid)
+        Cv = _samples(form.sigma11, grid)
     else:
         raise UnsupportedError(
             "expected a self-adjoint global form or a refined local layout"

@@ -189,14 +189,15 @@ def _samples(F, grid, derivative=False):
     return F.derivative_on(grid) if derivative else F.eval_on(grid)
 
 
-def _sampled(grid, vals):
-    """Function of the samples vals (K or 1, ., .): a constant when every
-    sample is bitwise equal to the first, else the cubic through the grid
-    samples (non-finite samples raise either way)."""
+def _sampled(grid, vals, derivs=None):
+    """Function of the samples vals (K or 1, ., .) and derivative samples
+    derivs, if given: a constant when every sample is bitwise equal to the
+    first and every derivative sample is zero, else the cubic through the
+    samples, Hermite with derivs (non-finite samples raise either way)."""
     bits = np.ascontiguousarray(vals).reshape(len(vals), -1).view(np.uint64)
-    if np.all(bits == bits[0]):
+    if np.all(bits == bits[0]) and (derivs is None or not np.any(derivs)):
         return mf.ConstantMatrixFunction(vals[0])
-    return mf.SampledMatrixFunction(grid, vals, order=3)
+    return mf.SampledMatrixFunction(grid, vals, order=3, deriv_values=derivs)
 
 
 def _values(pair, grid):
@@ -338,16 +339,13 @@ def compose(t1, t2):
 
 
 def invert(transform, grid):
-    """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv."""
-    Qv = transform.Q.eval_on(grid)
-    Qd = transform.Qdot.eval_on(grid)
+    """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv; a
+    constant Q is inverted once."""
+    Qv, Qd = _samples(transform.Q, grid), _samples(transform.Qdot, grid)
     _require_nonsingular(Qv, grid.points, 1e-12, SingularityError, "Q is numerically singular")
     inv = np.linalg.inv(Qv)
     dinv = -inv @ Qd @ inv
-    return CongruenceTransform(
-        mf.SampledMatrixFunction(grid, inv, order=3, deriv_values=dinv),
-        mf.SampledMatrixFunction(grid, dinv, order=3),
-    )
+    return CongruenceTransform(_sampled(grid, inv, dinv), _sampled(grid, dinv))
 
 
 def remark1_convert(pair):

@@ -18,6 +18,7 @@ from structdae.errors import (
     ParityError,
     RegularityError,
     StageError,
+    StructureError,
     UnsupportedError,
 )
 
@@ -697,3 +698,20 @@ def test_basis_with_a_wrong_derivative_is_a_basis_deficiency():
     with pytest.raises(BasisDeficiencyError, match="Phi does not solve the homogeneous DAE") as err:
         sd.global_canonical_skew(pair, wrong, GRID41)
     assert _residual(err.value) == pytest.approx(2.974, rel=0.1)
+
+
+def test_global_forms_reject_a_pair_of_the_other_structure():
+    # the multibody skew pair's E is symmetric, not skew: the self-adjoint
+    # pipeline refuses it at its input test, and the other way round
+    mb = _multibody()
+    for build, pair, what in ((sd.global_canonical_self, mb.skew_pair, "self-adjoint"),
+                              (sd.global_canonical_skew, mb.self_pair, "skew-adjoint")):
+        basis = sd.solution_basis_constant(pair, GRID)
+        with pytest.raises(StructureError, match=f"pair is not {what}"):
+            build(pair, basis, GRID)
+
+
+def test_verify_local_form_rejects_an_unknown_variant():
+    blocks = sd.LocalFormBlocks(variant="self_orthogonl", core=sd.constant(J2))
+    with pytest.raises(UnsupportedError, match="unknown local form variant 'self_orthogonl'"):
+        sd.verify_local_form(blocks, GRID)

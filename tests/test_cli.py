@@ -2,6 +2,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
 from structdae.cli import main
 
@@ -463,3 +464,42 @@ def test_stokes_model_with_a_non_finite_entry_exits_2(tmp_path, capsys):
     assert run(["reduce", "--pipeline", "stokes", "--model", str(model)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1, err
+
+
+def test_factor_residual_is_what_the_split_drops(tmp_path, capsys):
+    import structdae as sd
+
+    efile = tmp_path / "F.json"
+    efile.write_text(sd.dump_json(sd.matrix_function_to_json(
+        sd.constant(np.diag([1.0, 5e-10])))))
+    assert run(["factor", "--model", str(efile), "--grid", "11"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rank"] == 1
+    assert out["reconstruction_residual"] == pytest.approx(5e-10, rel=1e-12)
+    # a split that cuts only exact zeros (rank 4 of 5) drops roundoff
+    model = tmp_path / "mb.json"
+    run(["demo", "multibody", "--form", "skew", "--out", str(model)])
+    assert run(["factor", "--model", str(model), "--what", "A", "--grid", "21"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rank"] == 4 and out["reconstruction_residual"] <= 1e-14
+
+
+def _usage_error(args, capsys, *words):
+    """Run args, expect exit 2 with a one-line error naming every word."""
+    capsys.readouterr()
+    assert run(args) == 2, args
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err, (word, err)
+
+
+def test_usage_errors_exit_2(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    run(["demo", "multibody", "--out", str(pair)])
+    _usage_error(["check", "--model", str(pair), "--grid", "1"], capsys, "--grid")
+    _usage_error(["simulate", "--model", str(pair), "--x0", "1,0,0,0,0"], capsys, "phdae")
+    _usage_error(["reduce", "--model", str(pair), "--pipeline", "stokes"], capsys, "stokes")
+    _usage_error(["demo", "multibody", "--nq", "0", "--nc", "0",
+                  "--out", str(tmp_path / "empty.json")], capsys, "mass matrix")
+    assert not (tmp_path / "empty.json").exists()

@@ -201,3 +201,67 @@ def test_samples_of_a_constant_do_not_alias_its_value():
     assert vals.shape == ders.shape == (1, 2, 2)
     assert not np.shares_memory(vals, F.value)
     assert not ders.any()
+
+
+def test_sampled_with_derivative_samples_is_a_constant_only_when_they_vanish():
+    from structdae.structure import _sampled
+
+    M = np.array([[1.0, -2.0], [0.5, 3.0]])
+    vals = np.broadcast_to(M, (GRID.n, 2, 2)).copy()
+    ders = np.zeros_like(vals)
+    const = _sampled(GRID, vals, ders)
+    assert isinstance(const, sd.ConstantMatrixFunction)
+    assert np.array_equal(const.value, M) and not np.shares_memory(const.value, vals)
+    # equal samples with a nonzero derivative are the Hermite cubic through both
+    ders[5, 0, 1] = 1e-300
+    herm = _sampled(GRID, vals, ders)
+    assert isinstance(herm, sd.SampledMatrixFunction)
+    assert herm.derivative_on(GRID).tobytes() == ders.tobytes()
+    assert not np.shares_memory(herm.values, vals)
+    # moving samples give the Hermite cubic itself, bit for bit off the nodes
+    moving = vals + GRID.points[:, None, None]
+    ones = np.ones_like(moving)
+    want = sd.SampledMatrixFunction(GRID, moving, order=3, deriv_values=ones)
+    ts = np.linspace(0.0, 10.0, 37)
+    assert _sampled(GRID, moving, ones)._eval_at(ts).tobytes() == want._eval_at(ts).tobytes()
+    ders[5, 0, 1] = np.inf
+    with pytest.raises(sd.ConstructionError):
+        _sampled(GRID, vals, ders)
+
+
+def _kinds(*funs):
+    return [type(F) for F in funs]
+
+
+def test_a_bitwise_constant_form_block_is_a_constant():
+    # d = 0: the whole congruence is the constant complement, so every block
+    # of the skew form and its transform come back as constants
+    J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    pair = sd.MatrixPair(sd.zero(2, 2), sd.constant(J2), GRID)
+    basis = sd.solution_basis_constant(pair, GRID)
+    assert basis.d == 0
+    assert _kinds(basis.Phi, basis.Phidot) == [sd.ConstantMatrixFunction] * 2
+    assert basis.Phi.shape == (2, 0)
+    form = sd.global_canonical_skew(pair, basis, GRID)
+    funs = (form.E33, form.A33, form.Q.Q, form.Q.Qdot, form.pair_transformed.E,
+            form.pair_transformed.A)
+    assert _kinds(*funs) == [sd.ConstantMatrixFunction] * 6
+    assert np.array_equal(form.A33.value, form.Q.Q.value.T @ J2 @ form.Q.Q.value)
+    assert not form.Q.Qdot.value.any()
+    assert sd.verify_skew_global_form(form, GRID).passes()
+    # the multibody skew form's algebraic blocks are bitwise constant too,
+    # while its transform moves with the solution basis
+    mb = _multibody().skew_pair
+    form = sd.global_canonical_skew(mb, sd.solution_basis_constant(mb, GRID), GRID)
+    assert _kinds(form.E33, form.A33) == [sd.ConstantMatrixFunction] * 2
+    assert _kinds(form.Q.Q, form.Q.Qdot) == [sd.SampledMatrixFunction] * 2
+
+
+def test_invert_reads_a_constant_transform_once():
+    Q = np.array([[2.0, 1.0], [0.0, 1.0]])
+    inv = sd.invert(sd.CongruenceTransform.from_function(sd.constant(Q)), GRID)
+    assert _kinds(inv.Q, inv.Qdot) == [sd.ConstantMatrixFunction] * 2
+    assert np.array_equal(inv.Q.value, np.linalg.inv(Q[None])[0])
+    assert not inv.Qdot.value.any()
+    with pytest.raises(sd.SingularityError, match="t=0.0"):
+        sd.invert(sd.CongruenceTransform.from_function(sd.constant(np.ones((2, 2)))), GRID)

@@ -116,6 +116,8 @@ def test_multibody_forms():
         sd.build_multibody(np.diag([1.0, 0.0]), np.eye(2), [[1.0, 0.0]])
     with pytest.raises(ParameterError):
         sd.build_multibody(np.eye(2), np.eye(2), [[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(DimensionError, match="mass matrix is empty"):
+        sd.build_multibody(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_optimal_control_constant_blocks():
@@ -156,6 +158,14 @@ def test_optimal_control_parameter_errors():
             np.eye(2), np.eye(2), np.eye(2)[:, :1], W_bad, np.zeros((2, 1)),
             [[1.0]], np.eye(2), interval=GRID,
         )
+    # W(t) = I + t (t - 5) (t - 10) e1 e2^T is symmetric at 0, 5 and 10 only
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    W_cubic = sd.poly([np.eye(2), 50.0 * e12, -15.0 * e12, e12])
+    with pytest.raises(ParameterError, match="W must be symmetric"):
+        sd.build_optimal_control(
+            np.eye(2), np.eye(2), np.eye(2)[:, :1], W_cubic, np.zeros((2, 1)),
+            [[1.0]], np.eye(2),
+        )
 
 
 def test_dissipation_matrix_psd_across_constructors():
@@ -185,3 +195,24 @@ def test_phdae_labels_must_match_the_state_count():
         with pytest.raises(DimensionError, match="labels"):
             dataclasses.replace(m, labels=labels)
     assert dataclasses.replace(m, labels=()).labels == ()
+
+
+def test_optimal_control_symmetry_is_read_from_the_data():
+    # symmetric samples (and derivative samples) and coefficients pass; one
+    # asymmetric derivative sample or coefficient fails
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    S = np.array([[2.0, 1.0], [1.0, 3.0]])
+    vals = S + GRID.points[:, None, None] * np.eye(2)
+
+    def build(W):
+        return sd.build_optimal_control(np.eye(2), np.eye(2), np.eye(2)[:, :1], W,
+                                        np.zeros((2, 1)), [[1.0]], np.eye(2), interval=GRID)
+
+    ders = np.broadcast_to(np.eye(2), vals.shape).copy()
+    assert build(sd.SampledMatrixFunction(GRID, vals, deriv_values=ders)).n == 5
+    assert build(sd.poly([S, np.eye(2), S])).n == 5
+    ders[3] += e12
+    with pytest.raises(ParameterError, match="W must be symmetric"):
+        build(sd.SampledMatrixFunction(GRID, vals, deriv_values=ders))
+    with pytest.raises(ParameterError, match="W must be symmetric"):
+        build(sd.poly([S, np.eye(2), S + e12]))

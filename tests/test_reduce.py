@@ -544,3 +544,57 @@ def test_recovery_groups_and_core_cover_the_state():
         red = reducer(pair, sd.zero(n, 1), grid)
         assert red.dynamic_dim + sum(rows for _, rows in red.recovery) == n, red.recovery
     assert red.recovery == [("constraint variables", 1), ("pressure", 1)]
+
+
+def test_extracted_core_has_no_recovery_maps():
+    # the Hamiltonian core of the multibody self form (n = 5, p = 1) keeps
+    # no map to or from the full state
+    mb = sd.build_multibody(np.eye(2), np.eye(2), [[1.0, 0.0]], interval=GRID)
+    form = sd.global_canonical_self(mb.self_pair, sd.solution_basis_constant(mb.self_pair, GRID),
+                                    GRID)
+    red = sd.self_adjoint_dynamic_extract(form, GRID)
+    assert (form.n, form.p, red.dynamic_dim) == (5, 1, 2)
+    x2 = np.array([1.0, -0.5])
+    for call in (lambda: red.dynamic_from_full(0.0, np.ones(5)),
+                 lambda: red.reconstruct(0.5, x2),
+                 lambda: red.reconstruct_on(GRID, np.tile(x2, (GRID.n, 1))),
+                 lambda: sd.integrate_reduced(red, x2, GRID)):
+        with pytest.raises(UnsupportedError, match="no recovery maps"):
+            call()
+    # the core itself integrates
+    states = sd.integrate_linear(red.m_fun, red.g_fun, x2, GRID)
+    assert states.shape == (GRID.n, 2) and np.array_equal(states[0], x2)
+
+
+NONSYMMETRIC_E = sd.MatrixPair(
+    sd.constant([[1.0, 0.5], [-0.5, 1.0]]), sd.constant(-np.eye(2)),
+    sd.TimeGrid.uniform(0.0, 1.0, 11),
+)
+
+
+def test_kernel_elimination_rejects_a_nonsymmetric_e():
+    # sym(E) = I would reduce to M = -I and end at (0.368, 0); the equation's
+    # solution from e1 is expm(E^-1 A) e1 = (0.414, -0.175)
+    grid = NONSYMMETRIC_E.interval
+    with pytest.raises(StructureError, match="E is not symmetric"):
+        sd.index1_reduce(NONSYMMETRIC_E, sd.zero(2, 1), grid)
+    with pytest.raises(StructureError):
+        sd.semidefinite_skew_reduce(NONSYMMETRIC_E, sd.zero(2, 1), grid)
+    # a roundoff-level asymmetry still reduces
+    E = np.array([[1.0, 0.5], [0.5 * (1 + 1e-15), 1.0]])
+    red = sd.index1_reduce(sd.MatrixPair(sd.constant(E), sd.constant(-np.eye(2)), grid),
+                           sd.zero(2, 1), grid)
+    assert red.dynamic_dim == 2
+
+
+def test_kernel_elimination_rejects_a_pattern_that_holds_at_t0_only():
+    # E = diag(1, 1, 0): the constraint row reads x1 only at t = 0, and the
+    # dynamic variable x2 too for t > 0
+    A = sd.poly([[[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                 [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 1.0, 0.0])), A, GRID)
+    with pytest.raises(UnsupportedError, match="kernel/constraint block pattern"):
+        sd.index1_reduce(pair, sd.zero(3, 1), GRID)
+    # the same pair frozen at t = 0 reduces
+    frozen = sd.MatrixPair(pair.E, sd.constant(A.eval(0.0)), GRID)
+    assert sd.index1_reduce(frozen, sd.zero(3, 1), GRID).dynamic_dim == 1
