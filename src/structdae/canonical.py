@@ -42,7 +42,7 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import _rank, smooth_inertia, smooth_kernel_frame
+from .factor import _inertia, _rank, _row_frame, smooth_kernel_frame
 from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
@@ -257,7 +257,6 @@ class _Pipeline:
         self.Ev, self.Ed, self.Av = st._values(pair, grid)
         self.grid = grid
         self.kind = kind
-        self.K = grid.n
         self.n = pair.n
         # the input pair's norms of E and A, which the algebraic block's
         # ranks are decided against
@@ -273,8 +272,16 @@ class _Pipeline:
         self.Qd = np.zeros((1, self.n, self.n))
         self.stage_residuals = []
 
-    def apply(self, name, Qv, Qd=None):
-        """Congruence by a grid array Qv (or a constant matrix; Qd=None means Qdot = 0)."""
+    def apply(self, name, rows, cols, X, Xd=None):
+        """Congruence by the identity with its block [rows, cols] replaced by
+        X: a constant matrix, or a (K, ., .) grid array whose derivative
+        samples are Xd (Xd=None means Qdot = 0)."""
+        Qv = np.array(np.broadcast_to(np.eye(self.n), (*X.shape[:-2], self.n, self.n)))
+        Qv[..., rows, cols] = X
+        Qd = None
+        if Xd is not None:
+            Qd = np.zeros(Qv.shape)
+            Qd[..., rows, cols] = Xd
         self.Ev, self.Ed, self.Av = st._congruence_arrays(self.Ev, self.Ed, self.Av, Qv, Qd)
         self.Qd = self.Qd @ Qv if Qd is None else self.Qd @ Qv + self.Qv @ Qd
         self.Qv = self.Qv @ Qv
@@ -327,9 +334,8 @@ def _basis_congruence(pipe, basis):
             f"Phi does not solve the homogeneous DAE (residual {resid:.3e})"
         )
     compv, compd = _completion_arrays(basis, grid)
-    Qv = np.concatenate([phiv, compv], axis=2)
-    Qd = np.concatenate([phid, compd], axis=2)
-    pipe.apply("solution-basis congruence", Qv, Qd)
+    pipe.apply("solution-basis congruence", slice(None), slice(None),
+               np.concatenate([phiv, compv], axis=2), np.concatenate([phid, compd], axis=2))
     # first block column of A must vanish since E Phidot = A Phi
     pipe.require("A first-block-column zero", _maxnorm(pipe.Av[:, :, :d]))
     E11 = pipe.Ev[:, :d, :d]
@@ -402,7 +408,6 @@ def global_canonical_self(pair, basis, grid):
     if d % 2:
         raise ParityError(f"solution space dimension {d} is odd for a self-adjoint pair")
     p = d // 2
-    a = n - d
     E11c = _basis_congruence(pipe, basis)
 
     if d:
@@ -411,47 +416,24 @@ def global_canonical_self(pair, basis, grid):
         pipe.require(
             "leading block of paired E11 zero", _maxnorm((Ub.T @ E11c @ Ub)[None, :p, :p])
         )
-        Q2 = np.eye(n)
-        Q2[:d, :d] = Ub
-        pipe.apply("skew pairing", Q2)
+        pipe.apply("skew pairing", slice(d), slice(d), Ub)
 
         # normalize [E12 E13] V = [I_p 0]
-        Bv = pipe.Ev[:, :p, p:]
-        Bd = pipe.Ed[:, :p, p:]
-        st._require_nonsingular(Bv, grid.points, RANK_FLOOR, StageError,
-                                "[E12 E13] loses row rank", stage="row normalization")
-        BBt = Bv @ _bT(Bv)
-        Binv = np.linalg.solve(BBt, np.eye(p)[None].repeat(pipe.K, axis=0))
-        V1 = _bT(Bv) @ Binv
-        dBBt = Bd @ _bT(Bv) + Bv @ _bT(Bd)
-        V1d = _bT(Bd) @ Binv - _bT(Bv) @ Binv @ dBBt @ Binv
-        if a:
-            Nv, Nd = smooth_kernel_frame(st._sampled(grid, Bv, Bd), grid)
-            Vv = np.concatenate([V1, Nv], axis=2)
-            Vd = np.concatenate([V1d, Nd], axis=2)
-        else:
-            Vv, Vd = V1, V1d
-        Q3 = np.zeros((pipe.K, n, n))
-        Q3d = np.zeros((pipe.K, n, n))
-        Q3[:, :p, :p] = np.eye(p)
-        Q3[:, p:, p:] = Vv
-        Q3d[:, p:, p:] = Vd
-        pipe.apply("row normalization", Q3, Q3d)
+        V, Vd, rel = _row_frame(pipe.Ev[:, :p, p:], pipe.Ed[:, :p, p:])
+        st._require_margin(rel, grid.points, RANK_FLOOR, StageError,
+                           "[E12 E13] loses row rank", stage="row normalization")
+        pipe.apply("row normalization", slice(p, n), slice(p, n), V, Vd)
         pipe.require(
             "normalized leading row",
             _maxnorm(pipe.Ev[:, :p, p:d] - np.eye(p)) + _maxnorm(pipe.Ev[:, :p, d:]),
         )
 
         # decouple: congruence by [[I, E22/2, E23], [0, I, 0], [0, 0, I]]
-        # Q4 carries its own derivative, so the (2,2) block of E becomes
+        # Q carries its own derivative, so the (2,2) block of E becomes
         # X^T - X + E22 = 0 (X = E22/2) at every t, constant E22 or not
-        Q4 = np.broadcast_to(np.eye(n), (pipe.K, n, n)).copy()
-        Q4d = np.zeros((pipe.K, n, n))
-        Q4[:, :p, p:d] = 0.5 * pipe.Ev[:, p:d, p:d]
-        Q4[:, :p, d:] = pipe.Ev[:, p:d, d:]
-        Q4d[:, :p, p:d] = 0.5 * pipe.Ed[:, p:d, p:d]
-        Q4d[:, :p, d:] = pipe.Ed[:, p:d, d:]
-        pipe.apply("decoupling", Q4, Q4d)
+        half = np.repeat([0.5, 1.0], [p, n - d])
+        pipe.apply("decoupling", slice(p), slice(p, n),
+                   pipe.Ev[:, p:d, p:] * half, pipe.Ed[:, p:d, p:] * half)
 
     lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._J(p), p)
     pipe.require("canonical leading E block", lead)
@@ -499,22 +481,15 @@ def global_canonical_skew(pair, basis, grid):
                 f"E11 = Phi^T E Phi is singular ({d - rank} near-zero "
                 "eigenvalues); the basis does not span the full solution space"
             )
-        inertia = smooth_inertia(mf.constant(E11c), grid)
-        p, q = inertia.p, inertia.q
-        Q2 = np.eye(n)
-        Q2[:d, :d] = inertia.W.value
-        pipe.apply("inertia normalization", Q2)
+        (W,), p = _inertia(E11c[None], grid.points)
+        q = d - p
+        pipe.apply("inertia normalization", slice(d), slice(d), W[0])
         S = st._signature(p, q)
         pipe.require("leading signature block", _maxnorm(pipe.Ev[:, :d, :d] - S))
 
         if a:
-            E13 = pipe.Ev[:, :d, d:]
-            E13d = pipe.Ed[:, :d, d:]
-            Q3 = np.broadcast_to(np.eye(n), (pipe.K, n, n)).copy()
-            Q3d = np.zeros((pipe.K, n, n))
-            Q3[:, :d, d:] = -S[None] @ E13
-            Q3d[:, :d, d:] = -S[None] @ E13d
-            pipe.apply("algebraic decoupling", Q3, Q3d)
+            pipe.apply("algebraic decoupling", slice(d), slice(d, n),
+                       -S[None] @ pipe.Ev[:, :d, d:], -S[None] @ pipe.Ed[:, :d, d:])
 
     lead, e_off, a_zero = _layout_defects(pipe.Ev, pipe.Av, st._signature(p, q), d)
     pipe.require("canonical leading E block", lead)

@@ -237,7 +237,13 @@ def sym_rank_split(E, grid):
 
 def smooth_inertia(D, grid):
     """Congruence W(t) with W^T D W = diag(I_p, -I_q), constant signature."""
-    n = D.rows
+    (W,), p = _inertia(_samples(D, grid), grid.points)
+    return InertiaSplit(_sampled(grid, W), p, D.rows - p, grid)
+
+
+def _inertia(vals, ts):
+    """([W], p) of `smooth_inertia` for the samples vals at the times ts."""
+    n = vals.shape[-1]
 
     def decompose(Dv, ts):
         scale = np.linalg.norm(Dv, axis=(-2, -1))
@@ -267,8 +273,7 @@ def smooth_inertia(D, grid):
             f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
         )
 
-    (W,), p = _aligned(_samples(D, grid), grid.points, decompose, changed)
-    return InertiaSplit(_sampled(grid, W), p, n - p, grid)
+    return _aligned(vals, ts, decompose, changed)
 
 
 def row_rank_normalize(B, grid):
@@ -297,13 +302,31 @@ def max_jump(values):
     return _maxnorm(np.diff(values, axis=0))
 
 
+def _row_frame(Bv, Bd):
+    """(V, Vdot, rel) from one stacked SVD B = U S [V_r V_0]^T of the
+    samples Bv (K, p, m), p <= m, with derivative samples Bd.
+
+    V = [B^+ | N] with B V = [I_p 0]: B^+ = V_r S^-1 U^T, and N is V_0 glued
+    by the polar chain.  Ndot = -B^+ Bdot N is the minimal rotation
+    (N^T Ndot = 0), and d(B^+)/dt = -B^+ Bdot B^+ - N Ndot^T B^+, so that
+    B Vdot = -Bdot V exactly.  rel is s_min / s_max at each sample.
+    """
+    p = Bv.shape[1]
+    u, s, vt = np.linalg.svd(Bv)
+    Vr, N = _bT(vt[:, :p]), _chain(_bT(vt[:, p:]))
+    # a zero singular value divides by zero only where rel reads 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Bp = (Vr / s[:, None, :]) @ _bT(u)
+        Nd = -Bp @ (Bd @ N)
+        Vd = np.concatenate([-Bp @ (Bd @ Bp) - N @ (_bT(Nd) @ Bp), Nd], axis=2)
+    return np.concatenate([Bp, N], axis=2), Vd, st._ratio(s)
+
+
 def smooth_kernel_frame(B, grid):
     """Orthonormal N(t) spanning ker B(t) with derivative samples.
 
     B must have full row rank at the nodes and the midpoints of the grid.
-    The kernel bases of one stacked SVD are glued by the polar chain, so each
-    N_k is Procrustes-aligned to N_{k-1}; the derivative samples follow the
-    minimal-rotation law  Ndot = -B^T (B B^T)^{-1} Bdot N  at the nodes.
+    N and Ndot are the kernel columns of `_row_frame` at the nodes.
 
     Returns (N_values, Ndot_values) of shape (len(grid), n, n - p).
     """
@@ -311,10 +334,7 @@ def smooth_kernel_frame(B, grid):
     ts = grid.points
     guard_ts = np.concatenate([ts, ts[:-1] + 0.5 * np.diff(ts)])
     Bs = B._eval_at(guard_ts)
-    BBt = Bs @ _bT(Bs)
-    st._require_nonsingular(BBt, guard_ts, 1e-14, ConditioningError,
+    st._require_nonsingular(Bs @ _bT(Bs), guard_ts, 1e-14, ConditioningError,
                             "row-rank-deficient matrix in kernel frame")
-    Bn, BBt = Bs[:grid.n], BBt[:grid.n]
-    N = _chain(_bT(np.linalg.svd(Bn)[2])[..., p:])
-    Nd = -_bT(Bn) @ np.linalg.solve(BBt, B._derivative_at(ts) @ N)
-    return N, Nd
+    V, Vd, _ = _row_frame(Bs[:grid.n], B._derivative_at(ts))
+    return V[..., p:], Vd[..., p:]

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import matfun as mf
 from .errors import (
+    ConstructionError,
     DimensionError,
     ParameterError,
     SingularityError,
@@ -62,6 +63,8 @@ class CongruenceTransform:
             raise DimensionError("Q and Qdot must have the same shape")
         if self.Q.rows != self.Q.cols:
             raise DimensionError("congruence transform must be square")
+        if _constant(self.Q) is not None and _nonzero(self.Qdot):
+            raise ConstructionError("Qdot of a constant Q must be zero")
 
     @property
     def n(self):
@@ -178,6 +181,14 @@ def _constant(F):
     return None
 
 
+def _nonzero(F):
+    """Whether the data that define F, a polynomial's coefficients or a
+    sampled function's samples and derivative samples, hold a nonzero."""
+    if isinstance(F, mf.PolynomialMatrixFunction):
+        return bool(np.any(F.coeffs))
+    return bool(np.any(F.values)) or F.deriv_values is not None and bool(np.any(F.deriv_values))
+
+
 def _samples(F, grid, derivative=False):
     """Grid samples (K, rows, cols) of F or of its derivative.  A constant
     (`_constant`) is one sample, a (1, rows, cols) copy of its value (zeros
@@ -272,14 +283,22 @@ def _rel_smin(F):
     F = np.asarray(F)
     if 0 in F.shape[-2:]:
         return np.ones(F.shape[:-2])
-    s = np.linalg.svd(F, compute_uv=False)
+    return _ratio(np.linalg.svd(F, compute_uv=False))
+
+
+def _ratio(s):
+    """`_rel_smin` from the descending singular values s (..., m)."""
     return s[..., -1] / np.maximum(s[..., 0], 1e-300)
 
 
 def _require_nonsingular(F, ts, rel_tol, error, what, **fields):
-    """Raise error(..., t=t, **fields) at the earliest time of ts (one per
-    matrix of F) where _rel_smin(F) <= rel_tol (or is not a number)."""
-    rel = _rel_smin(F)
+    """`_require_margin` of _rel_smin(F), one matrix of F per time of ts."""
+    _require_margin(_rel_smin(F), ts, rel_tol, error, what, **fields)
+
+
+def _require_margin(rel, ts, rel_tol, error, what, **fields):
+    """Raise error(..., t=t, **fields) at the earliest time of ts where the
+    relative smallest singular value rel <= rel_tol (or is not a number)."""
     bad = np.flatnonzero(~(rel > rel_tol))
     if bad.size:
         k = bad[np.argmin(ts[bad])]

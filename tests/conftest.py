@@ -8,6 +8,8 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import settings
 
 os.environ.setdefault(
@@ -34,3 +36,18 @@ def pytest_runtest_makereport(item, call):
                 import hypothesis.extra._patching  # noqa: F401
             except ImportError:
                 pass
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes of the arrays handed to `numpy.linalg.svd` during the
+    test, in call order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes

@@ -92,6 +92,20 @@ def multibody_solution_dims(n_q, n_constraints):
     return 2 * (n_q - n_constraints), 2 * n_q - n_constraints
 
 
+def seeded_multibody(seed, nq=20, nc=5, K=101):
+    """(model, grid) of the seeded multibody benchmark inputs: diagonal M
+    from U[0.5, 2], diagonal W from U[0.25, 1], nc constrained coordinates,
+    K points on [0, 10]."""
+    import structdae as sd
+
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.5, 2.0, nq))
+    W = np.diag(rng.uniform(0.25, 1.0, nq))
+    G = np.eye(nq)[np.sort(rng.choice(nq, nc, replace=False))]
+    grid = sd.TimeGrid.uniform(0.0, 10.0, K)
+    return sd.build_multibody(M, W, G, interval=grid), grid
+
+
 def random_self_adjoint_poly_pair(rng, n, deg, interval):
     """Exactly self-adjoint polynomial pair: E skew, A = S - Edot/2."""
     import structdae as sd

@@ -25,6 +25,7 @@ from structdae.errors import (
 from oracles import (
     brute_force_dimension,
     multibody_solution_dims,
+    seeded_multibody,
     seeded_semidefinite_skew_pair,
 )
 
@@ -688,6 +689,38 @@ def test_skew_form_with_a_small_e_fails_at_inertia_normalization():
         sd.global_canonical_skew(pair, basis, GRID41)
     assert err.value.stage == "inertia normalization"
     assert _residual(err.value) == pytest.approx(2.525e-07, rel=0.1)
+
+
+def test_row_normalization_decomposes_e12_e13_once(svd_calls):
+    # the stage's rank guard, its right inverse and its kernel frame all come
+    # from one SVD of the (K, p, n - p) stack B = [E12 E13]; no second guard
+    # decomposes B B^T at the nodes and midpoints
+    mb, grid = seeded_multibody(7)
+    basis = sd.solution_basis_constant(mb.self_pair, grid)
+    form = sd.global_canonical_self(mb.self_pair, basis, grid)
+    assert (form.p, form.algebraic_dim) == (15, 15)
+    assert svd_calls.count((101, 15, 30)) == 1
+    assert (201, 15, 15) not in svd_calls
+
+
+def test_row_rank_loss_names_its_time():
+    # E = (t - 1/2)(e1 e3^T - e3 e1^T) and A = -e1 e3^T + e3 e3^T form a
+    # self-adjoint pair solved by Phi = [e1 e2]; E11 = 0, and
+    # B = [E12 E13] = [0, t - 1/2] vanishes at t = 1/2
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 5)
+    Ec = np.zeros((2, 3, 3))
+    Ec[:, 0, 2] = [-0.5, 1.0]
+    Ec[:, 2, 0] = [0.5, -1.0]
+    A = np.zeros((3, 3))
+    A[0, 2], A[2, 2] = -1.0, 1.0
+    pair = sd.MatrixPair(sd.poly(Ec), sd.constant(A), grid)
+    eye = np.eye(3)
+    basis = sd.SolutionBasis(sd.constant(eye[:, :2]), sd.zero(3, 2), 2,
+                             complement=sd.constant(eye[:, 2:]))
+    with pytest.raises(StageError, match=r"\[E12 E13\] loses row rank at t=0.5") as err:
+        sd.global_canonical_self(pair, basis, grid)
+    assert err.value.t == 0.5
+    assert err.value.stage == "row normalization"
 
 
 def test_basis_with_a_wrong_derivative_is_a_basis_deficiency():

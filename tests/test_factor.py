@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from structdae.errors import (
     RankDropError,
     StructureError,
 )
-from structdae.factor import max_jump, smooth_kernel_frame
+from structdae.factor import _row_frame, max_jump, smooth_kernel_frame
 
 from oracles import rotation
 
@@ -254,6 +256,37 @@ def test_smooth_kernel_frame_is_the_procrustes_chain():
         law = Bv @ Nd + B.derivative_on(grid) @ N
         assert np.linalg.norm(law, axis=(1, 2)).max() <= 1e-12
         assert np.abs(NT @ Nd).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p, m", [(1, 7), (2, 7), (3, 7), (4, 7), (4, 4)])
+def test_row_frame_normalizes_the_rows_with_exact_derivatives(p, m):
+    # V = [B^+ | N] with B V = [I 0], N orthonormal and orthogonal to B^+;
+    # its derivative samples keep B V fixed (B Vdot = -Bdot V) and do not
+    # rotate inside the kernel (N^T Ndot = 0); a square B has no N
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 2001)
+    B = sd.PolynomialMatrixFunction(np.random.default_rng(10 * p + m).standard_normal((3, p, m)))
+    Bv, Bd = B.eval_on(grid), B.derivative_on(grid)
+    V, Vd, rel = _row_frame(Bv, Bd)
+    assert V.shape == Vd.shape == (grid.n, m, m)
+    assert rel.min() > 1e-2
+    Bp, N, Nd = V[..., :p], V[..., p:], Vd[..., p:]
+    NT = np.swapaxes(N, 1, 2)
+    assert np.abs(Bv @ V - np.eye(p, m)).max() <= 1e-12
+    assert np.abs(NT @ N - np.eye(m - p)).max(initial=0.0) <= 1e-13
+    assert np.abs(NT @ Bp).max(initial=0.0) <= 1e-13
+    assert np.abs(Bv @ Vd + Bd @ V).max() <= 1e-11
+    assert np.abs(NT @ Nd).max(initial=0.0) <= 1e-12
+    # and they are the derivative of the frame itself
+    fd = (V[2:] - V[:-2]) / (grid.points[2:] - grid.points[:-2])[:, None, None]
+    assert np.abs(fd - Vd[1:-1]).max() <= 1e-4 * np.abs(Vd).max()
+
+
+def test_row_frame_reads_zero_at_a_rank_loss_without_a_warning():
+    Bv = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rel = _row_frame(Bv, np.zeros_like(Bv))[2]
+    assert rel.tolist() == [1.0, 0.0]
 
 
 def test_orthogonality_of_all_factors():

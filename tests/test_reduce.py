@@ -13,6 +13,7 @@ from structdae.reduce import AffineInput, _sampled
 
 from oracles import (
     random_poly_congruence,
+    seeded_multibody,
     seeded_semidefinite_skew_pair,
     solve_index1_dae,
     solve_stokes_dae,
@@ -416,6 +417,28 @@ def test_self_adjoint_dynamic_extract_from_global_form():
     )
     with pytest.raises(StructureError):
         sd.self_adjoint_dynamic_extract(nonsym, GRID)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_symplectic_extraction_of_the_seeded_multibody_self_form(seed):
+    # C = diag(0, A22) is judged against the core pair (J, C): on seed 7,
+    # |A22| is 4e-15, so C's own norm would make its roundoff a defect
+    mb, grid = seeded_multibody(seed)
+    form = sd.global_canonical_self(mb.self_pair, sd.solution_basis_constant(mb.self_pair, grid),
+                                    grid)
+    red = sd.self_adjoint_dynamic_extract(form, grid)
+    assert red.certificate.kind == "symplectic"
+    assert np.array_equal(red.certificate.B, sd.FlowCertificate.symplectic(15).B)
+
+
+def test_symplectic_extraction_rejects_an_asymmetry_relative_to_j():
+    J = sd.FlowCertificate.symplectic(2).B
+    C = np.diag([1.0, 2.0, 3.0, 4.0])
+    C[0, 1] += 1e-6 * np.linalg.norm(J)
+    blocks = sd.LocalFormBlocks(variant="self_refined", core=sd.constant(J),
+                                sigma11=sd.constant(C), p=2)
+    with pytest.raises(StructureError, match="C block is not symmetric"):
+        sd.self_adjoint_dynamic_extract(blocks, GRID)
 
 
 def test_constant_nondiagonal_e_matches_its_eigenbasis_reduction():

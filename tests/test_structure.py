@@ -4,6 +4,7 @@ import pytest
 import structdae as sd
 from structdae.errors import (
     ConditioningError,
+    ConstructionError,
     RegularityError,
     SingularityError,
     StructureError,
@@ -128,6 +129,16 @@ def test_apply_equivalence():
     b = sd.apply_equivalence(anypair, sd.constant(Qc.T), T)
     assert np.allclose(a.E.eval(0.2), b.E.eval(0.2), atol=0)
     assert np.allclose(a.A.eval(0.2), b.A.eval(0.2), atol=0)
+
+
+def test_constant_transform_needs_a_zero_qdot():
+    with pytest.raises(ConstructionError, match="Qdot of a constant Q"):
+        sd.CongruenceTransform(sd.identity(2), sd.poly([np.zeros((2, 2)), np.eye(2)]))
+    with pytest.raises(ConstructionError, match="Qdot of a constant Q"):
+        sd.CongruenceTransform(sd.identity(2), sd.from_callable(lambda t: t * np.eye(2), GRID))
+    # a zero Qdot passes in any kind
+    sd.CongruenceTransform(sd.identity(2), sd.from_callable(lambda t: np.zeros((2, 2)), GRID))
+    sd.CongruenceTransform(sd.identity(2), sd.poly([np.zeros((2, 2)), np.zeros((2, 2))]))
 
 
 def test_compose_product_rule_and_transitivity():
