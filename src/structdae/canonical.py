@@ -21,8 +21,6 @@ pair the block is cut from, never against a block's own roundoff; a value
 within a factor 10 of its threshold raises IllPosedRankError.  Every
 structure residual and layout defect is likewise relative to the norm of the
 pair it is read from, with no absolute floor.
-
-Local canonical forms are verified only, never constructed.
 """
 
 from __future__ import annotations
@@ -55,19 +53,16 @@ RANK_TOL = 1e-8
 
 @dataclass
 class ResidualRecord:
-    """Named residuals plus minimum relative singular values of blocks
-    required to be pointwise nonsingular."""
+    """Named residuals."""
 
     entries: dict
-    conditioning: dict = field(default_factory=dict)
 
     @property
     def worst(self):
         return max(self.entries.values()) if self.entries else 0.0
 
     def passes(self, tol=1e-8):
-        ok = all(v <= tol for v in self.entries.values())
-        return ok and all(v >= RANK_FLOOR for v in self.conditioning.values())
+        return all(v <= tol for v in self.entries.values())
 
 
 @dataclass
@@ -557,138 +552,3 @@ def verify_skew_global_form(form, grid):
         _pattern_entries(form, grid, st._signature(form.p, form.q), form.p + form.q)
     )
     return ResidualRecord(entries)
-
-
-# ---------------------------------------------------------------------------
-# local canonical forms: verification only
-# ---------------------------------------------------------------------------
-
-SELF_ORTHOGONAL = "self_orthogonal"
-SELF_REFINED = "self_refined"
-SKEW_ORTHOGONAL = "skew_orthogonal"
-SKEW_REFINED = "skew_refined"
-
-
-@dataclass
-class LocalFormBlocks:
-    """Named blocks of a claimed local canonical form.
-
-    ``core`` is the structured E-block of the dynamic part (Delta for the
-    orthogonal variants, J for the refined self form, the signature S for
-    the refined skew form); ``sigma11`` is the matching A-block (Sigma11,
-    C, or J respectively).  Chain data (e14, a14, a41) are block grids
-    partitioned by chain_row_sizes x chain_col_sizes, w blocks each.
-    """
-
-    variant: str
-    core: mf.MatrixFunction | None = None
-    sigma11: mf.MatrixFunction | None = None
-    sigma12: mf.MatrixFunction | None = None
-    sigma21: mf.MatrixFunction | None = None
-    sigma22: mf.MatrixFunction | None = None
-    e14: mf.MatrixFunction | None = None
-    a14: mf.MatrixFunction | None = None
-    a41: mf.MatrixFunction | None = None
-    chain_row_sizes: tuple = ()
-    chain_col_sizes: tuple = ()
-    p: int = 0
-    q: int = 0
-
-
-def _block_slices(sizes):
-    out = []
-    start = 0
-    for s in sizes:
-        out.append((start, start + s))
-        start += s
-    return out
-
-
-def verify_local_form(blocks, grid):
-    """Check the property display of the claimed local form (reports only)."""
-    v = blocks.variant
-    if v not in (SELF_ORTHOGONAL, SELF_REFINED, SKEW_ORTHOGONAL, SKEW_REFINED):
-        raise UnsupportedError(f"unknown local form variant {v!r}")
-    sgn = 1.0 if v in (SELF_ORTHOGONAL, SELF_REFINED) else -1.0
-    kind = st.SELF_ADJOINT if sgn > 0 else st.SKEW_ADJOINT
-    entries = {}
-    cond = {}
-
-    def ev(f):
-        return f.eval_on(grid)
-
-    core = blocks.core
-    orthogonal = v in (SELF_ORTHOGONAL, SKEW_ORTHOGONAL)
-    if core is not None:
-        C = ev(core)
-        if orthogonal:
-            # (Delta, Sigma11) is itself a pair of the form's structure
-            S11 = C if blocks.sigma11 is None else ev(blocks.sigma11)
-            e_def, a_def = st._defects(kind, C, core.derivative_on(grid), S11)
-            entries["delta_skew" if sgn > 0 else "delta_symmetric"] = _maxnorm(e_def)
-            if blocks.sigma11 is not None:
-                entries["sigma11_relation"] = _maxnorm(a_def)
-            cond["delta"] = float(st._rel_smin(C).min())
-        elif v == SELF_REFINED:
-            entries["J_canonical"] = _maxnorm(C - st._J(blocks.p))
-        else:
-            entries["S_signature"] = _maxnorm(C - st._signature(blocks.p, blocks.q))
-
-    if blocks.sigma11 is not None and not orthogonal:
-        S11 = ev(blocks.sigma11)
-        if v == SELF_REFINED:
-            entries["C_symmetric"] = _maxnorm(S11 - _bT(S11))
-        else:
-            entries["J_skew"] = _maxnorm(S11 + _bT(S11))
-
-    if blocks.sigma12 is not None and blocks.sigma21 is not None:
-        S12, S21 = ev(blocks.sigma12), ev(blocks.sigma21)
-        entries["sigma21_sigma12"] = _maxnorm(_bT(S21) - sgn * S12)
-
-    if blocks.sigma22 is not None:
-        S22 = ev(blocks.sigma22)
-        key = "sigma22_symmetric" if sgn > 0 else "sigma22_skew"
-        entries[key] = _maxnorm(S22 - sgn * _bT(S22))
-        cond["sigma22"] = float(st._rel_smin(S22).min())
-
-    if blocks.a14 is not None and blocks.a41 is not None:
-        A14 = ev(blocks.a14)
-        A41 = ev(blocks.a41)
-        E14d = (
-            blocks.e14.derivative_on(grid)
-            if blocks.e14 is not None
-            else np.zeros_like(_bT(A41))
-        )
-        entries["a41_chain_relation"] = _maxnorm(_bT(A41) - sgn * (A14 + E14d))
-
-    w = len(blocks.chain_row_sizes)
-    if w:
-        rows = _block_slices(blocks.chain_row_sizes)
-        cols = _block_slices(blocks.chain_col_sizes)
-        if blocks.e14 is not None:
-            E14 = ev(blocks.e14)
-            defect = 0.0
-            for i in range(w):
-                for j in range(w):
-                    if i + j >= w - 1:  # on/below the anti-diagonal
-                        defect += _maxnorm(
-                            E14[:, rows[i][0] : rows[i][1], cols[j][0] : cols[j][1]]
-                        )
-            entries["e14_pattern"] = defect
-        if blocks.a14 is not None:
-            A14 = ev(blocks.a14)
-            defect = 0.0
-            for i in range(w):
-                for j in range(w):
-                    blk = A14[:, rows[i][0] : rows[i][1], cols[j][0] : cols[j][1]]
-                    if i + j == w - 1:
-                        label = f"gamma{w - i}"
-                        cond[label] = float(st._rel_smin(blk).min())
-                        if v in (SELF_REFINED, SKEW_REFINED):
-                            eye = np.eye(blk.shape[1])
-                            entries[label + "_identity"] = _maxnorm(blk - eye)
-                    elif i + j > w - 1:
-                        defect += _maxnorm(blk)
-            entries["a14_pattern"] = defect
-
-    return ResidualRecord(entries, cond)

@@ -152,6 +152,8 @@ def _grid(args, interval):
 def _input_function(name, scale, grid):
     if name == "zero":
         return None
+    if not np.isfinite(scale):
+        raise ParameterError(f"--input-scale must be finite, got {scale}")
     if name == "sin":
         return mf.from_callable(
             lambda t: [[scale * np.sin(t)]], grid, dfn=lambda t: [[scale * np.cos(t)]]

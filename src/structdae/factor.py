@@ -64,15 +64,6 @@ class InertiaSplit:
     grid: mf.TimeGrid
 
 
-@dataclass(frozen=True)
-class RowRankNormalization:
-    """U^T B = [B1; 0] with orthogonal U and square nonsingular B1."""
-
-    U: mf.MatrixFunction
-    B1: mf.MatrixFunction
-    grid: mf.TimeGrid
-
-
 def _polar(X):
     """Orthogonal polar factors U V^T of X = U S V^T, one (w, w) matrix or a
     stack of them, from one stacked SVD."""
@@ -274,27 +265,6 @@ def _inertia(vals, ts):
         )
 
     return _aligned(vals, ts, decompose, changed)
-
-
-def row_rank_normalize(B, grid):
-    """Orthogonal U with U^T B = [B1; 0], B1 square nonsingular."""
-    m, n = B.shape
-    if m < n:
-        raise StructureError("full column rank needs at least as many rows as columns")
-
-    def decompose(vals, ts):
-        u, s, _ = np.linalg.svd(vals)
-        ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
-        short = _first(ranks < n, lambda k: RankDropError(
-            f"column-rank deficiency at t={ts[k]} (rank {ranks[k]} < {n})",
-            t_first=float(ts[k]),
-        ))
-        return [u], np.full(len(vals), n), _earliest(ill, short)
-
-    vals = _samples(B, grid)
-    (U,), _ = _aligned(vals, grid.points, decompose, None)
-    B1 = _bT(U[..., :n]) @ vals
-    return RowRankNormalization(_sampled(grid, U), _sampled(grid, B1), grid)
 
 
 def max_jump(values):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matfun as mf
 from . import structure as st
-from .errors import DimensionError, SingularityError, UnsupportedError
+from .errors import DimensionError, ParameterError, SingularityError, UnsupportedError
 from .reduce import FlowCertificate, ReducedSystem, index1_reduce
 
 
@@ -120,6 +120,8 @@ def integrate_linear(M_fun, g_fun, x0, grid):
     n = M_fun.rows
     if x.size != n:
         raise DimensionError(f"x0 has size {x.size}, expected {n}")
+    if not np.isfinite(x).all():
+        raise ParameterError("x0 has non-finite entries")
     if g_fun is not None and g_fun.shape != (n, 1):
         raise DimensionError(f"g is {g_fun.shape}, expected {(n, 1)}")
     steps = np.zeros((grid.n - 1, n + 1, n + 1))

@@ -18,7 +18,6 @@ from . import structure as st
 from .errors import DimensionError, ParameterError
 
 CIRCUIT_LABELS = ("I", "V1", "V2", "IG", "IR")
-CIRCUIT_CANONICAL_LABELS = ("V1", "V2", "I", "IG", "IR")
 
 
 def _default_interval():
@@ -145,36 +144,6 @@ def build_circuit(L, C1, C2, RL=0.0, RG=0.0, RR=0.0, interval=None):
         interval=interval, labels=CIRCUIT_LABELS,
         meta={"kind": "circuit", "L": L, "C1": C1, "C2": C2,
               "RL": RL, "RG": RG, "RR": RR},
-    )
-
-
-def circuit_permutation():
-    """P with x_old = P x_new reordering the state to (V1, V2, I, IG, IR)."""
-    P = np.zeros((5, 5))
-    for new, old in enumerate((1, 2, 0, 3, 4)):
-        P[old, new] = 1.0
-    return P
-
-
-@dataclass
-class CanonicalCircuit:
-    pair: mf.MatrixPair
-    input_map: mf.MatrixFunction
-    permutation: np.ndarray
-    labels: tuple = CIRCUIT_CANONICAL_LABELS
-
-
-def build_circuit_canonical(L, C1, C2, RL=0.0, RG=0.0, RR=0.0, interval=None):
-    """The circuit reordered to (V1, V2, I, IG, IR): E = diag(C1, C2, L, 0, 0)."""
-    model = build_circuit(L, C1, C2, RL, RG, RR, interval)
-    P = circuit_permutation()
-    E = P.T @ model.E.eval(model.interval.t0) @ P
-    A = P.T @ model.coefficient().eval(model.interval.t0) @ P
-    G = P.T @ model.G.eval(model.interval.t0)
-    return CanonicalCircuit(
-        pair=mf.MatrixPair(mf.constant(E), mf.constant(A), model.interval),
-        input_map=mf.constant(G),
-        permutation=P,
     )
 
 

@@ -413,23 +413,16 @@ def stokes_reduce(M, B, Jfun, f, grid):
 
 
 def self_adjoint_dynamic_extract(form, grid):
-    """M = J^{-1} C from a self-adjoint global form (C = diag(0, A22)) or a
-    refined local layout carrying (J, C) directly; certifies Hamiltonian
-    structure M^T J + J M = 0."""
+    """M = J^{-1} C from a self-adjoint global form, whose C = diag(0, A22);
+    certifies Hamiltonian structure M^T J + J M = 0."""
     from . import canonical as cn
 
-    if isinstance(form, cn.SelfAdjointGlobalForm):
-        p = form.p
-        A22 = _samples(form.A22, grid)
-        Cv = np.zeros((len(A22), 2 * p, 2 * p))
-        Cv[:, p:, p:] = A22
-    elif isinstance(form, cn.LocalFormBlocks) and form.variant == cn.SELF_REFINED:
-        p = form.p
-        Cv = _samples(form.sigma11, grid)
-    else:
-        raise UnsupportedError(
-            "expected a self-adjoint global form or a refined local layout"
-        )
+    if not isinstance(form, cn.SelfAdjointGlobalForm):
+        raise UnsupportedError("expected a self-adjoint global form")
+    p = form.p
+    A22 = _samples(form.A22, grid)
+    Cv = np.zeros((len(A22), 2 * p, 2 * p))
+    Cv[:, p:, p:] = A22
     cert = FlowCertificate.symplectic(p)
     # (J, C) is a constant self-adjoint pair exactly when C is symmetric
     sym_defect = st._structure(st.SELF_ADJOINT, cert.B, 0.0, Cv)[0]

@@ -309,43 +309,27 @@ def _require_margin(rel, ts, rel_tol, error, what, **fields):
         )
 
 
-def check_nonsingular(F, grid, what="Q"):
+def check_nonsingular(F, grid):
     """Raise SingularityError (naming the time) if F(t) is singular on the grid."""
     _require_nonsingular(
-        _samples(F, grid), grid.points, 1e-12, SingularityError, f"{what} is numerically singular"
+        _samples(F, grid), grid.points, 1e-12, SingularityError, "Q is numerically singular"
     )
-
-
-def _transformed(pair, P, transform):
-    """(P E Q, P A Q - P E Qdot) as matrix functions."""
-    Q, Qdot = transform.Q, transform.Qdot
-    E2 = mf.mf_matmul(P, mf.mf_matmul(pair.E, Q))
-    A2 = mf.mf_sub(
-        mf.mf_matmul(P, mf.mf_matmul(pair.A, Q)),
-        mf.mf_matmul(P, mf.mf_matmul(pair.E, Qdot)),
-    )
-    return mf.MatrixPair(E2, A2, pair.interval)
 
 
 def apply_congruence(pair, transform, check_grid=None):
     """(E, A) -> (Q^T E Q, Q^T A Q - Q^T E Qdot)."""
-    Q = transform.Q
+    Q, Qdot = transform.Q, transform.Qdot
     if Q.rows != pair.n:
         raise DimensionError(f"transform is {Q.shape}, pair is {pair.n}x{pair.n}")
     if check_grid is not None:
         check_nonsingular(Q, check_grid)
-    return _transformed(pair, mf.mf_transpose(Q), transform)
-
-
-def apply_equivalence(pair, P, transform, check_grid=None):
-    """(E, A) -> (P E Q, P A Q - P E Qdot) with independent left factor P."""
-    Q = transform.Q
-    if P.cols != pair.n or Q.rows != pair.n:
-        raise DimensionError("equivalence factors do not match the pair dimension")
-    if check_grid is not None:
-        check_nonsingular(P, check_grid, what="P")
-        check_nonsingular(Q, check_grid)
-    return _transformed(pair, P, transform)
+    Qt = mf.mf_transpose(Q)
+    E2 = mf.mf_matmul(Qt, mf.mf_matmul(pair.E, Q))
+    A2 = mf.mf_sub(
+        mf.mf_matmul(Qt, mf.mf_matmul(pair.A, Q)),
+        mf.mf_matmul(Qt, mf.mf_matmul(pair.E, Qdot)),
+    )
+    return mf.MatrixPair(E2, A2, pair.interval)
 
 
 def compose(t1, t2):

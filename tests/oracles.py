@@ -299,25 +299,6 @@ def sequential_smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
     return sequential_aligned(D, grid, decompose, changed)
 
 
-def sequential_row_rank_normalize(B, grid, gap_tol=1e-8):
-    """(U,) samples of row_rank_normalize, point by point."""
-    from structdae.errors import RankDropError
-
-    n = B.cols
-
-    def decompose(value, t):
-        u, s, _ = np.linalg.svd(value)
-        rk = _point_rank(s, gap_tol)
-        if rk < n:
-            raise RankDropError(
-                f"column-rank deficiency at t={t} (rank {rk} < {n})",
-                t_first=float(t),
-            )
-        return (u,), n
-
-    return sequential_aligned(B, grid, decompose, None)
-
-
 def sequential_kernel_frame(B, grid):
     """Kernel frame of B by a sweep along t: each point's SVD kernel basis
     rotated onto the previous point's frame, and Ndot = -pinv(B) Bdot N."""

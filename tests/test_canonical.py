@@ -5,10 +5,6 @@ import pytest
 
 import structdae as sd
 from structdae.canonical import (
-    SELF_ORTHOGONAL,
-    SELF_REFINED,
-    SKEW_ORTHOGONAL,
-    SKEW_REFINED,
     _expm,
     _skew_pairing_transform,
 )
@@ -486,98 +482,6 @@ def test_verify_skew_global_form_detects_corruption():
     assert rec2.entries["A33_skew_adjoint"] == pytest.approx(2 * np.sqrt(2.0))
 
 
-# ---------------------------------------------------------------------------
-# local form verification
-# ---------------------------------------------------------------------------
-
-def test_verify_local_skew_refined_passes():
-    blocks = sd.LocalFormBlocks(
-        variant=SKEW_REFINED,
-        core=sd.constant(np.diag([1.0, -1.0])),
-        sigma11=sd.constant(J2),
-        p=1, q=1,
-    )
-    rec = sd.verify_local_form(blocks, GRID)
-    assert rec.worst == 0.0 and rec.passes(1e-10)
-
-
-def test_verify_local_self_refined_nonsymmetric_c():
-    blocks = sd.LocalFormBlocks(
-        variant=SELF_REFINED,
-        core=sd.constant(J2),
-        sigma11=sd.constant(np.array([[0.0, 1.0], [0.0, 0.0]])),
-        p=1,
-    )
-    rec = sd.verify_local_form(blocks, GRID)
-    assert rec.entries["C_symmetric"] == pytest.approx(np.sqrt(2.0))
-    assert rec.entries["J_canonical"] == 0.0
-
-
-def test_verify_local_chain_relations():
-    # w = 1 chain, self variant: A41^T = A14 + E14dot
-    ok = sd.LocalFormBlocks(
-        variant=SELF_ORTHOGONAL,
-        core=sd.constant([[0.0, 2.0], [-2.0, 0.0]]),
-        sigma22=sd.constant([[3.0]]),
-        e14=sd.zero(1, 1),
-        a14=sd.constant([[1.0]]),
-        a41=sd.constant([[1.0]]),
-        chain_row_sizes=(1,), chain_col_sizes=(1,),
-    )
-    rec = sd.verify_local_form(ok, GRID)
-    assert rec.passes(1e-12)
-    assert rec.conditioning["gamma1"] == pytest.approx(1.0)
-
-    off = sd.LocalFormBlocks(
-        variant=SELF_ORTHOGONAL,
-        core=sd.constant([[0.0, 2.0], [-2.0, 0.0]]),
-        e14=sd.zero(1, 1),
-        a14=sd.constant([[1.0]]),
-        a41=sd.constant([[2.0]]),
-        chain_row_sizes=(1,), chain_col_sizes=(1,),
-    )
-    rec2 = sd.verify_local_form(off, GRID)
-    assert rec2.entries["a41_chain_relation"] == pytest.approx(1.0)
-
-    # skew variant: A41^T = -A14 - E14dot; A41 = 2 against A14 = 1 defects by 3
-    skew_off = sd.LocalFormBlocks(
-        variant=SKEW_ORTHOGONAL,
-        core=sd.constant([[2.0]]),
-        e14=sd.zero(1, 1),
-        a14=sd.constant([[1.0]]),
-        a41=sd.constant([[2.0]]),
-        chain_row_sizes=(1,), chain_col_sizes=(1,),
-    )
-    rec3 = sd.verify_local_form(skew_off, GRID)
-    assert rec3.entries["a41_chain_relation"] == pytest.approx(3.0)
-
-    skew_ok = sd.LocalFormBlocks(
-        variant=SKEW_ORTHOGONAL,
-        core=sd.constant([[2.0]]),
-        e14=sd.zero(1, 1),
-        a14=sd.constant([[1.0]]),
-        a41=sd.constant([[-1.0]]),
-        chain_row_sizes=(1,), chain_col_sizes=(1,),
-    )
-    assert sd.verify_local_form(skew_ok, GRID).passes(1e-12)
-
-
-def test_verify_local_chain_patterns():
-    # w = 2 chain; the (1, 2) block of E14 sits on the anti-diagonal and must
-    # vanish, while the strictly-above (1, 1) block is unconstrained
-    bad = sd.LocalFormBlocks(
-        variant=SELF_ORTHOGONAL,
-        e14=sd.constant(np.array([[0.5, 1.0], [0.0, 0.0]])),
-        a14=sd.constant(np.array([[0.3, 1.0], [1.0, 0.0]])),
-        a41=sd.constant(np.array([[0.3, 1.0], [1.0, 0.0]]).T),
-        chain_row_sizes=(1, 1), chain_col_sizes=(1, 1),
-    )
-    rec = sd.verify_local_form(bad, GRID)
-    assert rec.entries["e14_pattern"] == pytest.approx(1.0)
-    assert rec.entries["a14_pattern"] == 0.0
-    assert rec.conditioning["gamma1"] == 1.0 and rec.conditioning["gamma2"] == 1.0
-
-
 def _coupled_multibody_self(seed, K):
     rng = np.random.default_rng(seed)
     M, W = (X @ X.T / 6 + 0.5 * np.eye(6) for X in rng.standard_normal((2, 6, 6)))
@@ -742,9 +646,3 @@ def test_global_forms_reject_a_pair_of_the_other_structure():
         basis = sd.solution_basis_constant(pair, GRID)
         with pytest.raises(StructureError, match=f"pair is not {what}"):
             build(pair, basis, GRID)
-
-
-def test_verify_local_form_rejects_an_unknown_variant():
-    blocks = sd.LocalFormBlocks(variant="self_orthogonl", core=sd.constant(J2))
-    with pytest.raises(UnsupportedError, match="unknown local form variant 'self_orthogonl'"):
-        sd.verify_local_form(blocks, GRID)

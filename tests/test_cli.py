@@ -503,3 +503,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     _usage_error(["demo", "multibody", "--nq", "0", "--nc", "0",
                   "--out", str(tmp_path / "empty.json")], capsys, "mass matrix")
     assert not (tmp_path / "empty.json").exists()
+    # non-finite values are rejected before any sampling or output
+    circuit = tmp_path / "circuit.json"
+    run(["demo", "circuit", "--out", str(circuit)])
+    traj = tmp_path / "traj.csv"
+    for x0 in ("1,0,0,0,nan", "inf,0,0,0,0"):
+        _usage_error(["simulate", "--model", str(circuit), "--x0", x0, "--flow",
+                      "--out", str(traj)], capsys, "x0 has non-finite entries")
+    for scale in ("inf", "-inf", "nan"):
+        _usage_error(["simulate", "--model", str(circuit), "--x0", "1,0,0,0,0", "--input", "sin",
+                      f"--input-scale={scale}", "--out", str(traj)], capsys, "--input-scale")
+    assert not traj.exists()

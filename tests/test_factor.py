@@ -194,28 +194,6 @@ def test_smooth_inertia_errors():
         sd.smooth_inertia(D, grid0)
 
 
-def test_row_rank_normalize():
-    norm = sd.row_rank_normalize(sd.constant(np.array([[1.0], [0.0], [0.0]])), GRID)
-    assert abs(abs(norm.B1.eval(0.0)[0, 0]) - 1.0) < 1e-12
-
-    norm2 = sd.row_rank_normalize(sd.constant(np.array([[1.0], [1.0], [0.0]])), GRID)
-    assert abs(abs(norm2.B1.eval(0.0)[0, 0]) - np.sqrt(2)) < 1e-12
-
-    rng = np.random.default_rng(99)
-    B = rng.standard_normal((6, 2))
-    norm3 = sd.row_rank_normalize(sd.constant(B), GRID)
-    U = norm3.U.eval(0.0)
-    stacked = np.zeros((6, 2))
-    stacked[:2] = norm3.B1.eval(0.0)
-    assert np.linalg.norm(U.T @ B - stacked) <= 1e-12
-    s_ref = np.linalg.svd(B, compute_uv=False)
-    s_b1 = np.linalg.svd(norm3.B1.eval(0.0), compute_uv=False)
-    assert np.allclose(s_b1, s_ref, atol=1e-12)
-
-    with pytest.raises(RankDropError):
-        sd.row_rank_normalize(sd.constant(np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])), GRID)
-
-
 def test_smooth_kernel_frame_consistency():
     # B(t) = [cos t, sin t]: kernel rotates with t
     B = sd.from_callable(

@@ -17,7 +17,6 @@ from structdae.factor import _polar, smooth_kernel_frame
 from oracles import (
     sequential_kernel_frame,
     sequential_rank_split,
-    sequential_row_rank_normalize,
     sequential_smooth_inertia,
     sequential_sym_rank_split,
 )
@@ -99,15 +98,6 @@ def test_smooth_inertia_rotating_matches_sequential():
     assert np.abs(residual).max() <= 1e-12
 
 
-def test_row_rank_normalize_matches_sequential():
-    rng = np.random.default_rng(34)
-    B = sd.mf_add(sd.constant(np.eye(6)[:, :3]), sd.mf_scale(_poly(rng, 6, 3), 0.3))
-    norm = sd.row_rank_normalize(B, GRID)
-    (U,), _ = sequential_row_rank_normalize(B, GRID)
-    assert _close(norm.U, U) <= 1e-12
-    assert _orthogonality_defect(norm.U.eval_on(GRID)) <= 1e-13
-
-
 # ---------------------------------------------------------------------------
 # errors: the earliest point wins, a point's own checks before a rank change
 # ---------------------------------------------------------------------------
@@ -140,9 +130,6 @@ INERTIA_BASE = np.diag([2.0, -1.0])
 INERTIA_FLAT = np.diag([2.0, 1e-14])  # also two positive eigenvalues
 INERTIA_UP = np.diag([2.0, 1.0])
 INERTIA_ASYM = np.array([[2.0, 0.1], [0.0, 1e-14]])
-ROW_BASE = np.eye(4)[:, :3]
-ROW_ILL = np.diag([1.0, 1.1e-8, 0.95e-8, 0.0])[:, :3]
-ROW_SHORT = np.diag([1.0, 1.0, 0.0, 0.0])[:, :3]
 
 ORDER_CASES = [
     (sd.rank_split, sequential_rank_split, RANK_BASE, {3: RANK_ILL, 6: RANK_UP}),
@@ -156,8 +143,6 @@ ORDER_CASES = [
     (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {3: INERTIA_UP, 8: INERTIA_FLAT}),
     (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {0: INERTIA_FLAT, 9: INERTIA_UP}),
     (sd.smooth_inertia, sequential_smooth_inertia, INERTIA_BASE, {6: INERTIA_ASYM}),
-    (sd.row_rank_normalize, sequential_row_rank_normalize, ROW_BASE, {2: ROW_ILL, 6: ROW_SHORT}),
-    (sd.row_rank_normalize, sequential_row_rank_normalize, ROW_BASE, {2: ROW_SHORT, 6: ROW_ILL}),
 ]
 
 

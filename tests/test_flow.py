@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import structdae as sd
-from structdae.errors import DimensionError, SingularityError, UnsupportedError
+from structdae.errors import DimensionError, ParameterError, SingularityError, UnsupportedError
 from structdae.reduce import FlowCertificate
 
 from oracles import (
@@ -336,6 +336,12 @@ def test_integrate_linear_rejects_a_misshapen_inhomogeneity():
     for g in (sd.constant(np.ones((3, 1))), sd.constant(np.ones((2, 2))), sd.zero(1, 1)):
         with pytest.raises(DimensionError):
             sd.integrate_linear(M, g, [1.0, 0.0], GRID)
+
+
+def test_integrate_linear_rejects_a_non_finite_x0():
+    for x0 in ([1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ParameterError, match="x0 has non-finite entries"):
+            sd.integrate_linear(sd.constant(J2), None, x0, GRID)
 
 
 def test_flow_defect_series_rejects_a_mismatched_form():

@@ -51,22 +51,6 @@ def test_circuit_parameter_errors():
         sd.build_circuit(1.0, 1.0, 1.0, RL=-0.1)
 
 
-def test_circuit_canonical_is_permutation_congruence():
-    params = dict(L=2.0, C1=3.0, C2=5.0, RL=0.7, RG=0.2, RR=0.9)
-    m = sd.build_circuit(interval=GRID, **params)
-    can = sd.build_circuit_canonical(interval=GRID, **params)
-    T = sd.CongruenceTransform.from_function(sd.constant(can.permutation))
-    moved = sd.apply_congruence(m.pair(), T)
-    assert np.array_equal(moved.E.eval(0.0), can.pair.E.eval(0.0))
-    assert np.array_equal(moved.A.eval(0.0), can.pair.A.eval(0.0))
-    assert np.array_equal(np.diag(can.pair.E.eval(0.0)), [3.0, 5.0, 2.0, 0.0, 0.0])
-    # the input enters in the fourth row
-    assert np.array_equal(can.input_map.eval(0.0)[:, 0], [0.0, 0.0, 0.0, 1.0, 0.0])
-
-    lossless = sd.build_circuit_canonical(1.0, 1.0, 1.0, interval=GRID)
-    assert sd.classify(lossless.pair, GRID, 1e-12).value == "skew_adjoint"
-
-
 def test_stokes_blocks_and_structure():
     s = sd.build_stokes(3, 1, seed=7, interval=GRID)
     assert np.all(np.linalg.eigvalsh(s.M) > 0)

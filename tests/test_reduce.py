@@ -368,28 +368,28 @@ def test_stokes_reduce_rejects_a_non_skew_convection_block():
 # symplectic extraction
 # ---------------------------------------------------------------------------
 
-def test_self_adjoint_dynamic_extract_hand_values():
-    blocks = sd.LocalFormBlocks(
-        variant="self_refined", core=sd.constant(J2), sigma11=sd.identity(2), p=1,
+def _self_global_form(A22):
+    """The self-adjoint global form with no algebraic part: E = J, C = diag(0, A22)."""
+    p = A22.rows
+    return sd.SelfAdjointGlobalForm(
+        p=p, E33=sd.zero(0, 0), A22=A22, A23=sd.zero(p, 0), A32=sd.zero(0, p),
+        A33=sd.zero(0, 0), Q=sd.CongruenceTransform.identity(2 * p), grid=GRID, n=2 * p,
     )
-    red = sd.self_adjoint_dynamic_extract(blocks, GRID)
-    assert np.allclose(red.m_fun.eval(0.0), [[0.0, -1.0], [1.0, 0.0]], atol=0)
+
+
+def test_self_adjoint_dynamic_extract_hand_values():
+    red = sd.self_adjoint_dynamic_extract(_self_global_form(sd.identity(1)), GRID)
     M = red.m_fun.eval(0.0)
+    assert np.array_equal(M, -J2 @ np.diag([0.0, 1.0]))
+    assert np.array_equal(M, [[0.0, -1.0], [0.0, 0.0]])
     assert np.linalg.norm(M.T @ J2 + J2 @ M) == 0.0
 
-    zero_c = sd.LocalFormBlocks(
-        variant="self_refined", core=sd.constant(J2), sigma11=sd.zero(2, 2), p=1,
-    )
-    red0 = sd.self_adjoint_dynamic_extract(zero_c, GRID)
+    red0 = sd.self_adjoint_dynamic_extract(_self_global_form(sd.zero(1, 1)), GRID)
     assert np.linalg.norm(red0.m_fun.eval(0.5)) == 0.0
 
-    tv = sd.LocalFormBlocks(
-        variant="self_refined", core=sd.constant(J2),
-        sigma11=sd.PolynomialMatrixFunction.from_entries(
-            [[[1.0, 0.0, 1.0], [0.0]], [[0.0], [2.0]]]
-        ),
-        p=1,
-    )
+    tv = _self_global_form(sd.PolynomialMatrixFunction.from_entries(
+        [[[1.0, 0.0, 1.0], [0.0]], [[0.0], [2.0]]]
+    ))
     redt = sd.self_adjoint_dynamic_extract(tv, GRID)
     assert redt.certificate_defect(GRID) <= 1e-12
     assert redt.certificate.kind == "symplectic"
@@ -411,12 +411,14 @@ def test_self_adjoint_dynamic_extract_from_global_form():
     red_ok = sd.self_adjoint_dynamic_extract(bad, GRID)  # 1x1 A22 is symmetric
     assert red_ok.dynamic_dim == 2
 
-    nonsym = sd.LocalFormBlocks(
-        variant="self_refined", core=sd.constant(J2),
-        sigma11=sd.constant([[0.0, 1.0], [0.0, 0.0]]), p=1,
-    )
+    nonsym = _self_global_form(sd.constant([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(StructureError):
         sd.self_adjoint_dynamic_extract(nonsym, GRID)
+
+    skew = sd.global_canonical_skew(mb.skew_pair, sd.solution_basis_constant(mb.skew_pair, GRID),
+                                    GRID)
+    with pytest.raises(UnsupportedError, match="expected a self-adjoint global form"):
+        sd.self_adjoint_dynamic_extract(skew, GRID)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -432,13 +434,11 @@ def test_symplectic_extraction_of_the_seeded_multibody_self_form(seed):
 
 
 def test_symplectic_extraction_rejects_an_asymmetry_relative_to_j():
-    J = sd.FlowCertificate.symplectic(2).B
-    C = np.diag([1.0, 2.0, 3.0, 4.0])
-    C[0, 1] += 1e-6 * np.linalg.norm(J)
-    blocks = sd.LocalFormBlocks(variant="self_refined", core=sd.constant(J),
-                                sigma11=sd.constant(C), p=2)
+    J = sd.FlowCertificate.symplectic(4).B
+    A22 = np.diag([1.0, 2.0, 3.0, 4.0])
+    A22[0, 1] += 1e-6 * np.linalg.norm(J)
     with pytest.raises(StructureError, match="C block is not symmetric"):
-        sd.self_adjoint_dynamic_extract(blocks, GRID)
+        sd.self_adjoint_dynamic_extract(_self_global_form(sd.constant(A22)), GRID)
 
 
 def test_constant_nondiagonal_e_matches_its_eigenbasis_reduction():

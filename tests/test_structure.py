@@ -88,14 +88,14 @@ def test_apply_congruence_identity_and_hand_example():
         assert np.allclose(out2.A.eval(t), [[0.0, -1.0], [0.0, -t]], atol=0)
 
 
-def test_apply_congruence_circuit_permutation_matches_canonical():
+def test_apply_congruence_by_a_permutation_is_exact():
+    # x_old = P x_new reorders the circuit state (I, V1, V2, IG, IR) to (V1, V2, I, IG, IR)
     m = sd.build_circuit(2.0, 3.0, 5.0, RL=0.5, RG=0.25, RR=4.0, interval=GRID)
-    can = sd.build_circuit_canonical(2.0, 3.0, 5.0, RL=0.5, RG=0.25, RR=4.0, interval=GRID)
-    T = sd.CongruenceTransform.from_function(sd.constant(can.permutation))
-    out = sd.apply_congruence(m.pair(), T)
-    assert np.array_equal(out.E.eval(0.0), can.pair.E.eval(0.0))
-    assert np.array_equal(out.A.eval(0.0), can.pair.A.eval(0.0))
-    assert np.array_equal(np.diag(can.pair.E.eval(0.0)), [3.0, 5.0, 2.0, 0.0, 0.0])
+    P = np.eye(5)[:, [1, 2, 0, 3, 4]]
+    out = sd.apply_congruence(m.pair(), sd.CongruenceTransform.from_function(sd.constant(P)))
+    assert np.array_equal(out.E.eval(0.0), P.T @ m.E.eval(0.0) @ P)
+    assert np.array_equal(out.A.eval(0.0), P.T @ m.coefficient().eval(0.0) @ P)
+    assert np.array_equal(np.diag(out.E.eval(0.0)), [3.0, 5.0, 2.0, 0.0, 0.0])
 
 
 def test_apply_congruence_singular_q_names_time():
@@ -107,28 +107,6 @@ def test_apply_congruence_singular_q_names_time():
     with pytest.raises(SingularityError) as err:
         sd.apply_congruence(pair, sd.CongruenceTransform.from_function(Q), check_grid=GRID)
     assert err.value.t == pytest.approx(0.5, abs=1e-12)
-
-
-def test_apply_equivalence():
-    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 0.0])), sd.identity(2), GRID)
-    P = sd.constant(np.diag([2.0, 1.0]))
-    out = sd.apply_equivalence(pair, P, sd.CongruenceTransform.identity(2))
-    assert np.array_equal(out.E.eval(0.1), np.diag([2.0, 0.0]))
-    assert np.array_equal(out.A.eval(0.1), np.diag([2.0, 1.0]))
-
-    # P = Q^T reproduces the congruence
-    rng = np.random.default_rng(3)
-    Qc = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    T = sd.CongruenceTransform.from_function(sd.constant(Qc))
-    anypair = sd.MatrixPair(
-        sd.constant(rng.standard_normal((3, 3))),
-        sd.constant(rng.standard_normal((3, 3))),
-        GRID,
-    )
-    a = sd.apply_congruence(anypair, T)
-    b = sd.apply_equivalence(anypair, sd.constant(Qc.T), T)
-    assert np.allclose(a.E.eval(0.2), b.E.eval(0.2), atol=0)
-    assert np.allclose(a.A.eval(0.2), b.A.eval(0.2), atol=0)
 
 
 def test_constant_transform_needs_a_zero_qdot():
