@@ -40,7 +40,7 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import _inertia, _rank, _row_frame, smooth_kernel_frame
+from .factor import _inertia, _rank, _row_frame
 from .structure import _bT, _maxnorm
 
 RANK_FLOOR = 1e-10
@@ -70,8 +70,8 @@ class SolutionBasis:
     """Basis Phi of the homogeneous solution space, with derivative.
 
     ``complement`` optionally holds a pointwise orthonormal basis of the
-    orthogonal complement of range(Phi); when present the canonical-form
-    pipelines use it instead of rebuilding one numerically.
+    orthogonal complement of range(Phi); without one the canonical-form
+    pipelines take the kernel frame of Phi^T, with derivatives from Phidot.
     """
 
     Phi: mf.MatrixFunction
@@ -308,27 +308,25 @@ class _Pipeline:
         return mf.MatrixPair(self.block("E"), self.block("A"), interval)
 
 
-def _completion_arrays(basis, grid):
-    """Pointwise orthonormal completion of range(Phi), with derivatives."""
-    if basis.complement is not None:
-        return basis.complement.eval_on(grid), basis.complement.derivative_on(grid)
-    phi_t = mf.mf_transpose(basis.Phi)
-    return smooth_kernel_frame(phi_t, grid)
-
-
 def _basis_congruence(pipe, basis):
+    """Congruence by [Phi | complement]; without one, the kernel columns of
+    `_row_frame` of Phi^T, whose one SVD also gives the rank guard."""
     grid = pipe.grid
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
     phid = basis.Phidot.eval_on(grid)
-    st._require_nonsingular(phiv, grid.points, RANK_FLOOR, BasisDeficiencyError,
-                            "Phi loses rank")
+    if basis.complement is None:
+        V, Vd, rel = _row_frame(_bT(phiv), _bT(phid))
+        compv, compd = V[..., d:], Vd[..., d:]
+    else:
+        rel = st._rel_smin(phiv)
+        compv, compd = basis.complement.eval_on(grid), basis.complement.derivative_on(grid)
+    st._require_margin(rel, grid.points, RANK_FLOOR, BasisDeficiencyError, "Phi loses rank")
     resid = _maxnorm(pipe.Ev @ phid - pipe.Av @ phiv)
     if resid > 1e-8 * pipe.norm:
         raise BasisDeficiencyError(
             f"Phi does not solve the homogeneous DAE (residual {resid:.3e})"
         )
-    compv, compd = _completion_arrays(basis, grid)
     pipe.apply("solution-basis congruence", slice(None), slice(None),
                np.concatenate([phiv, compv], axis=2), np.concatenate([phid, compd], axis=2))
     # first block column of A must vanish since E Phidot = A Phi

@@ -290,21 +290,3 @@ def _row_frame(Bv, Bd):
         Nd = -Bp @ (Bd @ N)
         Vd = np.concatenate([-Bp @ (Bd @ Bp) - N @ (_bT(Nd) @ Bp), Nd], axis=2)
     return np.concatenate([Bp, N], axis=2), Vd, st._ratio(s)
-
-
-def smooth_kernel_frame(B, grid):
-    """Orthonormal N(t) spanning ker B(t) with derivative samples.
-
-    B must have full row rank at the nodes and the midpoints of the grid.
-    N and Ndot are the kernel columns of `_row_frame` at the nodes.
-
-    Returns (N_values, Ndot_values) of shape (len(grid), n, n - p).
-    """
-    p = B.rows
-    ts = grid.points
-    guard_ts = np.concatenate([ts, ts[:-1] + 0.5 * np.diff(ts)])
-    Bs = B._eval_at(guard_ts)
-    st._require_nonsingular(Bs @ _bT(Bs), guard_ts, 1e-14, ConditioningError,
-                            "row-rank-deficient matrix in kernel frame")
-    V, Vd, _ = _row_frame(Bs[:grid.n], B._derivative_at(ts))
-    return V[..., p:], Vd[..., p:]

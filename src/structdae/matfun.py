@@ -6,14 +6,15 @@ Two concrete kinds carry matrix data:
     derivative, closed under sums/products/transposition.  A constant is
     the polynomial of degree 0, ``ConstantMatrixFunction``: it holds one
     matrix, and every algebra result of degree 0 is one;
-  * ``SampledMatrixFunction``     -- values on a grid, piecewise linear
-    (order 1) or cubic interpolation (order 3, not-a-knot end rule).
-    Optionally carries derivative samples; the interpolant is then the
-    piecewise cubic Hermite matching both, which keeps value/derivative
-    pairs exactly consistent at the nodes.  The cubic interpolants repeat
-    the arithmetic of scipy's ``CubicSpline``/``CubicHermiteSpline``, so
-    they agree with them bit for bit; scipy is imported only to solve the
-    not-a-knot slope system.
+  * ``SampledMatrixFunction``     -- values on a grid, interpolated by a
+    piecewise cubic: the Hermite cubic matching derivative samples when it
+    carries them, which keeps value/derivative pairs exactly consistent at
+    the nodes, else the not-a-knot spline.  The cubics repeat the
+    arithmetic of scipy's ``CubicSpline``/``CubicHermiteSpline``, so they
+    agree with them bit for bit; scipy is imported only to solve the
+    not-a-knot slope system.  A value that the cubic's power sum cannot
+    represent (an interval so long that its powers overflow) raises
+    ``DomainError`` naming the time.
 
 Other modules may define further kinds on the same interface by providing
 ``_eval_at`` and ``_derivative_at``; the reduced inhomogeneity g of
@@ -82,9 +83,10 @@ class TimeGrid:
         return TimeGrid(np.sort(np.concatenate([self.points, mids])))
 
     def contains(self, t):
-        """Whether t lies in [t0, tf] up to a slack of 1e-12 times the larger
-        of 1 and the bounds' magnitudes; elementwise for arrays."""
-        slack = 1e-12 * max(1.0, abs(self.t0), abs(self.tf))
+        """Whether t lies in [t0, tf] up to a slack of 1e-12 times the grid's
+        extent plus four float spacings at its larger bound, so that neither
+        the time unit nor the origin decides; elementwise for arrays."""
+        slack = 1e-12 * (self.tf - self.t0) + 4 * np.spacing(max(abs(self.t0), abs(self.tf)))
         return (self.t0 - slack <= t) & (t <= self.tf + slack)
 
     def within(self, other):
@@ -263,9 +265,7 @@ def _not_a_knot_slopes(x, y):
 
 
 class SampledMatrixFunction(MatrixFunction):
-    def __init__(self, grid, values, order=3, deriv_values=None):
-        if order not in (1, 3):
-            raise ConstructionError("interpolation order must be 1 or 3")
+    def __init__(self, grid, values, deriv_values=None):
         vals = np.array(values, dtype=float)
         if vals.ndim == 2:
             vals = vals[:, :, None]
@@ -277,11 +277,8 @@ class SampledMatrixFunction(MatrixFunction):
             raise ConstructionError("samples must be finite")
         self.grid = grid
         self.values = vals
-        self.order = order
         self.rows, self.cols = vals.shape[1], vals.shape[2]
         if deriv_values is not None:
-            if order != 3:
-                raise ConstructionError("derivative samples require order 3")
             dv = np.array(deriv_values, dtype=float)
             if dv.shape != vals.shape:
                 raise ConstructionError("derivative samples must match value shape")
@@ -333,39 +330,37 @@ class SampledMatrixFunction(MatrixFunction):
         x = self.grid.points
         k = self._segments(ts)
         s = ts - x[k]
-        if self.order == 1:
-            w = (s / (x[k + 1] - x[k]))[:, None, None]
-            return (1.0 - w) * self.values[k] + w * self.values[k + 1]
         if not np.any(s):
             # every point is a node below tf: the power sum reduces to the
             # sample (+ 0.0 turns a -0.0 sample into 0.0, as the sum does)
             return self.values[k] + 0.0
-        c0, c1, c2, c3 = self._cubic(k)
-        s = s[:, None, None]
-        return (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, c1, c2, c3 = self._cubic(k)
+            s = s[:, None, None]
+            out = (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        return _finite(out, ts)
 
     def _derivative_at(self, ts):
         ts = np.asarray(ts, dtype=float)
         self._check_domain(ts)
         x = self.grid.points
         k = self._segments(ts)
-        if self.order == 1:
-            # right-hand slope at the nodes, except tf which takes the left one
-            return (self.values[k + 1] - self.values[k]) / (x[k + 1] - x[k])[:, None, None]
         # the derivative's power sum, coefficients (3 c0, 2 c1, c2) as in scipy
-        c0, c1, c2, _ = self._cubic(k)
-        s = (ts - x[k])[:, None, None]
-        out = (0.0 + c2) + (2.0 * c1) * s + (3.0 * c0) * (s * s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, c1, c2, _ = self._cubic(k)
+            s = (ts - x[k])[:, None, None]
+            out = (0.0 + c2) + (2.0 * c1) * s + (3.0 * c0) * (s * s)
         if self.deriv_values is not None:
-            # a point within 1e-14 of a node takes that node's derivative
-            # sample (the lower node when two qualify)
+            # a point within 1e-14 of the grid's extent of a node takes that
+            # node's derivative sample (the lower node when two qualify)
+            near = 1e-14 * (x[-1] - x[0])
             i = np.searchsorted(x, ts)
             lo = np.maximum(i - 1, 0)
             hi = np.minimum(i, x.size - 1)
-            node = np.where(np.abs(x[lo] - ts) <= 1e-14, lo, hi)
-            hit = np.abs(x[node] - ts) <= 1e-14
+            node = np.where(np.abs(x[lo] - ts) <= near, lo, hi)
+            hit = np.abs(x[node] - ts) <= near
             out[hit] = self.deriv_values[node[hit]]
-        return out
+        return _finite(out, ts)
 
     def eval_on(self, grid):
         if grid == self.grid:
@@ -376,6 +371,16 @@ class SampledMatrixFunction(MatrixFunction):
         if self.deriv_values is not None and grid == self.grid:
             return self.deriv_values.copy()
         return super().derivative_on(grid)
+
+
+def _finite(out, ts):
+    """The values out (len(ts), ., .), or DomainError at the earliest time of
+    ts whose value is not finite."""
+    if not np.isfinite(out).all():
+        t = float(ts[~np.isfinite(out).all(axis=(1, 2))].min())
+        raise DomainError(f"sampled function is not finite at t={t}: the interval is "
+                          "too long for its cubic", t=t)
+    return out
 
 
 def constant(value):
@@ -394,22 +399,22 @@ def identity(n):
     return ConstantMatrixFunction(np.eye(n))
 
 
-def sample(fun, grid, order=3, with_derivatives=False):
+def sample(fun, grid, with_derivatives=False):
     """Resample ``fun`` on ``grid``; exact at the grid points by construction."""
     if isinstance(fun, SampledMatrixFunction) and not grid.within(fun.grid):
         raise DomainError("sampling grid extends beyond the source interval")
     values = fun.eval_on(grid)
-    deriv = fun.derivative_on(grid) if (with_derivatives and order == 3) else None
-    return SampledMatrixFunction(grid, values, order=order, deriv_values=deriv)
+    deriv = fun.derivative_on(grid) if with_derivatives else None
+    return SampledMatrixFunction(grid, values, deriv_values=deriv)
 
 
-def from_callable(fn, grid, dfn=None, order=3):
+def from_callable(fn, grid, dfn=None):
     """Sampled function from python callables t -> matrix (and derivative)."""
     values = _as_matrix([fn(t) for t in grid.points], "sample", stacked=True)
     deriv = None
     if dfn is not None:
         deriv = _as_matrix([dfn(t) for t in grid.points], "derivative sample", stacked=True)
-    return SampledMatrixFunction(grid, values, order=order, deriv_values=deriv)
+    return SampledMatrixFunction(grid, values, deriv_values=deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +432,7 @@ def _result_grid(*funs):
 def _sampled_binary(a, b, grid, op, dop):
     va, vb = a.eval_on(grid), b.eval_on(grid)
     da, db = a.derivative_on(grid), b.derivative_on(grid)
-    return SampledMatrixFunction(grid, op(va, vb), order=3, deriv_values=dop(va, vb, da, db))
+    return SampledMatrixFunction(grid, op(va, vb), deriv_values=dop(va, vb, da, db))
 
 
 def mf_add(a, b):
@@ -447,7 +452,7 @@ def _linear(a, op):
     if isinstance(a, PolynomialMatrixFunction):
         return _poly(op(a.coeffs))
     dv = None if a.deriv_values is None else op(a.deriv_values)
-    return SampledMatrixFunction(a.grid, op(a.values), order=a.order, deriv_values=dv)
+    return SampledMatrixFunction(a.grid, op(a.values), deriv_values=dv)
 
 
 def mf_scale(a, s):
@@ -482,7 +487,7 @@ def mf_derivative_function(a):
     if isinstance(a, PolynomialMatrixFunction):
         return a.derivative_function()
     vals = a.derivative_on(a.grid)
-    return SampledMatrixFunction(a.grid, vals, order=a.order if a.order == 1 else 3)
+    return SampledMatrixFunction(a.grid, vals)
 
 
 def mf_block(blocks):
@@ -516,7 +521,7 @@ def mf_block(blocks):
             [np.concatenate([b.derivative_on(grid) for b in row], axis=2) for row in norm],
             axis=1,
         )
-        return SampledMatrixFunction(grid, vals, order=3, deriv_values=dvals)
+        return SampledMatrixFunction(grid, vals, deriv_values=dvals)
     c = np.zeros((max(p.degree for p in funs) + 1, sum(heights), width))
     r0 = 0
     for row, height in zip(norm, heights):
@@ -570,7 +575,6 @@ def matrix_function_to_json(f):
         data = {
             "grid": f.grid.points.tolist(),
             "values": [v.tolist() for v in f.values],
-            "order": f.order,
         }
         if f.deriv_values is not None:
             data["derivatives"] = [v.tolist() for v in f.deriv_values]
@@ -592,10 +596,11 @@ def matrix_function_from_json(obj):
             f = PolynomialMatrixFunction.from_entries(data)
         elif kind == "samples":
             grid = TimeGrid(data["grid"])
+            if data.get("order", 3) != 3:  # older files record the cubic's order 3
+                raise ConstructionError(f"interpolation order {data['order']!r} is not cubic")
             f = SampledMatrixFunction(
                 grid,
                 np.array(data["values"], dtype=float),
-                order=int(data.get("order", 3)),
                 deriv_values=(
                     np.array(data["derivatives"], dtype=float)
                     if "derivatives" in data

@@ -170,7 +170,7 @@ def _spd_sqrt_with_derivative(Sv, Sd):
     return F, Finv, Fd
 
 
-def _eliminate(pair, f, grid, gap_tol, strict=False):
+def _eliminate(pair, f, grid, strict=False):
     """Kernel elimination of E xdot = A x + f with E = E^T >= 0 of constant rank.
 
     Splits off the kernel of E; the split pair's first sample A1(t0) then
@@ -182,9 +182,10 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     scaled by F = S_b^{1/2}.  The certificate is orthogonal when the pair
     passes the skew-adjoint residual test and the scaled core M is
     pointwise skew, None otherwise (strict raises StructureError).  Ranks
-    are decided against the norm of A1(t0) (gap_tol for the block, 1e-10
-    for the rows), never against E's, so a change of time unit or of the
-    pair's scale moves no decision.
+    are decided against the norm of A1(t0) (the block at the regularity
+    guard's 1/COND_LIMIT whatever the entry point, the rows at 1e-10), never
+    against E's, so a change of time unit or of the pair's scale moves no
+    decision.
     """
     Ev, Ed, Av = st._values(pair, grid)
     if f.rows != pair.n or f.cols != 1:
@@ -214,7 +215,7 @@ def _eliminate(pair, f, grid, gap_tol, strict=False):
     # split the kernel block into its nonsingular part and the constraint rows
     a_scale = np.linalg.norm(A1)
     _, s0, vt0 = np.linalg.svd(A1[r:, r:])
-    k_rank = _rank(s0, gap_tol, a_scale)
+    k_rank = _rank(s0, 1.0 / COND_LIMIT, a_scale)
     tau = n - r - k_rank  # number of chain/constraint variables
     dxi = r - tau
     ix = slice(0, dxi)
@@ -371,7 +372,7 @@ def semidefinite_skew_reduce(pair, f, grid):
     of the inhomogeneity.  Raises StructureError unless the pair passes the
     skew-adjoint residual test and the scaled core is pointwise skew.
     """
-    return _eliminate(pair, f, grid, 1e-8, strict=True)
+    return _eliminate(pair, f, grid, strict=True)
 
 
 def index1_reduce(pair, f, grid):
@@ -383,9 +384,7 @@ def index1_reduce(pair, f, grid):
     constraint/chain block).  The certificate is orthogonal when the data
     earn it (skew-adjoint pair, pointwise skew scaled core), else None.
     """
-    # the kernel block's rank is cut at the regularity guard's limit, relative
-    # to A: only a block that vanishes against A goes to index 2
-    return _eliminate(pair, f, grid, 1.0 / COND_LIMIT)
+    return _eliminate(pair, f, grid)
 
 
 def stokes_reduce(M, B, Jfun, f, grid):
@@ -407,7 +406,7 @@ def stokes_reduce(M, B, Jfun, f, grid):
     E[:nv, :nv] = M
     A = mf.mf_block([[Jfun, -B], [B.T, np.zeros((npp, npp))]])
     f_full = mf.mf_block([[f], [mf.zero(npp, 1)]])
-    red = _eliminate(mf.MatrixPair(mf.constant(E), A, grid), f_full, grid, 1e-8, strict=True)
+    red = _eliminate(mf.MatrixPair(mf.constant(E), A, grid), f_full, grid, strict=True)
     red.recovery = [("constraint variables", npp), ("pressure", npp)]
     return red
 

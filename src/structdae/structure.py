@@ -208,7 +208,7 @@ def _sampled(grid, vals, derivs=None):
     bits = np.ascontiguousarray(vals).reshape(len(vals), -1).view(np.uint64)
     if np.all(bits == bits[0]) and (derivs is None or not np.any(derivs)):
         return mf.ConstantMatrixFunction(vals[0])
-    return mf.SampledMatrixFunction(grid, vals, order=3, deriv_values=derivs)
+    return mf.SampledMatrixFunction(grid, vals, deriv_values=derivs)
 
 
 def _values(pair, grid):
@@ -280,14 +280,13 @@ def _classified(pair, grid, tol=None):
 def _rel_smin(F):
     """Smallest over largest singular value of each matrix of F (..., m, n):
     1.0 for empty blocks, 0.0 for zero matrices."""
-    F = np.asarray(F)
-    if 0 in F.shape[-2:]:
-        return np.ones(F.shape[:-2])
     return _ratio(np.linalg.svd(F, compute_uv=False))
 
 
 def _ratio(s):
     """`_rel_smin` from the descending singular values s (..., m)."""
+    if s.shape[-1] == 0:
+        return np.ones(s.shape[:-1])
     return s[..., -1] / np.maximum(s[..., 0], 1e-300)
 
 

@@ -362,8 +362,8 @@ def _transformed_multibody(which, seed):
     Qid = Tinv.Qdot.eval_on(GRID)
     phi1 = Qi @ phiv
     phi1d = Qid @ phiv + Qi @ phid
-    Phi1 = sd.SampledMatrixFunction(GRID, phi1, order=3, deriv_values=phi1d)
-    Phi1dot = sd.SampledMatrixFunction(GRID, phi1d, order=3)
+    Phi1 = sd.SampledMatrixFunction(GRID, phi1, deriv_values=phi1d)
+    Phi1dot = sd.SampledMatrixFunction(GRID, phi1d)
     return pair1, sd.SolutionBasis(Phi1, Phi1dot, basis0.d, complement=None)
 
 
@@ -399,6 +399,31 @@ def test_global_forms_time_varying_pair():
     form_k = sd.global_canonical_skew(pair_k, basis_k, GRID)
     assert (form_k.p, form_k.q) == (3, 0)
     assert sd.verify_skew_global_form(form_k, GRID).worst <= 1e-8
+
+
+def test_basis_without_a_complement_is_decomposed_once(svd_calls):
+    # the completion and the "Phi loses rank" guard come from one SVD of the
+    # (K, d, n) stack Phi^T: no guard decomposes Phi itself, nor Phi^T Phi at
+    # the nodes and midpoints
+    pair, basis = _transformed_multibody("skew", 4)
+    K, n, d = GRID.n, pair.n, basis.d
+    svd_calls.clear()
+    form = sd.global_canonical_skew(pair, basis, GRID)
+    assert (form.p, form.q) == (3, 0)
+    assert svd_calls.count((K, d, n)) == 1
+    assert (K, n, d) not in svd_calls
+    assert (2 * K - 1, d, d) not in svd_calls
+
+
+def test_empty_basis_without_a_complement_is_completed():
+    # a pair with no dynamics: the stage completes the empty Phi by a full
+    # orthonormal frame, and its rank guard passes the empty block
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 5)
+    empty = sd.SolutionBasis(sd.zero(2, 0), sd.zero(2, 0), 0)
+    pair = sd.MatrixPair(sd.zero(2, 2), sd.constant(J2), grid)
+    form = sd.global_canonical_skew(pair, empty, grid)
+    assert (form.p, form.q, form.algebraic_dim) == (0, 0, 2)
+    assert sd.verify_skew_global_form(form, grid).worst == 0.0
 
 
 def test_accumulated_transform_derivative_consistency():

@@ -514,3 +514,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         _usage_error(["simulate", "--model", str(circuit), "--x0", "1,0,0,0,0", "--input", "sin",
                       f"--input-scale={scale}", "--out", str(traj)], capsys, "--input-scale")
     assert not traj.exists()
+    # an interval so long that the input's cubic overflows between the nodes
+    _usage_error(["simulate", "--model", str(circuit), "--x0", "1,0,0,0,0", "--tf", "1e308",
+                  "--steps", "3", "--input", "sin", "--out", str(traj)], capsys, "not finite")
+    assert not traj.exists()
+    # a sampled coefficient with another interpolation order than the cubic
+    obj = json.loads(pair.read_text())
+    n = obj["E"]["rows"]
+    obj["E"] = {"rows": n, "cols": n, "kind": "samples", "data": {
+        "grid": [obj["interval"][0], obj["interval"][1]], "order": 1,
+        "values": [np.eye(n).tolist()] * 2}}
+    pair.write_text(json.dumps(obj))
+    _usage_error(["check", "--model", str(pair)], capsys, "interpolation order 1")

@@ -221,7 +221,7 @@ def test_sampled_with_derivative_samples_is_a_constant_only_when_they_vanish():
     # moving samples give the Hermite cubic itself, bit for bit off the nodes
     moving = vals + GRID.points[:, None, None]
     ones = np.ones_like(moving)
-    want = sd.SampledMatrixFunction(GRID, moving, order=3, deriv_values=ones)
+    want = sd.SampledMatrixFunction(GRID, moving, deriv_values=ones)
     ts = np.linspace(0.0, 10.0, 37)
     assert _sampled(GRID, moving, ones)._eval_at(ts).tobytes() == want._eval_at(ts).tobytes()
     ders[5, 0, 1] = np.inf

@@ -46,6 +46,6 @@ def test_the_scan_sees_every_form_of_the_call(tmp_path):
         "x = SampledMatrixFunction(1, 2)\n"
         "class C:\n"
         "    def m(self):\n"
-        "        return [structdae.matfun.SampledMatrixFunction(g, v, order=3)]\n"
+        "        return [structdae.matfun.SampledMatrixFunction(g, v, deriv_values=d)]\n"
     )
     assert _sampled_constructor_calls(src) == [("f", 2), (None, 3), ("m", 6)]

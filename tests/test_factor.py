@@ -11,7 +11,7 @@ from structdae.errors import (
     RankDropError,
     StructureError,
 )
-from structdae.factor import _row_frame, max_jump, smooth_kernel_frame
+from structdae.factor import _row_frame, max_jump
 
 from oracles import rotation
 
@@ -194,13 +194,19 @@ def test_smooth_inertia_errors():
         sd.smooth_inertia(D, grid0)
 
 
+def _kernel_frame(B, grid):
+    """The kernel columns N of `_row_frame` of B's samples, with Ndot."""
+    V, Vd, _ = _row_frame(B.eval_on(grid), B.derivative_on(grid))
+    return V[..., B.rows:], Vd[..., B.rows:]
+
+
 def test_smooth_kernel_frame_consistency():
     # B(t) = [cos t, sin t]: kernel rotates with t
     B = sd.from_callable(
         lambda t: [[np.cos(t), np.sin(t)]], GRID,
         dfn=lambda t: [[-np.sin(t), np.cos(t)]],
     )
-    N, Nd = smooth_kernel_frame(B, GRID)
+    N, Nd = _kernel_frame(B, GRID)
     for k, t in enumerate(GRID.points):
         assert abs(np.cos(t) * N[k, 0, 0] + np.sin(t) * N[k, 1, 0]) < 1e-12
         assert abs(N[k, :, 0] @ N[k, :, 0] - 1.0) < 1e-12
@@ -222,7 +228,7 @@ def test_smooth_kernel_frame_is_the_procrustes_chain():
     cases.append(sd.from_callable(lambda t: [[np.cos(t), np.sin(t)]], grid,
                                   dfn=lambda t: [[-np.sin(t), np.cos(t)]]))
     for B in cases:
-        N, Nd = smooth_kernel_frame(B, grid)
+        N, Nd = _kernel_frame(B, grid)
         Bv, NT = B.eval_on(grid), np.swapaxes(N, 1, 2)
         assert N.shape == (grid.n, B.cols, B.cols - B.rows)
         assert np.linalg.norm(Bv @ N, axis=(1, 2)).max() <= 1e-12

@@ -242,11 +242,12 @@ def test_integrate_reduced_refined_grid_matches_pointwise_reconstruct():
 @pytest.mark.parametrize("M", [
     # real eigenvalue 2/h = 8 at every midpoint of the h = 1/4 grid
     sd.constant(np.diag([8.0, 0.0])),
-    # linear interpolation of these node values is 8 at the midpoints
-    # 0.375, 0.625 and 0.875 only
+    # with zero derivative samples the Hermite cubic is the node average at
+    # each midpoint, exactly: 8 at the midpoints 0.375, 0.625 and 0.875 only
     sd.SampledMatrixFunction(
         sd.TimeGrid([0.0, 0.25, 0.5, 0.75, 1.0]),
-        [np.diag([v, 0.0]) for v in (0.0, 4.0, 12.0, 4.0, 12.0)], order=1),
+        [np.diag([v, 0.0]) for v in (0.0, 4.0, 12.0, 4.0, 12.0)],
+        deriv_values=np.zeros((5, 2, 2))),
 ])
 def test_singular_cayley_step_names_first_midpoint(M):
     grid = sd.TimeGrid([0.0, 0.25, 0.5, 0.75, 1.0])

@@ -42,19 +42,19 @@ def test_poly_central_difference_consistency():
 def test_sampled_cubic_reproduces_cubic():
     # four samples determine a cubic under the not-a-knot rule
     cube = sd.PolynomialMatrixFunction.from_entries([[[0.0, 0.0, 0.0, 1.0]]])
-    s = sd.sample(cube, sd.TimeGrid.uniform(0.0, 1.0, 4), order=3)
+    s = sd.sample(cube, sd.TimeGrid.uniform(0.0, 1.0, 4))
     assert abs(s.eval(0.25)[0, 0] - 0.015625) < 1e-12
 
 
 def test_sampled_sine_derivative():
     grid = sd.TimeGrid.uniform(0.0, 1.0, 2001)
-    s = sd.from_callable(lambda t: [[np.sin(t)]], grid, order=3)
+    s = sd.from_callable(lambda t: [[np.sin(t)]], grid)
     assert abs(s.derivative(0.5)[0, 0] - np.cos(0.5)) < 1e-8
 
 
 def test_sample_exp_interpolation_error():
     grid = sd.TimeGrid.uniform(0.0, 1.0, 101)
-    e = sd.from_callable(lambda t: [[np.exp(t)]], grid, order=3)
+    e = sd.from_callable(lambda t: [[np.exp(t)]], grid)
     ts = np.linspace(0.0, 1.0, 1001)
     err = max(abs(e.eval(t)[0, 0] - np.exp(t)) for t in ts)
     assert err <= 1e-7
@@ -63,7 +63,7 @@ def test_sample_exp_interpolation_error():
 def test_sample_roundtrip_exact_at_nodes():
     grid = sd.TimeGrid.uniform(0.0, 2.0, 17)
     f = sd.poly(np.random.default_rng(1).standard_normal((3, 2, 2)))
-    s = sd.sample(f, grid, order=3)
+    s = sd.sample(f, grid)
     for t in grid.points:
         assert np.array_equal(s.eval(t), s.eval(t))  # deterministic
         assert np.allclose(s.eval(t), f.eval(t), atol=1e-13)
@@ -75,17 +75,8 @@ def test_sample_constant_and_linear():
     for t in grid.points:
         assert np.allclose(s.eval(t), np.eye(3), atol=0)
     lin = sd.PolynomialMatrixFunction.from_entries([[[0.0, 1.0]]])
-    s2 = sd.sample(lin, sd.TimeGrid.uniform(0.0, 1.0, 2), order=1)
+    s2 = sd.sample(lin, sd.TimeGrid.uniform(0.0, 1.0, 2))
     assert s2.eval(0.5)[0, 0] == pytest.approx(0.5, abs=0)
-
-
-def test_sampled_order1_derivative_convention():
-    grid = sd.TimeGrid([0.0, 1.0, 3.0])
-    s = sd.SampledMatrixFunction(grid, np.array([[[0.0]], [[2.0]], [[2.0]]]), order=1)
-    assert s.derivative(0.0)[0, 0] == 2.0      # right-hand slope
-    assert s.derivative(1.0)[0, 0] == 0.0      # right-hand slope at interior node
-    assert s.derivative(3.0)[0, 0] == 0.0      # left slope at tf
-    assert s.eval(2.0)[0, 0] == 2.0
 
 
 def test_domain_errors():
@@ -105,8 +96,6 @@ def test_construction_errors():
         sd.SampledMatrixFunction(grid, np.zeros((2, 2, 2)))  # wrong point count
     with pytest.raises(ConstructionError):
         sd.constant([[np.inf]])
-    with pytest.raises(ConstructionError):
-        sd.SampledMatrixFunction(grid, np.zeros((3, 2, 2)), order=2)
 
 
 def test_hermite_samples_consistent_with_derivative():
@@ -244,7 +233,7 @@ def test_matrix_function_json_roundtrip():
         sd.constant([[1.0, 2.0], [3.0, 4.0]]),
         sd.PolynomialMatrixFunction.from_entries([[[1.0, 2.0], [0.0]], [[3.0], [0.0, 0.0, 1.0]]]),
         sd.from_callable(lambda t: [[t, t * t]], grid, dfn=lambda t: [[1.0, 2 * t]]),
-        sd.SampledMatrixFunction(grid, np.linspace(0, 1, 5)[:, None, None], order=1),
+        sd.SampledMatrixFunction(grid, np.linspace(0, 1, 5)[:, None, None] ** 3),
     ]
     for f in cases:
         obj = sd.matrix_function_to_json(f)
@@ -253,6 +242,16 @@ def test_matrix_function_json_roundtrip():
         for t in grid.points:
             assert np.allclose(g.eval(t), f.eval(t), atol=0)
             assert np.allclose(g.derivative(t), f.derivative(t), atol=0)
+    # the last case, sampled: files from before the cubic was the only
+    # interpolant record "order": 3 and load as that cubic; any other order
+    # raises rather than be reread
+    assert "order" not in obj["data"]
+    obj["data"]["order"] = 3
+    assert np.array_equal(sd.matrix_function_from_json(obj).eval(0.3), f.eval(0.3))
+    for order in (1, 2, "3", None):
+        obj["data"]["order"] = order
+        with pytest.raises(ConstructionError, match="interpolation order"):
+            sd.matrix_function_from_json(obj)
 
 
 def test_pair_json_roundtrip():
@@ -286,13 +285,52 @@ def test_sampled_derivative_node_rule():
     assert np.array_equal(s.derivative_on(other), want)
 
 
-@pytest.mark.parametrize("order, with_derivatives", [(1, False), (3, False), (3, True)])
-def test_sampled_eval_on_foreign_grid_matches_pointwise(order, with_derivatives):
+@pytest.mark.parametrize("tf", [1.0, 1e-13, 1e6])
+def test_domain_slack_is_relative_to_the_grid(tf):
+    # the same relative overshoot is inside the slack on every scale; on
+    # [0, 1e-13] an absolute floor of 1 took in five times the interval
+    s = sd.sample(sd.identity(2), sd.TimeGrid.uniform(0.0, tf, 5))
+    assert np.array_equal(s.eval(tf * (1 + 5e-13)), np.eye(2))
+    for t in (tf * (1 + 1e-9), 5 * tf, -1e-9 * tf):
+        with pytest.raises(DomainError):
+            s.eval(t)
+
+
+def test_derivative_node_snap_is_relative_to_the_grid():
+    # on [0, 1e-12] a midpoint lies 5e-15 from its nodes: it takes the
+    # Hermite cubic's derivative there, not a node's derivative sample
+    grid = sd.TimeGrid.uniform(0.0, 1e-12, 101)
+    s = sd.from_callable(lambda t: [[np.sin(1e12 * t)]], grid,
+                         dfn=lambda t: [[1e12 * np.cos(1e12 * t)]])
+    dspline = CubicHermiteSpline(grid.points, s.values, s.deriv_values, axis=0).derivative()
+    t = 0.5 * (grid.points[10] + grid.points[11])
+    assert np.array_equal(s.derivative(t), dspline(t))
+    assert not np.array_equal(s.derivative(t), s.deriv_values[10])
+    assert np.array_equal(s.derivative(grid.points[10]), s.deriv_values[10])
+
+
+def test_a_cubic_whose_powers_overflow_names_the_time():
+    # on [0, 1e308] the power sum's s^3 overflows between the nodes, though
+    # every sample is finite: DomainError at the earliest such time, with no
+    # numpy warning, while the nodes below tf still read their samples
+    grid = sd.TimeGrid.uniform(0.0, 1e308, 4)
+    s = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
+    mids = sd.TimeGrid(0.5 * (grid.points[:-1] + grid.points[1:]))
+    for run in (lambda: s.eval_on(mids), lambda: s.derivative_on(mids)):
+        with pytest.raises(DomainError, match="not finite") as err:
+            run()
+        assert err.value.t == mids.points[0]
+        assert f"t={mids.points[0]}" in str(err.value)
+    assert np.array_equal(np.stack([s.eval(t) for t in grid.points[:-1]]), s.values[:-1])
+
+
+@pytest.mark.parametrize("with_derivatives", [False, True])
+def test_sampled_eval_on_foreign_grid_matches_pointwise(with_derivatives):
     rng = np.random.default_rng(4)
     grid = sd.TimeGrid.uniform(0.0, 2.0, 9)
     vals = rng.standard_normal((9, 3, 2))
     ders = rng.standard_normal((9, 3, 2)) if with_derivatives else None
-    s = sd.SampledMatrixFunction(grid, vals, order=order, deriv_values=ders)
+    s = sd.SampledMatrixFunction(grid, vals, deriv_values=ders)
     other = sd.TimeGrid(np.sort(np.concatenate([rng.uniform(0.0, 2.0, 25),
                                                 grid.points[[0, 3, 8]]])))
     assert other != grid
@@ -300,10 +338,9 @@ def test_sampled_eval_on_foreign_grid_matches_pointwise(order, with_derivatives)
     assert np.array_equal(
         s.derivative_on(other), np.stack([s.derivative(t) for t in other.points])
     )
-    if order == 3:
-        spline = (CubicSpline(grid.points, vals, axis=0) if ders is None
-                  else CubicHermiteSpline(grid.points, vals, ders, axis=0))
-        assert np.array_equal(s.eval_on(other), np.stack([spline(t) for t in other.points]))
+    spline = (CubicSpline(grid.points, vals, axis=0) if ders is None
+              else CubicHermiteSpline(grid.points, vals, ders, axis=0))
+    assert np.array_equal(s.eval_on(other), np.stack([spline(t) for t in other.points]))
 
 
 def test_poly_eval_on_matches_pointwise():

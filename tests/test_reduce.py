@@ -530,18 +530,38 @@ def test_kernel_block_rank_ignores_the_scale_of_the_pair(c):
         sd.index1_reduce(pair, sd.zero(5, 1), grid)
 
 
-@pytest.mark.parametrize("reduce, gap_tol", [
-    (sd.index1_reduce, 1e-12), (sd.semidefinite_skew_reduce, 1e-8),
-])
-def test_kernel_block_near_the_threshold_is_ill_posed(reduce, gap_tol):
-    # a kernel block at half the threshold is neither zero nor nonsingular
+@pytest.mark.parametrize("reduce", [sd.index1_reduce, sd.semidefinite_skew_reduce])
+def test_kernel_block_near_the_threshold_is_ill_posed(reduce):
+    # a kernel block at half the one cut, 1e-12 relative to A, is neither
+    # zero nor nonsingular, whichever entry point reduces it
     pair0, _ = seeded_semidefinite_skew_pair(0, GRID)
     A = pair0.A.value.copy()
-    eps = 0.5 * gap_tol * np.linalg.norm(A)
+    eps = 0.5e-12 * np.linalg.norm(A)
     A[4:, 4:] = [[0.0, eps], [-eps, 0.0]]
     pair = sd.MatrixPair(pair0.E, sd.constant(A), GRID)
     with pytest.raises(IllPosedRankError):
         reduce(pair, sd.zero(6, 1), GRID)
+
+
+@pytest.mark.parametrize("rel", [1e-11, 1e-10, 1e-9, 5e-9])
+def test_both_entry_points_cut_the_kernel_block_alike(rel):
+    # a small kernel block eps/|A|_F = rel: both entry points keep it as an
+    # index-1 block (d = 4), and the strict one raises exactly where the
+    # other reports no certificate; a second cut gave d = 2 at 1e-10 through
+    # the strict entry point and an ill-posed rank at 1e-9 and 5e-9
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    pair0, _ = seeded_semidefinite_skew_pair(0, grid)
+    A = pair0.A.value.copy()
+    eps = rel * np.linalg.norm(A)
+    A[4:, 4:] = [[0.0, eps], [-eps, 0.0]]
+    pair = sd.MatrixPair(pair0.E, sd.constant(A), grid)
+    red = sd.index1_reduce(pair, sd.zero(6, 1), grid)
+    assert red.dynamic_dim == 4
+    if red.certificate is None:
+        with pytest.raises(StructureError, match="scaled dynamic block is not skew"):
+            sd.semidefinite_skew_reduce(pair, sd.zero(6, 1), grid)
+    else:
+        assert sd.semidefinite_skew_reduce(pair, sd.zero(6, 1), grid).dynamic_dim == 4
 
 
 def test_recovery_groups_and_core_cover_the_state():

@@ -3,7 +3,7 @@ import pytest
 
 import structdae as sd
 from structdae.errors import (
-    ConditioningError,
+    BasisDeficiencyError,
     ConstructionError,
     RegularityError,
     SingularityError,
@@ -232,8 +232,7 @@ def test_singular_checks_name_the_first_failing_time():
         assert "t=0.25" in str(err.value)
 
 
-# a(t) = (t - 0.25)(t - 0.75) vanishes at the grid node t = 0.25 first;
-# b(t) = t - 0.125 vanishes only at the first kernel-frame half step
+# a(t) = (t - 0.25)(t - 0.75) vanishes at the grid node t = 0.25 first
 _A_OF_T = [0.1875, -1.0, 1.0]
 _MINUS_A_OF_T = [-0.1875, 1.0, -1.0]
 
@@ -253,16 +252,19 @@ def _skew_singular_algebraic_block(grid):
     sd.semidefinite_skew_reduce(pair, sd.zero(3, 1), grid)
 
 
-def _kernel_frame_row_rank_loss(grid):
-    from structdae.factor import smooth_kernel_frame
-
-    smooth_kernel_frame(sd.PolynomialMatrixFunction.from_entries([[[-0.125, 1.0], [0.0]]]), grid)
+def _basis_rank_loss(grid):
+    # Phi = (a, 0) without a complement: its completion and its rank guard
+    # come from one decomposition of Phi^T
+    phi = sd.PolynomialMatrixFunction.from_entries([[_A_OF_T], [[0.0]]])
+    basis = sd.SolutionBasis(phi, sd.mf_derivative_function(phi), 1)
+    pair = sd.MatrixPair(sd.identity(2), sd.zero(2, 2), grid)
+    sd.global_canonical_skew(pair, basis, grid)
 
 
 @pytest.mark.parametrize("run, error, first", [
     (_index1_singular_algebraic_block, RegularityError, 0.25),
     (_skew_singular_algebraic_block, RegularityError, 0.25),
-    (_kernel_frame_row_rank_loss, ConditioningError, 0.125),
+    (_basis_rank_loss, BasisDeficiencyError, 0.25),
 ])
 def test_grid_guards_name_the_first_failing_time(run, error, first):
     with pytest.raises(error) as err:
