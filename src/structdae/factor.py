@@ -190,38 +190,58 @@ def _kernel_defect(u, vt, ranks):
     return defect
 
 
-def _sym_split(vals, ts):
-    """(Q, r): the aligned orthogonal factor of the one-sided splitting of
-    the samples vals (`structure._samples`) at the times ts."""
+def _sym_changed(r, rk, t_prev, t):
+    """The error of a one-sided splitting whose rank moves from r to rk."""
+    return RankDropError(
+        f"rank changed from {r} to {rk} at t={t}",
+        t_first=float(t_prev),
+        t_second=float(t),
+    )
+
+
+def _eigh_split(vals, ts):
+    """(Q, r, lam): the aligned orthogonal factor of the one-sided splitting
+    of the symmetric samples vals (`structure._samples`) at the times ts,
+    from one stacked eigh, and the eigenvalues (K, n) in Q's column order.
+    The eigenpairs are ordered by |lambda| descending (a stable sort): the
+    order and the magnitudes of the singular values."""
+    eigenvalues = None
 
     def decompose(vals, ts):
-        u, s, vt = np.linalg.svd(vals)
-        ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
-        defect = _kernel_defect(u, vt, ranks)
-        del u
-        kernel = _first(defect > 1e-8, lambda k: StructureError(
-            f"kernel condition ker(E^T) = ker(E) fails at t={ts[k]} "
-            f"(projector distance {defect[k]:.3e})"
-        ))
-        return [_bT(vt)], ranks, _earliest(ill, kernel)
+        nonlocal eigenvalues
+        lam, vec = np.linalg.eigh(vals)
+        order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+        eigenvalues = np.take_along_axis(lam, order, axis=1)
+        mag = np.abs(eigenvalues)
+        return ([np.take_along_axis(vec, order[:, None, :], axis=2)],
+                *_numerical_rank(mag, DEFAULT_GAP_TOL, mag.max(axis=1, initial=0.0)))
 
-    def changed(r, rk, t_prev, t):
-        return RankDropError(
-            f"rank changed from {r} to {rk} at t={t}",
-            t_first=float(t_prev),
-            t_second=float(t),
-        )
-
-    (Q,), r = _aligned(vals, ts, decompose, changed)
-    return Q, r
+    (Q,), r = _aligned(vals, ts, decompose, _sym_changed)
+    return Q, r, eigenvalues
 
 
 def sym_rank_split(E, grid):
-    """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T)."""
+    """One-sided splitting for E with ker E^T = ker E (holds for E = +-E^T):
+    `_eigh_split` when E is symmetric (to 1e-12 of its norm), else (skew E)
+    the SVD and the test of ker E^T = ker E."""
     if E.rows != E.cols:
         raise StructureError("sym_rank_split needs a square matrix function")
     vals = _samples(E, grid)
-    Q, r = _sym_split(vals, grid.points)
+    if _maxnorm(vals - _bT(vals)) <= 1e-12 * _maxnorm(vals):
+        Q, r, _ = _eigh_split(vals, grid.points)
+    else:
+        def decompose(vals, ts):
+            u, s, vt = np.linalg.svd(vals)
+            ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
+            defect = _kernel_defect(u, vt, ranks)
+            del u
+            kernel = _first(defect > 1e-8, lambda k: StructureError(
+                f"kernel condition ker(E^T) = ker(E) fails at t={ts[k]} "
+                f"(projector distance {defect[k]:.3e})"
+            ))
+            return [_bT(vt)], ranks, _earliest(ill, kernel)
+
+        (Q,), r = _aligned(vals, grid.points, decompose, _sym_changed)
     return SymRankSplit(_sampled(grid, Q), _sampled(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]),
                         r, grid)
 

@@ -51,7 +51,8 @@ def _step_maps(M_fun, grid, g_fun=None):
     M (and g) at all of them; raises at the first midpoint where L is
     numerically singular.  A constant M has one L per step length, grouped
     by a stable sort (a group is guarded at its earliest midpoint).  Each
-    distinct L is solved once against [R | I], which gives C and L^-1 for d.
+    distinct L is solved once against [R | I], which gives C, and L^-1 for
+    d and for the guard's condition number.
     """
     ts = grid.points
     h = np.diff(ts)
@@ -67,10 +68,9 @@ def _step_maps(M_fun, grid, g_fun=None):
         first, at = order[new], np.cumsum(new)[np.argsort(order)] - 1
     half = 0.5 * h[first, None, None] * M
     eye = np.eye(n)
-    L = eye - half
-    st._require_nonsingular(L, mids[first], 1e-14, SingularityError,
-                            "midpoint step matrix I - h/2 M is singular (refine the step size)")
-    X = np.linalg.solve(L, np.concatenate([eye + half, np.broadcast_to(eye, L.shape)], axis=2))
+    X = st._require_nonsingular(
+        eye - half, mids[first], 1e-14, SingularityError,
+        "midpoint step matrix I - h/2 M is singular (refine the step size)", rhs=eye + half)
     if g_fun is None:
         return X[at, :, :n], np.zeros((h.size, n))
     return X[at, :, :n], (X[at, :, n:] @ (h[:, None, None] * g_fun._eval_at(mids)))[..., 0]

@@ -185,10 +185,10 @@ class PolynomialMatrixFunction(MatrixFunction):
         return self.coeffs.shape[0] - 1
 
     def _eval_at(self, ts):
-        return _horner(self.coeffs, np.asarray(ts, dtype=float)[:, None, None])
+        return _horner(self.coeffs, ts)
 
     def _derivative_at(self, ts):
-        return _horner(self._dcoeffs, np.asarray(ts, dtype=float)[:, None, None])
+        return _horner(self._dcoeffs, ts)
 
     def derivative_function(self):
         return _poly(self._dcoeffs)
@@ -216,12 +216,18 @@ def _poly(c):
     return ConstantMatrixFunction(p.coeffs[0]) if p.degree == 0 else p
 
 
-def _horner(coeffs, t):
-    """sum_k coeffs[k] * t**k at every point of a (m, 1, 1) array t."""
-    out = coeffs[-1] * t**0  # a new array, shaped by t
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        out = out * t + coeffs[k]
-    return out
+def _horner(coeffs, ts):
+    """sum_k coeffs[k] * t**k at every point t of ts, in one array updated in
+    place; a value that overflows raises DomainError (`_finite`)."""
+    ts = np.asarray(ts, dtype=float)
+    t = ts[:, None, None]
+    out = np.empty((len(ts), *coeffs.shape[1:]))
+    out[...] = coeffs[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(coeffs.shape[0] - 2, -1, -1):
+            out *= t
+            out += coeffs[k]
+    return _finite(out, ts)
 
 
 def _not_a_knot_slopes(x, y):
@@ -378,8 +384,8 @@ def _finite(out, ts):
     ts whose value is not finite."""
     if not np.isfinite(out).all():
         t = float(ts[~np.isfinite(out).all(axis=(1, 2))].min())
-        raise DomainError(f"sampled function is not finite at t={t}: the interval is "
-                          "too long for its cubic", t=t)
+        raise DomainError(f"matrix function is not finite at t={t}: the interval is "
+                          "too long for it", t=t)
     return out
 
 

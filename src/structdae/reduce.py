@@ -31,7 +31,7 @@ from .errors import (
     StructureError,
     UnsupportedError,
 )
-from .factor import _rank, _sym_split
+from .factor import _eigh_split, _rank
 from .structure import _bT, _maxnorm, _sampled, _samples
 
 COND_LIMIT = 1e12
@@ -195,16 +195,16 @@ def _eliminate(pair, f, grid, strict=False):
     res = st._structure(st.SKEW_ADJOINT, Ev, Ed, Av)[0]
     if strict and res > 1e-10:
         raise StructureError(f"pair is not skew-adjoint (relative residual {res:.3e})")
-    # E = E^T to roundoff, so its lower triangle holds its eigenvalues
     e_scale = _maxnorm(Ev)
     asym = _maxnorm(Ev - _bT(Ev))
     if asym > 1e-12 * e_scale:
         raise StructureError(f"E is not symmetric (defect {asym:.3e})")
-    eigmin = np.linalg.eigvalsh(Ev)[:, 0].min()
+    # E = E^T to roundoff, so the split is one eigh, whose eigenvalues
+    # also decide the sign of E
+    Qv, r, lam = _eigh_split(Ev, grid.points)
+    eigmin = lam.min(initial=0.0)
     if eigmin < -1e-12 * e_scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
-
-    Qv, r = _sym_split(Ev, grid.points)
     Q = _sampled(grid, Qv)  # a constant when every aligned sample is equal
     Qv, Qd = _samples(Q, grid), _samples(Q, grid, True)
     del Q  # with its spline caches, before the congruence below

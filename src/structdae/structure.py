@@ -290,21 +290,42 @@ def _ratio(s):
     return s[..., -1] / np.maximum(s[..., 0], 1e-300)
 
 
-def _require_nonsingular(F, ts, rel_tol, error, what, **fields):
-    """`_require_margin` of _rel_smin(F), one matrix of F per time of ts."""
-    _require_margin(_rel_smin(F), ts, rel_tol, error, what, **fields)
+def _require_nonsingular(F, ts, rel_tol, error, what, rhs=None, **fields):
+    """F^-1, or F^-1 [rhs | I] when rhs is given, from one stacked solve of
+    F, one matrix per time of ts; raises error(..., t=t, **fields) at the
+    earliest time where F is numerically singular: 1/(|F|_F |F^-1|_F), which
+    lies within a factor n below s_min / s_max, is <= rel_tol (or is not a
+    number).  An empty block reads 1.  A sample that LAPACK finds exactly
+    singular stops the solve; the time is then named by `_rel_smin`."""
+    n = F.shape[-1]
+    try:
+        out = np.linalg.inv(F) if rhs is None else np.linalg.solve(
+            F, np.concatenate([rhs, np.broadcast_to(np.eye(n), F.shape)], axis=2))
+    except np.linalg.LinAlgError:
+        _require_margin(_rel_smin(F), ts, rel_tol, error, what, **fields)
+        raise
+    if n:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rel = 1.0 / (np.linalg.norm(F, axis=(-2, -1))
+                         * np.linalg.norm(out[..., -n:], axis=(-2, -1)))
+    else:
+        rel = np.ones(F.shape[:-2])
+    _require_margin(rel, ts, rel_tol, error, what,
+                    "reciprocal Frobenius condition number", **fields)
+    return out
 
 
-def _require_margin(rel, ts, rel_tol, error, what, **fields):
+def _require_margin(rel, ts, rel_tol, error, what,
+                    measure="relative smallest singular value", **fields):
     """Raise error(..., t=t, **fields) at the earliest time of ts where the
-    relative smallest singular value rel <= rel_tol (or is not a number)."""
+    margin rel, the measure named in the message, is <= rel_tol (or is not
+    a number)."""
     bad = np.flatnonzero(~(rel > rel_tol))
     if bad.size:
         k = bad[np.argmin(ts[bad])]
         t = float(ts[k])
         raise error(
-            f"{what} at t={t} (relative smallest singular value {rel[k]:.3e} "
-            f"<= {rel_tol:.0e})", t=t, **fields,
+            f"{what} at t={t} ({measure} {rel[k]:.3e} <= {rel_tol:.0e})", t=t, **fields,
         )
 
 
@@ -344,8 +365,8 @@ def invert(transform, grid):
     """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv; a
     constant Q is inverted once."""
     Qv, Qd = _samples(transform.Q, grid), _samples(transform.Qdot, grid)
-    _require_nonsingular(Qv, grid.points, 1e-12, SingularityError, "Q is numerically singular")
-    inv = np.linalg.inv(Qv)
+    inv = _require_nonsingular(Qv, grid.points, 1e-12, SingularityError,
+                               "Q is numerically singular")
     dinv = -inv @ Qd @ inv
     return CongruenceTransform(_sampled(grid, inv, dinv), _sampled(grid, dinv))
 
@@ -358,9 +379,9 @@ def remark1_convert(pair):
     res = _structure(SELF_ADJOINT, E, np.zeros_like(E), A)[0]
     if res > 1e-10:
         raise StructureError(f"input pair is not self-adjoint (relative residual {res:.3e})")
-    for name, M in (("E", E), ("A", A)):
-        if _rel_smin(M) <= 1e-12:
-            raise SingularityError(f"{name} is singular; conversion needs invertibility")
-    return mf.MatrixPair(
-        mf.constant(np.linalg.inv(A)), mf.constant(np.linalg.inv(E)), pair.interval
+    Einv, Ainv = (
+        _require_nonsingular(M[None], pair.interval.points, 1e-12, SingularityError,
+                             f"{name} is singular; conversion needs invertibility")[0]
+        for name, M in (("E", E), ("A", A))
     )
+    return mf.MatrixPair(mf.constant(Ainv), mf.constant(Einv), pair.interval)

@@ -38,16 +38,45 @@ def pytest_runtest_makereport(item, call):
                 pass
 
 
+class _Calls(list):
+    """The shapes of the arrays handed to a decomposition during a test, in
+    call order; `values_only` keeps the shapes of the calls that computed
+    no vectors."""
+
+    def __init__(self):
+        super().__init__()
+        self.values_only = []
+
+    def clear(self):
+        super().clear()
+        self.values_only.clear()
+
+
+def _recorder(monkeypatch, functions):
+    """One _Calls for the `numpy.linalg` functions named in `functions`, each
+    mapped to a test of whether a call (args, kwargs) computes values only."""
+    calls = _Calls()
+    for name, values_only in functions.items():
+        def recording(a, *args, _function=getattr(np.linalg, name), _values_only=values_only,
+                      **kwargs):
+            calls.append(np.shape(a))
+            if _values_only(args, kwargs):
+                calls.values_only.append(np.shape(a))
+            return _function(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """The shapes of the arrays handed to `numpy.linalg.svd` during the
-    test, in call order."""
-    shapes = []
-    svd = np.linalg.svd
+    """`numpy.linalg.svd` calls; values only with compute_uv=False."""
+    return _recorder(monkeypatch, {"svd": lambda args, kwargs: not kwargs.get(
+        "compute_uv", args[1] if len(args) > 1 else True)})
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """`numpy.linalg.eigh` calls, and `eigvalsh` calls as values only."""
+    return _recorder(monkeypatch, {"eigh": lambda args, kwargs: False,
+                                   "eigvalsh": lambda args, kwargs: True})

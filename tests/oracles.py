@@ -143,6 +143,19 @@ def random_poly_congruence(rng, n, deg):
     return sd.CongruenceTransform.from_function(Q)
 
 
+def overflowing_poly_pair():
+    """A constant self-adjoint pair moved by the polynomial congruence
+    I + 0.1 t ones + 0.1 t^2 I on [0, 1e308]: finite coefficients whose
+    values overflow at every grid node after t = 0."""
+    import structdae as sd
+
+    grid = sd.TimeGrid.uniform(0.0, 1e308, 2)
+    pair = sd.MatrixPair(sd.constant([[0.0, 1.0], [-1.0, 0.0]]), sd.constant(np.diag([1.0, 2.0])),
+                         grid)
+    Q = sd.poly([np.eye(2), 0.1 * np.ones((2, 2)), 0.1 * np.eye(2)])
+    return sd.apply_congruence(pair, sd.CongruenceTransform.from_function(Q))
+
+
 def seeded_semidefinite_skew_pair(seed, interval, index2=False):
     """Seeded skew-adjoint pair with singular psd E (plus inhomogeneity)."""
     import structdae as sd
@@ -246,10 +259,20 @@ def sequential_rank_split(F, grid, gap_tol=1e-8):
 
 
 def sequential_sym_rank_split(E, grid, gap_tol=1e-8, kernel_tol=1e-8):
-    """(Q,) samples and rank of sym_rank_split, point by point."""
+    """(Q,) samples and rank of sym_rank_split, point by point: a symmetric
+    E (to 1e-12 of its norm) by eigh with the eigenpairs ordered by |lambda|
+    descending, any other by SVD and the kernel test."""
     from structdae.errors import RankDropError, StructureError
 
+    vals = E.eval_on(grid)
+    defect = max(np.linalg.norm(v - v.T) for v in vals)
+    symmetric = defect <= 1e-12 * max(np.linalg.norm(v) for v in vals)
+
     def decompose(value, t):
+        if symmetric:
+            lam, vec = np.linalg.eigh(value)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            return (vec[:, order],), _point_rank(np.abs(lam[order]), gap_tol)
         u, s, vt = np.linalg.svd(value)
         rk = _point_rank(s, gap_tol)
         if rk < vt.shape[0]:

@@ -518,6 +518,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     _usage_error(["simulate", "--model", str(circuit), "--x0", "1,0,0,0,0", "--tf", "1e308",
                   "--steps", "3", "--input", "sin", "--out", str(traj)], capsys, "not finite")
     assert not traj.exists()
+    # and a polynomial pair whose values overflow on the grid's nodes
+    import structdae as sd
+    from oracles import overflowing_poly_pair
+
+    moved = tmp_path / "moved.json"
+    moved.write_text(sd.dump_json(sd.pair_to_json(overflowing_poly_pair())))
+    report = tmp_path / "report.json"
+    _usage_error(["check", "--model", str(moved), "--grid", "5", "--out", str(report)],
+                 capsys, "not finite", "t=2.5e+307")
+    assert not report.exists()
     # a sampled coefficient with another interpolation order than the cubic
     obj = json.loads(pair.read_text())
     n = obj["E"]["rows"]

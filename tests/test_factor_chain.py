@@ -59,12 +59,14 @@ def test_rank_split_rectangular_matches_sequential():
     assert _orthogonality_defect(split.V.eval_on(GRID)) <= 1e-13
 
 
-@pytest.mark.parametrize("kind", ["symmetric", "skew"])
+@pytest.mark.parametrize("kind", ["symmetric", "indefinite", "skew"])
 def test_sym_rank_split_matches_sequential(kind):
     rng = np.random.default_rng(32)
     core = np.zeros((6, 6))
     X = rng.standard_normal((4, 4))
-    core[:4, :4] = X + X.T if kind == "symmetric" else X - X.T
+    core[:4, :4] = {"symmetric": X + X.T, "skew": X - X.T,
+                    # alternating signs: the |lambda| order interleaves them
+                    "indefinite": np.diag([3.0, -2.0, 1.5, -1.4])}[kind]
     E = _moved(_congruence(rng, 6), core)
     split = sd.sym_rank_split(E, GRID)
     (Q,), r = sequential_sym_rank_split(E, GRID)

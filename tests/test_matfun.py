@@ -5,6 +5,8 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 import structdae as sd
 from structdae.errors import ConstructionError, DimensionError, DomainError
 
+from oracles import overflowing_poly_pair
+
 
 def test_time_grid_validation():
     g = sd.TimeGrid.uniform(0.0, 1.0, 5)
@@ -322,6 +324,14 @@ def test_a_cubic_whose_powers_overflow_names_the_time():
         assert err.value.t == mids.points[0]
         assert f"t={mids.points[0]}" in str(err.value)
     assert np.array_equal(np.stack([s.eval(t) for t in grid.points[:-1]]), s.values[:-1])
+    # a polynomial's values and derivatives overflow at the first node after 0
+    E = overflowing_poly_pair().E
+    assert isinstance(E, sd.PolynomialMatrixFunction) and E.degree == 4
+    for run in (lambda: E.eval_on(grid), lambda: E.derivative_on(grid)):
+        with pytest.raises(DomainError, match="not finite") as err:
+            run()
+        assert err.value.t == grid.points[1]
+    assert np.array_equal(E.eval(0.0), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 @pytest.mark.parametrize("with_derivatives", [False, True])

@@ -641,3 +641,49 @@ def test_kernel_elimination_rejects_a_pattern_that_holds_at_t0_only():
     # the same pair frozen at t = 0 reduces
     frozen = sd.MatrixPair(pair.E, sd.constant(A.eval(0.0)), GRID)
     assert sd.index1_reduce(frozen, sd.zero(3, 1), GRID).dynamic_dim == 1
+
+
+def _tv_index1_problem(K):
+    """The time-varying index-1 shape of the benchmark: E = diag(S, 0), S
+    SPD of size 16, A = J - R with R >= 0 and a nonsingular algebraic block,
+    moved by Q(t) = I + t P1 + t^2 P2 on [0, 1]; f = Q^T g."""
+    rng = np.random.default_rng(7)
+    n, r = 20, 16
+    B, X, C = rng.standard_normal((3, n, n))
+    E = np.zeros((n, n))
+    E[:r, :r] = B[:r, :r] @ B[:r, :r].T / r + np.eye(r)
+    R = 0.1 * C @ C.T / n
+    R[r:, r:] += np.eye(n - r)
+    P = rng.standard_normal((2, n, n))
+    P *= 0.25 / np.linalg.norm(P, 2, axis=(1, 2))[:, None, None]
+    grid = sd.TimeGrid.uniform(0.0, 1.0, K)
+    pair = sd.MatrixPair(sd.constant(E), sd.constant(0.5 * (X - X.T) - R), grid)
+    T = sd.CongruenceTransform.from_function(sd.poly([np.eye(n), *P]))
+    f = sd.mf_matmul(sd.mf_transpose(T.Q), sd.constant(rng.standard_normal((n, 1))))
+    return pair, T, f, grid
+
+
+def test_time_varying_congruence_guard_reads_an_inverse(svd_calls):
+    pair, T, _, grid = _tv_index1_problem(41)
+    sd.apply_congruence(pair, T, check_grid=grid)
+    assert svd_calls.values_only == []
+
+
+def test_time_varying_kernel_split_is_one_eigh(svd_calls, eigh_calls):
+    pair, T, f, grid = _tv_index1_problem(41)
+    moved = sd.apply_congruence(pair, T)
+    red = sd.index1_reduce(moved, f, grid)
+    assert red.dynamic_dim == 16 and red.recovery == [("algebraic variables", 4)]
+    # E's samples: one eigh, whose eigenvalues also decide E >= 0
+    shape = (grid.n, pair.n, pair.n)
+    assert eigh_calls.count(shape) == 1 and shape not in eigh_calls.values_only
+    assert shape not in svd_calls
+
+
+def test_time_varying_cayley_guard_reads_the_step_solve(svd_calls):
+    pair, T, f, grid = _tv_index1_problem(41)
+    red = sd.index1_reduce(sd.apply_congruence(pair, T), f, grid)
+    assert not isinstance(red.m_fun, sd.ConstantMatrixFunction)
+    svd_calls.clear()
+    sd.integrate_linear(red.m_fun, red.g_fun, np.ones(red.dynamic_dim), grid)
+    assert svd_calls.values_only == []

@@ -261,10 +261,62 @@ def _basis_rank_loss(grid):
     sd.global_canonical_skew(pair, basis, grid)
 
 
+# each guard on an exactly singular sample (eps = 0: LAPACK stops at a zero
+# pivot) and on a nearly singular one (eps = 1e-15: condition number 1e15)
+_EXACT, _NEAR = 0.0, 1e-15
+
+
+def _diag_1_a(eps):
+    """diag(1, a(t) + eps)."""
+    return sd.PolynomialMatrixFunction.from_entries(
+        [[[1.0], [0.0]], [[0.0], [_A_OF_T[0] + eps, *_A_OF_T[1:]]]]
+    )
+
+
+def _singular_congruence(grid, eps):
+    pair = sd.MatrixPair(sd.identity(2), sd.zero(2, 2), grid)
+    sd.apply_congruence(pair, sd.CongruenceTransform.from_function(_diag_1_a(eps)),
+                        check_grid=grid)
+
+
+def _singular_inverse(grid, eps):
+    sd.invert(sd.CongruenceTransform.from_function(_diag_1_a(eps)), grid)
+
+
+def _index1_singular_2x2_algebraic_block(grid, eps):
+    # the kernel block diag(1, a + eps); a nonzero 1 x 1 block is perfectly
+    # conditioned, so only a 2 x 2 one can be nearly singular
+    A = sd.PolynomialMatrixFunction.from_entries([
+        [[-1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]],
+        [[0.0], [0.0], [_A_OF_T[0] + eps, *_A_OF_T[1:]]],
+    ])
+    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 0.0, 0.0])), A, grid)
+    sd.index1_reduce(pair, sd.zero(3, 1), grid)
+
+
+def _singular_cayley_step(grid, eps):
+    # M = diag(0, m) with m = 64 t^2 - 64 t + 23 - 8 eps: at the midpoints
+    # 0.375 and 0.625 of the steps h = 0.25, I - h/2 M = diag(1, eps)
+    M = sd.PolynomialMatrixFunction.from_entries(
+        [[[0.0], [0.0]], [[0.0], [23.0 - 8.0 * eps, -64.0, 64.0]]]
+    )
+    sd.fundamental_solution(M, grid)
+
+
+def _rows(run, error, first):
+    return [pytest.param(lambda grid, eps=eps: run(grid, eps), error, first,
+                         id=f"{run.__name__}-{name}")
+            for name, eps in (("exact", _EXACT), ("near", _NEAR))]
+
+
 @pytest.mark.parametrize("run, error, first", [
     (_index1_singular_algebraic_block, RegularityError, 0.25),
     (_skew_singular_algebraic_block, RegularityError, 0.25),
     (_basis_rank_loss, BasisDeficiencyError, 0.25),
+    *_rows(_singular_congruence, SingularityError, 0.25),
+    *_rows(_singular_inverse, SingularityError, 0.25),
+    *_rows(_index1_singular_2x2_algebraic_block, RegularityError, 0.25),
+    *_rows(_singular_cayley_step, SingularityError, 0.375),
 ])
 def test_grid_guards_name_the_first_failing_time(run, error, first):
     with pytest.raises(error) as err:
