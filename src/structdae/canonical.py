@@ -67,15 +67,15 @@ class ResidualRecord:
 
 @dataclass
 class SolutionBasis:
-    """Basis Phi of the homogeneous solution space, with derivative.
+    """Basis Phi of the homogeneous solution space; its derivative is Phi's own.
 
     ``complement`` optionally holds a pointwise orthonormal basis of the
     orthogonal complement of range(Phi); without one the canonical-form
-    pipelines take the kernel frame of Phi^T, with derivatives from Phidot.
+    pipelines take the kernel frame of Phi^T, differentiated through Phi's
+    derivative.
     """
 
     Phi: mf.MatrixFunction
-    Phidot: mf.MatrixFunction
     d: int
     complement: mf.MatrixFunction | None = None
 
@@ -200,8 +200,7 @@ def solution_basis_constant(pair, grid):
     V, Vc = _finite_subspace(E, A, np.linalg.norm(E, 2), np.linalg.norm(A, 2))
     d = V.shape[1]
     if d == 0:
-        phi = mf.zero(n, 0)
-        return SolutionBasis(phi, phi, 0, complement=mf.constant(Vc))
+        return SolutionBasis(mf.zero(n, 0), 0, complement=mf.constant(Vc))
 
     M = np.linalg.lstsq(E @ V, A @ V, rcond=None)[0]
     # anchored at the centre: with real parts of the spectrum spread by D,
@@ -211,9 +210,8 @@ def solution_basis_constant(pair, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         phiv = V @ _expm((ts - 0.5 * (ts[0] + ts[-1]))[:, None, None] * M)
         phid = phiv @ M
-        phidd = phid @ M
         res = _maxnorm(E[None] @ phid - A[None] @ phiv)
-    finite = np.all(np.isfinite(phiv) & np.isfinite(phid) & np.isfinite(phidd), axis=(1, 2))
+    finite = np.all(np.isfinite(phiv) & np.isfinite(phid), axis=(1, 2))
     if not finite.all():
         t = float(ts[np.argmin(finite)])
         re = np.linalg.eigvals(M).real
@@ -227,8 +225,7 @@ def solution_basis_constant(pair, grid):
         raise StageError(
             f"solution basis failed its residual test ({res:.3e})", stage="solution basis"
         )
-    return SolutionBasis(st._sampled(grid, phiv, phid), st._sampled(grid, phid, phidd), d,
-                         complement=mf.constant(Vc))
+    return SolutionBasis(st._sampled(grid, phiv, phid), d, complement=mf.constant(Vc))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +291,7 @@ class _Pipeline:
             raise StageError(f"check '{name}' failed (defect {defect:.3e})", stage=name)
 
     def transform(self):
-        return st.CongruenceTransform(st._sampled(self.grid, self.Qv, self.Qd),
-                                      st._sampled(self.grid, self.Qd))
+        return st.CongruenceTransform(st._sampled(self.grid, self.Qv, self.Qd))
 
     def block(self, which, rows=slice(None), cols=slice(None)):
         """Block [rows, cols] of the current E (with its derivative samples)
@@ -314,7 +310,7 @@ def _basis_congruence(pipe, basis):
     grid = pipe.grid
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
-    phid = basis.Phidot.eval_on(grid)
+    phid = basis.Phi.derivative_on(grid)
     if basis.complement is None:
         V, Vd, rel = _row_frame(_bT(phiv), _bT(phid))
         compv, compd = V[..., d:], Vd[..., d:]

@@ -88,7 +88,10 @@ def model_pair(obj):
 
 
 def model_input_map(obj):
-    if obj["type"] == "phdae" or "G" in obj:
+    """The coefficient of u: G - P for a phdae model, else the "G" entry, if any."""
+    if obj["type"] == "phdae":
+        return phdae_from_json(obj).input_map()
+    if "G" in obj:
         return mf.json_entry(obj, "G", mf.matrix_function_from_json)
     return None
 

@@ -129,22 +129,20 @@ def _rank(s, gap_tol, scale):
     return int(r)
 
 
-def _aligned(values, ts, decompose, changed):
-    """Pointwise factorizations of values glued into continuous families.
+def _aligned(factors, ranks, failure, ts, changed):
+    """Pointwise factorizations glued into continuous families.
 
-    values are (K, ., .) samples at the times ts, or the one sample of a
-    constant (`structure._samples`), decomposed once by the same path.
-    decompose(values, ts) returns (factors, ranks, failure): stacked
-    orthogonal-gauge factors whose leading ranks[k] columns and trailing
-    columns are each fixed only up to an orthogonal rotation, the per-point
-    ranks, and (k, error) for the first point whose own checks fail (or
-    None).  changed(r, rk, t_prev, t) builds the error for a rank that moves
-    between neighbours.  The error raised is the one a sweep along t meets
-    first; at one point its own checks come before a rank change.  Returns
-    (factors, r); each block is aligned by its polar chain, which leaves a
-    one-sample block as it is.
+    factors are the stacked decompositions of (K, ., .) samples at the times
+    ts, or of the one sample of a constant (`structure._samples`), decomposed
+    once by the same path: orthogonal-gauge factors whose leading ranks[k]
+    columns and trailing columns are each fixed only up to an orthogonal
+    rotation.  ranks are the per-point ranks, and failure is (k, error) for
+    the first point whose own checks fail (or None).  changed(r, rk, t_prev,
+    t) builds the error for a rank that moves between neighbours.  The error
+    raised is the one a sweep along t meets first; at one point its own
+    checks come before a rank change.  Returns (factors, r); each block is
+    aligned by its polar chain, which leaves a one-sample block as it is.
     """
-    factors, ranks, failure = decompose(values, ts)
     failure = _earliest(failure, _first(ranks != ranks[0], lambda k: changed(
         int(ranks[0]), int(ranks[k]), ts[k - 1], ts[k])))
     if failure:
@@ -160,10 +158,6 @@ def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
     """Constant-rank orthogonal splitting of F(t) with continuity alignment."""
     st._positive(gap_tol, "gap tolerance")
 
-    def decompose(vals, ts):
-        u, s, vt = np.linalg.svd(vals)
-        return [u, _bT(vt)], *_numerical_rank(s, gap_tol, s.max(axis=1, initial=0.0))
-
     def changed(r, rk, t_prev, t):
         return RankDropError(
             f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
@@ -172,7 +166,9 @@ def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
         )
 
     vals = _samples(F, grid)
-    (U, V), r = _aligned(vals, grid.points, decompose, changed)
+    u, s, vt = np.linalg.svd(vals)
+    (U, V), r = _aligned([u, _bT(vt)], *_numerical_rank(s, gap_tol, s.max(axis=1, initial=0.0)),
+                         grid.points, changed)
     Sig = _bT(U[..., :r]) @ vals @ V[..., :r]
     return RankSplit(_sampled(grid, U), _sampled(grid, V), _sampled(grid, Sig), r, grid)
 
@@ -205,19 +201,14 @@ def _eigh_split(vals, ts):
     from one stacked eigh, and the eigenvalues (K, n) in Q's column order.
     The eigenpairs are ordered by |lambda| descending (a stable sort): the
     order and the magnitudes of the singular values."""
-    eigenvalues = None
-
-    def decompose(vals, ts):
-        nonlocal eigenvalues
-        lam, vec = np.linalg.eigh(vals)
-        order = np.argsort(-np.abs(lam), axis=1, kind="stable")
-        eigenvalues = np.take_along_axis(lam, order, axis=1)
-        mag = np.abs(eigenvalues)
-        return ([np.take_along_axis(vec, order[:, None, :], axis=2)],
-                *_numerical_rank(mag, DEFAULT_GAP_TOL, mag.max(axis=1, initial=0.0)))
-
-    (Q,), r = _aligned(vals, ts, decompose, _sym_changed)
-    return Q, r, eigenvalues
+    lam, vec = np.linalg.eigh(vals)
+    order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=1)
+    vec = np.take_along_axis(vec, order[:, None, :], axis=2)
+    mag = np.abs(lam)
+    (Q,), r = _aligned([vec], *_numerical_rank(mag, DEFAULT_GAP_TOL, mag.max(axis=1, initial=0.0)),
+                       ts, _sym_changed)
+    return Q, r, lam
 
 
 def sym_rank_split(E, grid):
@@ -230,18 +221,15 @@ def sym_rank_split(E, grid):
     if _maxnorm(vals - _bT(vals)) <= 1e-12 * _maxnorm(vals):
         Q, r, _ = _eigh_split(vals, grid.points)
     else:
-        def decompose(vals, ts):
-            u, s, vt = np.linalg.svd(vals)
-            ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
-            defect = _kernel_defect(u, vt, ranks)
-            del u
-            kernel = _first(defect > 1e-8, lambda k: StructureError(
-                f"kernel condition ker(E^T) = ker(E) fails at t={ts[k]} "
-                f"(projector distance {defect[k]:.3e})"
-            ))
-            return [_bT(vt)], ranks, _earliest(ill, kernel)
-
-        (Q,), r = _aligned(vals, grid.points, decompose, _sym_changed)
+        u, s, vt = np.linalg.svd(vals)
+        ranks, ill = _numerical_rank(s, DEFAULT_GAP_TOL, s.max(axis=1, initial=0.0))
+        defect = _kernel_defect(u, vt, ranks)
+        del u
+        kernel = _first(defect > 1e-8, lambda k: StructureError(
+            f"kernel condition ker(E^T) = ker(E) fails at t={grid.points[k]} "
+            f"(projector distance {defect[k]:.3e})"
+        ))
+        (Q,), r = _aligned([_bT(vt)], ranks, _earliest(ill, kernel), grid.points, _sym_changed)
     return SymRankSplit(_sampled(grid, Q), _sampled(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]),
                         r, grid)
 
@@ -255,36 +243,34 @@ def smooth_inertia(D, grid):
 def _inertia(vals, ts):
     """([W], p) of `smooth_inertia` for the samples vals at the times ts."""
     n = vals.shape[-1]
-
-    def decompose(Dv, ts):
-        scale = np.linalg.norm(Dv, axis=(-2, -1))
-        asym = _first(np.linalg.norm(Dv - _bT(Dv), axis=(-2, -1)) > 1e-12 * scale,
-                      lambda k: StructureError(f"matrix is not symmetric at t={ts[k]}"))
-        lam, vec = np.linalg.eigh(0.5 * (Dv + _bT(Dv)))
-        mag = np.abs(lam)
-        flat = _first(mag.min(axis=1) <= 1e-12 * mag.max(axis=1),
-                      lambda k: ConditioningError(
-                          f"eigenvalue too close to zero at t={ts[k]}; inertia is ill-posed"))
-        p = np.sum(lam > 0, axis=1)
-        # eigh sorts ascending: negatives first; reorder positives first
-        # (ascending) and negatives after (descending), and scale so the
-        # congruence lands exactly on diag(I_p, -I_q); the residual gauge
-        # group of each sign block is orthogonal, so the block alignment
-        # preserves W^T D W exactly
-        j = np.arange(n)
-        order = np.where(j < p[:, None], (n - p)[:, None] + j, n - 1 - j)
-        # a zero eigenvalue divides by zero only at points `flat` reports
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = (np.take_along_axis(vec, order[:, None, :], axis=2)
-                 / np.sqrt(np.take_along_axis(mag, order, axis=1))[:, None, :])
-        return [W], p, _earliest(asym, flat)
+    scale = np.linalg.norm(vals, axis=(-2, -1))
+    asym = _first(np.linalg.norm(vals - _bT(vals), axis=(-2, -1)) > 1e-12 * scale,
+                  lambda k: StructureError(f"matrix is not symmetric at t={ts[k]}"))
+    lam, vec = np.linalg.eigh(0.5 * (vals + _bT(vals)))
+    mag = np.abs(lam)
+    flat = _first(mag.min(axis=1) <= 1e-12 * mag.max(axis=1),
+                  lambda k: ConditioningError(
+                      f"eigenvalue too close to zero at t={ts[k]}; inertia is ill-posed"))
+    p = np.sum(lam > 0, axis=1)
+    # eigh sorts ascending: negatives first; reorder positives first
+    # (ascending) and negatives after (descending), and scale so the
+    # congruence lands exactly on diag(I_p, -I_q); the residual gauge
+    # group of each sign block is orthogonal, so the block alignment
+    # preserves W^T D W exactly
+    j = np.arange(n)
+    order = np.where(j < p[:, None], (n - p)[:, None] + j, n - 1 - j)
+    # a zero eigenvalue divides by zero only at points `flat` reports
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = (np.take_along_axis(vec, order[:, None, :], axis=2)
+             / np.sqrt(np.take_along_axis(mag, order, axis=1))[:, None, :])
+    del vec
 
     def changed(p, pk, t_prev, t):
         return InertiaChangeError(
             f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
         )
 
-    return _aligned(vals, ts, decompose, changed)
+    return _aligned([W], p, _earliest(asym, flat), ts, changed)
 
 
 def max_jump(values):

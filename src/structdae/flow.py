@@ -171,7 +171,7 @@ def dissipation_monitor(model, traj, u=None):
 
 
 def simulate_phdae(model, u, x0, grid):
-    """Trajectory of  E xdot = (J - R - E K) x + G u  from a consistent x0.
+    """Trajectory of  E xdot = (J - R - E K) x + (G - P) u  from a consistent x0.
 
     One kernel elimination (``index1_reduce``) for every model: index 1, or
     index 2 with a constant kernel split and no dissipation on the
@@ -181,7 +181,7 @@ def simulate_phdae(model, u, x0, grid):
     Hamiltonian sequence.
     """
     pair = model.pair()
-    f = mf.mf_matmul(model.G, u) if u is not None else mf.zero(model.n, 1)
+    f = mf.mf_matmul(model.input_map(), u) if u is not None else mf.zero(model.n, 1)
     red = index1_reduce(pair, f, grid)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n:

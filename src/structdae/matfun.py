@@ -405,13 +405,12 @@ def identity(n):
     return ConstantMatrixFunction(np.eye(n))
 
 
-def sample(fun, grid, with_derivatives=False):
-    """Resample ``fun`` on ``grid``; exact at the grid points by construction."""
+def sample(fun, grid):
+    """Resample ``fun`` and its derivative on ``grid``; exact at the grid
+    points by construction."""
     if isinstance(fun, SampledMatrixFunction) and not grid.within(fun.grid):
         raise DomainError("sampling grid extends beyond the source interval")
-    values = fun.eval_on(grid)
-    deriv = fun.derivative_on(grid) if with_derivatives else None
-    return SampledMatrixFunction(grid, values, deriv_values=deriv)
+    return SampledMatrixFunction(grid, fun.eval_on(grid), deriv_values=fun.derivative_on(grid))
 
 
 def from_callable(fn, grid, dfn=None):

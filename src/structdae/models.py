@@ -87,6 +87,10 @@ class PHDAEModel:
     def pair(self):
         return mf.MatrixPair(self.E, self.coefficient(), self.interval)
 
+    def input_map(self):
+        """G - P, the coefficient of u in the DAE."""
+        return mf.mf_sub(self.G, self.P)
+
     def dissipation_matrix(self, t):
         R = self.R.eval(t)
         P = self.P.eval(t)

@@ -38,9 +38,9 @@ COND_LIMIT = 1e12
 
 
 def _require_regular(F, grid, what="algebraic block"):
-    """RegularityError at the first grid time where F's condition number
-    exceeds COND_LIMIT."""
-    st._require_nonsingular(
+    """F^-1, or RegularityError at the first grid time where F's condition
+    number exceeds COND_LIMIT."""
+    return st._require_nonsingular(
         F, grid.points, 1.0 / COND_LIMIT, RegularityError,
         f"{what} is numerically singular; the system is not regular "
         "(or has higher index) on this grid",
@@ -205,11 +205,13 @@ def _eliminate(pair, f, grid, strict=False):
     eigmin = lam.min(initial=0.0)
     if eigmin < -1e-12 * e_scale:
         raise StructureError(f"E is not positive semidefinite (min eig {eigmin:.3e})")
-    Q = _sampled(grid, Qv)  # a constant when every aligned sample is equal
-    Qv, Qd = _samples(Q, grid), _samples(Q, grid, True)
-    del Q  # with its spline caches, before the congruence below
-    # a constant split (exactly zero Qdot) lets A's derivative pass through
-    Qd = None if _maxnorm(Qd) == 0.0 else Qd
+    # a constant split (every aligned sample equal) is one sample with
+    # Qdot = 0, which lets A's derivative pass through; a moving one takes
+    # the node slopes of its not-a-knot spline
+    if st._bitwise_equal(Qv):
+        Qv, Qd = Qv[:1], None
+    else:
+        Qd = mf._not_a_knot_slopes(grid.points, Qv)
     A1 = st._congruence_arrays(Ev[:1], None, Av[:1], Qv[:1], None if Qd is None else Qd[:1])[2][0]
 
     # split the kernel block into its nonsingular part and the constraint rows
@@ -278,12 +280,10 @@ def _eliminate(pair, f, grid, strict=False):
 
     # eta from the constraint rows, which read no xi: C2 eta = -f4; C2^T has
     # the same singular values, so one guard covers the chain solve too
-    _require_regular(C2, grid, "constraint block")
-    eta = -np.linalg.solve(C2, np.pad(P[:, i4], ((0, 0), (0, 0), (dxi, 0))))
+    C2inv = _require_regular(C2, grid, "constraint block")
+    eta = -C2inv @ np.pad(P[:, i4], ((0, 0), (0, 0), (dxi, 0)))
     # w3 from the nonsingular block
-    A33 = A2[:, i3, i3]
-    _require_regular(A33, grid)
-    w3 = -np.linalg.solve(A33, A2[:, i3, ih] @ eta + own(i3))
+    w3 = -_require_regular(A2[:, i3, i3], grid) @ (A2[:, i3, ih] @ eta + own(i3))
     # the dynamic rows before scaling: Sb xidot = [Ceff | g_f] (xi, f)
     dyn = A2[:, ix, ih] @ eta + A2[:, ix, i3] @ w3 + own(ix)
 
@@ -312,7 +312,7 @@ def _eliminate(pair, f, grid, strict=False):
         # through Qall, and C2 etadot = -f4dot - C2dot eta gives etadot,
         # whose f4dot weight is eta's own f weight
         C2d = P[:, i4] @ _samples(pair.A, grid, True) @ Qall[:, :, ih]
-        etad = -np.linalg.solve(C2, C2d @ eta)
+        etad = -C2inv @ (C2d @ eta)
         eta_f = eta[..., dxi:]
         Sxh, Shx, Shh = E2[:, ix, ih], E2[:, ih, ix], E2[:, ih, ih]
         # not in place: dyn is still one sample when only E moves
@@ -320,13 +320,13 @@ def _eliminate(pair, f, grid, strict=False):
         g_fd = -Sxh @ eta_f
         # w4 from the eta-rows, substituting xidot through the dynamic
         # equation; fdot columns exist from here on only
-        _require_regular(Sb, grid, "dynamic E block")
-        xdot = np.linalg.solve(Sb, np.concatenate([dyn, g_fd], axis=2))
-        w4 = np.linalg.solve(_bT(C2), np.concatenate([
+        xdot = _require_regular(Sb, grid, "dynamic E block") @ np.concatenate(
+            [dyn, g_fd], axis=2)
+        w4 = _bT(C2inv) @ np.concatenate([
             A2[:, ih, ih] @ eta + A2[:, ih, i3] @ w3 + own(ih)
             - Shx @ xdot[..., :cols] - Shh @ etad,
             -Shx @ xdot[..., cols:] - Shh @ eta_f,
-        ], axis=2))
+        ], axis=2)
         Z[:, i4] = w4[..., :cols]
         Zfd = np.zeros((K, n, n))
         Zfd[:, i4] = w4[..., cols:]

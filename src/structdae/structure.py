@@ -18,7 +18,6 @@ import numpy as np
 
 from . import matfun as mf
 from .errors import (
-    ConstructionError,
     DimensionError,
     ParameterError,
     SingularityError,
@@ -53,31 +52,30 @@ class StructureTag:
 
 @dataclass(frozen=True)
 class CongruenceTransform:
-    """Pointwise nonsingular Q together with a consistent derivative Qdot."""
+    """Pointwise nonsingular Q; its derivative Qdot is Q's own."""
 
     Q: mf.MatrixFunction
-    Qdot: mf.MatrixFunction
 
     def __post_init__(self):
-        if self.Q.shape != self.Qdot.shape:
-            raise DimensionError("Q and Qdot must have the same shape")
         if self.Q.rows != self.Q.cols:
             raise DimensionError("congruence transform must be square")
-        if _constant(self.Q) is not None and _nonzero(self.Qdot):
-            raise ConstructionError("Qdot of a constant Q must be zero")
 
     @property
     def n(self):
         return self.Q.rows
 
+    @property
+    def Qdot(self):
+        return mf.mf_derivative_function(self.Q)
+
     @classmethod
     def from_function(cls, Q):
-        """Derive Qdot analytically (constant and polynomial kinds stay exact)."""
-        return cls(Q, mf.mf_derivative_function(Q))
+        """The transform of Q, the same as ``CongruenceTransform(Q)``."""
+        return cls(Q)
 
     @classmethod
     def identity(cls, n):
-        return cls(mf.identity(n), mf.zero(n, n))
+        return cls(mf.identity(n))
 
 
 def _bT(x):
@@ -181,14 +179,6 @@ def _constant(F):
     return None
 
 
-def _nonzero(F):
-    """Whether the data that define F, a polynomial's coefficients or a
-    sampled function's samples and derivative samples, hold a nonzero."""
-    if isinstance(F, mf.PolynomialMatrixFunction):
-        return bool(np.any(F.coeffs))
-    return bool(np.any(F.values)) or F.deriv_values is not None and bool(np.any(F.deriv_values))
-
-
 def _samples(F, grid, derivative=False):
     """Grid samples (K, rows, cols) of F or of its derivative.  A constant
     (`_constant`) is one sample, a (1, rows, cols) copy of its value (zeros
@@ -200,13 +190,18 @@ def _samples(F, grid, derivative=False):
     return F.derivative_on(grid) if derivative else F.eval_on(grid)
 
 
+def _bitwise_equal(vals):
+    """Whether every sample of vals (K, ., .) is bitwise equal to the first."""
+    bits = np.ascontiguousarray(vals).reshape(len(vals), -1).view(np.uint64)
+    return bool(np.all(bits == bits[0]))
+
+
 def _sampled(grid, vals, derivs=None):
     """Function of the samples vals (K or 1, ., .) and derivative samples
     derivs, if given: a constant when every sample is bitwise equal to the
     first and every derivative sample is zero, else the cubic through the
     samples, Hermite with derivs (non-finite samples raise either way)."""
-    bits = np.ascontiguousarray(vals).reshape(len(vals), -1).view(np.uint64)
-    if np.all(bits == bits[0]) and (derivs is None or not np.any(derivs)):
+    if _bitwise_equal(vals) and (derivs is None or not np.any(derivs)):
         return mf.ConstantMatrixFunction(vals[0])
     return mf.SampledMatrixFunction(grid, vals, deriv_values=derivs)
 
@@ -353,12 +348,11 @@ def apply_congruence(pair, transform, check_grid=None):
 
 
 def compose(t1, t2):
-    """Transform applying t1 first, then t2: Q = Q1 Q2 (product rule for Qdot)."""
+    """Transform applying t1 first, then t2: Q = Q1 Q2, whose derivative is the
+    product rule's."""
     if t1.n != t2.n:
         raise DimensionError("cannot compose transforms of different sizes")
-    Q = mf.mf_matmul(t1.Q, t2.Q)
-    Qdot = mf.mf_add(mf.mf_matmul(t1.Qdot, t2.Q), mf.mf_matmul(t1.Q, t2.Qdot))
-    return CongruenceTransform(Q, Qdot)
+    return CongruenceTransform(mf.mf_matmul(t1.Q, t2.Q))
 
 
 def invert(transform, grid):
@@ -368,7 +362,7 @@ def invert(transform, grid):
     inv = _require_nonsingular(Qv, grid.points, 1e-12, SingularityError,
                                "Q is numerically singular")
     dinv = -inv @ Qd @ inv
-    return CongruenceTransform(_sampled(grid, inv, dinv), _sampled(grid, dinv))
+    return CongruenceTransform(_sampled(grid, inv, dinv))
 
 
 def remark1_convert(pair):

@@ -156,6 +156,20 @@ def overflowing_poly_pair():
     return sd.apply_congruence(pair, sd.CongruenceTransform.from_function(Q))
 
 
+def feedthrough_circuits(interval):
+    """The lossy demo circuit with feedthrough P = 0.5 e_4; the same circuit
+    with G - P in place of G and P = 0, which must move alike; and the
+    circuit without P."""
+    import dataclasses
+
+    import structdae as sd
+
+    m = sd.build_circuit(1.0, 1.5, 0.7, RL=0.3, RG=0.2, RR=0.5, interval=interval)
+    P = sd.constant(0.5 * np.eye(5)[:, 3:4])
+    return (dataclasses.replace(m, P=P),
+            dataclasses.replace(m, G=sd.mf_sub(m.G, P), P=sd.zero(5, 1)), m)
+
+
 def seeded_semidefinite_skew_pair(seed, interval, index2=False):
     """Seeded skew-adjoint pair with singular psd E (plus inhomogeneity)."""
     import structdae as sd

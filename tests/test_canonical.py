@@ -43,7 +43,7 @@ def test_solution_basis_rotation_pair():
     assert basis.d == 2
     Ev, Av = np.eye(2), J2
     res = max(
-        np.linalg.norm(Ev @ basis.Phidot.eval(t) - Av @ basis.Phi.eval(t))
+        np.linalg.norm(Ev @ basis.Phi.derivative(t) - Av @ basis.Phi.eval(t))
         for t in GRID.points[::20]
     )
     assert res <= 1e-10
@@ -54,7 +54,7 @@ def test_solution_basis_constants_pair():
     basis = sd.solution_basis_constant(pair, GRID)
     assert basis.d == 2
     # constants solve the system: Phidot must vanish
-    assert np.linalg.norm(basis.Phidot.eval(0.5)) <= 1e-12
+    assert np.linalg.norm(basis.Phi.derivative(0.5)) <= 1e-12
 
 
 @pytest.mark.parametrize("build, verify, A", [
@@ -308,7 +308,7 @@ def test_global_skew_multibody_corollary():
 def test_global_self_parity_error():
     pair = sd.MatrixPair(sd.constant(J2), sd.zero(2, 2), GRID)
     phi = sd.from_callable(lambda t: [[1.0], [0.0]], GRID, dfn=lambda t: [[0.0], [0.0]])
-    odd = sd.SolutionBasis(phi, sd.mf_derivative_function(phi), 1)
+    odd = sd.SolutionBasis(phi, 1)
     with pytest.raises(ParityError):
         sd.global_canonical_self(pair, odd, GRID)
 
@@ -319,7 +319,7 @@ def test_global_skew_basis_deficiency():
     phi = sd.from_callable(
         lambda t: [[2 ** -0.5], [2 ** -0.5]], GRID, dfn=lambda t: [[0.0], [0.0]]
     )
-    bad = sd.SolutionBasis(phi, sd.mf_derivative_function(phi), 1)
+    bad = sd.SolutionBasis(phi, 1)
     with pytest.raises(BasisDeficiencyError):
         sd.global_canonical_skew(pair, bad, GRID)
 
@@ -338,7 +338,7 @@ def test_global_skew_incomplete_basis_fails_staged_checks():
         lambda t: [[np.cos(t)], [-np.sin(t)]], GRID,
         dfn=lambda t: [[-np.sin(t)], [-np.cos(t)]],
     )
-    bad = sd.SolutionBasis(phi, sd.mf_derivative_function(phi), 1)
+    bad = sd.SolutionBasis(phi, 1)
     with pytest.raises((StageError, BasisDeficiencyError)):
         sd.global_canonical_skew(pair, bad, GRID)
 
@@ -357,14 +357,13 @@ def _transformed_multibody(which, seed):
     pair1 = sd.apply_congruence(pair0, T)
     Tinv = sd.invert(T, GRID)
     phiv = basis0.Phi.eval_on(GRID)
-    phid = basis0.Phidot.eval_on(GRID)
+    phid = basis0.Phi.derivative_on(GRID)
     Qi = Tinv.Q.eval_on(GRID)
     Qid = Tinv.Qdot.eval_on(GRID)
     phi1 = Qi @ phiv
     phi1d = Qid @ phiv + Qi @ phid
     Phi1 = sd.SampledMatrixFunction(GRID, phi1, deriv_values=phi1d)
-    Phi1dot = sd.SampledMatrixFunction(GRID, phi1d)
-    return pair1, sd.SolutionBasis(Phi1, Phi1dot, basis0.d, complement=None)
+    return pair1, sd.SolutionBasis(Phi1, basis0.d, complement=None)
 
 
 def test_global_self_optimal_control_pair():
@@ -419,7 +418,7 @@ def test_empty_basis_without_a_complement_is_completed():
     # a pair with no dynamics: the stage completes the empty Phi by a full
     # orthonormal frame, and its rank guard passes the empty block
     grid = sd.TimeGrid.uniform(0.0, 1.0, 5)
-    empty = sd.SolutionBasis(sd.zero(2, 0), sd.zero(2, 0), 0)
+    empty = sd.SolutionBasis(sd.zero(2, 0), 0)
     pair = sd.MatrixPair(sd.zero(2, 2), sd.constant(J2), grid)
     form = sd.global_canonical_skew(pair, empty, grid)
     assert (form.p, form.q, form.algebraic_dim) == (0, 0, 2)
@@ -574,7 +573,7 @@ def test_e11_rank_near_the_threshold_is_ill_posed(delta, ill):
     E[:2, :2], E[2:, 2:] = J2, delta * J2
     selfp = sd.MatrixPair(sd.constant(E), sd.zero(4, 4), GRID)
     for build, pair in ((sd.global_canonical_skew, skew), (sd.global_canonical_self, selfp)):
-        basis = sd.SolutionBasis(sd.identity(pair.n), sd.zero(pair.n, pair.n), pair.n)
+        basis = sd.SolutionBasis(sd.identity(pair.n), pair.n)
         if ill:
             with pytest.raises(IllPosedRankError):
                 build(pair, basis, GRID)
@@ -644,7 +643,7 @@ def test_row_rank_loss_names_its_time():
     A[0, 2], A[2, 2] = -1.0, 1.0
     pair = sd.MatrixPair(sd.poly(Ec), sd.constant(A), grid)
     eye = np.eye(3)
-    basis = sd.SolutionBasis(sd.constant(eye[:, :2]), sd.zero(3, 2), 2,
+    basis = sd.SolutionBasis(sd.constant(eye[:, :2]), 2,
                              complement=sd.constant(eye[:, 2:]))
     with pytest.raises(StageError, match=r"\[E12 E13\] loses row rank at t=0.5") as err:
         sd.global_canonical_self(pair, basis, grid)
@@ -655,8 +654,10 @@ def test_row_rank_loss_names_its_time():
 def test_basis_with_a_wrong_derivative_is_a_basis_deficiency():
     pair = _limit_multibody().skew_pair
     basis = sd.solution_basis_constant(pair, GRID41)
-    wrong = sd.SolutionBasis(basis.Phi, sd.mf_scale(basis.Phidot, 2.0), basis.d,
-                             complement=basis.complement)
+    phi = basis.Phi
+    wrong = sd.SolutionBasis(
+        sd.SampledMatrixFunction(GRID41, phi.values, deriv_values=2.0 * phi.deriv_values),
+        basis.d, complement=basis.complement)
     with pytest.raises(BasisDeficiencyError, match="Phi does not solve the homogeneous DAE") as err:
         sd.global_canonical_skew(pair, wrong, GRID41)
     assert _residual(err.value) == pytest.approx(2.974, rel=0.1)

@@ -107,6 +107,24 @@ def test_simulate_flow_column_empty_without_certificate(tmp_path, monkeypatch):
     assert all(line.endswith(",") for line in lines[1:])
 
 
+def test_simulate_feeds_the_input_through_g_minus_p(tmp_path):
+    # a model with P != 0 simulates exactly as the same model with G - P in
+    # place of G and P = 0, and not as the model without P
+    import structdae as sd
+    from structdae.cli import phdae_to_json
+    from oracles import feedthrough_circuits
+
+    data = []
+    for k, m in enumerate(feedthrough_circuits(sd.TimeGrid.uniform(0.0, 10.0, 2))):
+        model, out = tmp_path / f"m{k}.json", tmp_path / f"traj{k}.csv"
+        model.write_text(json.dumps(phdae_to_json(m)))
+        assert run(["simulate", "--model", str(model), "--x0", "1,0,0,0,0", "--steps", "400",
+                    "--input", "sin", "--out", str(out)]) == 0
+        data.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    assert np.array_equal(data[0], data[1])
+    assert not np.array_equal(data[0], data[2])
+
+
 def test_canonical_cli_multibody(tmp_path, capsys):
     model = tmp_path / "mb.json"
     run(["demo", "multibody", "--form", "skew", "--out", str(model)])
@@ -148,9 +166,11 @@ def test_canonical_cli_emit_transform_roundtrip(tmp_path, capsys):
     out = json.loads(dest.read_text())
     Q = sd.matrix_function_from_json(out["transform"]["Q"])
     Qdot = sd.matrix_function_from_json(out["transform"]["Qdot"])
-    # applying the emitted transform reproduces the canonical leading block
+    # the emitted Qdot is Q's own derivative, and applying the emitted
+    # transform reproduces the canonical leading block
+    assert np.array_equal(Qdot.eval_on(Q.grid), Q.derivative_on(Q.grid))
     pair = sd.pair_from_json(json.loads(model.read_text()))
-    moved = sd.apply_congruence(pair, sd.CongruenceTransform(Q, Qdot))
+    moved = sd.apply_congruence(pair, sd.CongruenceTransform(Q))
     J_lead = np.array([[0.0, 1.0], [-1.0, 0.0]])
     E_lead = moved.E.eval(0.5)[:2, :2]
     assert np.linalg.norm(E_lead - J_lead) <= 1e-8

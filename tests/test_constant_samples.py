@@ -61,8 +61,7 @@ def test_one_sample_and_equal_samples_reduce_alike(case):
     # mixed path, and both sides take the same constant kernel split
     build, reduce = CASES[case]
     pair, f = build()
-    sampled = sd.MatrixPair(pair.E, sd.sample(pair.A, GRID, with_derivatives=True),
-                            pair.interval)
+    sampled = sd.MatrixPair(pair.E, sd.sample(pair.A, GRID), pair.interval)
     one, equal = reduce(pair, f, GRID), reduce(sampled, f, GRID)
     kinds, values = _reduced_data(one)
     assert kinds == _reduced_data(equal)[0]
@@ -82,7 +81,7 @@ def test_moving_e_with_a_constant_split_and_one_sample_a():
     E = sd.poly([pair.E.value, np.diag([0.5, 0.0, 0.0, 0.0, 0.0])])
     f = _sine(w, grid)
     one = sd.index1_reduce(sd.MatrixPair(E, pair.A, grid), f, grid)
-    A = sd.sample(pair.A, grid, with_derivatives=True)
+    A = sd.sample(pair.A, grid)
     equal = sd.index1_reduce(sd.MatrixPair(E, A, grid), f, grid)
     assert one.dynamic_dim == equal.dynamic_dim == 1
     for F, G in ((one.m_fun, equal.m_fun), (one.rx, equal.rx), (one.rf, equal.rf),
@@ -116,7 +115,7 @@ def _classified(pair, f, grid):
 
 def _basis(pair, f, grid):
     b = sd.solution_basis_constant(pair, grid)
-    return b.d, _bits(b.Phi, b.Phidot, b.complement)
+    return b.d, _bits(b.Phi, sd.mf_derivative_function(b.Phi), b.complement)
 
 
 def _form_bits(form):
@@ -240,7 +239,8 @@ def test_a_bitwise_constant_form_block_is_a_constant():
     pair = sd.MatrixPair(sd.zero(2, 2), sd.constant(J2), GRID)
     basis = sd.solution_basis_constant(pair, GRID)
     assert basis.d == 0
-    assert _kinds(basis.Phi, basis.Phidot) == [sd.ConstantMatrixFunction] * 2
+    assert (_kinds(basis.Phi, sd.mf_derivative_function(basis.Phi))
+            == [sd.ConstantMatrixFunction] * 2)
     assert basis.Phi.shape == (2, 0)
     form = sd.global_canonical_skew(pair, basis, GRID)
     funs = (form.E33, form.A33, form.Q.Q, form.Q.Qdot, form.pair_transformed.E,

@@ -7,6 +7,7 @@ from structdae.errors import DimensionError, ParameterError, SingularityError, U
 from structdae.reduce import FlowCertificate
 
 from oracles import (
+    feedthrough_circuits,
     random_poly_congruence,
     rotation,
     seeded_semidefinite_skew_pair,
@@ -189,6 +190,16 @@ def test_simulate_phdae_certifies_a_lossless_index1_model():
     assert sd.certify_flow(red.m_fun, grid, red.certificate).max_defect <= 1e-12
     H = traj.hamiltonian
     assert np.abs(H - H[0]).max() <= 1e-10 * H[0]
+
+
+def test_simulate_phdae_feeds_the_input_through_g_minus_p():
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 401)
+    with_p, folded, without_p = feedthrough_circuits(grid)
+    u = sd.from_callable(lambda t: [[np.sin(t)]], grid, dfn=lambda t: [[np.cos(t)]])
+    x0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    states = [sd.simulate_phdae(m, u, x0, grid)[0].states for m in (with_p, folded, without_p)]
+    assert np.array_equal(states[0], states[1])
+    assert np.abs(states[0] - states[2]).max() > 1e-3
 
 
 @pytest.mark.parametrize("resistors", [{"RL": 0.3}, {"RL": 0.3, "RR": 0.5}], ids=["RL", "RL-RR"])

@@ -133,8 +133,7 @@ OPERANDS = {
     "constant": lambda: sd.constant(_C[0]),
     "degree 0": lambda: sd.poly([_C[1]]),
     "degree 1": lambda: sd.poly([_C[2], _C[3]]),
-    "sampled": lambda: sd.sample(sd.poly([_C[4], _C[5], _C[0]]), KIND_GRID,
-                                 with_derivatives=True),
+    "sampled": lambda: sd.sample(sd.poly([_C[4], _C[5], _C[0]]), KIND_GRID),
 }
 
 

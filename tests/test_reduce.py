@@ -447,7 +447,7 @@ def test_constant_nondiagonal_e_matches_its_eigenbasis_reduction():
     grid = sd.TimeGrid.uniform(0.0, 2.0, 201)
     pair, w = seeded_semidefinite_skew_pair(3, grid)
     _, V = np.linalg.eigh(pair.E.value)
-    rotated = sd.apply_congruence(pair, sd.CongruenceTransform(sd.constant(V), sd.zero(6, 6)))
+    rotated = sd.apply_congruence(pair, sd.CongruenceTransform(sd.constant(V)))
     f = sd.from_callable(lambda t: w[:, None] * np.sin(t), grid,
                          dfn=lambda t: w[:, None] * np.cos(t))
     x0 = np.linspace(1.0, 2.0, 6)
@@ -485,7 +485,7 @@ def test_index2_pairs_in_non_diagonal_coordinates():
     for seed in range(40):
         pair0, _ = seeded_semidefinite_skew_pair(seed, grid, index2=True)
         Q = np.eye(5) + 0.3 * np.random.default_rng(100 + seed).standard_normal((5, 5))
-        pair = sd.apply_congruence(pair0, sd.CongruenceTransform(sd.constant(Q), sd.zero(5, 5)))
+        pair = sd.apply_congruence(pair0, sd.CongruenceTransform(sd.constant(Q)))
         for reduce in (sd.index1_reduce, sd.semidefinite_skew_reduce):
             red = reduce(pair, sd.zero(5, 1), grid)
             assert red.dynamic_dim == 1, (seed, reduce.__name__)

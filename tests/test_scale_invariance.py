@@ -118,7 +118,7 @@ def test_skew_form_with_a_large_a():
 
 def test_self_form_of_a_small_symplectic_pair():
     pair = sd.MatrixPair(sd.constant(5e-8 * J2), sd.zero(2, 2), GRID201)
-    basis = sd.SolutionBasis(sd.identity(2), sd.zero(2, 2), 2)
+    basis = sd.SolutionBasis(sd.identity(2), 2)
     form = sd.global_canonical_self(pair, basis, GRID201)
     assert form.p == 1
     assert sd.verify_self_global_form(form, GRID201).passes()

@@ -1,10 +1,12 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 import structdae as sd
 from structdae.errors import (
     BasisDeficiencyError,
-    ConstructionError,
     RegularityError,
     SingularityError,
     StructureError,
@@ -109,14 +111,15 @@ def test_apply_congruence_singular_q_names_time():
     assert err.value.t == pytest.approx(0.5, abs=1e-12)
 
 
-def test_constant_transform_needs_a_zero_qdot():
-    with pytest.raises(ConstructionError, match="Qdot of a constant Q"):
-        sd.CongruenceTransform(sd.identity(2), sd.poly([np.zeros((2, 2)), np.eye(2)]))
-    with pytest.raises(ConstructionError, match="Qdot of a constant Q"):
-        sd.CongruenceTransform(sd.identity(2), sd.from_callable(lambda t: t * np.eye(2), GRID))
-    # a zero Qdot passes in any kind
-    sd.CongruenceTransform(sd.identity(2), sd.from_callable(lambda t: np.zeros((2, 2)), GRID))
-    sd.CongruenceTransform(sd.identity(2), sd.poly([np.zeros((2, 2)), np.zeros((2, 2))]))
+def test_a_transform_and_a_basis_carry_one_function_each():
+    # Qdot and Phidot are the functions' own derivatives, never a second
+    # function that could disagree, and sampling always keeps the derivative
+    assert [f.name for f in dataclasses.fields(sd.CongruenceTransform)] == ["Q"]
+    assert [f.name for f in dataclasses.fields(sd.SolutionBasis)] == ["Phi", "d", "complement"]
+    assert "with_derivatives" not in inspect.signature(sd.sample).parameters
+    Q = sd.poly([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    assert np.array_equal(sd.CongruenceTransform(Q).Qdot.eval(0.3), Q.derivative(0.3))
+    assert not sd.CongruenceTransform.identity(2).Qdot.value.any()
 
 
 def test_compose_product_rule_and_transitivity():
@@ -256,7 +259,7 @@ def _basis_rank_loss(grid):
     # Phi = (a, 0) without a complement: its completion and its rank guard
     # come from one decomposition of Phi^T
     phi = sd.PolynomialMatrixFunction.from_entries([[_A_OF_T], [[0.0]]])
-    basis = sd.SolutionBasis(phi, sd.mf_derivative_function(phi), 1)
+    basis = sd.SolutionBasis(phi, 1)
     pair = sd.MatrixPair(sd.identity(2), sd.zero(2, 2), grid)
     sd.global_canonical_skew(pair, basis, grid)
 
