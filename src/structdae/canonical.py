@@ -70,9 +70,9 @@ class SolutionBasis:
     """Basis Phi of the homogeneous solution space; its derivative is Phi's own.
 
     ``complement`` optionally holds a pointwise orthonormal basis of the
-    orthogonal complement of range(Phi); without one the canonical-form
-    pipelines take the kernel frame of Phi^T, differentiated through Phi's
-    derivative.
+    orthogonal complement of range(Phi), which the canonical-form pipelines
+    check at every grid node; without one they take the kernel frame of
+    Phi^T, differentiated through Phi's derivative.
     """
 
     Phi: mf.MatrixFunction
@@ -306,18 +306,36 @@ class _Pipeline:
 
 def _basis_congruence(pipe, basis):
     """Congruence by [Phi | complement]; without one, the kernel columns of
-    `_row_frame` of Phi^T, whose one SVD also gives the rank guard."""
-    grid = pipe.grid
+    `_row_frame` of Phi^T, whose one SVD also gives the rank guard.  A given
+    complement C must keep its contract at every node: C^T Phi = 0 and
+    C^T C = I, both to 1e-8 (the first relative to |Phi|)."""
+    grid, ts = pipe.grid, pipe.grid.points
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
     phid = basis.Phi.derivative_on(grid)
+
+    def guard(rel):
+        st._require_margin(rel, ts, RANK_FLOOR, BasisDeficiencyError, "Phi loses rank")
+
     if basis.complement is None:
-        V, Vd, rel = _row_frame(_bT(phiv), _bT(phid))
+        V, Vd = _row_frame(_bT(phiv), _bT(phid), ts, guard)
         compv, compd = V[..., d:], Vd[..., d:]
     else:
-        rel = st._rel_smin(phiv)
+        guard(st._rel_smin(phiv))
         compv, compd = basis.complement.eval_on(grid), basis.complement.derivative_on(grid)
-    st._require_margin(rel, grid.points, RANK_FLOOR, BasisDeficiencyError, "Phi loses rank")
+        cT = _bT(compv)
+        cross = np.linalg.norm(cT @ phiv, axis=(1, 2)) / np.maximum(
+            np.linalg.norm(phiv, axis=(1, 2)), 1e-300)
+        ortho = np.linalg.norm(cT @ compv - np.eye(compv.shape[2]), axis=(1, 2))
+        bad = np.flatnonzero(~((cross <= 1e-8) & (ortho <= 1e-8)))
+        if bad.size:
+            t = float(ts[bad[0]])
+            raise BasisDeficiencyError(
+                f"the complement is not an orthonormal basis of range(Phi)^perp at "
+                f"t={t} (|C^T Phi| / |Phi| = {cross[bad[0]]:.3e}, "
+                f"|C^T C - I| = {ortho[bad[0]]:.3e})",
+                t=t,
+            )
     resid = _maxnorm(pipe.Ev @ phid - pipe.Av @ phiv)
     if resid > 1e-8 * pipe.norm:
         raise BasisDeficiencyError(
@@ -408,9 +426,11 @@ def global_canonical_self(pair, basis, grid):
         pipe.apply("skew pairing", slice(d), slice(d), Ub)
 
         # normalize [E12 E13] V = [I_p 0]
-        V, Vd, rel = _row_frame(pipe.Ev[:, :p, p:], pipe.Ed[:, :p, p:])
-        st._require_margin(rel, grid.points, RANK_FLOOR, StageError,
-                           "[E12 E13] loses row rank", stage="row normalization")
+        def guard(rel):
+            st._require_margin(rel, grid.points, RANK_FLOOR, StageError,
+                               "[E12 E13] loses row rank", stage="row normalization")
+
+        V, Vd = _row_frame(pipe.Ev[:, :p, p:], pipe.Ed[:, :p, p:], grid.points, guard)
         pipe.apply("row normalization", slice(p, n), slice(p, n), V, Vd)
         pipe.require(
             "normalized leading row",

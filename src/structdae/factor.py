@@ -6,11 +6,17 @@ errors come in the order of a sweep along t.  The pointwise factors are
 glued into continuous families by one polar chain per invariant block:
 G_0 = I, G_k = polar(B_k^T B_{k-1}) G_{k-1}, aligned block B_k G_k.  Since
 polar(X G) = polar(X) G for orthogonal G, this is the orthogonal Procrustes
-rotation of every point's block onto its aligned predecessor.  The gauge
-freedom inside a block (range space, kernel, positive/negative eigenspace)
-is exactly an orthogonal group, so the alignment never violates the defining
-block relations; it only removes arbitrary per-point rotations.  A constant
-is one sample (`structure._samples`), decomposed once by the same path.
+rotation of every point's block onto its aligned predecessor.  The chain
+takes orthonormal frames: their overlaps have singular values in [0, 1],
+where the matmul-only Newton-Schulz iteration finds the polar factor, and a
+frame that turns so far between neighbours that the iteration does not
+converge (a principal angle of about 60 degrees or more, or a singular
+overlap) raises `ConditioningError`: the grid does not resolve the turn.
+The gauge freedom inside a block (range space, kernel, positive/negative
+eigenspace) is exactly an orthogonal group, so the alignment never violates
+the defining block relations; it only removes arbitrary per-point
+rotations.  A constant is one sample (`structure._samples`), decomposed
+once by the same path.
 """
 
 from __future__ import annotations
@@ -64,23 +70,63 @@ class InertiaSplit:
     grid: mf.TimeGrid
 
 
+# Newton-Schulz steps: enough to carry a singular value of 1/2 (neighbouring
+# frames 60 degrees apart) to 1 at roundoff, 0.5 -> 0.69 -> 0.87 -> 0.975 ...
+_POLAR_STEPS = 7
+
+
 def _polar(X):
-    """Orthogonal polar factors U V^T of X = U S V^T, one (w, w) matrix or a
-    stack of them, from one stacked SVD."""
-    u, _, vt = np.linalg.svd(X)
-    return u @ vt
+    """(Y, unconverged): the orthogonal polar factors of the stack X (K, w, w)
+    of overlaps of orthonormal frames, whose singular values lie in [0, 1],
+    and the mask of the samples whose factor is not found.
+
+    Newton-Schulz, Y <- Y (3I - Y^T Y) / 2 (Higham, *Functions of Matrices*,
+    ch. 8), over the whole stack: it maps every singular value s in
+    (0, sqrt 3) to s (3 - s^2) / 2, quadratically towards 1, and keeps the
+    singular vectors.  It stops once every sample has ||Y^T Y - I|| at
+    roundoff, or after _POLAR_STEPS steps; a singular value near 0 never
+    gets there."""
+    w = X.shape[-1]
+    # roundoff: a converged Y reads a few eps, whatever its size
+    tol = 4 * w * np.finfo(float).eps
+    Y = X
+    for step in range(_POLAR_STEPS + 1):
+        E = _bT(Y) @ Y
+        diag = np.einsum("kii->ki", E)  # a view: E's diagonals in place
+        diag -= 1.0
+        if max(E.max(), -E.min()) <= tol:
+            return Y, np.zeros(len(E), dtype=bool)
+        if step == _POLAR_STEPS:
+            return Y, ~(np.abs(E).max(axis=(-2, -1)) <= tol)
+        # Y (3I - Y^T Y) / 2 = Y (I - E / 2)
+        E *= -0.5
+        diag += 1.0
+        Y = Y @ E
 
 
-def _chain(B):
-    """Blocks B_k G_k of the stack B (K, m, w) with G_0 = I and
-    G_k = polar(B_k^T B_{k-1}) G_{k-1}: each block Procrustes-aligned to its
-    aligned predecessor."""
+def _chain(B, ts, C=None):
+    """C_k G_k for the orthonormal frames B (K, m, w) at the times ts, with
+    G_0 = I and G_k = polar(B_k^T B_{k-1}) G_{k-1}: by default (C = B) each
+    frame Procrustes-aligned to its aligned predecessor; other columns C
+    (K, ., w) take the same rotations.  An overlap whose polar factor is not
+    found raises `ConditioningError` naming its two times."""
     K, _, w = B.shape
+    C = B if C is None else C
     if w == 0 or K == 1:
-        return B
-    G = np.concatenate([np.eye(w)[None], _polar(_bT(B[1:]) @ B[:-1])])
-    # re-orthogonalize, so the product's roundoff does not drift with K
-    return B @ _polar(_prefix_products(G))
+        return C
+    G, unconverged = _polar(_bT(B[1:]) @ B[:-1])
+    if unconverged.any():
+        k = int(np.flatnonzero(unconverged)[0])
+        raise ConditioningError(
+            f"the grid does not resolve the turn of a frame between t={ts[k]} and "
+            f"t={ts[k + 1]}: the neighbours' overlap is singular or their principal "
+            "angle is about 60 degrees or more; refine the grid",
+            t=float(ts[k + 1]),
+        )
+    # re-orthogonalize, so the product's roundoff does not drift with K; the
+    # products are orthogonal up to that drift, so one or two steps converge
+    R, _ = _polar(_prefix_products(np.concatenate([np.eye(w)[None], G])))
+    return C @ R
 
 
 def _first(bad, error):
@@ -129,7 +175,7 @@ def _rank(s, gap_tol, scale):
     return int(r)
 
 
-def _aligned(factors, ranks, failure, ts, changed):
+def _aligned(factors, ranks, failure, ts, changed, frames=None):
     """Pointwise factorizations glued into continuous families.
 
     factors are the stacked decompositions of (K, ., .) samples at the times
@@ -140,17 +186,21 @@ def _aligned(factors, ranks, failure, ts, changed):
     the first point whose own checks fail (or None).  changed(r, rk, t_prev,
     t) builds the error for a rank that moves between neighbours.  The error
     raised is the one a sweep along t meets first; at one point its own
-    checks come before a rank change.  Returns (factors, r); each block is
-    aligned by its polar chain, which leaves a one-sample block as it is.
+    checks come before a rank change, and both before an unresolved turn of
+    the chain.  Returns (factors, r); each block is rotated by the polar
+    chain of its orthonormal frame, which leaves a one-sample block as it
+    is.  The frames are the factors themselves, or frames (one per factor,
+    orthonormal columns in the same gauge) when the factors are not
+    orthonormal.
     """
     failure = _earliest(failure, _first(ranks != ranks[0], lambda k: changed(
         int(ranks[0]), int(ranks[k]), ts[k - 1], ts[k])))
     if failure:
         raise failure[1]
     r = int(ranks[0])
-    for f in factors:
-        f[..., :r] = _chain(f[..., :r])
-        f[..., r:] = _chain(f[..., r:])
+    for f, g in zip(factors, frames or factors):
+        for b in (slice(None, r), slice(r, None)):
+            f[..., b] = _chain(g[..., b], ts, f[..., b])
     return factors, r
 
 
@@ -235,7 +285,10 @@ def sym_rank_split(E, grid):
 
 
 def smooth_inertia(D, grid):
-    """Congruence W(t) with W^T D W = diag(I_p, -I_q), constant signature."""
+    """Congruence W(t) with W^T D W = diag(I_p, -I_q), constant signature:
+    W = V |Lambda|^-1/2 G from the eigenpairs (Lambda, V) of D, positives
+    first, where each sign block's rotation G_b aligns the orthonormal V_b
+    by the polar chain."""
     (W,), p = _inertia(_samples(D, grid), grid.points)
     return InertiaSplit(_sampled(grid, W), p, D.rows - p, grid)
 
@@ -259,18 +312,20 @@ def _inertia(vals, ts):
     # preserves W^T D W exactly
     j = np.arange(n)
     order = np.where(j < p[:, None], (n - p)[:, None] + j, n - 1 - j)
+    V = np.take_along_axis(vec, order[:, None, :], axis=2)
     # a zero eigenvalue divides by zero only at points `flat` reports
     with np.errstate(divide="ignore", invalid="ignore"):
-        W = (np.take_along_axis(vec, order[:, None, :], axis=2)
-             / np.sqrt(np.take_along_axis(mag, order, axis=1))[:, None, :])
-    del vec
+        W = V / np.sqrt(np.take_along_axis(mag, order, axis=1))[:, None, :]
 
     def changed(p, pk, t_prev, t):
         return InertiaChangeError(
             f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
         )
 
-    return _aligned([W], p, _earliest(asym, flat), ts, changed)
+    # the chain runs on the orthonormal V, and each sign block's rotation
+    # G_b carries over to W_b = V_b |Lambda_b|^-1/2 G_b, which is the
+    # continuous V~_b |V~_b^T D V~_b|^-1/2 of the aligned V~_b = V_b G_b
+    return _aligned([W], p, _earliest(asym, flat), ts, changed, frames=[V])
 
 
 def max_jump(values):
@@ -278,21 +333,24 @@ def max_jump(values):
     return _maxnorm(np.diff(values, axis=0))
 
 
-def _row_frame(Bv, Bd):
-    """(V, Vdot, rel) from one stacked SVD B = U S [V_r V_0]^T of the
-    samples Bv (K, p, m), p <= m, with derivative samples Bd.
+def _row_frame(Bv, Bd, ts, guard):
+    """(V, Vdot) from one stacked SVD B = U S [V_r V_0]^T of the samples Bv
+    (K, p, m), p <= m, at the times ts, with derivative samples Bd.
 
     V = [B^+ | N] with B V = [I_p 0]: B^+ = V_r S^-1 U^T, and N is V_0 glued
     by the polar chain.  Ndot = -B^+ Bdot N is the minimal rotation
     (N^T Ndot = 0), and d(B^+)/dt = -B^+ Bdot B^+ - N Ndot^T B^+, so that
-    B Vdot = -Bdot V exactly.  rel is s_min / s_max at each sample.
+    B Vdot = -Bdot V exactly.  guard(rel) is the caller's rank guard on
+    rel = s_min / s_max at each sample; it runs before the chain, so a rank
+    loss raises before the turn of N it causes.
     """
     p = Bv.shape[1]
     u, s, vt = np.linalg.svd(Bv)
-    Vr, N = _bT(vt[:, :p]), _chain(_bT(vt[:, p:]))
+    guard(st._ratio(s))
+    Vr, N = _bT(vt[:, :p]), _chain(_bT(vt[:, p:]), ts)
     # a zero singular value divides by zero only where rel reads 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Bp = (Vr / s[:, None, :]) @ _bT(u)
         Nd = -Bp @ (Bd @ N)
         Vd = np.concatenate([-Bp @ (Bd @ Bp) - N @ (_bT(Nd) @ Bp), Nd], axis=2)
-    return np.concatenate([Bp, N], axis=2), Vd, st._ratio(s)
+    return np.concatenate([Bp, N], axis=2), Vd

@@ -309,10 +309,13 @@ def sequential_sym_rank_split(E, grid, gap_tol=1e-8, kernel_tol=1e-8):
 
 
 def sequential_smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
-    """(W,) samples and p of smooth_inertia, point by point."""
+    """(W,) samples and p of smooth_inertia, point by point: the orthonormal
+    eigenvectors V aligned by the sweep, and each sign block's rotation
+    G_b = V_b^T V~_b carried to the scaled columns, W_b = V_b |lam_b|^-1/2 G_b."""
     from structdae.errors import ConditioningError, InertiaChangeError, StructureError
 
     n = D.rows
+    scales = []
 
     def decompose(Dk, t):
         scale = max(1.0, float(np.linalg.norm(Dk)))
@@ -324,16 +327,22 @@ def sequential_smooth_inertia(D, grid, sym_tol=1e-12, near_zero_rel=1e-12):
                 f"eigenvalue too close to zero at t={t}; inertia is ill-posed"
             )
         qk = n - int(np.sum(lam > 0))
-        pos = vec[:, qk:] / np.sqrt(lam[qk:])
-        neg = vec[:, :qk][:, ::-1] / np.sqrt(-lam[:qk][::-1])
-        return (np.hstack([pos, neg]),), n - qk
+        # positives ascending, then negatives descending
+        order = np.r_[qk:n, qk - 1:-1:-1]
+        scales.append((vec[:, order], np.sqrt(np.abs(lam[order]))))
+        return (vec[:, order],), n - qk
 
     def changed(p, pk, t_prev, t):
         raise InertiaChangeError(
             f"inertia changed from ({p}, {n - p}) at t={t_prev} to ({pk}, {n - pk}) at t={t}"
         )
 
-    return sequential_aligned(D, grid, decompose, changed)
+    (V,), p = sequential_aligned(D, grid, decompose, changed)
+    W = np.empty_like(V)
+    for k, (Vk, root) in enumerate(scales):
+        for b in (slice(None, p), slice(p, None)):
+            W[k][:, b] = (Vk[:, b] / root[b]) @ (Vk[:, b].T @ V[k][:, b])
+    return (W,), p
 
 
 def sequential_kernel_frame(B, grid):

@@ -663,6 +663,26 @@ def test_basis_with_a_wrong_derivative_is_a_basis_deficiency():
     assert _residual(err.value) == pytest.approx(2.974, rel=0.1)
 
 
+@pytest.mark.parametrize("build", [sd.global_canonical_self, sd.global_canonical_skew])
+@pytest.mark.parametrize("broken", ["inside range(Phi)", "not orthonormal"])
+def test_a_bad_complement_is_named_at_its_first_node(build, broken):
+    # the complement's contract (C^T Phi = 0, C^T C = I) is checked before
+    # the congruence, rather than blamed later on the basis
+    mb = sd.build_multibody(np.eye(2), np.eye(2), [[1.0, 0.0]])
+    pair = mb.self_pair if build is sd.global_canonical_self else mb.skew_pair
+    basis = sd.solution_basis_constant(pair, GRID41)
+    C = basis.complement.eval_on(GRID41)[0].copy()
+    if broken == "inside range(Phi)":
+        phi0 = basis.Phi.eval_on(GRID41)[0, :, 0]
+        C[:, 0] = phi0 / np.linalg.norm(phi0)
+    else:
+        C[:, 0] *= 1.5
+    bad = sd.SolutionBasis(basis.Phi, basis.d, complement=sd.constant(C))
+    with pytest.raises(BasisDeficiencyError, match=r"complement is not an orthonormal "
+                                                   r"basis of range\(Phi\)\^perp at t=0\.0"):
+        build(pair, bad, GRID41)
+
+
 def test_global_forms_reject_a_pair_of_the_other_structure():
     # the multibody skew pair's E is symmetric, not skew: the self-adjoint
     # pipeline refuses it at its input test, and the other way round

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import structdae as sd
-from structdae.errors import StructDaeError
+from structdae.errors import ConditioningError, StructDaeError
 from structdae.factor import _polar, _row_frame
 
 from oracles import (
@@ -79,7 +79,7 @@ def test_sym_rank_split_matches_sequential(kind):
 def test_smooth_kernel_frame_matches_sequential(p):
     rng = np.random.default_rng(36)
     B = _poly(rng, p, 7)
-    V, Vd, _ = _row_frame(B.eval_on(GRID), B.derivative_on(GRID))
+    V, Vd = _row_frame(B.eval_on(GRID), B.derivative_on(GRID), GRID.points, lambda rel: None)
     N, Nd = V[..., p:], Vd[..., p:]
     N_ref, Nd_ref = sequential_kernel_frame(B, GRID)
     assert np.abs(N - N_ref).max() <= 1e-12
@@ -188,23 +188,72 @@ def _counting_svd(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("overlap", [
-    # singular: the second direction is lost
-    np.array([[np.cos(0.3), 0.0], [np.sin(0.3), 0.0]]),
-    # the second basis vector turned a little more than 90 degrees
-    np.diag([1.0, np.cos(np.pi / 2 + 1e-11)]),
-    # a scaled rotation, as a block of smooth_inertia's W gives
-    3.0 * np.array([[0.6, -0.8], [0.8, 0.6]]),
+def _frames(rng, K, m, w, turn):
+    """K orthonormal (m, w) frames, each in a random gauge, whose largest
+    principal angle to their predecessor is `turn`."""
+    B = np.empty((K, m, w))
+    B[0] = np.linalg.qr(rng.standard_normal((m, w)))[0]
+    for k in range(1, K):
+        # turn the first column towards a direction outside the span
+        out = rng.standard_normal(m)
+        out -= B[k - 1] @ (B[k - 1].T @ out)
+        out /= np.linalg.norm(out)
+        ahead = B[k - 1].copy()
+        ahead[:, 0] = np.cos(turn) * ahead[:, 0] + np.sin(turn) * out
+        B[k] = ahead @ np.linalg.qr(rng.standard_normal((w, w)))[0]
+    return B
+
+
+@pytest.mark.parametrize("w", [1, 3, 8, 16])
+@pytest.mark.parametrize("turn", [1e-3, 0.3, 1.0])
+def test_polar_matches_the_svd_on_frame_overlaps(w, turn):
+    # turns up to 57 degrees: every overlap has singular values in [0.54, 1]
+    B = _frames(np.random.default_rng(37 + w), 50, w + 4, w, turn)
+    X = np.swapaxes(B[1:], 1, 2) @ B[:-1]
+    G, unconverged = _polar(X)
+    u, _, vt = np.linalg.svd(X)
+    assert not unconverged.any()
+    assert np.abs(G - u @ vt).max() <= 1e-14
+
+
+def _turning(n, r, turn):
+    """Samples on ERR_GRID of a symmetric rank-r matrix whose range turns its
+    r-th direction by `turn` between t = 0.4 and t = 0.5."""
+    base = np.diag(np.arange(r, 0, -1.0))
+    vals = np.zeros((ERR_GRID.n, n, n))
+    vals[:, :r, :r] = base
+    c, s = np.cos(turn), np.sin(turn)
+    R = np.eye(n)
+    R[[r - 1, r - 1, r, r], [r - 1, r, r - 1, r]] = [c, -s, s, c]
+    vals[5:] = R @ vals[5:] @ R.T
+    return sd.SampledMatrixFunction(ERR_GRID, vals)
+
+
+@pytest.mark.parametrize("fn", [sd.rank_split, sd.sym_rank_split])
+@pytest.mark.parametrize("n, r, turn", [
+    (3, 1, np.pi / 2),   # a line turned 90 degrees
+    (4, 2, np.pi / 2),   # a plane that loses one direction: a singular overlap
+    (4, 2, 1.2),         # 69 degrees: nonsingular, but not resolved
 ])
-def test_polar_of_degenerate_overlaps(monkeypatch, overlap):
-    calls = _counting_svd(monkeypatch)
-    G = _polar(overlap[None])[0]
-    assert len(calls) == 1
-    assert np.abs(G.T @ G - np.eye(2)).max() <= 1e-15
-    # G is a polar factor: G^T X is symmetric positive semidefinite
-    H = G.T @ overlap
-    assert np.abs(H - H.T).max() <= 1e-12
-    assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= -1e-12
+def test_an_unresolved_turn_names_both_times(fn, n, r, turn):
+    with pytest.raises(ConditioningError) as info:
+        fn(_turning(n, r, turn), ERR_GRID)
+    assert "between t=0.4 and t=0.5" in str(info.value)
+    assert "does not resolve" in str(info.value)
+    assert info.value.t == 0.5
+
+
+@pytest.mark.parametrize("fn, ref", [(sd.rank_split, sequential_rank_split),
+                                     (sd.sym_rank_split, sequential_sym_rank_split)])
+def test_a_resolved_turn_is_the_procrustes_sweep(fn, ref):
+    # 50 degrees between neighbours: the polar factors still converge
+    F = _turning(4, 2, np.deg2rad(50.0))
+    factors, r = ref(F, ERR_GRID)
+    split = fn(F, ERR_GRID)
+    ours = (split.U, split.V) if fn is sd.rank_split else (split.Q,)
+    assert split.r == r == 2
+    for fun, samples in zip(ours, factors):
+        assert np.abs(fun.eval_on(ERR_GRID) - samples).max() <= 1e-13
 
 
 def test_factor_svd_calls_do_not_grow_with_the_grid(monkeypatch):
@@ -220,4 +269,6 @@ def test_factor_svd_calls_do_not_grow_with_the_grid(monkeypatch):
             calls.clear()
             fn(G, grid)
             counts.append(len(calls))
-    assert counts[:2] == counts[2:]
+    # the decomposition of the grid stack; the polar chain runs no SVD, and
+    # a symmetric E is split by eigh
+    assert counts == [1, 0, 1, 0]
