@@ -5,9 +5,9 @@ semidefinite E of constant rank and differentiation index at most two:
 one congruence (the kernel split of E times the constraint/chain frame),
 the index-1 elimination of the algebraic block for every pair, one block
 for the constraint/chain pairing (index 2), and the scaling of the dynamic
-block by the positive definite square root of its E coefficient.  The
-core earns the orthogonal certificate when the pair is skew-adjoint and
-the scaled coefficient is pointwise skew;
+block by the Cholesky factor L of its E coefficient, so the dynamic state
+is y = L^T xi.  The core earns the orthogonal certificate when the pair is
+skew-adjoint and the scaled coefficient is pointwise skew;
 ``semidefinite_skew_reduce`` requires it, ``index1_reduce`` reports it.
 ``stokes_reduce`` is its index-2 case: the saddle point of incompressible
 flow, with the pressure as the recovered chain variables.  Recovery maps
@@ -155,19 +155,32 @@ class AffineInput(mf.MatrixFunction):
         raise UnsupportedError("the reduced inhomogeneity g carries no derivative")
 
 
-def _spd_sqrt_with_derivative(Sv, Sd):
-    """F = S^{1/2} and Fdot from  Fdot F + F Fdot = Sdot  (eigh basis)."""
-    lam, V = np.linalg.eigh(0.5 * (Sv + _bT(Sv)))
-    if np.any(lam <= 0):
-        raise StructureError("dynamic E block is not positive definite")
-    sq = np.sqrt(lam)
-    VT = _bT(V)
-    F = (V * sq[:, None, :]) @ VT
-    Finv = (V / sq[:, None, :]) @ VT
-    G = VT @ (0.5 * (Sd + _bT(Sd))) @ V
-    G = G / (sq[:, :, None] + sq[:, None, :])
-    Fd = V @ G @ VT
-    return F, Finv, Fd
+def _cholesky_with_derivative(Sv, Sd, ts):
+    """L, L^-1 and L^-1 Ldot for Sv = L L^T (L lower triangular, positive
+    diagonal) and the symmetric part of Sd = Ldot L^T + L Ldot^T: L^-1 Ldot
+    is lower triangular, so it is the lower triangle, with the diagonal
+    halved, of L^-1 Sd L^-T.  StructureError at the first time of ts where
+    a sample of Sv is not positive definite."""
+    try:
+        L = np.linalg.cholesky(Sv)
+    except np.linalg.LinAlgError:
+        t = float(ts[next(k for k, S in enumerate(Sv) if not _is_spd(S))])
+        raise StructureError(
+            f"dynamic E block is not positive definite at t={t}", t=t) from None
+    Linv = np.linalg.inv(L)
+    W = np.tril(Linv @ (0.5 * (Sd + _bT(Sd))) @ _bT(Linv))
+    d = np.arange(W.shape[-1])
+    W[..., d, d] *= 0.5
+    return L, Linv, W
+
+
+def _is_spd(S):
+    """Whether S has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _eliminate(pair, f, grid, strict=False):
@@ -179,9 +192,12 @@ def _eliminate(pair, f, grid, strict=False):
     congruence, by the split times that frame.  Every pair takes the
     index-1 elimination over the columns [xi | f]; a chain adds one block
     (etadot, the chain variables, the fdot weights).  The dynamic block is
-    scaled by F = S_b^{1/2}.  The certificate is orthogonal when the pair
-    passes the skew-adjoint residual test and the scaled core M is
-    pointwise skew, None otherwise (strict raises StructureError).  Ranks
+    scaled by its Cholesky factor, S_b = L L^T, one path at either index:
+    y = L^T xi and M = L^-1 C_eff L^-T + Ldot^T L^-T, which is skew exactly
+    when C_eff + C_eff^T + S_bdot = 0.  The certificate is orthogonal when
+    the pair passes the skew-adjoint residual test and the scaled core M is
+    pointwise skew, None otherwise (strict raises StructureError, naming
+    each eliminated block's size relative to the pair).  Ranks
     are decided against the norm of A1(t0) (the block at the regularity
     guard's 1/COND_LIMIT whatever the entry point, the rows at 1e-10), never
     against E's, so a change of time unit or of the pair's scale moves no
@@ -283,21 +299,29 @@ def _eliminate(pair, f, grid, strict=False):
     C2inv = _require_regular(C2, grid, "constraint block")
     eta = -C2inv @ np.pad(P[:, i4], ((0, 0), (0, 0), (dxi, 0)))
     # w3 from the nonsingular block
-    w3 = -_require_regular(A2[:, i3, i3], grid) @ (A2[:, i3, ih] @ eta + own(i3))
+    A33inv = _require_regular(A2[:, i3, i3], grid)
+    w3 = -A33inv @ (A2[:, i3, ih] @ eta + own(i3))
     # the dynamic rows before scaling: Sb xidot = [Ceff | g_f] (xi, f)
     dyn = A2[:, ix, ih] @ eta + A2[:, ix, i3] @ w3 + own(ix)
 
+    # y = L^T xi with Sb = L L^T: ydot = M y + L^-1 [g_f f | g_fd fdot]
     Sb = E2[:, ix, ix]
-    F, Finv, Fd = _spd_sqrt_with_derivative(Sb, E2d[:, ix, ix])
-    Mv = Finv @ dyn[..., :dxi] @ Finv + Fd @ Finv
+    L, Linv, LinvLd = _cholesky_with_derivative(Sb, E2d[:, ix, ix], grid.points)
+    Mv = Linv @ dyn[..., :dxi] @ _bT(Linv) + _bT(LinvLd)
     cert_defect = _maxnorm(Mv + _bT(Mv))
     # M's skewness is judged against the scale M is built from, A seen
-    # through F^{-1} on both sides, so it too is free of the time unit
-    m_scale = _maxnorm(Finv) ** 2 * a2_scale + _maxnorm(Fd @ Finv)
+    # through L^{-1} on both sides, so it too is free of the time unit
+    m_scale = _maxnorm(Linv) ** 2 * a2_scale + _maxnorm(LinvLd)
     earned = res <= 1e-10 and cert_defect <= 1e-8 * m_scale
     if strict and not earned:
+        # an eliminated block far smaller than the pair passes its own
+        # regularity guard yet leaves the defect; name each block's size
+        sizes = "".join(
+            f"; {name} relative size {1.0 / (a2_scale * _maxnorm(inv)):.3e}"
+            for name, inv in (("algebraic block", A33inv), ("constraint block", C2inv))
+            if inv.size)
         raise StructureError(
-            f"scaled dynamic block is not skew (defect {cert_defect:.3e})"
+            f"scaled dynamic block is not skew (defect {cert_defect:.3e}){sizes}"
         )
 
     # full-state recovery x = Qall (Z [xi | f] + Zfd fdot), sized like M
@@ -341,7 +365,7 @@ def _eliminate(pair, f, grid, strict=False):
         tol = 1e-13 * _maxnorm(E2) / a2_scale
         uses_fd = (_maxnorm(g_fd) > tol * _maxnorm(dyn[..., dxi:])
                    or _maxnorm(Zfd) > tol * _maxnorm(Z[..., dxi:]))
-        Gfd = _sampled(grid, Finv @ g_fd)
+        Gfd = _sampled(grid, Linv @ g_fd)
         rfd = _sampled(grid, Qall @ Zfd)
 
     recovery = [(name, rows) for name, rows in (
@@ -350,16 +374,16 @@ def _eliminate(pair, f, grid, strict=False):
     return ReducedSystem(
         dynamic_dim=dxi,
         m_fun=_sampled(grid, Mv),
-        g_fun=AffineInput(_sampled(grid, Finv @ dyn[..., dxi:]), f, Gfd),
+        g_fun=AffineInput(_sampled(grid, Linv @ dyn[..., dxi:]), f, Gfd),
         certificate=FlowCertificate.orthogonal(dxi) if earned else None,
         recovery=recovery,
-        rx=_sampled(grid, Qall @ Z[..., :dxi] @ Finv),
+        rx=_sampled(grid, Qall @ Z[..., :dxi] @ _bT(Linv)),
         rf=_sampled(grid, Qall @ Z[..., dxi:]),
         rfd=rfd,
         max_f_derivative=int(uses_fd),
         pair=pair,
         f=f,
-        projector=_sampled(grid, F @ P[:, ix, :]),
+        projector=_sampled(grid, _bT(L) @ P[:, ix, :]),
     )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from structdae.errors import (
     StructureError,
     UnsupportedError,
 )
-from structdae.reduce import AffineInput, _sampled
+from structdae.reduce import AffineInput, _cholesky_with_derivative, _sampled
+from structdae.structure import _bT
 
 from oracles import (
     random_poly_congruence,
@@ -643,12 +646,12 @@ def test_kernel_elimination_rejects_a_pattern_that_holds_at_t0_only():
     assert sd.index1_reduce(frozen, sd.zero(3, 1), GRID).dynamic_dim == 1
 
 
-def _tv_index1_problem(K):
-    """The time-varying index-1 shape of the benchmark: E = diag(S, 0), S
-    SPD of size 16, A = J - R with R >= 0 and a nonsingular algebraic block,
-    moved by Q(t) = I + t P1 + t^2 P2 on [0, 1]; f = Q^T g."""
+def _tv_index1_problem(K, n=20, r=16):
+    """The time-varying index-1 shape of the benchmark (n = 20, r = 16
+    there): E = diag(S, 0), S SPD of size r, A = J - R with R >= 0 and a
+    nonsingular algebraic block, moved by Q(t) = I + t P1 + t^2 P2 on
+    [0, 1]; f = Q^T g."""
     rng = np.random.default_rng(7)
-    n, r = 20, 16
     B, X, C = rng.standard_normal((3, n, n))
     E = np.zeros((n, n))
     E[:r, :r] = B[:r, :r] @ B[:r, :r].T / r + np.eye(r)
@@ -687,3 +690,58 @@ def test_time_varying_cayley_guard_reads_the_step_solve(svd_calls):
     svd_calls.clear()
     sd.integrate_linear(red.m_fun, red.g_fun, np.ones(red.dynamic_dim), grid)
     assert svd_calls.values_only == []
+
+
+def test_time_varying_reduction_runs_no_eigh_but_the_split(eigh_calls):
+    pair, T, f, grid = _tv_index1_problem(51, n=8, r=6)
+    moved = sd.apply_congruence(pair, T)
+    eigh_calls.clear()
+    red = sd.index1_reduce(moved, f, grid)
+    assert red.dynamic_dim == 6 and not isinstance(red.m_fun, sd.ConstantMatrixFunction)
+    # the kernel split of E; the dynamic block is scaled by its Cholesky factor
+    assert list(eigh_calls) == [(51, 8, 8)] and eigh_calls.values_only == []
+
+
+def _spd_stack(ts, n, rng):
+    """S(t) = B(t) B(t)^T + I with B(t) = B0 + t B1, and its derivative."""
+    B0, B1 = rng.standard_normal((2, n, n))
+    B = B0 + ts[:, None, None] * B1
+    return B @ _bT(B) + np.eye(n), B1 @ _bT(B) + B @ _bT(B1)
+
+
+def test_cholesky_scaling_factor_and_its_derivative():
+    ts = np.linspace(0.0, 2.0, 33)
+    S, Sd = _spd_stack(ts, 5, np.random.default_rng(3))
+    L, Linv, LinvLd = _cholesky_with_derivative(S, Sd, ts)
+    assert np.array_equal(L, np.tril(L)) and (np.diagonal(L, axis1=1, axis2=2) > 0).all()
+    assert np.array_equal(LinvLd, np.tril(LinvLd))
+    scale = np.abs(S).max()
+    assert np.abs(L @ _bT(L) - S).max() <= 1e-13 * scale
+    assert np.abs(Linv @ L - np.eye(5)).max() <= 1e-12
+    Ld = L @ LinvLd
+    assert np.abs(Ld @ _bT(L) + L @ _bT(Ld) - Sd).max() <= 1e-13 * np.abs(Sd).max()
+
+
+def test_cholesky_scaling_names_the_first_indefinite_sample():
+    ts = np.linspace(0.0, 1.0, 9)
+    S, Sd = _spd_stack(ts, 4, np.random.default_rng(5))
+    S[6] = np.diag([1.0, 2.0, -1e-3, 1.0])
+    with pytest.raises(StructureError, match=f"not positive definite at t={ts[6]}") as err:
+        _cholesky_with_derivative(S, Sd, ts)
+    assert err.value.t == ts[6]
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+
+
+def test_a_nearly_singular_kernel_block_is_named_beside_the_skew_defect():
+    # the kernel block [[0, eps], [-eps, 0]] is well conditioned on its own,
+    # so its regularity guard passes it, but it is 1e-11 of the pair
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    pair, _ = seeded_semidefinite_skew_pair(0, grid)
+    A = pair.A.eval(0.0).copy()
+    eps = 1e-11 * np.linalg.norm(A)
+    A[4:, 4:] = [[0.0, eps], [-eps, 0.0]]
+    with pytest.raises(StructureError, match="scaled dynamic block is not skew") as err:
+        sd.semidefinite_skew_reduce(sd.MatrixPair(pair.E, sd.constant(A), grid), sd.zero(6, 1),
+                                    grid)
+    size = re.search(r"algebraic block relative size (\S+)$", str(err.value))
+    assert size and float(size.group(1)) < 1e-10
