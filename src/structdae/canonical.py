@@ -267,16 +267,26 @@ class _Pipeline:
     def apply(self, name, rows, cols, X, Xd=None):
         """Congruence by the identity with its block [rows, cols] replaced by
         X: a constant matrix, or a (K, ., .) grid array whose derivative
-        samples are Xd (Xd=None means Qdot = 0)."""
-        Qv = np.array(np.broadcast_to(np.eye(self.n), (*X.shape[:-2], self.n, self.n)))
-        Qv[..., rows, cols] = X
-        Qd = None
+        samples are Xd (Xd=None means Qdot = 0).  The block is diagonal or
+        that of a shear (`structure._block`).  A block that covers the matrix
+        gives new arrays; any other is written in place into the pipeline's
+        arrays, on its rows and columns only, so X and Xd must not be views
+        of them.  Before the first such stage the one-sample arrays get the
+        grid axis, by one copy each."""
+        block = st._block(self.n, rows, cols)
+        r, c, covers = block
+        if not covers:
+            K = len(self.grid.points)
+            for key in ("Ev", "Ed", "Av", "Qv", "Qd"):
+                if len(getattr(self, key)) < K:
+                    setattr(self, key, np.repeat(getattr(self, key), K, axis=0))
+        self.Ev, self.Ed, self.Av = st._congruence_arrays(
+            self.Ev, self.Ed, self.Av, X, Xd, rows, cols)
+        # Q_all <- Q_all Q, and its derivative Qd Q + Q_all Qdot
+        Qd = st._block_right(self.Qd, X, block)
         if Xd is not None:
-            Qd = np.zeros(Qv.shape)
-            Qd[..., rows, cols] = Xd
-        self.Ev, self.Ed, self.Av = st._congruence_arrays(self.Ev, self.Ed, self.Av, Qv, Qd)
-        self.Qd = self.Qd @ Qv if Qd is None else self.Qd @ Qv + self.Qv @ Qd
-        self.Qv = self.Qv @ Qv
+            Qd[..., :, c] += self.Qv[..., :, r] @ Xd
+        self.Qv, self.Qd = st._block_right(self.Qv, X, block), Qd
         res, self.norm = st._structure(self.kind, self.Ev, self.Ed, self.Av)
         self.stage_residuals.append((name, float(res)))
         if res > STAGE_TOL:

@@ -228,6 +228,8 @@ def _eliminate(pair, f, grid, strict=False):
         Qv, Qd = Qv[:1], None
     else:
         Qd = mf._not_a_knot_slopes(grid.points, Qv)
+    # both congruences here cover the matrix, so they return new arrays and
+    # write nothing into the views Ev[:1] and Av[:1]
     A1 = st._congruence_arrays(Ev[:1], None, Av[:1], Qv[:1], None if Qd is None else Qd[:1])[2][0]
 
     # split the kernel block into its nonsingular part and the constraint rows

@@ -128,23 +128,76 @@ def _defects(kind, Ev, Ed, Av):
     return Ev - ET, AT + Av + Ed
 
 
-def _congruence_arrays(Ev, Ed, Av, Q, Qd=None):
-    """Grid values of Q^T E Q, its derivative, and Q^T A Q - Q^T E Qdot.
+def _block(n, rows, cols):
+    """(rows, cols, covers): the slices of the block [rows, cols] of an
+    n x n Q, normalized, and whether the block is the whole matrix.  The
+    block is diagonal (rows == cols) or the off-diagonal block of a shear
+    I + N (rows and cols disjoint); any other block raises DimensionError."""
+    r, c = slice(*rows.indices(n)), slice(*cols.indices(n))
+    if r != c and not set(range(n)[r]).isdisjoint(range(n)[c]):
+        raise DimensionError(
+            f"block [{rows}, {cols}] is neither diagonal nor the block of a shear")
+    return r, c, r == c == slice(0, n, 1)
+
+
+def _block_left(M, XT, block):
+    """Q^T M, Q the identity with its `_block` replaced by X (XT = X^T): a
+    new array when the block covers the matrix, else M written on its rows
+    cols only."""
+    r, c, covers = block
+    if covers:
+        return XT @ M
+    if r == c:
+        M[..., c, :] = XT @ M[..., c, :]
+    else:
+        M[..., c, :] += XT @ M[..., r, :]
+    return M
+
+
+def _block_right(M, X, block):
+    """M Q, Q the identity with its `_block` replaced by X: a new array when
+    the block covers the matrix, else M written on its columns cols only."""
+    r, c, covers = block
+    if covers:
+        return M @ X
+    if r == c:
+        M[..., :, c] = M[..., :, c] @ X
+    else:
+        M[..., :, c] += M[..., :, r] @ X
+    return M
+
+
+def _congruence_arrays(Ev, Ed, Av, X, Xd=None, rows=slice(None), cols=slice(None)):
+    """Grid values of Q^T E Q, its derivative, and Q^T A Q - Q^T E Qdot, for
+    Q the identity with its block [rows, cols] replaced by X and Qdot the
+    same block of Xd (Xd=None means Qdot = 0): a diagonal block, by default
+    the whole matrix, or the block of a shear I + N (`_block`).
 
     Every operand is a (K, ., .) grid array or the one-sample (1, ., .)
     stack of a constant (`_samples`), which broadcasts against the grid
-    arrays; a bare (n, n) stage matrix Q broadcasts the same way.  Qd=None
-    means Qdot = 0.  Ed=None skips the derivative (returned as None).
+    arrays; a bare 2-D X broadcasts the same way.  Ed=None skips the
+    derivative (returned as None).  A block that covers the matrix returns
+    the products as new arrays and writes nothing into its operands.  Any
+    other block is written in place into E, Edot and A, on the rows and
+    columns of cols only, which returns them: they must already have the
+    grid axis of X, and X and Xd must not be views of them.
     """
-    QT = _bT(Q)
-    QTE = QT @ Ev
-    E2 = QTE @ Q
-    E2d = None if Ed is None else QT @ Ed @ Q
-    A2 = QT @ Av @ Q
-    if Qd is not None:
-        if Ed is not None:
-            E2d = _bT(Qd) @ Ev @ Q + E2d + QTE @ Qd
-        A2 = A2 - QTE @ Qd
+    block = _block(Ev.shape[-1], rows, cols)
+    r, c, _ = block
+    XT = _bT(X)
+    # the rows cols of Qdot^T E Q, from E before the stage
+    H = None if Xd is None or Ed is None else _block_right(_bT(Xd) @ Ev[..., r, :], X, block)
+    E2 = _block_left(Ev, XT, block)
+    # the columns cols of Q^T E Qdot, the one product both E2d and A2 take
+    G = None if Xd is None else E2[..., :, r] @ Xd
+    E2 = _block_right(E2, X, block)
+    E2d = None if Ed is None else _block_right(_block_left(Ed, XT, block), X, block)
+    if H is not None:
+        E2d[..., c, :] += H
+        E2d[..., :, c] += G
+    A2 = _block_right(_block_left(Av, XT, block), X, block)
+    if G is not None:
+        A2[..., :, c] -= G
     return E2, E2d, A2
 
 

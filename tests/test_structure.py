@@ -385,6 +385,132 @@ def test_congruence_arrays_constant_stage_and_matrix_function_agree():
     assert np.allclose(A2, moved.A.eval_on(GRID), rtol=0, atol=1e-12)
 
 
+def _dense_congruence(Ev, Ed, Av, Q, Qd):
+    """The product rule on whole matrices, the reference for the block kernel."""
+    QT = np.swapaxes(Q, -1, -2)
+    E2 = QT @ Ev @ Q
+    A2 = QT @ Av @ Q - QT @ Ev @ Qd
+    E2d = None if Ed is None else np.swapaxes(Qd, -1, -2) @ Ev @ Q + QT @ Ed @ Q + QT @ Ev @ Qd
+    return E2, E2d, A2
+
+
+def _close(got, want, rel=1e-13):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+# (rows, cols): a diagonal block, a shear that leaves rows and columns 2 and 3
+# alone, and the whole matrix
+BLOCKS = {
+    "diagonal": (slice(2, 5), slice(2, 5)),
+    "shear": (slice(0, 2), slice(4, 7)),
+    "whole": (slice(None), slice(None)),
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("K", [1, 6])
+@pytest.mark.parametrize("with_xd", [False, True])
+@pytest.mark.parametrize("with_ed", [False, True])
+def test_congruence_arrays_block_matches_the_dense_product_rule(block, K, with_xd, with_ed):
+    from structdae.structure import _congruence_arrays
+
+    rows, cols = BLOCKS[block]
+    n = 7
+    rng = np.random.default_rng(11)
+    Ev, Ed, Av = (rng.standard_normal((K, n, n)) for _ in range(3))
+    Ed = Ed if with_ed else None
+    b = np.ones((n, n))[rows, cols].shape
+    X = rng.standard_normal((K, *b)) if K > 1 else rng.standard_normal(b)
+    Xd = rng.standard_normal((K, *b)) if with_xd else None
+    Q = np.array(np.broadcast_to(np.eye(n), (K, n, n)))
+    Q[:, rows, cols] = X
+    Qd = np.zeros((K, n, n))
+    if with_xd:
+        Qd[:, rows, cols] = Xd
+    want = _dense_congruence(Ev, Ed, Av, Q, Qd)
+    inputs = [None if x is None else x.copy() for x in (Ev, Ed, Av)]
+
+    got = _congruence_arrays(Ev, Ed, Av, X, Xd, rows, cols)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.shape == w.shape and _close(g, w)
+    if block == "whole":
+        # a covering block returns new arrays and leaves its operands alone
+        for x, x0 in zip((Ev, Ed, Av), inputs):
+            assert x is None or np.array_equal(x, x0)
+    else:
+        # any other block is written into its operands
+        assert got[0] is Ev and got[1] is Ed and got[2] is Av
+
+
+def test_congruence_arrays_rejects_an_overlapping_block():
+    from structdae.errors import DimensionError
+    from structdae.structure import _congruence_arrays
+
+    Ev = np.zeros((1, 5, 5))
+    with pytest.raises(DimensionError, match="neither diagonal nor"):
+        _congruence_arrays(Ev, None, Ev.copy(), np.ones((3, 3)), None, slice(0, 3), slice(2, 5))
+
+
+@pytest.mark.parametrize("rows, cols", [(slice(15), slice(15, 45)), (slice(15, 45), slice(15, 45))])
+def test_block_congruence_stage_stays_within_three_grid_arrays(rows, cols):
+    import tracemalloc
+
+    from structdae.structure import _congruence_arrays
+
+    K, n = 101, 45
+    rng = np.random.default_rng(2)
+    Ev, Ed, Av = (rng.standard_normal((K, n, n)) for _ in range(3))
+    b = np.ones((n, n))[rows, cols].shape
+    X, Xd = rng.standard_normal((K, *b)), rng.standard_normal((K, *b))
+    tracemalloc.start()
+    try:
+        _congruence_arrays(Ev, Ed, Av, X, Xd, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense product rule reads about 6 (K, n, n) arrays here
+    assert peak < 3 * Ev.nbytes
+
+
+def test_pipeline_block_stages_write_in_place_and_accumulate_the_transform():
+    from structdae.canonical import _Pipeline
+
+    n = 6
+    rng = np.random.default_rng(5)
+    E = rng.standard_normal((n, n))
+    Kc = rng.standard_normal((n, n))
+    pair = sd.MatrixPair(sd.constant(E + E.T), sd.constant(Kc - Kc.T), GRID)
+    pipe = _Pipeline(pair, GRID, "skew_adjoint")
+    assert len(pipe.Ev) == 1
+    ts = GRID.points[:, None, None]
+    # a diagonal stage by a moving X = I + t B, then a shear by N(t) = t C
+    B, C = 0.3 * rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+    stages = [(slice(1, 3), slice(1, 3), np.eye(2) + ts * B, np.broadcast_to(B, (len(ts), 2, 2))),
+              (slice(3), slice(3, 6), ts * C, np.broadcast_to(C, (len(ts), 3, 3)))]
+    Qall = np.eye(n)[None]
+    Qall_d = np.zeros((1, n, n))
+    for k, (rows, cols, X, Xd) in enumerate(stages):
+        arrays = pipe.Ev, pipe.Ed, pipe.Av, pipe.Qv, pipe.Qd
+        pipe.apply(f"stage {k}", rows, cols, X, Xd)
+        # the first block stage gives the one-sample arrays the grid axis
+        # once; after that every stage writes into the same arrays
+        if k:
+            assert all(x is y for x, y in zip(arrays, (pipe.Ev, pipe.Ed, pipe.Av, pipe.Qv, pipe.Qd)))
+        Q = np.array(np.broadcast_to(np.eye(n), (len(ts), n, n)))
+        Q[:, rows, cols] = X
+        Qd = np.zeros(Q.shape)
+        Qd[:, rows, cols] = Xd
+        Qall, Qall_d = Qall @ Q, Qall_d @ Q + Qall @ Qd
+    assert pipe.Ev.shape == (len(ts), n, n)
+    assert _close(pipe.Qv, Qall) and _close(pipe.Qd, Qall_d)
+    want = _dense_congruence((E + E.T)[None], np.zeros((1, n, n)), (Kc - Kc.T)[None],
+                             Qall, Qall_d)
+    for x, y in zip((pipe.Ev, pipe.Ed, pipe.Av), want):
+        assert _close(x, y, 1e-12)
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
 def test_classify_rejects_a_non_positive_tolerance(tol):
     from structdae.errors import ParameterError
