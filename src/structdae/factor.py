@@ -185,17 +185,18 @@ def _aligned(factors, ranks, failure, ts, changed, frames=None):
     rotation.  ranks are the per-point ranks, and failure is (k, error) for
     the first point whose own checks fail (or None).  changed(r, rk, t_prev,
     t) builds the error for a rank that moves between neighbours.  The error
-    raised is the one a sweep along t meets first; at one point its own
-    checks come before a rank change, and both before an unresolved turn of
-    the chain.  Returns (factors, r); each block is rotated by the polar
-    chain of its orthonormal frame, which leaves a one-sample block as it
-    is.  The frames are the factors themselves, or frames (one per factor,
-    orthonormal columns in the same gauge) when the factors are not
-    orthonormal.
+    raised is the one a sweep along t meets first, its .t set to its point's
+    time (a change's later one); at one point its own checks come before a
+    rank change, and both before an unresolved turn of the chain.  Returns
+    (factors, r); each block is rotated by the polar chain of its
+    orthonormal frame, which leaves a one-sample block as it is.  The frames
+    are the factors themselves, or frames (one per factor, orthonormal
+    columns in the same gauge) when the factors are not orthonormal.
     """
     failure = _earliest(failure, _first(ranks != ranks[0], lambda k: changed(
         int(ranks[0]), int(ranks[k]), ts[k - 1], ts[k])))
     if failure:
+        failure[1].t = float(ts[failure[0]])
         raise failure[1]
     r = int(ranks[0])
     for f, g in zip(factors, frames or factors):
@@ -204,21 +205,22 @@ def _aligned(factors, ranks, failure, ts, changed, frames=None):
     return factors, r
 
 
+def _rank_changed(r, rk, t_prev, t):
+    """The error of a splitting whose rank moves from r at t_prev to rk at t."""
+    return RankDropError(
+        f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
+        t_first=float(t_prev),
+        t_second=float(t),
+    )
+
+
 def rank_split(F, grid, gap_tol=DEFAULT_GAP_TOL):
     """Constant-rank orthogonal splitting of F(t) with continuity alignment."""
     st._positive(gap_tol, "gap tolerance")
-
-    def changed(r, rk, t_prev, t):
-        return RankDropError(
-            f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
-            t_first=float(t_prev),
-            t_second=float(t),
-        )
-
     vals = _samples(F, grid)
     u, s, vt = np.linalg.svd(vals)
     (U, V), r = _aligned([u, _bT(vt)], *_numerical_rank(s, gap_tol, s.max(axis=1, initial=0.0)),
-                         grid.points, changed)
+                         grid.points, _rank_changed)
     Sig = _bT(U[..., :r]) @ vals @ V[..., :r]
     return RankSplit(_sampled(grid, U), _sampled(grid, V), _sampled(grid, Sig), r, grid)
 
@@ -236,15 +238,6 @@ def _kernel_defect(u, vt, ranks):
     return defect
 
 
-def _sym_changed(r, rk, t_prev, t):
-    """The error of a one-sided splitting whose rank moves from r to rk."""
-    return RankDropError(
-        f"rank changed from {r} to {rk} at t={t}",
-        t_first=float(t_prev),
-        t_second=float(t),
-    )
-
-
 def _eigh_split(vals, ts):
     """(Q, r, lam): the aligned orthogonal factor of the one-sided splitting
     of the symmetric samples vals (`structure._samples`) at the times ts,
@@ -257,7 +250,7 @@ def _eigh_split(vals, ts):
     vec = np.take_along_axis(vec, order[:, None, :], axis=2)
     mag = np.abs(lam)
     (Q,), r = _aligned([vec], *_numerical_rank(mag, DEFAULT_GAP_TOL, mag.max(axis=1, initial=0.0)),
-                       ts, _sym_changed)
+                       ts, _rank_changed)
     return Q, r, lam
 
 
@@ -279,7 +272,7 @@ def sym_rank_split(E, grid):
             f"kernel condition ker(E^T) = ker(E) fails at t={grid.points[k]} "
             f"(projector distance {defect[k]:.3e})"
         ))
-        (Q,), r = _aligned([_bT(vt)], ranks, _earliest(ill, kernel), grid.points, _sym_changed)
+        (Q,), r = _aligned([_bT(vt)], ranks, _earliest(ill, kernel), grid.points, _rank_changed)
     return SymRankSplit(_sampled(grid, Q), _sampled(grid, _bT(Q[..., :r]) @ vals @ Q[..., :r]),
                         r, grid)
 

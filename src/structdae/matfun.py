@@ -302,9 +302,9 @@ class SampledMatrixFunction(MatrixFunction):
     def _check_domain(self, ts):
         inside = self.grid.contains(ts)
         if not np.all(inside):
+            t = ts[np.argmin(inside)]
             raise DomainError(
-                f"t={ts[np.argmin(inside)]} outside sampled interval "
-                f"[{self.grid.t0}, {self.grid.tf}]"
+                f"t={t} outside sampled interval [{self.grid.t0}, {self.grid.tf}]", t=float(t)
             )
 
     def _segments(self, ts):

@@ -378,8 +378,9 @@ def _require_margin(rel, ts, rel_tol, error, what,
 
 
 def check_nonsingular(F, grid):
-    """Raise SingularityError (naming the time) if F(t) is singular on the grid."""
-    _require_nonsingular(
+    """F(t)^-1 on the grid (one sample for a constant F); raises
+    SingularityError, naming the time, where F(t) is singular."""
+    return _require_nonsingular(
         _samples(F, grid), grid.points, 1e-12, SingularityError, "Q is numerically singular"
     )
 
@@ -409,12 +410,10 @@ def compose(t1, t2):
 
 
 def invert(transform, grid):
-    """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv; a
-    constant Q is inverted once."""
-    Qv, Qd = _samples(transform.Q, grid), _samples(transform.Qdot, grid)
-    inv = _require_nonsingular(Qv, grid.points, 1e-12, SingularityError,
-                               "Q is numerically singular")
-    dinv = -inv @ Qd @ inv
+    """Pointwise inverse on the grid, with derivative -Qinv Qdot Qinv from
+    Q's own derivative samples; a constant Q is inverted once."""
+    inv = check_nonsingular(transform.Q, grid)
+    dinv = -inv @ _samples(transform.Q, grid, True) @ inv
     return CongruenceTransform(_sampled(grid, inv, dinv))
 
 

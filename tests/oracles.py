@@ -46,6 +46,54 @@ def solve_index1_dae(E, A, f, grid, x_dyn0=None):
     return out
 
 
+def solve_constant_index1_dae(E, A, g, ts, y0):
+    """Dense solve of E xdot = A x + g with constant E >= 0 (index 1), A
+    and g, at the times ts.
+
+    Eliminates the kernel of E by hand (eigenbasis + algebraic solve) and
+    integrates the remaining ODE by DOP853 at rtol = atol = 1e-13, from y0
+    in E's eigenbasis of its range.  Returns full states (K, n).
+    """
+    lam, V = np.linalg.eigh(np.asarray(E, dtype=float))
+    keep = np.abs(lam) > 1e-10 * np.abs(lam).max()
+    ran, ker = V[:, keep], V[:, ~keep]
+    # x = lift y + off, the algebraic rows ker^T (A x + g) = 0 solved for ker^T x
+    Akk = ker.T @ A @ ker
+    lift = ran - ker @ np.linalg.solve(Akk, ker.T @ A @ ran)
+    off = -ker @ np.linalg.solve(Akk, ker.T @ g)
+    Err = ran.T @ E @ ran
+    M = np.linalg.solve(Err, ran.T @ A @ lift)
+    c = np.linalg.solve(Err, ran.T @ (A @ off + g))
+    sol = solve_ivp(lambda t, y: M @ y + c, (ts[0], ts[-1]), np.asarray(y0, dtype=float),
+                    method="DOP853", t_eval=ts, rtol=1e-13, atol=1e-13)
+    return sol.y.T @ lift.T + off
+
+
+def reduction_error(red, grid, z):
+    """The reduction's own error against reference full states z (K, n) on
+    the grid: the core x2dot = M x2 + g, read through `_eval_at` at the
+    solver's times, integrated by DOP853 at rtol = atol = 1e-13 from the
+    dynamic coordinates of z[0], recovered at the nodes by `reconstruct_on`;
+    returns max|x - z| / max|z|.
+
+    The core's coefficients are cubics between the nodes, whose third
+    derivative jumps at each node, so the integration restarts at every
+    node: one run across the kinks misjudges its own error (on an n = 8
+    tv-index1 pair it stalled near 2e-10 from K = 51 to 101)."""
+    ts = grid.points
+
+    def rhs(t, y):
+        at = np.array([t])
+        return red.m_fun._eval_at(at)[0] @ y + red.g_fun._eval_at(at)[0, :, 0]
+
+    y = [red.dynamic_from_full(ts[0], z[0])]
+    for a, b in zip(ts[:-1], ts[1:]):
+        y.append(solve_ivp(rhs, (a, b), y[-1], method="DOP853",
+                           rtol=1e-13, atol=1e-13).y[:, -1])
+    x = red.reconstruct_on(grid, np.array(y))
+    return float(np.abs(x - z).max() / np.abs(z).max())
+
+
 def solve_stokes_dae(M, B, Jfun, ffun, grid, v0=None):
     """Dense solve of the saddle-point system by pressure projection.
 
@@ -234,17 +282,25 @@ def _point_rank(s, gap_tol):
 
 def sequential_aligned(F, grid, decompose, changed):
     """Per-point decompositions, each block rotated onto the previous point's
-    aligned block; returns (factors as (K, ., .) samples, rank)."""
+    aligned block; returns (factors as (K, ., .) samples, rank).  A failure
+    at a point (its own checks, or a rank change from the previous point)
+    carries that point's time as .t."""
+    from structdae.errors import StructDaeError
+
     vals = F.eval_on(grid)
     ts = grid.points
     for k, t in enumerate(ts):
-        factors, rk = decompose(vals[k], t)
+        try:
+            factors, rk = decompose(vals[k], t)
+            if k and rk != r:
+                changed(r, rk, ts[k - 1], t)
+        except StructDaeError as error:
+            error.t = float(t)
+            raise
         if k == 0:
             r = rk
             out = [np.empty((len(ts), *f.shape)) for f in factors]
         else:
-            if rk != r:
-                changed(r, rk, ts[k - 1], t)
             factors = [
                 np.hstack([_procrustes(f[:, :r], prev[k - 1, :, :r]),
                            _procrustes(f[:, r:], prev[k - 1, :, r:])])
@@ -301,7 +357,7 @@ def sequential_sym_rank_split(E, grid, gap_tol=1e-8, kernel_tol=1e-8):
 
     def changed(r, rk, t_prev, t):
         raise RankDropError(
-            f"rank changed from {r} to {rk} at t={t}",
+            f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
             t_first=float(t_prev), t_second=float(t),
         )
 

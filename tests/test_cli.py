@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -123,6 +124,32 @@ def test_simulate_feeds_the_input_through_g_minus_p(tmp_path):
         data.append(np.loadtxt(out, delimiter=",", skiprows=1))
     assert np.array_equal(data[0], data[1])
     assert not np.array_equal(data[0], data[2])
+
+
+def test_simulate_with_a_cosine_input_writes_the_library_states(tmp_path):
+    import structdae as sd
+    from structdae.cli import phdae_from_json
+
+    model, out = tmp_path / "m.json", tmp_path / "traj.csv"
+    run(["demo", "circuit", "--out", str(model)])
+    assert run(["simulate", "--model", str(model), "--x0", "1,0,0,0,0", "--tf", "5",
+                "--steps", "100", "--input", "cos", "--out", str(out)]) == 0
+    grid = sd.TimeGrid.uniform(0.0, 5.0, 101)
+    m = dataclasses.replace(phdae_from_json(json.loads(model.read_text())), interval=grid)
+    u = sd.from_callable(lambda t: [[np.cos(t)]], grid, dfn=lambda t: [[-np.sin(t)]])
+    traj, _ = sd.simulate_phdae(m, u, np.array([1.0, 0, 0, 0, 0]), grid)
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], grid.points)
+    assert np.array_equal(data[:, 1:1 + m.n], traj.states)
+
+
+def test_reduce_cli_reads_the_derivative_of_a_cosine_input(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    run(["demo", "circuit", "--out", str(model)])
+    capsys.readouterr()
+    assert run(["reduce", "--model", str(model), "--pipeline", "semidefinite",
+                "--grid", "101", "--input", "cos"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_inhomogeneity_derivative"] == 1
 
 
 def test_canonical_cli_multibody(tmp_path, capsys):

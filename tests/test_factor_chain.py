@@ -6,12 +6,21 @@ the library decomposes the whole grid at once and aligns it with a polar
 chain.  Both must give the same factors, ranks and errors.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import structdae as sd
-from structdae.errors import ConditioningError, StructDaeError
+from structdae.errors import (
+    ConditioningError,
+    IllPosedRankError,
+    InertiaChangeError,
+    RankDropError,
+    StructDaeError,
+    StructureError,
+)
 from structdae.factor import _polar, _row_frame
 
 from oracles import (
@@ -153,6 +162,50 @@ ORDER_CASES = [
 def test_error_order_matches_sequential(fn, ref, base, at):
     F = _sampled(base, at)
     assert _raised(fn, F) == _raised(ref, F)
+
+
+# a skew E, whose one-sided splitting takes the SVD and the kernel test
+SKEW_BASE = np.zeros((4, 4))
+SKEW_BASE[0, 1], SKEW_BASE[1, 0] = 1.0, -1.0
+SKEW_UP = SKEW_BASE.copy()
+SKEW_UP[2, 3], SKEW_UP[3, 2] = 0.5, -0.5
+SKEW_ILL = SKEW_BASE.copy()
+SKEW_ILL[2, 3], SKEW_ILL[3, 2] = 1.1e-8, -1.1e-8  # near-tie at its cut, rank 4
+
+TIME_CASES = [
+    (sd.rank_split, RANK_BASE, 6, RANK_UP, RankDropError),
+    (sd.rank_split, RANK_BASE, 4, RANK_ILL, IllPosedRankError),
+    (sd.sym_rank_split, SYM_BASE, 7, SYM_UP, RankDropError),
+    (sd.sym_rank_split, SYM_BASE, 5, SYM_ILL, IllPosedRankError),
+    (sd.sym_rank_split, SKEW_BASE, 3, SKEW_UP, RankDropError),
+    (sd.sym_rank_split, SKEW_BASE, 8, SKEW_ILL, IllPosedRankError),
+    (sd.sym_rank_split, SYM_BASE, 5, SYM_KERNEL, StructureError),
+    (sd.smooth_inertia, INERTIA_BASE, 6, INERTIA_ASYM, StructureError),
+    (sd.smooth_inertia, INERTIA_BASE, 3, INERTIA_FLAT, ConditioningError),
+    (sd.smooth_inertia, INERTIA_BASE, 8, INERTIA_UP, InertiaChangeError),
+]
+
+
+@pytest.mark.parametrize("fn, base, k, value, error", TIME_CASES)
+def test_factorization_failures_store_the_time_they_name(fn, base, k, value, error):
+    with pytest.raises(error) as info:
+        fn(_sampled(base, {k: value}), ERR_GRID)
+    t = ERR_GRID.points[k]
+    assert info.value.t == t
+    named = re.findall(r"t=([^ ;)]+)", str(info.value))
+    # an ill-posed gap names no time; a change names both, the later last
+    assert (named == []) if error is IllPosedRankError else float(named[-1]) == t
+
+
+@pytest.mark.parametrize("base, up", [(SYM_BASE, SYM_UP), (SKEW_BASE, SKEW_UP)])
+def test_both_splittings_report_one_rank_change_alike(base, up):
+    F = _sampled(base, {7: up})
+    raised = _raised(sd.rank_split, F)
+    t_prev, t = ERR_GRID.points[6:8]
+    r, rk = np.linalg.matrix_rank(base), np.linalg.matrix_rank(up)
+    assert raised == (RankDropError, f"rank changed from {r} at t={t_prev} to {rk} at t={t}",
+                      t, t_prev, t)
+    assert _raised(sd.sym_rank_split, F) == raised
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_domain_errors():
         sd.sample(s, sd.TimeGrid.uniform(0.0, 2.0, 5))
 
 
+def test_a_sampled_domain_error_stores_the_time_it_names():
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 5)
+    f = sd.from_callable(lambda t: [[t]], grid)
+    for call, t in ((lambda: f.eval(2.0), 2.0), (lambda: f.derivative(-0.5), -0.5),
+                    (lambda: f.eval_on(sd.TimeGrid.uniform(0.0, 3.0, 5)), 1.5)):
+        with pytest.raises(DomainError, match=f"^t={t} outside") as err:
+            call()
+        assert err.value.t == t
+
+
 def test_construction_errors():
     grid = sd.TimeGrid.uniform(0.0, 1.0, 3)
     with pytest.raises(ConstructionError):

@@ -16,8 +16,10 @@ from structdae.structure import _bT
 
 from oracles import (
     random_poly_congruence,
+    reduction_error,
     seeded_multibody,
     seeded_semidefinite_skew_pair,
+    solve_constant_index1_dae,
     solve_index1_dae,
     solve_stokes_dae,
 )
@@ -700,6 +702,40 @@ def test_time_varying_reduction_runs_no_eigh_but_the_split(eigh_calls):
     assert red.dynamic_dim == 6 and not isinstance(red.m_fun, sd.ConstantMatrixFunction)
     # the kernel split of E; the dynamic block is scaled by its Cholesky factor
     assert list(eigh_calls) == [(51, 8, 8)] and eigh_calls.values_only == []
+
+
+def _moved_reference(pair, T, g, grid):
+    """States of the constant pair's DAE E xdot = A x + g from the dynamic
+    state of all ones, moved by Q(t)^-1: the states of the moved pair."""
+    E, A = pair.E.eval(0.0), pair.A.eval(0.0)
+    x = solve_constant_index1_dae(E, A, g, grid.points, np.ones(np.linalg.matrix_rank(E)))
+    return np.linalg.solve(T.Q.eval_on(grid), x[..., None])[..., 0]
+
+
+def _tv_index1_reduction_error(K):
+    pair, T, f, grid = _tv_index1_problem(K, n=8, r=6)
+    red = sd.index1_reduce(sd.apply_congruence(pair, T), f, grid)
+    # f = Q^T g with Q(0) = I
+    return reduction_error(red, grid, _moved_reference(pair, T, f.eval(0.0)[:, 0], grid))
+
+
+def _moved_seed2_reduction_error(K):
+    grid = sd.TimeGrid.uniform(0.0, 1.0, K)
+    pair, _ = seeded_semidefinite_skew_pair(2, grid)
+    T = random_poly_congruence(np.random.default_rng(6), 6, 2)
+    red = sd.index1_reduce(sd.apply_congruence(pair, T), sd.zero(6, 1), grid)
+    return reduction_error(red, grid, _moved_reference(pair, T, np.zeros(6), grid))
+
+
+@pytest.mark.parametrize("error", [_tv_index1_reduction_error, _moved_seed2_reduction_error])
+def test_time_varying_reduction_error_is_order_four(error):
+    # the reduction's own error, with the core integrated to 1e-13: the
+    # core's spline, its derivative samples and the split's gauge; a
+    # gauge whose within-block derivative disagrees with the Procrustes
+    # chain's samples drops it to order 2, which the midpoint rule hides
+    errs = np.array([error(K) for K in (11, 21, 41)])
+    assert errs[0] <= 1e-6
+    assert (np.log2(errs[:-1] / errs[1:]) >= 3.5).all()
 
 
 def _spd_stack(ts, n, rng):

@@ -3,6 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import structdae as sd
 from structdae.errors import (
@@ -12,6 +13,7 @@ from structdae.errors import (
     StructureError,
     UnsupportedError,
 )
+from structdae.structure import check_nonsingular
 
 from oracles import random_poly_congruence, random_self_adjoint_poly_pair, random_skew_adjoint_poly_pair
 
@@ -175,6 +177,23 @@ def test_invert_hand_example_and_roundtrip():
     for t in GRID.points[::25]:
         assert np.linalg.norm(back.E.eval(t) - pair.E.eval(t)) < 1e-10
         assert np.linalg.norm(back.A.eval(t) - pair.A.eval(t)) < 1e-10
+
+
+def test_invert_reads_the_derivative_of_q_itself_on_a_refined_grid():
+    # a Hermite Q on 11 points, inverted on 21: its derivative between the
+    # nodes is the cubic's own, not a spline through its derivative samples
+    coarse, fine = sd.TimeGrid.uniform(0.0, 1.0, 11), sd.TimeGrid.uniform(0.0, 1.0, 21)
+    S = np.array([[0.0, 1.0, 0.2], [-1.0, 0.0, 0.5], [-0.2, -0.5, 0.0]])
+    B = np.diag([1.0, 2.0, 0.5])
+    Q = sd.from_callable(lambda t: expm(t * S) @ (np.eye(3) + t * B), coarse,
+                         dfn=lambda t: expm(t * S) @ (S @ (np.eye(3) + t * B) + B))
+    Tinv = sd.invert(sd.CongruenceTransform(Q), fine)
+    inv = np.linalg.inv(Q.eval_on(fine))
+    assert np.abs(Tinv.Q.eval_on(fine) - inv).max() <= 1e-14
+    want = -inv @ Q.derivative_on(fine) @ inv
+    assert np.abs(Tinv.Q.derivative_on(fine) - want).max() <= 1e-14
+    # the transform guard returns the inverse it reads its margin off
+    assert np.array_equal(check_nonsingular(Q, fine), Tinv.Q.eval_on(fine))
 
 
 def test_remark1_conversion():
