@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedError,
 )
 from .factor import _inertia, _rank, _row_frame
-from .structure import _bT, _maxnorm
+from .structure import _bT, _frobenius, _maxnorm
 
 RANK_FLOOR = 1e-10
 # structure residual every stage keeps, relative to the norm of its pair
@@ -334,9 +334,8 @@ def _basis_congruence(pipe, basis):
         guard(st._rel_smin(phiv))
         compv, compd = basis.complement.eval_on(grid), basis.complement.derivative_on(grid)
         cT = _bT(compv)
-        cross = np.linalg.norm(cT @ phiv, axis=(1, 2)) / np.maximum(
-            np.linalg.norm(phiv, axis=(1, 2)), 1e-300)
-        ortho = np.linalg.norm(cT @ compv - np.eye(compv.shape[2]), axis=(1, 2))
+        cross = _frobenius(cT @ phiv) / np.maximum(_frobenius(phiv), 1e-300)
+        ortho = _frobenius(cT @ compv - np.eye(compv.shape[2]))
         bad = np.flatnonzero(~((cross <= 1e-8) & (ortho <= 1e-8)))
         if bad.size:
             t = float(ts[bad[0]])
@@ -553,12 +552,12 @@ def verify_self_global_form(form, grid):
     A23 = form.A23.eval_on(grid)
     A32 = form.A32.eval_on(grid)
     A33 = form.A33.eval_on(grid)
-    e33, a33 = st._defects(st.SELF_ADJOINT, E33, form.E33.derivative_on(grid), A33)
+    e33, a33 = st._defect_norms(st.SELF_ADJOINT, E33, form.E33.derivative_on(grid), A33)
     entries = {
-        "E33_skew": _maxnorm(e33),
+        "E33_skew": e33,
         "A22_symmetric": _maxnorm(A22 - _bT(A22)),
         "A32_transpose_A23": _maxnorm(_bT(A32) - A23),
-        "A33_self_adjoint": _maxnorm(a33),
+        "A33_self_adjoint": a33,
     }
     entries.update(_pattern_entries(form, grid, st._J(form.p), form.p))
     return ResidualRecord(entries)
@@ -568,10 +567,10 @@ def verify_skew_global_form(form, grid):
     """Residuals of the block relations of the skew-adjoint layout plus the
     zero-pattern defects (reports, never raises)."""
     E33 = form.E33.eval_on(grid)
-    e33, a33 = st._defects(
+    e33, a33 = st._defect_norms(
         st.SKEW_ADJOINT, E33, form.E33.derivative_on(grid), form.A33.eval_on(grid)
     )
-    entries = {"E33_symmetric": _maxnorm(e33), "A33_skew_adjoint": _maxnorm(a33)}
+    entries = {"E33_symmetric": e33, "A33_skew_adjoint": a33}
     entries.update(
         _pattern_entries(form, grid, st._signature(form.p, form.q), form.p + form.q)
     )

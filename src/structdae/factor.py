@@ -34,7 +34,7 @@ from .errors import (
     RankDropError,
     StructureError,
 )
-from .structure import _bT, _maxnorm, _prefix_products, _sampled, _samples
+from .structure import _bT, _frobenius, _maxnorm, _prefix_products, _sampled, _samples
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -166,11 +166,13 @@ def _numerical_rank(s, gap_tol, scale):
     ))
 
 
-def _rank(s, gap_tol, scale):
+def _rank(s, gap_tol, scale, t=None):
     """_numerical_rank of one descending singular-value vector s; an
-    ill-posed gap raises."""
+    ill-posed gap raises, naming the time t of the matrix when given."""
     (r,), failure = _numerical_rank(s[None], gap_tol, scale)
     if failure:
+        if t is not None:
+            raise IllPosedRankError(f"at t={t}: {failure[1]}", t=t)
         raise failure[1]
     return int(r)
 
@@ -289,8 +291,8 @@ def smooth_inertia(D, grid):
 def _inertia(vals, ts):
     """([W], p) of `smooth_inertia` for the samples vals at the times ts."""
     n = vals.shape[-1]
-    scale = np.linalg.norm(vals, axis=(-2, -1))
-    asym = _first(np.linalg.norm(vals - _bT(vals), axis=(-2, -1)) > 1e-12 * scale,
+    scale = _frobenius(vals)
+    asym = _first(_frobenius(vals - _bT(vals)) > 1e-12 * scale,
                   lambda k: StructureError(f"matrix is not symmetric at t={ts[k]}"))
     lam, vec = np.linalg.eigh(0.5 * (vals + _bT(vals)))
     mag = np.abs(lam)

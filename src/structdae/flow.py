@@ -98,7 +98,7 @@ def flow_defect_series(fundamental, certificate):
     if mats.ndim != 3 or mats.shape[1:] != B.shape or B.shape[0] != B.shape[1]:
         raise DimensionError(f"fundamental matrices {mats.shape} do not match the form {B.shape}")
     defect = np.transpose(mats, (0, 2, 1)) @ B[None] @ mats - B[None]
-    return np.linalg.norm(defect, axis=(1, 2))
+    return st._frobenius(defect, defect)
 
 
 def flow_defect(fundamental, certificate):

@@ -5,7 +5,12 @@ Two concrete kinds carry matrix data:
   * ``PolynomialMatrixFunction``  -- per-entry polynomials in t, analytic
     derivative, closed under sums/products/transposition.  A constant is
     the polynomial of degree 0, ``ConstantMatrixFunction``: it holds one
-    matrix, and every algebra result of degree 0 is one;
+    matrix, and every algebra result of degree 0 is one.  Values are one
+    power-sum contraction, einsum of the powers t**k with the coefficients,
+    which gives a grid the pointwise values bit for bit (a matmul would
+    not: BLAS rounds one point differently from many).  A value that is
+    not finite, which includes every t whose top power |t|**d overflows,
+    raises ``DomainError`` naming the time;
   * ``SampledMatrixFunction``     -- values on a grid, interpolated by a
     piecewise cubic: the Hermite cubic matching derivative samples when it
     carries them, which keeps value/derivative pairs exactly consistent at
@@ -185,10 +190,10 @@ class PolynomialMatrixFunction(MatrixFunction):
         return self.coeffs.shape[0] - 1
 
     def _eval_at(self, ts):
-        return _horner(self.coeffs, ts)
+        return _power_sum(self.coeffs, ts)
 
     def _derivative_at(self, ts):
-        return _horner(self._dcoeffs, ts)
+        return _power_sum(self._dcoeffs, ts)
 
     def derivative_function(self):
         return _poly(self._dcoeffs)
@@ -216,17 +221,15 @@ def _poly(c):
     return ConstantMatrixFunction(p.coeffs[0]) if p.degree == 0 else p
 
 
-def _horner(coeffs, ts):
-    """sum_k coeffs[k] * t**k at every point t of ts, in one array updated in
-    place; a value that overflows raises DomainError (`_finite`)."""
+def _power_sum(coeffs, ts):
+    """sum_k coeffs[k] * t**k at every point t of ts, one einsum of the
+    powers t**k with the coefficients (see the module docstring for why not
+    a matmul); a value that is not finite, also where t**k alone
+    overflows, raises DomainError (`_finite`)."""
     ts = np.asarray(ts, dtype=float)
-    t = ts[:, None, None]
-    out = np.empty((len(ts), *coeffs.shape[1:]))
-    out[...] = coeffs[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(coeffs.shape[0] - 2, -1, -1):
-            out *= t
-            out += coeffs[k]
+        powers = ts[:, None] ** np.arange(coeffs.shape[0])
+        out = np.einsum("tk,kij->tij", powers, coeffs)
     return _finite(out, ts)
 
 

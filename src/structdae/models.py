@@ -36,8 +36,8 @@ def _check_sym(name, F):
         data = F.coeffs
     else:
         data = F.values if F.deriv_values is None else np.concatenate([F.values, F.deriv_values])
-    defect = np.linalg.norm(data - st._bT(data), axis=(1, 2))
-    if np.any(defect > 1e-10 * np.linalg.norm(data, axis=(1, 2))):
+    defect = st._frobenius(data - st._bT(data))
+    if np.any(defect > 1e-10 * st._frobenius(data)):
         raise ParameterError(f"{name} must be symmetric")
 
 

@@ -232,10 +232,12 @@ def _eliminate(pair, f, grid, strict=False):
     # write nothing into the views Ev[:1] and Av[:1]
     A1 = st._congruence_arrays(Ev[:1], None, Av[:1], Qv[:1], None if Qd is None else Qd[:1])[2][0]
 
-    # split the kernel block into its nonsingular part and the constraint rows
+    # split the kernel block into its nonsingular part and the constraint
+    # rows, both decided on A1 at t0
+    t0 = grid.t0
     a_scale = np.linalg.norm(A1)
     _, s0, vt0 = np.linalg.svd(A1[r:, r:])
-    k_rank = _rank(s0, 1.0 / COND_LIMIT, a_scale)
+    k_rank = _rank(s0, 1.0 / COND_LIMIT, a_scale, t0)
     tau = n - r - k_rank  # number of chain/constraint variables
     dxi = r - tau
     ix = slice(0, dxi)
@@ -252,7 +254,7 @@ def _eliminate(pair, f, grid, strict=False):
         C0 = vt0[k_rank:] @ A1[r:, :r]
         # the tau constraint rows need full row rank
         _, sc, vtc = np.linalg.svd(C0)
-        if r < tau or _rank(sc, 1e-10, a_scale) < tau:
+        if r < tau or _rank(sc, 1e-10, a_scale, t0) < tau:
             raise RegularityError(
                 "constraint rows are rank deficient; the pair is not regular"
             )

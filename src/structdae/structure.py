@@ -99,11 +99,20 @@ def _positive(value, what):
         raise ParameterError(f"{what} must be a positive number, got {value}")
 
 
-def _maxnorm(x):
-    """Largest Frobenius norm over a grid of matrices (0 for empty blocks)."""
+def _frobenius(x, out=None):
+    """Frobenius norm of each matrix of x (..., m, n), bit for bit that of
+    np.linalg.norm(x, axis=(-2, -1)): the squares summed by one reduction
+    over the two matrix axes, then the square root.  out, which may be x
+    itself, takes the squares."""
+    return np.sqrt(np.add.reduce(np.square(x, out=out), axis=(-2, -1)))
+
+
+def _maxnorm(x, out=None):
+    """Largest `_frobenius` norm over a grid of matrices (0 for empty
+    blocks); out as for `_frobenius`."""
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, axis=(-2, -1)).max())
+    return float(_frobenius(x, out).max())
 
 
 def _J(p):
@@ -119,13 +128,22 @@ def _signature(p, q):
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
 
 
-def _defects(kind, Ev, Ed, Av):
-    """Grid arrays whose vanishing defines the structure:
-    (E + E^T, A^T - A - Edot) if self-adjoint, (E - E^T, A^T + A + Edot) if skew."""
-    ET, AT = _bT(Ev), _bT(Av)
-    if kind == SELF_ADJOINT:
-        return Ev + ET, AT - Av - Ed
-    return Ev - ET, AT + Av + Ed
+def _defect_norms(kind, Ev, Ed, Av):
+    """Grid maxima of the Frobenius norms of the arrays whose vanishing
+    defines the structure: (E + E^T, A^T - A - Edot) if self-adjoint,
+    (E - E^T, A^T + A + Edot) if skew.  Both are formed, one after the
+    other, in one buffer that is squared in place, so the norms are
+    `_maxnorm`'s of the two arrays bit for bit; the operands broadcast
+    (a one-sample constant against a grid, a scalar Edot)."""
+    plus, minus = (np.add, np.subtract) if kind == SELF_ADJOINT else (np.subtract, np.add)
+    shape = np.broadcast_shapes(np.shape(Ed), np.shape(Av))
+    size = int(np.prod(shape))
+    buf = np.empty(max(np.size(Ev), size))
+    e = plus(Ev, _bT(Ev), out=buf[:np.size(Ev)].reshape(np.shape(Ev)))
+    e_norm = _maxnorm(e, e)
+    a = minus(_bT(Av), Av, out=buf[:size].reshape(shape))
+    minus(a, Ed, out=a)
+    return e_norm, _maxnorm(a, a)
 
 
 def _block(n, rows, cols):
@@ -211,9 +229,8 @@ def _relative(x, norm):
 
 def _structure(kind, Ev, Ed, Av, norm=None):
     """(defect, norm): the structure defect of the grid arrays (E, Edot, A),
-    the larger grid maximum of the two `_defects` arrays, relative to the
-    pair's norm max_t max(|E|_F, |A|_F), which `norm` passes when the caller
-    has it.  Every self-/skew-adjoint decision compares this defect with a
+    the larger of the two `_defect_norms`, relative to the pair's norm
+    max_t max(|E|_F, |A|_F), which `norm` passes when the caller has it.  Every self-/skew-adjoint decision compares this defect with a
     fixed threshold, so a pair written in other units gets the same answer.
     Edot stays out of the norm: a structured pair has
     |Edot| <= 2 |A| + defect, so an unstructured pair with a large Edot
@@ -221,7 +238,7 @@ def _structure(kind, Ev, Ed, Av, norm=None):
     """
     if norm is None:
         norm = max(_maxnorm(Ev), _maxnorm(Av))
-    return _relative(max(map(_maxnorm, _defects(kind, Ev, Ed, Av))), norm), norm
+    return _relative(max(_defect_norms(kind, Ev, Ed, Av)), norm), norm
 
 
 def _constant(F):
@@ -275,8 +292,7 @@ def _residuals(pair, grid, kind, values=None):
     values of (E, Edot, A) when the caller has them."""
     if values is None:
         values = _values(pair, grid)
-    e, a = _defects(kind, *values)
-    return StructureReport(kind, _maxnorm(e), _maxnorm(a), grid)
+    return StructureReport(kind, *_defect_norms(kind, *values), grid)
 
 
 def self_adjoint_residual(pair, grid):
@@ -354,8 +370,7 @@ def _require_nonsingular(F, ts, rel_tol, error, what, rhs=None, **fields):
         raise
     if n:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rel = 1.0 / (np.linalg.norm(F, axis=(-2, -1))
-                         * np.linalg.norm(out[..., -n:], axis=(-2, -1)))
+            rel = 1.0 / (_frobenius(F) * _frobenius(out[..., -n:]))
     else:
         rel = np.ones(F.shape[:-2])
     _require_margin(rel, ts, rel_tol, error, what,

@@ -5,7 +5,9 @@ constant or the cubic, Hermite when derivative samples are given).  Only
 `matfun`, whose algebra builds its own results, calls the sampled
 constructor otherwise.  A rank change is reported by one builder,
 `factor._rank_changed`, and `structure.invert` takes Q's derivative from Q
-itself, never from the transform's rebuilt `Qdot`."""
+itself, never from the transform's rebuilt `Qdot`.  Per-sample Frobenius
+norms come from one helper, `structure._frobenius`, never from
+`np.linalg.norm(..., axis=...)`."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,27 @@ def test_invert_reads_q_and_its_guard_alone():
     assert [line for where, line in qdot if where == "invert"] == []
     assert [where for where, _ in _calls(path, "check_nonsingular")].count("invert") == 1
     assert "invert" not in [where for where, _ in _calls(path, "_require_nonsingular")]
+
+
+def _axis_norm_calls(path):
+    """(enclosing function, line) of every linalg.norm(..., axis=...) call."""
+    def match(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm" and any(k.arg == "axis" for k in node.keywords))
+
+    return _nodes(path, match)
+
+
+def test_per_sample_norms_come_from_one_helper():
+    found = {path.name: _axis_norm_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_the_norm_scan_sees_the_axis_keyword(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "def f(x):\n"
+        "    return np.linalg.norm(x, axis=(1, 2)) + np.linalg.norm(x)\n"
+        "y = linalg.norm(z, 2, axis=-1)\n"
+    )
+    assert _axis_norm_calls(src) == [("f", 2), (None, 3)]

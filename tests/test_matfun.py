@@ -379,6 +379,78 @@ def test_poly_eval_on_matches_pointwise():
     assert np.array_equal(const.derivative_on(grid), np.zeros((17, 2, 3)))
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _algebra_polys(rng, deg, shape):
+    """A random polynomial f of degree deg and shape, and the algebra's
+    results from it: its transpose and its products with polynomials of
+    degree 1 (0 for a constant f) on the right and deg // 2 on the left."""
+    rows, cols = shape
+    f = sd.poly(rng.standard_normal((deg + 1, rows, cols)))
+    g = sd.poly(rng.standard_normal((1, cols, cols)) if deg == 0
+                else [*rng.standard_normal((2, cols, cols))])
+    h = sd.poly(rng.standard_normal((deg // 2 + 1, rows, rows)))
+    return [f, sd.mf_transpose(f), sd.mf_matmul(f, g), sd.mf_matmul(h, f)]
+
+
+@pytest.mark.parametrize("deg", range(7))
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (20, 20)])
+def test_power_sum_on_many_points_is_the_pointwise_value_bit_for_bit(deg, shape):
+    # the power sum's entry at one t does not depend on how many points are
+    # evaluated together, for the algebra's transposes and products too
+    rng = np.random.default_rng(deg + 10 * shape[0])
+    point_sets = [np.array([0.7]), np.array([-1.5, 2.25]),
+                  sd.TimeGrid.uniform(-3.0, 3.0, 401).points]
+    for f in _algebra_polys(rng, deg, shape):
+        for ts in point_sets:
+            for many, one in ((f._eval_at, f.eval), (f._derivative_at, f.derivative)):
+                assert np.array_equal(_bits(many(ts)), _bits(np.stack([one(t) for t in ts])))
+        grid = sd.TimeGrid(point_sets[2])
+        assert np.array_equal(_bits(f.eval_on(grid)), _bits(f._eval_at(grid.points)))
+
+
+@pytest.mark.parametrize("deg", range(9))
+def test_power_sum_error_is_within_the_summation_bound(deg):
+    # against Horner in extended precision: |error| <= 4 (d + 1) eps
+    # sum_k |c_k| |t|^k, the bound of a sum of d + 1 rounded products
+    rng = np.random.default_rng(100 + deg)
+    c = rng.standard_normal((deg + 1, 4, 3)) * 10.0 ** rng.uniform(-3, 3, (deg + 1, 1, 1))
+    ts = np.concatenate([rng.uniform(-10.0, 10.0, 200), [-10.0, 0.0, 10.0]])
+    got = sd.poly(c)._eval_at(ts)
+    cl, tl = c.astype(np.longdouble), ts.astype(np.longdouble)[:, None, None]
+    ref = np.zeros((ts.size, 4, 3), dtype=np.longdouble)
+    for k in range(deg, -1, -1):
+        ref = ref * tl + cl[k]
+    scale = sum(np.abs(c[k]) * np.abs(ts[:, None, None]) ** k for k in range(deg + 1))
+    err = np.abs(got.astype(np.longdouble) - ref).astype(float)
+    assert np.all(err <= 4 * (deg + 1) * np.finfo(float).eps * scale)
+
+
+def test_a_polynomial_whose_top_power_overflows_names_the_time():
+    # the power sum forms t**k itself: where |t|**d overflows the value is
+    # not finite, however small the coefficient it multiplies (a nested
+    # Horner evaluation would read 1e-300 t^2 = 1e100 at t = 1e200); the
+    # derivative, of degree 1, stays finite
+    f = sd.poly([[[1.0], [2.0]], [[0.0], [0.0]], [[1e-300], [0.0]]])
+    grid = sd.TimeGrid([0.0, 1.0, 1e150, 1e200])
+    for run in (lambda: f.eval_on(grid), lambda: f.eval(1e200)):
+        with pytest.raises(DomainError, match="not finite") as err:
+            run()
+        assert err.value.t == 1e200
+        assert "t=1e+200" in str(err.value)
+    assert np.isfinite(f.derivative_on(grid)).all()
+    assert np.array_equal(f.eval(1e150), [[2.0], [2.0]])
+    # the overflowing pair still fails at the first node after 0, with no
+    # numpy warning (warnings are errors in this suite)
+    pair = overflowing_poly_pair()
+    for run in (lambda: pair.E.eval_on(pair.interval), lambda: pair.A.derivative_on(pair.interval)):
+        with pytest.raises(DomainError) as err:
+            run()
+        assert err.value.t == pair.interval.points[1]
+
+
 def _assert_matches_scipy(grid, with_derivatives, seed):
     # values and derivatives, zero signs included, at the nodes, tf, the
     # midpoints and random interior points

@@ -548,6 +548,34 @@ def test_kernel_block_near_the_threshold_is_ill_posed(reduce):
         reduce(pair, sd.zero(6, 1), GRID)
 
 
+def _ill_posed_at_t0(kernel=None, eps=0.0):
+    """E = diag(1, 1, 0, ...) and A = J2 plus the kernel block, coupled to the
+    dynamic block by a constraint row of size eps."""
+    kernel = np.zeros((1, 1)) if kernel is None else np.asarray(kernel)
+    m = 2 + len(kernel)
+    A = np.zeros((m, m))
+    A[:2, :2] = J2
+    A[2:, 2:] = kernel
+    A[1, 2], A[2, 1] = eps, -eps
+    return sd.MatrixPair(sd.constant(np.diag([1.0, 1.0] + [0.0] * len(kernel))),
+                         sd.constant(A), sd.TimeGrid.uniform(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("reduce, pair", [
+    # a kernel block with no clean gap at the 1e-12 cut
+    (sd.index1_reduce, _ill_posed_at_t0(np.diag([1.0, 2.1e-12]))),
+    (sd.semidefinite_skew_reduce, _ill_posed_at_t0([[0.0, 1e-12], [-1e-12, 0.0]])),
+    # a zero kernel block, and a constraint row at twice the 1e-10 cut
+    (sd.index1_reduce, _ill_posed_at_t0(eps=2e-10)),
+    (sd.semidefinite_skew_reduce, _ill_posed_at_t0(eps=2e-10)),
+])
+def test_rank_decisions_on_a1_at_t0_name_t0(reduce, pair):
+    with pytest.raises(IllPosedRankError, match="do not separate cleanly") as err:
+        reduce(pair, sd.zero(pair.n, 1), pair.interval)
+    assert err.value.t == 0.0
+    assert str(err.value).startswith("at t=0.0: ")
+
+
 @pytest.mark.parametrize("rel", [1e-11, 1e-10, 1e-9, 5e-9])
 def test_both_entry_points_cut_the_kernel_block_alike(rel):
     # a small kernel block eps/|A|_F = rel: both entry points keep it as an

@@ -537,3 +537,75 @@ def test_classify_rejects_a_non_positive_tolerance(tol):
     pair = sd.build_circuit(1.0, 1.0, 1.0, interval=GRID).lossless_pair()
     with pytest.raises(ParameterError, match="classification tolerance"):
         sd.classify(pair, GRID, tol)
+
+
+def _norm_operands():
+    """(Ev, Ed, Av) cases: C-contiguous, transposed, row- and column-sliced
+    grid arrays, one sample of E against grid arrays, and empty blocks."""
+    K, n = 7, 5
+    rng = np.random.default_rng(9)
+    G = [rng.standard_normal((K, 2 * n, 2 * n)) for _ in range(3)]
+    cases = {
+        "contiguous": [g[:, :n, :n].copy() for g in G],
+        "transposed": [np.swapaxes(g[:, :n, :n].copy(), 1, 2) for g in G],
+        "row-sliced": [g[:, ::2, :n] for g in G],
+        "column-sliced": [g[:, :n, 1::2] for g in G],
+        "one-sample": [G[0][:1, :n, :n].copy(), G[1][:, :n, :n], G[2][:, :n, :n]],
+        "empty": [np.zeros((K, 0, 0)) for _ in range(3)],
+    }
+    return [pytest.param(*ops, id=name) for name, ops in cases.items()]
+
+
+def _linalg_maxnorm(x):
+    return float(np.linalg.norm(x, axis=(-2, -1)).max()) if x.size else 0.0
+
+
+@pytest.mark.parametrize("Ev, Ed, Av", _norm_operands())
+def test_norm_helpers_equal_numpys_norm_bit_for_bit(Ev, Ed, Av):
+    from structdae.structure import SELF_ADJOINT, SKEW_ADJOINT, _defect_norms, _frobenius, _maxnorm
+
+    for x in (Ev, Ed, Av):
+        assert np.array_equal(_frobenius(x), np.linalg.norm(x, axis=(-2, -1)))
+        assert _maxnorm(x) == _linalg_maxnorm(x)
+    before = [x.copy() for x in (Ev, Ed, Av)]
+    ET, AT = np.swapaxes(Ev, -1, -2), np.swapaxes(Av, -1, -2)
+    assert _defect_norms(SELF_ADJOINT, Ev, Ed, Av) == (
+        _linalg_maxnorm(Ev + ET), _linalg_maxnorm(AT - Av - Ed))
+    assert _defect_norms(SKEW_ADJOINT, Ev, Ed, Av) == (
+        _linalg_maxnorm(Ev - ET), _linalg_maxnorm(AT + Av + Ed))
+    assert all(np.array_equal(x, y) for x, y in zip((Ev, Ed, Av), before))
+
+
+@pytest.mark.parametrize("Ev, Ed, Av", _norm_operands())
+@pytest.mark.parametrize("with_rhs", [False, True])
+def test_nonsingularity_margin_equals_numpys_norm_bit_for_bit(monkeypatch, Ev, Ed, Av, with_rhs):
+    from structdae import structure as st
+
+    n = Av.shape[-1]
+    F = Av + 3.0 * np.eye(n)  # nonsingular, in Av's memory layout
+    rhs = Ed[..., :1] if with_rhs and n else None
+    seen = []
+    monkeypatch.setattr(st, "_require_margin", lambda rel, *args, **kw: seen.append(rel))
+    out = st._require_nonsingular(F, np.arange(len(F), dtype=float), 1e-12, SingularityError,
+                                  "F is singular", rhs)
+    want = (1.0 / (np.linalg.norm(F, axis=(-2, -1)) * np.linalg.norm(out[..., -n:], axis=(-2, -1)))
+            if n else np.ones(len(F)))
+    assert np.array_equal(seen[0], want)
+
+
+def test_structure_defect_peaks_near_one_grid_array():
+    import tracemalloc
+
+    from structdae.structure import SKEW_ADJOINT, _structure
+
+    K, n = 101, 45
+    rng = np.random.default_rng(3)
+    Ev, Ed, Av = (rng.standard_normal((K, n, n)) for _ in range(3))
+    tracemalloc.start()
+    try:
+        _structure(SKEW_ADJOINT, Ev, Ed, Av)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # both defects share one squared buffer; separate temporaries read 3.0
+    assert peak < 1.5 * Ev.nbytes
