@@ -14,13 +14,16 @@ included), so the verification residuals are limited by roundoff rather
 than by interpolation.
 
 The solution basis of a constant pair comes from the pencil's finite
-deflating subspace, found by a Wong sequence, and an in-house matrix
-exponential; the whole construction runs on numpy alone.  Every rank is
-decided by the gap test of `factor._numerical_rank` against the norm of the
-pair the block is cut from, never against a block's own roundoff; a value
-within a factor 10 of its threshold raises IllPosedRankError.  Every
-structure residual and layout defect is likewise relative to the norm of the
-pair it is read from, with no absolute floor.
+deflating subspace, found by a Wong sequence, and the exponential of its
+dynamics M anchored at the centre tm of the grid: exp((t - tm) M) is one
+exponential at the node nearest tm times prefix products of one
+exponential per distinct step length, all from one set of powers of M by
+an in-house Pade [13/13]; the whole construction runs on numpy alone.
+Every rank is decided by the gap test of `factor._numerical_rank` against
+the norm of the pair the block is cut from, never against a block's own
+roundoff; a value within a factor 10 of its threshold raises
+IllPosedRankError.  Every structure residual and layout defect is likewise
+relative to the norm of the pair it is read from, with no absolute floor.
 """
 
 from __future__ import annotations
@@ -131,20 +134,26 @@ _PADE13 = np.array([
 _THETA13 = 5.371920351148152
 
 
-def _expm(X):
-    """Matrix exponential of a stack X (..., d, d): the Pade [13/13]
-    approximant of X / 2^s, squared s times, with s chosen per matrix."""
-    b = _PADE13
-    s = np.maximum(np.frexp(np.abs(X).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
-    X = X * np.exp2(-s)[..., None, None]
-    eye = np.eye(X.shape[-1])
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+def _expm(M, taus):
+    """exp(tau M) (T, d, d) for the scalars taus (T,) and one M (d, d): for
+    each tau the Pade [13/13] approximant of tau M / 2^s, squared s times,
+    with s chosen per tau from |tau M|_1.  Its U and V are scalar
+    combinations of the powers (M / |M|_1)^j, j <= 13, formed once for all
+    taus; those powers are bounded by 1 in the 1-norm and the scalars by
+    theta_13^13, so nothing overflows before the squarings."""
+    taus = np.asarray(taus, dtype=float)
+    d = M.shape[-1]
+    mu = np.abs(M).sum(axis=0).max(initial=0.0)
+    P = np.empty((14, d, d))
+    P[0] = np.eye(d)
+    P[1] = M / (mu or 1.0)
+    for j in range(2, 14):
+        P[j] = P[j - 1] @ P[1]
+    s = np.maximum(np.frexp(np.abs(taus) * mu / _THETA13)[1], 0)
+    # tau M / 2^s = a P_1, |a| <= theta_13
+    coef = _PADE13 * (taus * mu * np.exp2(-s))[:, None] ** np.arange(14)
+    U = np.einsum("tj,jab->tab", coef[:, 1::2], P[1::2])
+    V = np.einsum("tj,jab->tab", coef[:, ::2], P[::2])
     R = np.linalg.solve(V - U, V + U)
     for j in range(int(s.max(initial=0))):
         sq = s > j
@@ -190,8 +199,15 @@ def solution_basis_constant(pair, grid):
     Every solution lies in the finite deflating subspace V*, found by a Wong
     sequence whose ranks are decided against RANK_TOL * |E|_2 and
     RANK_TOL * |A|_2.  With E V* M = A V* (exact, since A V* lies in E V*),
-    the basis is Phi(t) = V* expm((t - tc) M), anchored at the centre tc of
-    the grid.
+    the basis is Phi(t) = V* exp((t - tm) M), anchored at the centre
+    tm = (t0 + tf) / 2 of the grid.
+
+    By the group property exp((t - tm) M) needs one exponential per
+    distinct step length: at the node c nearest tm it is
+    X_c = exp((t_c - tm) M) (the identity, so Phi = V* exactly, when
+    t_c = tm), and the other nodes are the prefix products of exp(h M)
+    forward from X_c and of exp(-h M) backward.  `_expm` gives X_c and
+    every distinct signed step h from one set of powers of M.
     """
     E, A = st._constant(pair.E), st._constant(pair.A)
     if E is None or A is None:
@@ -207,8 +223,18 @@ def solution_basis_constant(pair, grid):
     # the basis keeps a relative margin of about exp(-D (tf - t0) / 2) at both
     # ends instead of exp(-D (tf - t0)) at one
     ts = grid.points
+    tm = 0.5 * (ts[0] + ts[-1])
+    c = int(np.argmin(np.abs(ts - tm)))
+    # the signed steps away from the anchor node c, backward then forward;
+    # each distinct one is exponentiated once
+    h = np.diff(ts)
+    steps = np.concatenate([-h[:c][::-1], h[c:]])
+    first, at = st._groups(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        phiv = V @ _expm((ts - 0.5 * (ts[0] + ts[-1]))[:, None, None] * M)
+        X = _expm(M, np.concatenate([[ts[c] - tm], steps[first]]))
+        back = st._prefix_products(np.concatenate([X[:1], X[1:][at[:c]]]))
+        fwd = st._prefix_products(np.concatenate([X[:1], X[1:][at[c:]]]))
+        phiv = V @ np.concatenate([back[::-1], fwd[1:]])
         phid = phiv @ M
         res = _maxnorm(E[None] @ phid - A[None] @ phiv)
     finite = np.all(np.isfinite(phiv) & np.isfinite(phid), axis=(1, 2))
@@ -260,8 +286,7 @@ class _Pipeline:
         if res > 1e-10:
             what = "self-adjoint" if kind == st.SELF_ADJOINT else "skew-adjoint"
             raise StructureError(f"pair is not {what} (relative residual {res:.3e})")
-        self.Qv = np.eye(self.n)[None]  # one sample until the first stage
-        self.Qd = np.zeros((1, self.n, self.n))
+        self.Qv = self.Qd = None  # the identity until the first stage
         self.stage_residuals = []
 
     def apply(self, name, rows, cols, X, Xd=None):
@@ -272,9 +297,13 @@ class _Pipeline:
         gives new arrays; any other is written in place into the pipeline's
         arrays, on its rows and columns only, so X and Xd must not be views
         of them.  Before the first such stage the one-sample arrays get the
-        grid axis, by one copy each."""
+        grid axis, by one copy each.  A first stage that covers the matrix
+        gives the transform: the pipeline then holds X and Xd themselves."""
         block = st._block(self.n, rows, cols)
         r, c, covers = block
+        first = self.Qv is None
+        if first:
+            self.Qv, self.Qd = np.eye(self.n)[None], np.zeros((1, self.n, self.n))
         if not covers:
             K = len(self.grid.points)
             for key in ("Ev", "Ed", "Av", "Qv", "Qd"):
@@ -282,11 +311,17 @@ class _Pipeline:
                     setattr(self, key, np.repeat(getattr(self, key), K, axis=0))
         self.Ev, self.Ed, self.Av = st._congruence_arrays(
             self.Ev, self.Ed, self.Av, X, Xd, rows, cols)
-        # Q_all <- Q_all Q, and its derivative Qd Q + Q_all Qdot
-        Qd = st._block_right(self.Qd, X, block)
-        if Xd is not None:
-            Qd[..., :, c] += self.Qv[..., :, r] @ Xd
-        self.Qv, self.Qd = st._block_right(self.Qv, X, block), Qd
+        if first and covers:
+            # Q_all = I Q
+            self.Qv = X.reshape(-1, self.n, self.n)
+            if Xd is not None:
+                self.Qd = Xd
+        else:
+            # Q_all <- Q_all Q, and its derivative Qd Q + Q_all Qdot
+            Qd = st._block_right(self.Qd, X, block)
+            if Xd is not None:
+                Qd[..., :, c] += self.Qv[..., :, r] @ Xd
+            self.Qv, self.Qd = st._block_right(self.Qv, X, block), Qd
         res, self.norm = st._structure(self.kind, self.Ev, self.Ed, self.Av)
         self.stage_residuals.append((name, float(res)))
         if res > STAGE_TOL:
@@ -318,7 +353,9 @@ def _basis_congruence(pipe, basis):
     """Congruence by [Phi | complement]; without one, the kernel columns of
     `_row_frame` of Phi^T, whose one SVD also gives the rank guard.  A given
     complement C must keep its contract at every node: C^T Phi = 0 and
-    C^T C = I, both to 1e-8 (the first relative to |Phi|)."""
+    C^T C = I, both to 1e-8 (the first relative to |Phi|).  C is read by
+    `structure._samples`, so a constant one is checked on its one sample and
+    broadcast into [Phi | C]."""
     grid, ts = pipe.grid, pipe.grid.points
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
@@ -332,10 +369,12 @@ def _basis_congruence(pipe, basis):
         compv, compd = V[..., d:], Vd[..., d:]
     else:
         guard(st._rel_smin(phiv))
-        compv, compd = basis.complement.eval_on(grid), basis.complement.derivative_on(grid)
+        compv = st._samples(basis.complement, grid)
+        compd = st._samples(basis.complement, grid, True)
         cT = _bT(compv)
         cross = _frobenius(cT @ phiv) / np.maximum(_frobenius(phiv), 1e-300)
-        ortho = _frobenius(cT @ compv - np.eye(compv.shape[2]))
+        cross, ortho = np.broadcast_arrays(
+            cross, _frobenius(cT @ compv - np.eye(compv.shape[2])))
         bad = np.flatnonzero(~((cross <= 1e-8) & (ortho <= 1e-8)))
         if bad.size:
             t = float(ts[bad[0]])
@@ -350,8 +389,10 @@ def _basis_congruence(pipe, basis):
         raise BasisDeficiencyError(
             f"Phi does not solve the homogeneous DAE (residual {resid:.3e})"
         )
-    pipe.apply("solution-basis congruence", slice(None), slice(None),
-               np.concatenate([phiv, compv], axis=2), np.concatenate([phid, compd], axis=2))
+    X, Xd = np.empty((2, len(ts), pipe.n, pipe.n))
+    X[..., :d], X[..., d:] = phiv, compv
+    Xd[..., :d], Xd[..., d:] = phid, compd
+    pipe.apply("solution-basis congruence", slice(None), slice(None), X, Xd)
     # first block column of A must vanish since E Phidot = A Phi
     pipe.require("A first-block-column zero", _maxnorm(pipe.Av[:, :, :d]))
     E11 = pipe.Ev[:, :d, :d]

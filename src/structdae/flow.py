@@ -50,7 +50,7 @@ def _step_maps(M_fun, grid, g_fun=None):
     L = I - h/2 M and R = I + h/2 M at the midpoints, from one evaluation of
     M (and g) at all of them; raises at the first midpoint where L is
     numerically singular.  A constant M has one L per step length, grouped
-    by a stable sort (a group is guarded at its earliest midpoint).  Each
+    by `structure._groups` (a group is guarded at its earliest midpoint).  Each
     distinct L is solved once against [R | I], which gives C, and L^-1 for
     d and for the guard's condition number.
     """
@@ -63,9 +63,7 @@ def _step_maps(M_fun, grid, g_fun=None):
         first = at = slice(None)
         M = M_fun._eval_at(mids)
     else:
-        order = np.argsort(h, kind="stable")
-        new = np.concatenate([[True], h[order[1:]] != h[order[:-1]]])
-        first, at = order[new], np.cumsum(new)[np.argsort(order)] - 1
+        first, at = st._groups(h)
     half = 0.5 * h[first, None, None] * M
     eye = np.eye(n)
     X = st._require_nonsingular(

@@ -256,7 +256,8 @@ def _eliminate(pair, f, grid, strict=False):
         _, sc, vtc = np.linalg.svd(C0)
         if r < tau or _rank(sc, 1e-10, a_scale, t0) < tau:
             raise RegularityError(
-                "constraint rows are rank deficient; the pair is not regular"
+                f"constraint rows are rank deficient at t={t0}; the pair is not regular",
+                t=t0,
             )
         Qc = np.zeros((n, n))
         Qc[:r, :r] = np.hstack([vtc.T[:, tau:], vtc.T[:, :tau]])

@@ -93,6 +93,14 @@ def _prefix_products(G):
     return G
 
 
+def _groups(x):
+    """(first, at): the index of the first entry of each distinct value of
+    the 1-D x, the values ascending, and the group of every entry, so that
+    x[first][at] == x.  The one grouping of equal step lengths."""
+    _, first, at = np.unique(x, return_index=True, return_inverse=True)
+    return first, at
+
+
 def _positive(value, what):
     """ParameterError unless value is a positive finite number."""
     if not 0.0 < value < np.inf:
@@ -194,14 +202,15 @@ def _congruence_arrays(Ev, Ed, Av, X, Xd=None, rows=slice(None), cols=slice(None
     Every operand is a (K, ., .) grid array or the one-sample (1, ., .)
     stack of a constant (`_samples`), which broadcasts against the grid
     arrays; a bare 2-D X broadcasts the same way.  Ed=None skips the
-    derivative (returned as None).  A block that covers the matrix returns
+    derivative (returned as None); a one-sample zero Ed, that of a constant
+    E, forms no Q^T Edot Q.  A block that covers the matrix returns
     the products as new arrays and writes nothing into its operands.  Any
     other block is written in place into E, Edot and A, on the rows and
     columns of cols only, which returns them: they must already have the
     grid axis of X, and X and Xd must not be views of them.
     """
     block = _block(Ev.shape[-1], rows, cols)
-    r, c, _ = block
+    r, c, covers = block
     XT = _bT(X)
     # the rows cols of Qdot^T E Q, from E before the stage
     H = None if Xd is None or Ed is None else _block_right(_bT(Xd) @ Ev[..., r, :], X, block)
@@ -209,7 +218,13 @@ def _congruence_arrays(Ev, Ed, Av, X, Xd=None, rows=slice(None), cols=slice(None
     # the columns cols of Q^T E Qdot, the one product both E2d and A2 take
     G = None if Xd is None else E2[..., :, r] @ Xd
     E2 = _block_right(E2, X, block)
-    E2d = None if Ed is None else _block_right(_block_left(Ed, XT, block), X, block)
+    if Ed is None:
+        E2d = None
+    elif len(Ed) == 1 and not Ed.any():
+        # Q^T Edot Q of a constant E is zero: nothing to form
+        E2d = np.zeros(E2.shape) if covers else Ed
+    else:
+        E2d = _block_right(_block_left(Ed, XT, block), X, block)
     if H is not None:
         E2d[..., c, :] += H
         E2d[..., :, c] += G

@@ -17,6 +17,7 @@ from structdae.errors import (
     StructureError,
     UnsupportedError,
 )
+from structdae.structure import _J
 
 from oracles import (
     brute_force_dimension,
@@ -193,15 +194,118 @@ def test_expm_matches_scipy_across_scales():
     for nrm in 10.0 ** np.arange(-3, 4):
         X = rng.standard_normal((8, 6, 6))
         X *= nrm / np.abs(X).sum(axis=-2).max(axis=-1)[:, None, None]
-        ours, ref = _expm(X), expm(X)
+        ours = np.concatenate([_expm(M, [1.0]) for M in X])
+        ref = expm(X)
         rel = np.abs(ours - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
         # the relative condition number of exp grows like |X|
         assert rel.max() <= 1e-13 * max(1.0, nrm)
-    assert np.array_equal(_expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
-    assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+    assert np.array_equal(_expm(np.ones((4, 4)), np.zeros(3)),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(_expm(np.zeros((4, 4)), [1.0]), np.eye(4)[None])
     S = 30.0 * rng.standard_normal((5, 7, 7))
-    Q = _expm(S - S.swapaxes(1, 2))
+    Q = np.concatenate([_expm(K, [1.0]) for K in S - S.swapaxes(1, 2)])
     assert np.abs(Q.swapaxes(1, 2) @ Q - np.eye(7)).max() <= 1e-13
+
+
+def _line_reference(pair, grid):
+    """V and M of the basis, by the same deflating subspace, and the basis
+    V expm((t - tm) M) from scipy at every node."""
+    from scipy.linalg import expm
+
+    from structdae.canonical import _finite_subspace
+
+    E, A = pair.E.value, pair.A.value
+    V = _finite_subspace(E, A, np.linalg.norm(E, 2), np.linalg.norm(A, 2))[0]
+    M = np.linalg.lstsq(E @ V, A @ V, rcond=None)[0]
+    ts = grid.points
+    tm = 0.5 * (ts[0] + ts[-1])
+    return V, np.stack([V @ expm((t - tm) * M) for t in ts])
+
+
+@pytest.mark.parametrize("points", [
+    np.linspace(0.0, 10.0, 2001),
+    # steps between 0.002 and 0.2, no two alike
+    np.cumsum(np.r_[0.0, np.random.default_rng(3).uniform(0.002, 0.2, 150)]),
+], ids=["uniform-2001", "non-uniform"])
+def test_solution_basis_matches_scipy_along_the_line(points):
+    grid = sd.TimeGrid(points)
+    pair = _stiff_multibody(31, K=2)[0].self_pair
+    phi = sd.solution_basis_constant(pair, grid).Phi.eval_on(grid)
+    ref = _line_reference(pair, grid)[1]
+    rel = np.abs(phi - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-12
+
+
+def test_solution_basis_exponentiates_each_step_length_once(monkeypatch):
+    from structdae import canonical
+
+    taus = []
+
+    def counting(M, t):
+        taus.append(len(t))
+        return _expm(M, t)
+
+    monkeypatch.setattr(canonical, "_expm", counting)
+    mb, grid = seeded_multibody(7)
+    for pair in (mb.self_pair, mb.skew_pair):
+        sd.solution_basis_constant(pair, grid)
+    # one Pade evaluation for the anchor and one per distinct signed step
+    # (the 100 steps of linspace(0, 10, 101) take 10 distinct values away
+    # from the centre), where the stack form took one per node
+    assert taus == [11, 11]
+
+
+def test_solution_basis_is_v_at_an_anchor_on_the_centre():
+    pair = _stiff_multibody(31)[0].skew_pair
+    grid = sd.TimeGrid.uniform(0.0, 10.0, 41)
+    assert grid.points[20] == 5.0
+    V = _line_reference(pair, grid)[0]
+    assert np.array_equal(sd.solution_basis_constant(pair, grid).Phi.eval_on(grid)[20], V)
+
+
+@pytest.mark.parametrize("kind", ["self_adjoint", "skew_adjoint"])
+def test_first_stage_takes_phi_and_its_complement_as_the_transform(kind):
+    from structdae.canonical import _basis_congruence, _Pipeline
+
+    mb, grid = seeded_multibody(0)
+    pair = mb.self_pair if kind == "self_adjoint" else mb.skew_pair
+    basis = sd.solution_basis_constant(pair, grid)
+    pipe = _Pipeline(pair, grid, kind)
+    _basis_congruence(pipe, basis)
+    C = np.broadcast_to(basis.complement.value, (grid.n, pair.n, pair.n - basis.d))
+    assert np.array_equal(pipe.Qv, np.concatenate([basis.Phi.eval_on(grid), C], axis=2))
+    assert np.array_equal(pipe.Qd, np.concatenate([basis.Phi.derivative_on(grid), 0 * C], axis=2))
+
+
+@pytest.mark.parametrize("kind", ["self_adjoint", "skew_adjoint"])
+def test_a_roundoff_change_of_phi_moves_q_within_the_gauge(kind):
+    # Phi (1 + 1e-15 R), R Gaussian per entry, gives Q' = Q diag(G, I) with G
+    # constant and in the group of the leading block: G^T J G = J (self),
+    # G^T G = I (skew, q = 0); which G is up to the last bits of Phi
+    mb, grid = seeded_multibody(7)
+    if kind == "self_adjoint":
+        pair, build = mb.self_pair, sd.global_canonical_self
+    else:
+        pair, build = mb.skew_pair, sd.global_canonical_skew
+    basis = sd.solution_basis_constant(pair, grid)
+    d = basis.d
+    f = 1.0 + 1e-15 * np.random.default_rng(7).standard_normal((grid.n, pair.n, d))
+    moved = sd.SolutionBasis(
+        sd.SampledMatrixFunction(grid, basis.Phi.eval_on(grid) * f,
+                                 deriv_values=basis.Phi.derivative_on(grid) * f),
+        d, complement=basis.complement)
+    forms = [build(pair, b, grid) for b in (basis, moved)]
+    Q, Q2 = (form.Q.Q.eval_on(grid) for form in forms)
+    assert not np.array_equal(Q, Q2)
+    T = np.linalg.solve(Q, Q2)
+    G = T[:, :d, :d].copy()
+    T[:, :d, :d] = 0.0
+    T[:, d:, d:] -= np.eye(pair.n - d)
+    S = _J(d // 2) if kind == "self_adjoint" else np.eye(d)
+    assert forms[0].p == forms[1].p
+    assert np.abs(T).max() <= 1e-13
+    assert np.abs(G - G[0]).max() <= 1e-13
+    assert np.abs(G[0].T @ S @ G[0] - S).max() <= 1e-13
 
 
 def test_skew_pairing_transform_layout():

@@ -576,6 +576,19 @@ def test_rank_decisions_on_a1_at_t0_name_t0(reduce, pair):
     assert str(err.value).startswith("at t=0.0: ")
 
 
+def test_rank_deficient_constraint_rows_name_t0():
+    # A = J2 (+) diag(1, t): at t0 the kernel block diag(1, 0) leaves one
+    # chain variable, and its constraint row, read off A1(t0), is zero
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 41)
+    A = np.zeros((2, 4, 4))
+    A[0, :2, :2], A[0, 2, 2], A[1, 3, 3] = J2, 1.0, 1.0
+    pair = sd.MatrixPair(sd.constant(np.diag([1.0, 1.0, 0.0, 0.0])), sd.poly(A), grid)
+    with pytest.raises(RegularityError,
+                       match=r"constraint rows are rank deficient at t=0\.0") as err:
+        sd.index1_reduce(pair, sd.zero(4, 1), grid)
+    assert err.value.t == 0.0
+
+
 @pytest.mark.parametrize("rel", [1e-11, 1e-10, 1e-9, 5e-9])
 def test_both_entry_points_cut_the_kernel_block_alike(rel):
     # a small kernel block eps/|A|_F = rel: both entry points keep it as an

@@ -472,6 +472,23 @@ def test_congruence_arrays_rejects_an_overlapping_block():
         _congruence_arrays(Ev, None, Ev.copy(), np.ones((3, 3)), None, slice(0, 3), slice(2, 5))
 
 
+@pytest.mark.parametrize("with_xd", [False, True])
+def test_congruence_arrays_of_a_constant_e_match_a_grid_of_zero_edot(with_xd):
+    # a constant E has one zero sample of Edot, for which the kernel forms no
+    # Q^T Edot Q; the result is that of K zero samples, bit for bit
+    from structdae.structure import _congruence_arrays
+
+    K, n = 6, 7
+    rng = np.random.default_rng(13)
+    Ev, Av = rng.standard_normal((2, 1, n, n))
+    X, Xd = rng.standard_normal((2, K, n, n))
+    Xd = Xd if with_xd else None
+    one = _congruence_arrays(Ev, np.zeros((1, n, n)), Av, X, Xd)
+    grid = _congruence_arrays(Ev, np.zeros((K, n, n)), Av, X, Xd)
+    for a, b in zip(one, grid):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("rows, cols", [(slice(15), slice(15, 45)), (slice(15, 45), slice(15, 45))])
 def test_block_congruence_stage_stays_within_three_grid_arrays(rows, cols):
     import tracemalloc
