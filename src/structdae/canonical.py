@@ -351,24 +351,25 @@ class _Pipeline:
 
 def _basis_congruence(pipe, basis):
     """Congruence by [Phi | complement]; without one, the kernel columns of
-    `_row_frame` of Phi^T, whose one SVD also gives the rank guard.  A given
-    complement C must keep its contract at every node: C^T Phi = 0 and
-    C^T C = I, both to 1e-8 (the first relative to |Phi|).  C is read by
-    `structure._samples`, so a constant one is checked on its one sample and
-    broadcast into [Phi | C]."""
+    `_row_frame` of Phi^T, whose one SVD also gives the rank guard.  With
+    one, the rank guard is `structure._require_full_rank`: one Cholesky of
+    Phi's Gram matrix proves the margin, and a values-only SVD of Phi runs
+    only where it proves nothing.  A given complement C must keep its
+    contract at every node: C^T Phi = 0 and C^T C = I, both to 1e-8 (the
+    first relative to |Phi|).  C is read by `structure._samples`, so a
+    constant one is checked on its one sample and broadcast into [Phi | C]."""
     grid, ts = pipe.grid, pipe.grid.points
     d = basis.d
     phiv = basis.Phi.eval_on(grid)
     phid = basis.Phi.derivative_on(grid)
-
-    def guard(rel):
-        st._require_margin(rel, ts, RANK_FLOOR, BasisDeficiencyError, "Phi loses rank")
+    rank_guard = (RANK_FLOOR, BasisDeficiencyError, "Phi loses rank")
 
     if basis.complement is None:
-        V, Vd = _row_frame(_bT(phiv), _bT(phid), ts, guard)
+        V, Vd = _row_frame(_bT(phiv), _bT(phid), ts,
+                           lambda rel: st._require_margin(rel, ts, *rank_guard))
         compv, compd = V[..., d:], Vd[..., d:]
     else:
-        guard(st._rel_smin(phiv))
+        st._require_full_rank(phiv, ts, *rank_guard)
         compv = st._samples(basis.complement, grid)
         compd = st._samples(basis.complement, grid, True)
         cT = _bT(compv)

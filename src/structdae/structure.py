@@ -407,21 +407,84 @@ def _require_margin(rel, ts, rel_tol, error, what,
         )
 
 
+# The shift c of the certificate's Gram matrix: a proven margin near
+# sqrt(c) = 1e-4, far above every threshold in use (1e-10 and below) and far
+# below the margins of well-conditioned samples.
+_GRAM_SHIFT = 1e-8
+
+
+def _certified_margin(F, square=False):
+    """A lower bound on the margin of every matrix of F (K, m, d), m >= d,
+    proven by one Cholesky without factoring F, or 0.0 when it proves
+    nothing.  The margin is `_rel_smin` or, square, `_require_nonsingular`'s
+    1/(|F|_F |F^-1|_F).
+
+    Each Gram matrix F^T F is scaled by the power of two (exact) that brings
+    its computed trace, |F|_F^2, into [1/2, 1), and c I is taken away,
+    c = `_GRAM_SHIFT`.  A Cholesky factor of that, finite at every sample,
+    proves sigma_min(F)^2 >= (c - gamma) |F|_F^2, where gamma = k u / (1 - k u),
+    k = m + d(d+1) + 2, bounds the rounding of the Gram product, its trace,
+    the shift and the Cholesky (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3).  So sigma_min / sigma_max >= sqrt(c - gamma)
+    and, square, 1/(|F|_F |F^-1|_F) >= sqrt((c - gamma) / d): the bound
+    returned.  A trace outside [tiny/u, u max] (non-finite, zero, or norms
+    beyond about 1e+-146, where underflow could spoil the bound and the
+    exact measure's own norms overflow) proves nothing.  d = 0 reads 1, as
+    `_ratio` does.  0.0 means "not proven", never "singular": only the
+    exact measure decides that."""
+    d = F.shape[-1]
+    if d == 0:
+        return 1.0
+    u = np.finfo(float).eps / 2
+    k = F.shape[-2] + d * (d + 1) + 2
+    bound = max(_GRAM_SHIFT - k * u / (1.0 - k * u), 0.0) / (d if square else 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _bT(F) @ F
+    trace = np.trace(G, axis1=-2, axis2=-1)
+    if not np.all((trace >= np.finfo(float).tiny / u) & (trace <= np.finfo(float).max * u)):
+        return 0.0
+    G *= np.ldexp(1.0, -np.frexp(trace)[1])[..., None, None]
+    G -= _GRAM_SHIFT * np.eye(d)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return float(np.sqrt(bound)) if np.isfinite(L).all() else 0.0
+
+
+def _require_full_rank(F, ts, rel_tol, error, what, square=False):
+    """The decision of `_require_margin` on `_rel_smin(F)` or, square, of
+    `_require_nonsingular(F, ...)`, with its inverse dropped: the exact
+    measure runs only where `_certified_margin` does not exceed rel_tol, so
+    the error, its message and its time are always the exact path's."""
+    if _certified_margin(F, square) > rel_tol:
+        return
+    if square:
+        _require_nonsingular(F, ts, rel_tol, error, what)
+    else:
+        _require_margin(_rel_smin(F), ts, rel_tol, error, what)
+
+
+# threshold, error and message of every nonsingularity guard of a transform's Q
+_Q_GUARD = (1e-12, SingularityError, "Q is numerically singular")
+
+
 def check_nonsingular(F, grid):
     """F(t)^-1 on the grid (one sample for a constant F); raises
     SingularityError, naming the time, where F(t) is singular."""
-    return _require_nonsingular(
-        _samples(F, grid), grid.points, 1e-12, SingularityError, "Q is numerically singular"
-    )
+    return _require_nonsingular(_samples(F, grid), grid.points, *_Q_GUARD)
 
 
 def apply_congruence(pair, transform, check_grid=None):
-    """(E, A) -> (Q^T E Q, Q^T A Q - Q^T E Qdot)."""
+    """(E, A) -> (Q^T E Q, Q^T A Q - Q^T E Qdot).  check_grid, if given,
+    raises SingularityError where Q is singular on it, as `check_nonsingular`
+    would, but forms no inverse: a Q whose `_certified_margin` clears the
+    threshold runs no factorization but one Cholesky of its Gram matrix."""
     Q, Qdot = transform.Q, transform.Qdot
     if Q.rows != pair.n:
         raise DimensionError(f"transform is {Q.shape}, pair is {pair.n}x{pair.n}")
     if check_grid is not None:
-        check_nonsingular(Q, check_grid)
+        _require_full_rank(_samples(Q, check_grid), check_grid.points, *_Q_GUARD, square=True)
     Qt = mf.mf_transpose(Q)
     E2 = mf.mf_matmul(Qt, mf.mf_matmul(pair.E, Q))
     A2 = mf.mf_sub(

@@ -80,3 +80,9 @@ def eigh_calls(monkeypatch):
     """`numpy.linalg.eigh` calls, and `eigvalsh` calls as values only."""
     return _recorder(monkeypatch, {"eigh": lambda args, kwargs: False,
                                    "eigvalsh": lambda args, kwargs: True})
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """`numpy.linalg.inv` calls (none computes values only)."""
+    return _recorder(monkeypatch, {"inv": lambda args, kwargs: False})

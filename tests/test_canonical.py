@@ -735,6 +735,18 @@ def test_row_normalization_decomposes_e12_e13_once(svd_calls):
     assert (201, 15, 15) not in svd_calls
 
 
+def test_phi_rank_guard_runs_no_values_only_svd_of_phi(svd_calls):
+    # a basis given with its complement has its rank proven by one Cholesky
+    # of Phi's Gram matrix, not by the singular values of Phi
+    mb, grid = seeded_multibody(7)
+    for pair, build in ((mb.self_pair, sd.global_canonical_self),
+                        (mb.skew_pair, sd.global_canonical_skew)):
+        basis = sd.solution_basis_constant(pair, grid)
+        svd_calls.clear()
+        build(pair, basis, grid)
+        assert (grid.n, pair.n, basis.d) not in svd_calls.values_only
+
+
 def test_row_rank_loss_names_its_time():
     # E = (t - 1/2)(e1 e3^T - e3 e1^T) and A = -e1 e3^T + e3 e3^T form a
     # self-adjoint pair solved by Phi = [e1 e2]; E11 = 0, and

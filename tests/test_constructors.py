@@ -7,7 +7,9 @@ constructor otherwise.  A rank change is reported by one builder,
 `factor._rank_changed`, and `structure.invert` takes Q's derivative from Q
 itself, never from the transform's rebuilt `Qdot`.  Per-sample Frobenius
 norms come from one helper, `structure._frobenius`, never from
-`np.linalg.norm(..., axis=...)`."""
+`np.linalg.norm(..., axis=...)`.  A guard that only decides proves its
+margin by one certificate, `structure._certified_margin`, and the values-only
+SVD of `_rel_smin` runs only in `structure`'s exact fallbacks."""
 
 import ast
 from pathlib import Path
@@ -108,3 +110,40 @@ def test_the_norm_scan_sees_the_axis_keyword(tmp_path):
         "y = linalg.norm(z, 2, axis=-1)\n"
     )
     assert _axis_norm_calls(src) == [("f", 2), (None, 3)]
+
+
+def _defs(path, name):
+    """Lines of every function named name defined in the source."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name]
+
+
+def _callers(name):
+    """{module: enclosing functions} of every name(...) call in the package."""
+    found = {path.name: [where for where, _ in _calls(path, name)]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    return {module: wheres for module, wheres in found.items() if wheres}
+
+
+def test_relative_smin_runs_only_in_the_exact_fallbacks():
+    assert _callers("_rel_smin") == {
+        "structure.py": ["_require_nonsingular", "_require_full_rank"]}
+
+
+def test_apply_congruence_guards_q_without_an_inverse():
+    path = PACKAGE / "structure.py"
+    for guard in ("check_nonsingular", "_require_nonsingular"):
+        assert "apply_congruence" not in [where for where, _ in _calls(path, guard)]
+    assert [where for where, _ in _calls(path, "_require_full_rank")].count(
+        "apply_congruence") == 1
+
+
+def test_the_certificate_has_one_implementation():
+    defs = {path.name: _defs(path, "_certified_margin") for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, lines in defs.items() if lines] == ["structure.py"]
+    assert len(defs["structure.py"]) == 1
+    assert _callers("_certified_margin") == {"structure.py": ["_require_full_rank"]}
+    # every other Cholesky factors the reducer's positive definite E block
+    assert _callers("cholesky") == {
+        "reduce.py": ["_cholesky_with_derivative", "_is_spd"],
+        "structure.py": ["_certified_margin"]}

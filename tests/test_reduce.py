@@ -709,10 +709,24 @@ def _tv_index1_problem(K, n=20, r=16):
     return pair, T, f, grid
 
 
-def test_time_varying_congruence_guard_reads_an_inverse(svd_calls):
+def test_time_varying_congruence_guard_runs_no_values_only_svd(svd_calls):
     pair, T, _, grid = _tv_index1_problem(41)
     sd.apply_congruence(pair, T, check_grid=grid)
     assert svd_calls.values_only == []
+
+
+def test_time_varying_congruence_guard_forms_no_inverse(inv_calls):
+    # Q's margin is proven by one Cholesky of its Gram matrix; the inverse
+    # the guard would only drop is never formed
+    pair, T, _, grid = _tv_index1_problem(41)
+    sd.apply_congruence(pair, T, check_grid=grid)
+    assert (grid.n, pair.n, pair.n) not in inv_calls
+
+
+def test_invert_forms_one_inverse(inv_calls):
+    pair, T, _, grid = _tv_index1_problem(41)
+    sd.invert(T, grid)
+    assert inv_calls.count((grid.n, pair.n, pair.n)) == 1
 
 
 def test_time_varying_kernel_split_is_one_eigh(svd_calls, eigh_calls):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -626,3 +627,100 @@ def test_structure_defect_peaks_near_one_grid_array():
         tracemalloc.stop()
     # both defects share one squared buffer; separate temporaries read 3.0
     assert peak < 1.5 * Ev.nbytes
+
+
+def _planted(rng, K, m, d, ratio, scale, clustered=False):
+    """(F, s_min / |F|_F): K matrices U diag(s) V^T of shape (m, d), U and V
+    with orthonormal columns, s logspaced from scale down to scale * ratio
+    or, clustered, scale once and scale * ratio d - 1 times."""
+    U = np.linalg.qr(rng.standard_normal((K, m, d)))[0]
+    V = np.linalg.qr(rng.standard_normal((K, d, d)))[0]
+    if clustered:
+        s = np.full(d, ratio)
+        s[0] = 1.0
+    else:
+        s = np.logspace(0.0, np.log10(ratio), d)
+    F = (U * (scale * s)) @ np.swapaxes(V, -1, -2)
+    return F, s[-1] / np.sqrt(np.sum(s * s))
+
+
+_SHAPES = [(1, 1, 1), (3, 5, 5), (8, 20, 20), (2, 60, 60),
+           (4, 7, 3), (8, 45, 30), (5, 60, 12), (1, 60, 1)]
+
+
+@pytest.mark.parametrize("K, m, d", _SHAPES)
+def test_certified_margin_is_a_proof(K, m, d):
+    from structdae.reduce import COND_LIMIT
+    from structdae.structure import _certified_margin, _rel_smin
+
+    thresholds = (1e-14, 1e-12, 1e-10, 1.0 / COND_LIMIT)
+    rng = np.random.default_rng(m * 100 + d)
+    proven = 0
+    for ratio, scale, clustered in itertools.product(
+            np.logspace(-17.0, 0.0, 35), (1e-150, 1e-50, 1.0, 1e50, 1e150),
+            (False, True)):
+        F, floor = _planted(rng, K, m, d, ratio, scale, clustered)
+        for square in ([False, True] if m == d else [False]):
+            margin = _certified_margin(F, square)
+            if margin:
+                # the exact measures; a proven F keeps their norms finite
+                if square:
+                    exact = 1.0 / (np.linalg.norm(F, axis=(1, 2))
+                                   * np.linalg.norm(np.linalg.inv(F), axis=(1, 2)))
+                else:
+                    exact = _rel_smin(F)
+                assert margin > max(thresholds)
+                assert np.all(exact >= margin)
+                proven += 1
+            # nothing below the shift's sqrt(1e-8) is ever proven, and
+            # every moderate, clearly conditioned stack is
+            assert margin == 0.0 or floor >= 1e-4
+            if 2e-4 <= floor and 1e-100 <= scale <= 1e100:
+                assert margin > 0.0
+    assert proven
+
+
+def test_certified_margin_refuses_what_it_cannot_prove():
+    from structdae.structure import _certified_margin
+
+    F = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    assert _certified_margin(F) > 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        G = F.copy()
+        G[1, 0, 0] = bad
+        assert _certified_margin(G) == 0.0
+        assert _certified_margin(G, square=True) == 0.0
+    G = F.copy()
+    G[0] = 0.0
+    assert _certified_margin(G) == 0.0
+    # a Gram matrix that overflows, or underflows, proves nothing
+    assert _certified_margin(1e160 * F) == 0.0
+    assert _certified_margin(1e-160 * F) == 0.0
+    # an empty block reads 1, as _ratio does
+    assert _certified_margin(np.zeros((2, 4, 0))) == 1.0
+    assert _certified_margin(np.zeros((2, 0, 0)), square=True) == 1.0
+
+
+def test_an_unproven_margin_goes_to_the_exact_guard(svd_calls, inv_calls):
+    from structdae.structure import _certified_margin, _require_full_rank
+
+    F, _ = _planted(np.random.default_rng(5), 6, 8, 8, 1e-6, 1.0)
+    ts = np.linspace(0.0, 1.0, 6)
+    assert _certified_margin(F) == 0.0
+    _require_full_rank(F, ts, 1e-10, SingularityError, "F loses rank")
+    assert svd_calls.values_only == [F.shape]
+    _require_full_rank(F, ts, 1e-12, SingularityError, "F is singular", square=True)
+    assert inv_calls == [F.shape]
+    with pytest.raises(SingularityError, match="F loses rank at t=0.0") as err:
+        _require_full_rank(F, ts, 1e-5, SingularityError, "F loses rank")
+    assert err.value.t == 0.0
+
+
+def test_a_proven_margin_runs_no_exact_guard(svd_calls, inv_calls):
+    from structdae.structure import _require_full_rank
+
+    F, _ = _planted(np.random.default_rng(5), 6, 8, 8, 1e-2, 1.0)
+    ts = np.linspace(0.0, 1.0, 6)
+    _require_full_rank(F, ts, 1e-10, SingularityError, "F loses rank")
+    _require_full_rank(F, ts, 1e-12, SingularityError, "F is singular", square=True)
+    assert svd_calls == [] and inv_calls == []
