@@ -335,12 +335,22 @@ class _Pipeline:
         if defect > STAGE_TOL:
             raise StageError(f"check '{name}' failed (defect {defect:.3e})", stage=name)
 
+    def _freeze(self):
+        """Make the pipeline's arrays read-only, which ends its stages: the
+        functions read from them below keep views of them, not copies."""
+        for a in (self.Ev, self.Ed, self.Av, self.Qv, self.Qd):
+            mf._frozen(a)
+
     def transform(self):
+        self._freeze()
         return st.CongruenceTransform(st._sampled(self.grid, self.Qv, self.Qd))
 
     def block(self, which, rows=slice(None), cols=slice(None)):
         """Block [rows, cols] of the current E (with its derivative samples)
-        or A, which is "E" or "A", as a function."""
+        or A, which is "E" or "A", as a function: a view of the frozen
+        pipeline arrays, so every block of a form shares the memory of its
+        `pair_mf`."""
+        self._freeze()
         if which == "E":
             return st._sampled(self.grid, self.Ev[:, rows, cols], self.Ed[:, rows, cols])
         return st._sampled(self.grid, self.Av[:, rows, cols])

@@ -26,6 +26,16 @@ Other modules may define further kinds on the same interface by providing
 ``reduce.AffineInput`` is one, evaluated from the input wherever it is read.
 Such kinds take part in evaluation only, not in the algebra below.
 
+A sampled function owns its samples read-only.  Its constructor keeps an
+array as is when nothing can write to it: float64, read-only, and so is
+every array it views (`_read_only`); anything else, a list or a caller's
+writable array, is copied and the copy frozen.  The algebra below and
+``structure._sampled`` freeze the arrays they have just computed
+(`_frozen`) and hand them over, so no sample is copied on the way in.
+``eval_on`` and ``derivative_on`` on the function's own grid return those
+stored samples: read-only arrays, which a caller copies before writing.
+On any other grid they return fresh, writable arrays.
+
 All evaluation is deterministic and side-effect free.
 """
 
@@ -37,6 +47,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, DomainError
+
+def _frozen(a):
+    """a, handed over: it and every array it views are read-only from now
+    on, which lets a SampledMatrixFunction keep it without a copy.  None
+    passes through."""
+    x = a
+    while isinstance(x, np.ndarray):
+        x.flags.writeable = False
+        x = x.base
+    return a
+
+
+def _read_only(a):
+    """Whether nothing can write to a: a float64 array that is read-only, as
+    is every array it views, down to the one that owns the memory.  Its
+    rows must also be contiguous: a transposed view is copied to row-major
+    order, so the samples a caller reads are row-major matrices, since BLAS
+    can round a product with a transposed operand differently."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and (a.ndim == 0 or a.shape[-1] <= 1 or a.strides[-1] == a.itemsize)):
+        return False
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
+def _owned(values):
+    """values itself when `_read_only`, else a frozen row-major float copy."""
+    return values if _read_only(values) else _frozen(np.array(values, dtype=float, order="C"))
+
 
 def _as_matrix(value, name="matrix", stacked=False):
     """Finite float matrix, or a stack of them along a leading axis."""
@@ -274,8 +316,11 @@ def _not_a_knot_slopes(x, y):
 
 
 class SampledMatrixFunction(MatrixFunction):
+    """Samples on a grid, kept read-only (`_owned`): an array nothing can
+    write to is kept as is, anything else is copied."""
+
     def __init__(self, grid, values, deriv_values=None):
-        vals = np.array(values, dtype=float)
+        vals = _owned(values)
         if vals.ndim == 2:
             vals = vals[:, :, None]
         if vals.ndim != 3 or vals.shape[0] != grid.n:
@@ -288,7 +333,7 @@ class SampledMatrixFunction(MatrixFunction):
         self.values = vals
         self.rows, self.cols = vals.shape[1], vals.shape[2]
         if deriv_values is not None:
-            dv = np.array(deriv_values, dtype=float)
+            dv = _owned(deriv_values)
             if dv.shape != vals.shape:
                 raise ConstructionError("derivative samples must match value shape")
             if not np.all(np.isfinite(dv)):
@@ -371,14 +416,15 @@ class SampledMatrixFunction(MatrixFunction):
             out[hit] = self.deriv_values[node[hit]]
         return _finite(out, ts)
 
+    # on the own grid: the stored read-only samples themselves
     def eval_on(self, grid):
         if grid == self.grid:
-            return self.values.copy()
+            return self.values
         return super().eval_on(grid)
 
     def derivative_on(self, grid):
         if self.deriv_values is not None and grid == self.grid:
-            return self.deriv_values.copy()
+            return self.deriv_values
         return super().derivative_on(grid)
 
 
@@ -413,7 +459,8 @@ def sample(fun, grid):
     points by construction."""
     if isinstance(fun, SampledMatrixFunction) and not grid.within(fun.grid):
         raise DomainError("sampling grid extends beyond the source interval")
-    return SampledMatrixFunction(grid, fun.eval_on(grid), deriv_values=fun.derivative_on(grid))
+    return SampledMatrixFunction(grid, _frozen(fun.eval_on(grid)),
+                                 deriv_values=_frozen(fun.derivative_on(grid)))
 
 
 def from_callable(fn, grid, dfn=None):
@@ -422,7 +469,7 @@ def from_callable(fn, grid, dfn=None):
     deriv = None
     if dfn is not None:
         deriv = _as_matrix([dfn(t) for t in grid.points], "derivative sample", stacked=True)
-    return SampledMatrixFunction(grid, values, deriv_values=deriv)
+    return SampledMatrixFunction(grid, _frozen(values), deriv_values=_frozen(deriv))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +487,8 @@ def _result_grid(*funs):
 def _sampled_binary(a, b, grid, op, dop):
     va, vb = a.eval_on(grid), b.eval_on(grid)
     da, db = a.derivative_on(grid), b.derivative_on(grid)
-    return SampledMatrixFunction(grid, op(va, vb), deriv_values=dop(va, vb, da, db))
+    return SampledMatrixFunction(grid, _frozen(op(va, vb)),
+                                 deriv_values=_frozen(dop(va, vb, da, db)))
 
 
 def mf_add(a, b):
@@ -459,8 +507,8 @@ def _linear(a, op):
     polynomial's coefficients or to a sampled function's samples."""
     if isinstance(a, PolynomialMatrixFunction):
         return _poly(op(a.coeffs))
-    dv = None if a.deriv_values is None else op(a.deriv_values)
-    return SampledMatrixFunction(a.grid, op(a.values), deriv_values=dv)
+    dv = None if a.deriv_values is None else _frozen(op(a.deriv_values))
+    return SampledMatrixFunction(a.grid, _frozen(op(a.values)), deriv_values=dv)
 
 
 def mf_scale(a, s):
@@ -494,8 +542,7 @@ def mf_derivative_function(a):
     """The derivative as a MatrixFunction of the same (or simpler) kind."""
     if isinstance(a, PolynomialMatrixFunction):
         return a.derivative_function()
-    vals = a.derivative_on(a.grid)
-    return SampledMatrixFunction(a.grid, vals)
+    return SampledMatrixFunction(a.grid, _frozen(a.derivative_on(a.grid)))
 
 
 def mf_block(blocks):
@@ -529,7 +576,7 @@ def mf_block(blocks):
             [np.concatenate([b.derivative_on(grid) for b in row], axis=2) for row in norm],
             axis=1,
         )
-        return SampledMatrixFunction(grid, vals, deriv_values=dvals)
+        return SampledMatrixFunction(grid, _frozen(vals), deriv_values=_frozen(dvals))
     c = np.zeros((max(p.degree for p in funs) + 1, sum(heights), width))
     r0 = 0
     for row, height in zip(norm, heights):
@@ -606,15 +653,8 @@ def matrix_function_from_json(obj):
             grid = TimeGrid(data["grid"])
             if data.get("order", 3) != 3:  # older files record the cubic's order 3
                 raise ConstructionError(f"interpolation order {data['order']!r} is not cubic")
-            f = SampledMatrixFunction(
-                grid,
-                np.array(data["values"], dtype=float),
-                deriv_values=(
-                    np.array(data["derivatives"], dtype=float)
-                    if "derivatives" in data
-                    else None
-                ),
-            )
+            f = SampledMatrixFunction(grid, data["values"],
+                                      deriv_values=data.get("derivatives"))
         else:
             raise ConstructionError(f"unknown matrix function kind {kind!r}")
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -115,6 +115,17 @@ def _frobenius(x, out=None):
     return np.sqrt(np.add.reduce(np.square(x, out=out), axis=(-2, -1)))
 
 
+def _scaled_frobenius(x):
+    """(m, e): the Frobenius norm of each matrix of x (..., m, n) is m 2^e,
+    m that of the matrix times the power of two 2^-e (exact) that brings
+    its largest entry into [1/2, 1), so the sum of squares neither
+    overflows nor underflows to zero.  Where the unscaled squares do
+    neither, m 2^e is `_frobenius` bit for bit."""
+    e = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
+    y = np.ldexp(x, -e[..., None, None])
+    return _frobenius(y, y), e
+
+
 def _maxnorm(x, out=None):
     """Largest `_frobenius` norm over a grid of matrices (0 for empty
     blocks); out as for `_frobenius`."""
@@ -268,7 +279,9 @@ def _samples(F, grid, derivative=False):
     """Grid samples (K, rows, cols) of F or of its derivative.  A constant
     (`_constant`) is one sample, a (1, rows, cols) copy of its value (zeros
     for the derivative) that broadcasts against the grid arrays: the only
-    place that decides how a constant looks on the grid."""
+    place that decides how a constant looks on the grid.  A sampled F on
+    its own grid gives its stored samples themselves, which are read-only:
+    a caller that writes into the result copies it first."""
     c = _constant(F)
     if c is not None:
         return np.zeros((1, *F.shape)) if derivative else c[None].copy()
@@ -285,7 +298,14 @@ def _sampled(grid, vals, derivs=None):
     """Function of the samples vals (K or 1, ., .) and derivative samples
     derivs, if given: a constant when every sample is bitwise equal to the
     first and every derivative sample is zero, else the cubic through the
-    samples, Hermite with derivs (non-finite samples raise either way)."""
+    samples, Hermite with derivs (non-finite samples raise either way).
+
+    vals and derivs are handed over, not copied: they, and the arrays they
+    view, are read-only from here on (`matfun._frozen`), and the cubic
+    keeps them as its samples.  A caller that goes on writing hands over a
+    copy."""
+    mf._frozen(vals)
+    mf._frozen(derivs)
     if _bitwise_equal(vals) and (derivs is None or not np.any(derivs)):
         return mf.ConstantMatrixFunction(vals[0])
     return mf.SampledMatrixFunction(grid, vals, deriv_values=derivs)
@@ -374,7 +394,9 @@ def _require_nonsingular(F, ts, rel_tol, error, what, rhs=None, **fields):
     F, one matrix per time of ts; raises error(..., t=t, **fields) at the
     earliest time where F is numerically singular: 1/(|F|_F |F^-1|_F), which
     lies within a factor n below s_min / s_max, is <= rel_tol (or is not a
-    number).  An empty block reads 1.  A sample that LAPACK finds exactly
+    number).  Both norms are `_scaled_frobenius`, so a well-conditioned F
+    far from unit scale, whose squares would overflow or underflow, keeps
+    its margin.  An empty block reads 1.  A sample that LAPACK finds exactly
     singular stops the solve; the time is then named by `_rel_smin`."""
     n = F.shape[-1]
     try:
@@ -385,7 +407,8 @@ def _require_nonsingular(F, ts, rel_tol, error, what, rhs=None, **fields):
         raise
     if n:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rel = 1.0 / (_frobenius(F) * _frobenius(out[..., -n:]))
+            (nF, eF), (nI, eI) = _scaled_frobenius(F), _scaled_frobenius(out[..., -n:])
+            rel = np.ldexp(1.0 / (nF * nI), -(eF + eI))
     else:
         rel = np.ones(F.shape[:-2])
     _require_margin(rel, ts, rel_tol, error, what,

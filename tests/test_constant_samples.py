@@ -208,15 +208,23 @@ def test_sampled_with_derivative_samples_is_a_constant_only_when_they_vanish():
     M = np.array([[1.0, -2.0], [0.5, 3.0]])
     vals = np.broadcast_to(M, (GRID.n, 2, 2)).copy()
     ders = np.zeros_like(vals)
-    const = _sampled(GRID, vals, ders)
+    # the samples are handed over and frozen, so copies are handed here,
+    # where the test goes on writing into vals and ders
+    handed = vals.copy(), ders.copy()
+    const = _sampled(GRID, *handed)
     assert isinstance(const, sd.ConstantMatrixFunction)
-    assert np.array_equal(const.value, M) and not np.shares_memory(const.value, vals)
+    assert np.array_equal(const.value, M) and not np.shares_memory(const.value, handed[0])
+    assert not any(a.flags.writeable for a in handed)
     # equal samples with a nonzero derivative are the Hermite cubic through both
     ders[5, 0, 1] = 1e-300
-    herm = _sampled(GRID, vals, ders)
+    handed = vals.copy(), ders.copy()
+    herm = _sampled(GRID, *handed)
     assert isinstance(herm, sd.SampledMatrixFunction)
     assert herm.derivative_on(GRID).tobytes() == ders.tobytes()
-    assert not np.shares_memory(herm.values, vals)
+    # the cubic keeps the frozen arrays it was handed as its samples
+    assert not any(a.flags.writeable for a in handed)
+    assert np.shares_memory(herm.values, handed[0])
+    assert np.shares_memory(herm.deriv_values, handed[1])
     # moving samples give the Hermite cubic itself, bit for bit off the nodes
     moving = vals + GRID.points[:, None, None]
     ones = np.ones_like(moving)

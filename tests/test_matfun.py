@@ -561,3 +561,82 @@ def test_uniform_grid_rejects_non_finite_bounds(bounds):
     with pytest.raises(ConstructionError, match="finite"):
         sd.TimeGrid.uniform(*bounds, 2)
 
+
+
+# ---------------------------------------------------------------------------
+# ownership: read-only samples, handed over rather than copied
+# ---------------------------------------------------------------------------
+
+def _samples_and_slopes(grid, rows=2, cols=3):
+    rng = np.random.default_rng(4)
+    return rng.standard_normal((2, grid.n, rows, cols))
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_a_callers_writable_samples_are_copied(as_list):
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 7)
+    vals, ders = _samples_and_slopes(grid)
+    keep = vals.copy(), ders.copy()
+    given = (vals.tolist(), ders.tolist()) if as_list else (vals, ders)
+    f = sd.SampledMatrixFunction(grid, *given)
+    assert not np.shares_memory(f.values, vals) and not np.shares_memory(f.deriv_values, ders)
+    assert vals.flags.writeable and ders.flags.writeable
+    # writing into the caller's arrays afterwards changes nothing
+    vals[...] = 7.0
+    ders[...] = -7.0
+    assert np.array_equal(f.eval_on(grid), keep[0])
+    assert np.array_equal(f.derivative_on(grid), keep[1])
+
+
+def test_stored_samples_are_read_only():
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 7)
+    f = sd.SampledMatrixFunction(grid, *_samples_and_slopes(grid))
+    for stored in (f.values, f.deriv_values, f.eval_on(grid), f.derivative_on(grid)):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0, 0] = 1.0
+
+
+def test_a_frozen_array_is_handed_over_and_a_view_of_a_writable_one_is_copied():
+    from structdae.matfun import _frozen
+
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 7)
+    vals, ders = _samples_and_slopes(grid)
+    f = sd.SampledMatrixFunction(grid, _frozen(vals), deriv_values=_frozen(ders))
+    assert f.values is vals and f.deriv_values is ders
+    # a read-only view of an array that can still be written is copied
+    big = np.zeros((grid.n, 4, 4))
+    view = big[:, :2, :3]
+    view.flags.writeable = False
+    assert not np.shares_memory(sd.SampledMatrixFunction(grid, view).values, big)
+    # so is a transposed view, into row-major order
+    g = sd.SampledMatrixFunction(grid, _frozen(np.swapaxes(vals, 1, 2).copy()))
+    t = sd.mf_transpose(g)
+    assert not np.shares_memory(t.values, g.values) and t.values.flags.c_contiguous
+
+
+def test_samples_on_the_own_grid_are_shared_and_elsewhere_fresh():
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 7)
+    f = sd.SampledMatrixFunction(grid, *_samples_and_slopes(grid))
+    assert np.shares_memory(f.eval_on(grid), f.values)
+    assert np.shares_memory(f.derivative_on(sd.TimeGrid(grid.points.copy())), f.deriv_values)
+    fine = grid.refine()
+    for fresh in (f.eval_on(fine), f.derivative_on(fine)):
+        assert fresh.flags.writeable
+        assert not np.shares_memory(fresh, f.values)
+        assert not np.shares_memory(fresh, f.deriv_values)
+        fresh[0, 0, 0] = 1.0
+
+
+def test_the_algebra_hands_its_results_over():
+    grid = sd.TimeGrid.uniform(0.0, 1.0, 7)
+    vals, ders = _samples_and_slopes(grid, 3, 3)
+    f = sd.SampledMatrixFunction(grid, vals, deriv_values=ders)
+    results = [sd.mf_add(f, f), sd.mf_matmul(f, f), sd.mf_scale(f, 2.0), sd.mf_transpose(f),
+               sd.mf_block([[f, f]]), sd.sample(f, grid), sd.mf_derivative_function(f),
+               sd.from_callable(lambda t: t * np.eye(2), grid, dfn=lambda t: np.eye(2))]
+    for r in results:
+        for stored in (r.values, r.deriv_values):
+            assert stored is None or not stored.flags.writeable
+    # resampling on the own grid and the derivative share f's samples
+    assert np.shares_memory(results[5].values, f.values)
+    assert np.shares_memory(results[6].values, f.deriv_values)

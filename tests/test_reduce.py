@@ -200,11 +200,15 @@ def test_sampled_reduced_data_are_constant_only_when_bitwise_equal():
     grid = sd.TimeGrid.uniform(0.0, 1.0, 11)
     M = np.array([[0.0, 1.5], [-1.5, 0.1]])
     vals = np.broadcast_to(M, (grid.n, 2, 2)).copy()
-    const = _sampled(grid, vals)
+    # the samples are handed over and frozen: hand a copy, since vals is
+    # written below
+    handed = vals.copy()
+    const = _sampled(grid, handed)
     assert isinstance(const, sd.ConstantMatrixFunction)
     assert np.array_equal(const.value, M)
+    assert not handed.flags.writeable
     vals[7, 1, 0] = np.nextafter(vals[7, 1, 0], 0.0)  # one ulp
-    assert isinstance(_sampled(grid, vals), sd.SampledMatrixFunction)
+    assert isinstance(_sampled(grid, vals.copy()), sd.SampledMatrixFunction)
     vals[3, 0, 0] = np.nan
     with pytest.raises(ConstructionError):
         _sampled(grid, vals)

@@ -724,3 +724,47 @@ def test_a_proven_margin_runs_no_exact_guard(svd_calls, inv_calls):
     _require_full_rank(F, ts, 1e-10, SingularityError, "F loses rank")
     _require_full_rank(F, ts, 1e-12, SingularityError, "F is singular", square=True)
     assert svd_calls == [] and inv_calls == []
+
+
+def _scaled_transforms(scale):
+    """A constant and a moving well-conditioned Q, both times scale."""
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return [sd.CongruenceTransform(sd.constant(scale * np.eye(2))),
+            sd.CongruenceTransform(sd.poly([scale * np.eye(2), scale * N]))]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_a_well_conditioned_q_far_from_unit_scale_is_nonsingular(scale):
+    # the squares of |Q|_F or |Q^-1|_F overflow or underflow here; the
+    # margin is read from Q scaled by a power of two
+    for T in _scaled_transforms(scale):
+        inv = sd.invert(T, GRID).Q
+        assert _close(inv.eval_on(GRID) @ T.Q.eval_on(GRID), np.eye(2), 1e-15)
+        # E scaled so that Q^T E Q stays finite
+        pair = sd.MatrixPair(sd.constant(np.eye(2) / scale), sd.constant(J2 / scale), GRID)
+        sd.apply_congruence(pair, T, check_grid=GRID)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_a_singular_q_raises_the_same_error_at_any_scale(scale):
+    # Q(t) = scale diag(1, t - 1/2 + shift) is exactly singular at t = 1/2
+    # when shift = 0, and has a margin of about 1e-14 there when shift = 1e-14
+    import re
+
+    pair = sd.MatrixPair(sd.identity(2), sd.constant(J2), GRID)
+    for shift, measure in [(0.0, "relative smallest singular value"),
+                           (1e-14, "reciprocal Frobenius condition number")]:
+        T = sd.CongruenceTransform(
+            sd.poly([scale * np.diag([1.0, shift - 0.5]), scale * np.diag([0.0, 1.0])]))
+        for call in (lambda: sd.invert(T, GRID),
+                     lambda: sd.apply_congruence(pair, T, check_grid=GRID)):
+            with pytest.raises(SingularityError) as err:
+                call()
+            assert err.value.t == 0.5
+            got = re.fullmatch(r"Q is numerically singular at t=0\.5 \((.*) (\S+) <= 1e-12\)",
+                               str(err.value))
+            assert got and got[1] == measure
+            if shift:
+                assert 0.9e-14 <= float(got[2]) <= 1.1e-14
+            else:
+                assert got[2] == "0.000e+00"
